@@ -60,6 +60,7 @@ def discrete_energy(
         else:
             lr = _apply_multiplier(mismatch, multiplier_array(op, grid), grid.shape)
             longrange = 0.5 * params.gamma * dx * float(np.sum(lr * mismatch))
-        penalty = 0.5 * params.M * (dx * float(np.sum(mismatch))) ** 2
+        volume = dx * float(np.sum(mismatch))
+        penalty = 0.5 * params.M * volume * volume   # float ** 2 raises on overflow
     total = interfacial + well + longrange + penalty
     return EnergyBreakdown(interfacial, well, longrange, penalty, total)

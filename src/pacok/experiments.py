@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ConfigError
 from .grid import GridField, PeriodicGrid, norm_l2_h, save_snapshot
@@ -454,6 +453,8 @@ def count_bumps(phi: GridField, threshold: float = 0.5) -> int:
         m = mask.astype(np.int8)
         rises = int(np.sum((m - np.roll(m, 1)) == 1))
         return rises if rises > 0 else 1
+    from scipy import ndimage   # deferred: the only scipy user, and slow to import
+
     labels, count = ndimage.label(mask)
     if count == 0:
         return 0

@@ -65,11 +65,13 @@ class LongRangeOp:
         if self.kind is OpKind.CUSTOM_SYMBOL:
             if not self.symbol:
                 raise ConfigError("custom operator needs a non-empty symbol table")
-            for mode, value in self.symbol.items():
-                if not np.isfinite(value) or value < 0.0:
-                    raise ConfigError(
-                        f"custom symbol must be finite and >= 0, got {value} at mode {mode}"
-                    )
+            values = np.fromiter(self.symbol.values(), dtype=float, count=len(self.symbol))
+            bad = ~(np.isfinite(values) & (values >= 0.0))
+            if bad.any():
+                mode, value = list(self.symbol.items())[int(np.argmax(bad))]
+                raise ConfigError(
+                    f"custom symbol must be finite and >= 0, got {value} at mode {mode}"
+                )
 
     @classmethod
     def inverse_laplacian(cls, strength: float = 1.0) -> "LongRangeOp":
@@ -85,10 +87,19 @@ class LongRangeOp:
 
     @classmethod
     def custom(cls, symbol: dict, strength: float = 1.0) -> "LongRangeOp":
-        normalized = {}
-        for mode, value in symbol.items():
-            key = (int(mode),) if np.isscalar(mode) else tuple(int(m) for m in mode)
-            normalized[key] = float(value)
+        """Operator from a table ``{mode: value}``; a mode is an int or a tuple of ints."""
+        try:
+            modes = np.array(list(symbol))
+        except ValueError:   # tuples of different lengths
+            modes = None
+        if modes is not None and modes.dtype.kind in "iu" and modes.ndim <= 2:
+            keys = map(tuple, modes.reshape(len(symbol), -1).tolist())
+        else:
+            keys = (
+                (int(mode),) if np.isscalar(mode) else tuple(int(m) for m in mode)
+                for mode in symbol
+            )
+        normalized = dict(zip(keys, map(float, symbol.values())))
         return cls(OpKind.CUSTOM_SYMBOL, strength=strength, symbol=normalized)
 
     @classmethod
@@ -145,45 +156,55 @@ def _wrap_mode(m: int, n: int) -> int:
 
 
 def _custom_multiplier(op: LongRangeOp, grid: PeriodicGrid) -> np.ndarray:
+    """Scatter a custom table onto the DFT modes of ``grid`` and validate it.
+
+    Entries of another dimension, or with a mode outside -n/2 <= m < n/2,
+    are ignored.  Every mode of the grid needs an entry, and the entry of m
+    must equal that of its mirror -m (mod n); the first mode in C order that
+    breaks either rule is named in the ConfigError.
+    """
     n = grid.sizes
     table = op.symbol
+    in_dim = [mode for mode in table if len(mode) == grid.dim]
+    values = np.fromiter(map(table.__getitem__, in_dim), dtype=float, count=len(in_dim))
+    # Object dtype keeps modes beyond int64 exact until the range test drops them.
+    modes = np.array(in_dim, dtype=object).reshape(len(in_dim), grid.dim)
+    half = np.array(n) // 2
+    inside = np.all((modes >= -half) & (modes < half), axis=1)
+    index = modes[inside].astype(np.int64) % np.array(n)
+    full = np.full(n, np.nan)
+    full[tuple(index.T)] = values[inside]
 
-    def lookup(mode):
-        try:
-            return table[mode]
-        except KeyError:
-            raise ConfigError(f"custom symbol table has no entry for mode {mode}") from None
-
-    if grid.dim == 1:
-        modes = [(_wrap_mode(m, n[0]),) for m in range(n[0])]
-    else:
-        modes = [
-            (_wrap_mode(m1, n[0]), _wrap_mode(m2, n[1]))
-            for m1 in range(n[0])
-            for m2 in range(n[1])
-        ]
-    for mode in modes:
-        value = lookup(mode)
+    mirrored_full = full[np.ix_(*[-np.arange(nn) % nn for nn in n])]
+    bad = ~(full == mirrored_full)   # also true where either entry is missing
+    if bad.any():
+        at = np.unravel_index(int(np.argmax(bad)), n)
+        mode = tuple(_wrap_mode(int(k), nn) for k, nn in zip(at, n))
         mirrored = tuple(_wrap_mode(-m, nn) for m, nn in zip(mode, n))
-        if lookup(mirrored) != value:
-            raise ConfigError(
-                f"custom symbol is not even: value at {mode} differs from {mirrored}"
-            )
-    if grid.dim == 1:
-        return np.array([lookup((_wrap_mode(m, n[0]),)) for m in range(n[0] // 2 + 1)])
-    m1s = [int(m) for m in np.fft.fftfreq(n[0]) * n[0]]
-    m2s = [_wrap_mode(m, n[1]) for m in range(n[1] // 2 + 1)]
-    return np.array([[lookup((m1, m2)) for m2 in m2s] for m1 in m1s])
+        if np.isnan(full[at]):
+            raise ConfigError(f"custom symbol table has no entry for mode {mode}")
+        if np.isnan(mirrored_full[at]):
+            raise ConfigError(f"custom symbol table has no entry for mode {mirrored}")
+        raise ConfigError(
+            f"custom symbol is not even: value at {mode} differs from {mirrored}"
+        )
+    return np.ascontiguousarray(full[..., : n[-1] // 2 + 1])
 
 
 def multiplier_array(op: LongRangeOp, grid: PeriodicGrid) -> np.ndarray:
-    """Fourier multiplier of ``op`` over the real-FFT mode layout."""
+    """Fourier multiplier of ``op`` over the real-FFT mode layout.
+
+    Built once per operator and grid and cached read-only.  A custom table
+    is validated against the grid (complete and even) once, when its
+    multiplier is built.
+    """
     if op.kind is OpKind.NONE:
         raise ConfigError("cannot apply a long-range operator of kind 'none'")
     if op.kind is OpKind.CUSTOM_SYMBOL:
-        # Table lookups are validated per grid; not worth caching.
-        return _custom_multiplier(op, grid)
-    key = (op.kind, op.gamma_len, op.delta, _grid_key(grid))
+        # The op's hash leaves the table out; equal keys compare it.
+        key = (op, _grid_key(grid))
+    else:
+        key = (op.kind, op.gamma_len, op.delta, _grid_key(grid))
     with _cache_lock:
         cached = _multiplier_cache.get(key)
     if cached is not None:
@@ -194,11 +215,13 @@ def multiplier_array(op: LongRangeOp, grid: PeriodicGrid) -> np.ndarray:
             mult = np.where(lam > 0.0, 1.0 / np.where(lam > 0.0, lam, 1.0), 0.0)
     elif op.kind is OpKind.HELMHOLTZ:
         mult = 1.0 / (1.0 + op.gamma_len ** 2 * stencil_symbol(grid))
-    else:
+    elif op.kind is OpKind.GARNET_FILM:
         kmag = _wavenumber_magnitude(grid)
         dk = op.delta * kmag
         with np.errstate(divide="ignore", invalid="ignore"):
             mult = np.where(dk > 0.0, -np.expm1(-dk) / np.where(dk > 0.0, dk, 1.0), 1.0)
+    else:
+        mult = _custom_multiplier(op, grid)
     mult.setflags(write=False)
     with _cache_lock:
         _multiplier_cache[key] = mult
@@ -266,22 +289,40 @@ def estimate_linf_norm(op: LongRangeOp, grid: PeriodicGrid) -> float:
 
 
 def load_symbol_csv(path) -> dict:
-    """Read a custom symbol table from CSV lines ``k1[,k2],value``."""
-    table = {}
+    """Read a custom symbol table from CSV lines ``k1[,k2],value``.
+
+    ``#`` lines and blank lines are skipped.  A file whose entries all have
+    the dimension of its first one is parsed in one array pass; other files
+    go through the line-by-line parser, which names the first bad line.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) not in (2, 3):
-                raise ConfigError(f"{path}:{lineno}: expected 'k1[,k2],value'")
-            try:
-                mode = tuple(int(p) for p in parts[:-1])
-                value = float(parts[-1])
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: malformed symbol entry") from exc
-            table[mode] = value
-    if not table:
+        lines = [
+            (lineno, line)
+            for lineno, line in enumerate(map(str.strip, fh), start=1)
+            if line and not line.startswith("#")
+        ]
+    if not lines:
         raise ConfigError(f"{path}: empty symbol table")
+    dim = lines[0][1].count(",")
+    if dim in (1, 2):
+        row = np.dtype([("mode", np.int64, (dim,)), ("value", np.float64)])
+        try:
+            rows = np.loadtxt(
+                [line for _, line in lines], dtype=row, delimiter=",", comments=None, ndmin=1
+            )
+        except ValueError:
+            pass   # the line parser reports the error, or reads the mixed table
+        else:
+            return dict(zip(map(tuple, rows["mode"].tolist()), rows["value"].tolist()))
+    table = {}
+    for lineno, line in lines:
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) not in (2, 3):
+            raise ConfigError(f"{path}:{lineno}: expected 'k1[,k2],value'")
+        try:
+            mode = tuple(int(p) for p in parts[:-1])
+            value = float(parts[-1])
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: malformed symbol entry") from exc
+        table[mode] = value
     return table

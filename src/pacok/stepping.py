@@ -214,14 +214,26 @@ class StepRecord:
     increment: float
 
 
+def _energy(state: SchemeState, params, spec, op, potential) -> float:
+    """Total discrete energy of ``state``; a non-finite one is a blowup."""
+    # The overflow warnings on the way to a non-finite energy are suppressed
+    # because the result is checked and reported as BlowupError.
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = discrete_energy(state.phi, params, spec, op, potential).total
+    if not math.isfinite(total):
+        raise BlowupError(
+            state.step_index, f"non-finite energy at step {state.step_index}"
+        )
+    return total
+
+
 def _make_record(state: SchemeState, params, spec, op, potential) -> StepRecord:
-    e = discrete_energy(state.phi, params, spec, op, potential)
     return StepRecord(
         n=state.step_index,
         t=state.time,
         phi_min=float(np.min(state.phi.values)),
         phi_max=float(np.max(state.phi.values)),
-        energy=e.total,
+        energy=_energy(state, params, spec, op, potential),
         increment=state.last_increment_linf if state.step_index > 0 else 0.0,
     )
 
@@ -246,7 +258,9 @@ def run(
     taken every ``record_every`` steps plus at the initial state and the
     final step.  When the report certifies a guarantee, it is enforced:
     bounds are checked every step, energy decay between consecutive
-    records, and a violation raises instead of returning.
+    records (for a resumed state, starting from that state's energy), and a
+    violation raises instead of returning.  A non-finite energy raises
+    :class:`BlowupError`.
     """
     if t_max <= 0.0:
         raise ConfigError(f"t_max must be positive, got {t_max}")
@@ -261,6 +275,11 @@ def run(
         first = _make_record(state, params, spec, op, potential)
         records.append(first)
         last_energy = first.energy
+    elif report.es_ok:
+        # A resumed run (the next segment of run_with_snapshots) checks its
+        # first record against the state it starts from, which the previous
+        # segment recorded last.
+        last_energy = _energy(state, params, spec, op, potential)
     n_steps = max(0, math.ceil((t_max - state.time) / params.tau - 1e-12))
     for k in range(1, n_steps + 1):
         state = step(state, params, spec, op, potential)

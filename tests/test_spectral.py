@@ -4,6 +4,7 @@ import pytest
 from pacok.errors import ConfigError
 from pacok.grid import GridField, PeriodicGrid, inner_product_h, mean_h, norm_linf_h
 from pacok.spectral import (
+    _custom_multiplier,
     LongRangeOp,
     OpKind,
     apply_inv_neg_laplacian,
@@ -230,6 +231,208 @@ class TestCustomSymbol:
         path.write_text("a,b\n")
         with pytest.raises(ConfigError):
             load_symbol_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, table",
+        [
+            ("0,1.0\n 1 , 0.5 \n# c\n\n-1,0.5\n", {(0,): 1.0, (1,): 0.5, (-1,): 0.5}),
+            ("0,0,1.0\n0,0,2.0\n", {(0, 0): 2.0}),
+            ("0,1.0\n1,-1,0.5\n", {(0,): 1.0, (1, -1): 0.5}),
+            ("1_000,1_0.5\n3,inf\n", {(1000,): 10.5, (3,): np.inf}),
+            ("99999999999999999999,1\n", {(99999999999999999999,): 1.0}),
+        ],
+    )
+    def test_csv_loader_reads_like_python(self, tmp_path, text, table):
+        path = tmp_path / "symbol.csv"
+        path.write_text(text)
+        loaded = load_symbol_csv(path)
+        assert loaded == table
+        assert all(type(m) is int for mode in loaded for m in mode)
+        assert all(type(v) is float for v in loaded.values())
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0,1.0\n1,2,3,4\n", r":2: expected"),
+            ("# c\n0,0,1.0\n\n1,1.5,1.0\n", r":4: malformed"),
+            ("0,1.0 # note\n", r":1: malformed"),
+            ("0,0,1.0\n0,,1.0\n", r":2: malformed"),
+            ("# only a comment\n\n", r"empty symbol table"),
+        ],
+    )
+    def test_csv_loader_names_the_bad_line(self, tmp_path, text, message):
+        path = tmp_path / "symbol.csv"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=message):
+            load_symbol_csv(path)
+
+
+def wrap_mode(m, n):
+    return (m + n // 2) % n - n // 2
+
+
+def loop_custom_multiplier(table, grid):
+    """Per-mode reference builder: look up every mode and its mirror in order."""
+    n = grid.sizes
+
+    def lookup(mode):
+        try:
+            return table[mode]
+        except KeyError:
+            raise ConfigError(f"custom symbol table has no entry for mode {mode}") from None
+
+    if grid.dim == 1:
+        modes = [(wrap_mode(m, n[0]),) for m in range(n[0])]
+    else:
+        modes = [
+            (wrap_mode(m1, n[0]), wrap_mode(m2, n[1]))
+            for m1 in range(n[0])
+            for m2 in range(n[1])
+        ]
+    for mode in modes:
+        value = lookup(mode)
+        mirrored = tuple(wrap_mode(-m, nn) for m, nn in zip(mode, n))
+        if lookup(mirrored) != value:
+            raise ConfigError(
+                f"custom symbol is not even: value at {mode} differs from {mirrored}"
+            )
+    if grid.dim == 1:
+        return np.array([lookup((wrap_mode(m, n[0]),)) for m in range(n[0] // 2 + 1)])
+    m1s = [int(m) for m in np.fft.fftfreq(n[0]) * n[0]]
+    m2s = [wrap_mode(m, n[1]) for m in range(n[1] // 2 + 1)]
+    return np.array([[lookup((m1, m2)) for m2 in m2s] for m1 in m1s])
+
+
+def random_even_table(sizes, seed):
+    """Table over every mode -n/2 <= m < n/2 with value(m) == value(-m mod n)."""
+    rng = np.random.default_rng(seed)
+    full = rng.uniform(0.0, 2.0, size=sizes)
+    mirror = np.ix_(*[-np.arange(n) % n for n in sizes])
+    full = 0.5 * (full + full[mirror])
+    return {
+        tuple(wrap_mode(k, n) for k, n in zip(index, sizes)): float(full[index])
+        for index in np.ndindex(*sizes)
+    }
+
+
+def build_error(builder, table, grid):
+    with pytest.raises(ConfigError) as exc_info:
+        builder(table, grid)
+    return str(exc_info.value)
+
+
+def array_builder(table, grid):
+    return _custom_multiplier(LongRangeOp.custom(table), grid)
+
+
+GRID_SIZES = [(8,), (16,), (8, 8), (6, 10)]
+
+
+class TestCustomMultiplierBuilder:
+    @pytest.mark.parametrize("sizes", GRID_SIZES)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_mode_builder(self, sizes, seed):
+        g = PeriodicGrid(sizes, (1.0,) * len(sizes))
+        table = random_even_table(sizes, seed)
+        expected = loop_custom_multiplier(table, g)
+        mult = array_builder(table, g)
+        assert mult.dtype == np.float64 and mult.flags.c_contiguous
+        assert mult.shape == expected.shape
+        assert np.array_equal(mult, expected)
+
+    @pytest.mark.parametrize("sizes", GRID_SIZES)
+    def test_out_of_range_and_other_dimension_entries_ignored(self, sizes):
+        g = PeriodicGrid(sizes, (1.0,) * len(sizes))
+        table = random_even_table(sizes, 3)
+        expected = loop_custom_multiplier(table, g)
+        extra = dict(table)
+        n0 = sizes[0]
+        rest = (0,) * (len(sizes) - 1)
+        extra[(n0 // 2,) + rest] = 7.0           # +n/2 wraps to -n/2: out of range
+        extra[(-n0 // 2 - 1,) + rest] = 7.0
+        extra[(10**30,) + rest] = 7.0            # beyond int64
+        extra[(0,) * (len(sizes) % 2 + 1)] = 9.0  # the other dimension
+        extra[(1, 2, 3)] = 9.0
+        assert np.array_equal(array_builder(extra, g), expected)
+        assert np.array_equal(loop_custom_multiplier(extra, g), expected)
+
+    @pytest.mark.parametrize("sizes", GRID_SIZES)
+    def test_missing_mode_named_as_before(self, sizes):
+        g = PeriodicGrid(sizes, (1.0,) * len(sizes))
+        rng = np.random.default_rng(4)
+        table = random_even_table(sizes, 4)
+        modes = sorted(table)
+        for _ in range(6):
+            damaged = dict(table)
+            for i in rng.choice(len(modes), size=rng.integers(1, 4), replace=False):
+                del damaged[modes[i]]
+            message = build_error(loop_custom_multiplier, damaged, g)
+            assert "no entry for mode" in message
+            assert build_error(array_builder, damaged, g) == message
+
+    @pytest.mark.parametrize("sizes", GRID_SIZES)
+    def test_uneven_mode_named_as_before(self, sizes):
+        g = PeriodicGrid(sizes, (1.0,) * len(sizes))
+        rng = np.random.default_rng(5)
+        table = random_even_table(sizes, 5)
+        mirrored = lambda mode: tuple(wrap_mode(-m, n) for m, n in zip(mode, sizes))
+        uneven = sorted(mode for mode in table if mirrored(mode) != mode)
+        for _ in range(6):
+            damaged = dict(table)
+            for i in rng.choice(len(uneven), size=rng.integers(1, 4), replace=False):
+                damaged[uneven[i]] += 0.5
+            message = build_error(loop_custom_multiplier, damaged, g)
+            assert "not even" in message
+            assert build_error(array_builder, damaged, g) == message
+
+    def test_repeated_calls_share_one_read_only_array(self):
+        g = PeriodicGrid((8, 8), (1.0, 1.0))
+        op = LongRangeOp.custom(random_even_table((8, 8), 6))
+        first = multiplier_array(op, g)
+        assert multiplier_array(op, g) is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 0] = 1.0
+
+    def test_different_tables_never_share_a_cache_entry(self):
+        # The op's hash leaves the table out, so these ops collide by design.
+        g = PeriodicGrid((6, 10), (1.0, 1.0))
+        a = LongRangeOp.custom(random_even_table((6, 10), 7))
+        b = LongRangeOp.custom(random_even_table((6, 10), 8))
+        assert hash(a) == hash(b) and a != b
+        mult_a = multiplier_array(a, g)
+        mult_b = multiplier_array(b, g)
+        assert np.array_equal(mult_a, loop_custom_multiplier(a.symbol, g))
+        assert np.array_equal(mult_b, loop_custom_multiplier(b.symbol, g))
+        assert not np.array_equal(mult_a, mult_b)
+
+    def test_invalid_table_is_not_cached(self):
+        g = PeriodicGrid((8,), (1.0,))
+        table = {(m,): 1.0 for m in range(-4, 4)}
+        table[(3,)] = 2.0
+        op = LongRangeOp.custom(table)
+        for _ in range(2):
+            with pytest.raises(ConfigError, match="even"):
+                multiplier_array(op, g)
+
+
+class TestCustomTableNormalisation:
+    def test_scalar_and_numpy_modes(self):
+        op = LongRangeOp.custom({1: 2, np.int64(-1): 2.0, (0,): np.float64(1.5)})
+        assert op.symbol == {(1,): 2.0, (-1,): 2.0, (0,): 1.5}
+        assert all(type(m) is int for mode in op.symbol for m in mode)
+        assert all(type(v) is float for v in op.symbol.values())
+
+    def test_mixed_dimensions_and_float_modes(self):
+        op = LongRangeOp.custom({(1,): 1, (1, -2): 2, (2.7, 0): 3})
+        assert op.symbol == {(1,): 1.0, (1, -2): 2.0, (2, 0): 3.0}
+        assert all(type(m) is int for mode in op.symbol for m in mode)
+
+    @pytest.mark.parametrize("bad", [-1.0, np.inf, np.nan])
+    def test_first_bad_value_named(self, bad):
+        table = {(0,): 1.0, (1,): bad, (2,): -5.0}
+        with pytest.raises(ConfigError, match=r"got .* at mode \(1,\)"):
+            LongRangeOp.custom(table)
 
 
 class TestOperatorNorm:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from pacok.errors import BlowupError, ConfigError, MppViolationError
+from pacok import stepping
+from pacok.errors import BlowupError, ConfigError, EnergyIncreaseError, MppViolationError
+from pacok.experiments import run_with_snapshots
 from pacok.grid import GridField, PeriodicGrid
 from pacok.physics import (
     FKind,
@@ -292,3 +294,62 @@ class TestRun:
             run(s0, p, CUBIC, LongRangeOp.none(), t_max=0.0)
         with pytest.raises(ConfigError):
             run(s0, p, CUBIC, LongRangeOp.none(), t_max=1.0, record_every=0)
+
+    def test_nonfinite_energy_is_blowup(self):
+        # A finite field whose energy overflows: W(P) ~ P^4 is inf at 1e90.
+        g = PeriodicGrid((16,), (1.0,))
+        p = ModelParams(epsilon=0.1, gamma=10.0, M=10.0, omega=0.3, kappa=50.0, tau=1e-2)
+        s0 = SchemeState.initial(GridField.constant(g, 1e90))
+        with pytest.raises(BlowupError, match="energy") as exc_info:
+            run(s0, p, CUBIC, LongRangeOp.inverse_laplacian(), t_max=0.1, tol=0.0)
+        assert exc_info.value.step_index == 0
+
+
+class TestResumedRun:
+    """run_with_snapshots runs one segment per snapshot time."""
+
+    @staticmethod
+    def certified_setup():
+        g = PeriodicGrid((32,), (1.0,))
+        op = LongRangeOp.inverse_laplacian()
+        p0 = ModelParams(epsilon=0.1, gamma=100.0, M=100.0, omega=0.3, kappa=0.0, tau=1e-3)
+        kappa = check_conditions(p0, CUBIC, op, g).kappa_min_es + 1.0
+        p = ModelParams(epsilon=0.1, gamma=100.0, M=100.0, omega=0.3, kappa=kappa, tau=1e-3)
+        report = check_conditions(p, CUBIC, op, g)
+        assert report.es_ok
+        rng = np.random.default_rng(64)
+        state = SchemeState.initial(GridField(g, rng.uniform(0.0, 1.0, size=g.shape)))
+        return state, p, op, report
+
+    def run_segments(self, state, p, op, report):
+        return run_with_snapshots(
+            state, p, CUBIC, op, t_end=10 * p.tau, tol=0.0,
+            snapshot_times=(5 * p.tau,), record_every=1, report=report,
+        )
+
+    def test_segments_record_like_one_run(self):
+        state, p, op, report = self.certified_setup()
+        _, segmented = self.run_segments(state, p, op, report)
+        _, whole = run(state, p, CUBIC, op, t_max=10 * p.tau, tol=0.0, report=report)
+        assert segmented == whole
+
+    def test_energy_rise_after_a_snapshot_raises(self, monkeypatch):
+        # Replace the field after the first step of the second segment by a
+        # grid-scale oscillation inside [0, 1]: the energy jumps while the
+        # bounds hold, so only the decay check across the snapshot sees it.
+        state, p, op, report = self.certified_setup()
+        real_step = stepping.step
+        rough = np.where(np.arange(state.phi.grid.sizes[0]) % 2 == 0, 0.0, 1.0)
+
+        def step_with_rise(state, *args, **kwargs):
+            new = real_step(state, *args, **kwargs)
+            if new.step_index == 6:
+                new = stepping.SchemeState(
+                    GridField(new.phi.grid, rough), new.step_index, new.time,
+                    new.last_increment_linf,
+                )
+            return new
+
+        monkeypatch.setattr(stepping, "step", step_with_rise)
+        with pytest.raises(EnergyIncreaseError, match="step 6"):
+            self.run_segments(state, p, op, report)
