@@ -16,7 +16,13 @@ from .errors import PacokError
 
 
 def _apply_thread_cap() -> None:
-    """Export PACOK_THREADS (0 = auto) to the usual pool size variables."""
+    """Export PACOK_THREADS (0 = auto) to the usual pool size variables.
+
+    These variables size the OpenMP and BLAS thread pools only.  The FFTs,
+    which take most of a step, run in numpy's pocketfft, which is
+    single-threaded and ignores them, so PACOK_THREADS does not change how
+    fast a run steps.
+    """
     raw = os.environ.get("PACOK_THREADS", "").strip()
     if not raw:
         return
@@ -171,10 +177,12 @@ def cmd_coarsen(args) -> int:
         out_dir=out,
     )
     last = result.records[-1]
+    yes_no = {True: "yes", False: "no"}
     print(
         f"preset {result.preset.name} ({args.scale}): n={result.final.step_index} "
         f"t={result.final.time:.6g} bumps={result.bump_count} "
-        f"min={last.phi_min:.6g} max={last.phi_max:.6g} energy={last.energy:.6g}"
+        f"min={last.phi_min:.6g} max={last.phi_max:.6g} energy={last.energy:.6g} "
+        f"certified: bounds={yes_no[result.report.mpp_ok]} decay={yes_no[result.report.es_ok]}"
     )
     if out:
         print(f"series: {out}/series.csv")

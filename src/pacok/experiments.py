@@ -173,7 +173,17 @@ def convergence_setups(scale: str) -> list[tuple[str, RateStudySetup, float, int
 
 @dataclass(frozen=True)
 class CoarseningPreset:
-    """One coarsening configuration; desk variants shrink horizon and grid."""
+    """One coarsening configuration; desk variants shrink horizon and grid.
+
+    The presets keep the published parameters, and not all of them meet the
+    conditions of :func:`pacok.stepping.check_conditions`.  At both scales
+    the 1D presets ``g500`` and ``g2000`` certify the bounds but not energy
+    decay (kappa = 2000 is below the decay minimum, about 2100), and the 2D
+    presets ``g1000_2d`` and ``g2000_2d`` certify neither (the bounds need
+    kappa of about 15700 at 256^2 and 31300 at 128^2).  Outside the
+    conditions a run may leave [0, 1] or raise the energy; ``pacok coarsen``
+    prints what was certified.
+    """
 
     name: str
     dim: int

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .grid import GridField, PeriodicGrid
-from .spectral import LongRangeOp, OpKind, _apply_multiplier, multiplier_array
+from .spectral import LongRangeOp, OpKind, multiplier_array
 
 
 class FKind(enum.Enum):
@@ -223,6 +223,15 @@ def volume_term(phi_values: np.ndarray, grid: PeriodicGrid, spec: NonlinearSpec,
     return grid.cell_measure * float(np.sum(f_eval(spec, phi_values) - omega))
 
 
+def mismatch_spectrum(phi_values: np.ndarray, spec: NonlinearSpec, omega: float) -> np.ndarray:
+    """Half spectrum ``rfftn(f(phi) - omega)`` of the volume mismatch.
+
+    The long-range force, the long-range energy and (through the zero mode,
+    which is the plain sum of the mismatch) the volume term all start from it.
+    """
+    return np.fft.rfftn(f_eval(spec, phi_values) - omega)
+
+
 def assemble_rhs_array(
     phi_values: np.ndarray,
     grid: PeriodicGrid,
@@ -230,8 +239,16 @@ def assemble_rhs_array(
     spec: NonlinearSpec,
     op: LongRangeOp,
     potential_values: np.ndarray | None = None,
+    mismatch_hat: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Raw-array right-hand side used by the time stepper's inner loop."""
+    """Raw-array right-hand side used by the time stepper's inner loop.
+
+    With a long-range operator the interaction force is one inverse
+    transform of ``mismatch_hat`` times the multiplier, and the volume
+    term is the zero mode of ``mismatch_hat``.  Pass the spectrum when the
+    caller has it (a state returned by :func:`pacok.stepping.step` carries
+    it); otherwise it is computed here from ``phi_values``.
+    """
     tau = params.tau
     rhs = (1.0 + tau * params.kappa / params.epsilon) * phi_values
     rhs -= (tau / params.epsilon) * W_prime(phi_values)
@@ -241,11 +258,16 @@ def assemble_rhs_array(
             raise ConfigError("an external potential requires operator kind 'none'")
         rhs -= tau * potential_values * fp
         return rhs
-    mismatch = f_eval(spec, phi_values) - params.omega
-    if op.kind is not OpKind.NONE:
-        lr = _apply_multiplier(mismatch, multiplier_array(op, grid), grid.shape)
+    if op.kind is OpKind.NONE:
+        vol = volume_term(phi_values, grid, spec, params.omega)
+    else:
+        if mismatch_hat is None:
+            mismatch_hat = mismatch_spectrum(phi_values, spec, params.omega)
+        lr = np.fft.irfftn(
+            mismatch_hat * multiplier_array(op, grid), s=grid.shape, axes=tuple(range(grid.dim))
+        )
         rhs -= tau * params.gamma * lr * fp
-    vol = grid.cell_measure * float(np.sum(mismatch))
+        vol = grid.cell_measure * float(mismatch_hat[(0,) * grid.dim].real)
     rhs -= tau * params.M * vol * fp
     return rhs
 

@@ -245,17 +245,6 @@ def apply_laplacian(a: GridField) -> GridField:
     return a.with_values(out)
 
 
-def laplacian_array(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
-    """Raw-array stencil application used by inner loops."""
-    h = grid.spacings
-    out = (np.roll(values, 1, axis=0) + np.roll(values, -1, axis=0) - 2.0 * values) / h[0] ** 2
-    if grid.dim == 2:
-        out = out + (
-            np.roll(values, 1, axis=1) + np.roll(values, -1, axis=1) - 2.0 * values
-        ) / h[1] ** 2
-    return out
-
-
 def apply_inv_neg_laplacian(a: GridField) -> GridField:
     """Zero-mean solution u of -Lap_h u = a - mean(a).
 

@@ -13,6 +13,14 @@ transform, a division by
 and an inverse transform.  Every denominator entry is >= 1, which makes the
 step unconditionally uniquely solvable.
 
+A step costs two FFT round trips.  The long-range one starts from the
+mismatch spectrum rfftn(f(P_old) - omega), which the previous step computed
+and left on its state; the step multiplies it by the operator's symbol and
+transforms back.  The solve is the second.  The returned state carries the
+solve spectrum and the new mismatch spectrum, and :mod:`pacok.energy` takes
+the discrete energy from these two by Parseval's identity, so evaluating
+the energy after a step needs no further transform.
+
 Two parameter conditions certify qualitative guarantees, both checked with
 the max-norm estimate of the long-range operator:
 
@@ -33,7 +41,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -45,6 +53,7 @@ from .physics import (
     NonlinearSpec,
     assemble_rhs_array,
     lipschitz_constants,
+    mismatch_spectrum,
 )
 from .spectral import LongRangeOp, OpKind, estimate_linf_norm, stencil_symbol
 
@@ -54,12 +63,23 @@ ENERGY_TOL = 1e-9
 
 @dataclass(frozen=True)
 class SchemeState:
-    """Current iterate, its step index, physical time, and last increment."""
+    """Current iterate, its step index, physical time, and last increment.
+
+    A state returned by :func:`step` also carries two read-only half
+    spectra the step computed: ``phi_hat`` = rfftn(phi), the solve
+    spectrum, and ``mismatch_hat`` = rfftn(f(phi) - omega) under the spec
+    and omega of that step (None without a long-range operator).  The next
+    step and the energy reuse them, so a state is advanced with the spec
+    and parameters that made it.  A bare state carries neither and has them
+    computed when first needed.  They take no part in ``==`` or ``repr``.
+    """
 
     phi: GridField
     step_index: int = 0
     time: float = 0.0
     last_increment_linf: float = math.inf
+    phi_hat: np.ndarray | None = field(default=None, compare=False, repr=False)
+    mismatch_hat: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def initial(cls, phi: GridField) -> "SchemeState":
@@ -169,6 +189,17 @@ def _solve_denominator(grid: PeriodicGrid, params: ModelParams) -> np.ndarray:
     return denom
 
 
+def _carried_mismatch(phi_values: np.ndarray, params, spec, op, potential) -> np.ndarray | None:
+    """Read-only mismatch spectrum for a state; None without a long-range operator."""
+    if potential is not None or op.kind is OpKind.NONE:
+        return None
+    # A non-finite spectrum is reported as BlowupError by the next step or energy.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mismatch_hat = mismatch_spectrum(phi_values, spec, params.omega)
+    mismatch_hat.setflags(write=False)
+    return mismatch_hat
+
+
 def step(
     state: SchemeState,
     params: ModelParams,
@@ -176,13 +207,19 @@ def step(
     op: LongRangeOp,
     potential: GridField | None = None,
 ) -> SchemeState:
-    """Advance one step; deterministic for identical inputs on a fixed platform."""
+    """Advance one step; deterministic for identical inputs on a fixed platform.
+
+    The result is the same, bit for bit, whether or not ``state`` carries
+    its mismatch spectrum.
+    """
     grid = state.phi.grid
     pot = potential.values if potential is not None else None
     # Non-finite intermediates are detected and reported as BlowupError, so
     # the overflow warnings on the way there are suppressed.
     with np.errstate(over="ignore", invalid="ignore"):
-        rhs = assemble_rhs_array(state.phi.values, grid, params, spec, op, pot)
+        rhs = assemble_rhs_array(
+            state.phi.values, grid, params, spec, op, pot, mismatch_hat=state.mismatch_hat
+        )
     n_new = state.step_index + 1
     if not np.all(np.isfinite(rhs)):
         raise BlowupError(n_new)
@@ -194,12 +231,26 @@ def step(
     if not np.all(np.isfinite(phi_new)):
         raise BlowupError(n_new)
     increment = float(np.max(np.abs(phi_new - state.phi.values)))
+    spectrum.setflags(write=False)
     return SchemeState(
         phi=GridField(grid, phi_new),
         step_index=n_new,
         time=n_new * params.tau,
         last_increment_linf=increment,
+        phi_hat=spectrum,
+        mismatch_hat=_carried_mismatch(phi_new, params, spec, op, potential),
     )
+
+
+def _with_spectra(state: SchemeState, params, spec, op, potential) -> SchemeState:
+    """``state`` carrying the spectra a step would have left on it."""
+    phi_hat, mismatch_hat = state.phi_hat, state.mismatch_hat
+    if phi_hat is None:
+        phi_hat = np.fft.rfftn(state.phi.values)
+        phi_hat.setflags(write=False)
+    if mismatch_hat is None:
+        mismatch_hat = _carried_mismatch(state.phi.values, params, spec, op, potential)
+    return replace(state, phi_hat=phi_hat, mismatch_hat=mismatch_hat)
 
 
 @dataclass(frozen=True)
@@ -219,7 +270,10 @@ def _energy(state: SchemeState, params, spec, op, potential) -> float:
     # The overflow warnings on the way to a non-finite energy are suppressed
     # because the result is checked and reported as BlowupError.
     with np.errstate(over="ignore", invalid="ignore"):
-        total = discrete_energy(state.phi, params, spec, op, potential).total
+        total = discrete_energy(
+            state.phi, params, spec, op, potential,
+            phi_hat=state.phi_hat, mismatch_hat=state.mismatch_hat,
+        ).total
     if not math.isfinite(total):
         raise BlowupError(
             state.step_index, f"non-finite energy at step {state.step_index}"
@@ -227,13 +281,16 @@ def _energy(state: SchemeState, params, spec, op, potential) -> float:
     return total
 
 
-def _make_record(state: SchemeState, params, spec, op, potential) -> StepRecord:
+def _make_record(
+    state: SchemeState, params, spec, op, potential, energy: float | None = None
+) -> StepRecord:
+    """Diagnostics row of ``state``; ``energy`` is its energy if already known."""
     return StepRecord(
         n=state.step_index,
         t=state.time,
         phi_min=float(np.min(state.phi.values)),
         phi_max=float(np.max(state.phi.values)),
-        energy=_energy(state, params, spec, op, potential),
+        energy=_energy(state, params, spec, op, potential) if energy is None else energy,
         increment=state.last_increment_linf if state.step_index > 0 else 0.0,
     )
 
@@ -256,11 +313,11 @@ def run(
     The iteration stops early once ||P_new - P_old||_inf / tau <= tol
     (pass ``tol <= 0`` to always integrate to ``t_max``).  Records are
     taken every ``record_every`` steps plus at the initial state and the
-    final step.  When the report certifies a guarantee, it is enforced:
-    bounds are checked every step, energy decay between consecutive
-    records (for a resumed state, starting from that state's energy), and a
-    violation raises instead of returning.  A non-finite energy raises
-    :class:`BlowupError`.
+    final step.  When the report certifies a guarantee, it is enforced on
+    every step: bounds, and energy decay (for a resumed state, starting
+    from that state's energy); a violation raises instead of returning.
+    The energy comes from the spectra each step carries, so checking it
+    costs no FFT.  A non-finite energy raises :class:`BlowupError`.
     """
     if t_max <= 0.0:
         raise ConfigError(f"t_max must be positive, got {t_max}")
@@ -268,7 +325,7 @@ def run(
         raise ConfigError(f"record_every must be >= 1, got {record_every}")
     if report is None:
         report = check_conditions(params, spec, op, state0.phi.grid, potential)
-    state = state0
+    state = _with_spectra(state0, params, spec, op, potential)
     records: list[StepRecord] = []
     last_energy = None
     if state.step_index == 0:
@@ -277,7 +334,7 @@ def run(
         last_energy = first.energy
     elif report.es_ok:
         # A resumed run (the next segment of run_with_snapshots) checks its
-        # first record against the state it starts from, which the previous
+        # first step against the state it starts from, which the previous
         # segment recorded last.
         last_energy = _energy(state, params, spec, op, potential)
     n_steps = max(0, math.ceil((t_max - state.time) / params.tau - 1e-12))
@@ -291,17 +348,18 @@ def run(
                     f"certified bounds violated at step {state.step_index}: "
                     f"min={lo:.3e}, max={hi:.3e}"
                 )
+        energy = None
+        if report.es_ok:
+            energy = _energy(state, params, spec, op, potential)
+            if energy > last_energy + ENERGY_TOL * (1.0 + abs(last_energy)):
+                raise EnergyIncreaseError(
+                    f"certified energy decay violated at step {state.step_index}: "
+                    f"{last_energy!r} -> {energy!r}"
+                )
+            last_energy = energy
         stopping = tol > 0.0 and state.last_increment_linf / params.tau <= tol
         if k % record_every == 0 or k == n_steps or stopping:
-            rec = _make_record(state, params, spec, op, potential)
-            records.append(rec)
-            if report.es_ok and last_energy is not None:
-                if rec.energy > last_energy + ENERGY_TOL * (1.0 + abs(last_energy)):
-                    raise EnergyIncreaseError(
-                        f"certified energy decay violated at step {state.step_index}: "
-                        f"{last_energy!r} -> {rec.energy!r}"
-                    )
-            last_energy = rec.energy
+            records.append(_make_record(state, params, spec, op, potential, energy))
         if stopping:
             break
     return state, records

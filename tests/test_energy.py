@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from pacok.energy import discrete_energy
+from pacok.energy import EnergyBreakdown, discrete_energy
 from pacok.grid import GridField, PeriodicGrid
 from pacok.physics import FKind, ModelParams, NonlinearSpec, W_eval, f_eval
-from pacok.spectral import LongRangeOp
+from pacok.spectral import LongRangeOp, OpKind, apply_laplacian, apply_long_range
+from pacok.stepping import SchemeState, step
 
-from test_spectral import dense_laplacian
+from test_spectral import dense_laplacian, random_even_table
 
 CUBIC = NonlinearSpec(FKind.CUBIC_HERMITE)
 
@@ -115,3 +116,103 @@ class TestDiscreteEnergy:
         e = discrete_energy(phi, p, CUBIC, LongRangeOp.none())
         assert e.longrange == 0.0
         assert e.penalty > 0.0
+
+
+def stencil_energy(phi, params, spec, op, potential=None):
+    """The energy as real-space sums: the stencil form through apply_laplacian
+    and the long-range form through apply_long_range (test oracle)."""
+    g = phi.grid
+    v = phi.values
+    dx = g.cell_measure
+    interfacial = -0.5 * params.epsilon * dx * np.sum(apply_laplacian(phi).values * v)
+    well = dx * np.sum(W_eval(v)) / params.epsilon
+    if potential is not None:
+        longrange = dx * np.sum(f_eval(spec, v) * potential.values)
+        penalty = 0.0
+    else:
+        mismatch = f_eval(spec, v) - params.omega
+        longrange = 0.0
+        if op.kind is not OpKind.NONE:
+            lr = apply_long_range(op, GridField(g, mismatch)).values
+            longrange = 0.5 * params.gamma * dx * np.sum(lr * mismatch)
+        penalty = 0.5 * params.M * (dx * np.sum(mismatch)) ** 2
+    return EnergyBreakdown(
+        interfacial, well, longrange, penalty, interfacial + well + longrange + penalty
+    )
+
+
+def assert_parts_close(got, expected, rel=1e-12):
+    for part in ("interfacial", "well", "longrange", "penalty", "total"):
+        a, b = getattr(got, part), getattr(expected, part)
+        assert a == pytest.approx(b, rel=rel, abs=0.0), part
+
+
+GRIDS = {"1d": ((64,), (1.0,)), "2d": ((16, 24), (1.0, 1.5))}
+
+
+def operator(kind, sizes):
+    return {
+        "inverse_laplacian": LongRangeOp.inverse_laplacian(),
+        "helmholtz": LongRangeOp.helmholtz(0.3),
+        "garnet_film": LongRangeOp.garnet_film(0.2),
+        "custom": LongRangeOp.custom(random_even_table(sizes, 5)),
+        "none": LongRangeOp.none(),
+    }[kind]
+
+
+SPECS = {
+    "cubic": CUBIC,
+    "linear": NonlinearSpec(FKind.LINEAR),
+    "extension": NonlinearSpec(FKind.CUBIC_HERMITE, use_extension=True),
+}
+
+
+class TestParsevalEnergy:
+    """The energy from the half spectra equals the real-space stencil form."""
+
+    @pytest.mark.parametrize("dim", sorted(GRIDS))
+    @pytest.mark.parametrize("spec_name", sorted(SPECS))
+    @pytest.mark.parametrize(
+        "kind", ["inverse_laplacian", "helmholtz", "garnet_film", "custom", "none"]
+    )
+    def test_matches_stencil_form(self, dim, spec_name, kind):
+        g = PeriodicGrid(*GRIDS[dim])
+        p = params()
+        spec = SPECS[spec_name]
+        op = operator(kind, g.sizes)
+        rng = np.random.default_rng(36)
+        phi = GridField(g, rng.uniform(-0.1, 1.1, size=g.shape))
+        assert_parts_close(discrete_energy(phi, p, spec, op), stencil_energy(phi, p, spec, op))
+
+    @pytest.mark.parametrize("dim", sorted(GRIDS))
+    @pytest.mark.parametrize("spec_name", sorted(SPECS))
+    def test_potential_mode_matches_stencil_form(self, dim, spec_name):
+        g = PeriodicGrid(*GRIDS[dim])
+        p = params(gamma=0.0, M=0.0, omega=0.5)
+        spec = SPECS[spec_name]
+        rng = np.random.default_rng(37)
+        phi = GridField(g, rng.uniform(-0.1, 1.1, size=g.shape))
+        pot = GridField(g, rng.standard_normal(g.shape))
+        op = LongRangeOp.none()
+        assert_parts_close(
+            discrete_energy(phi, p, spec, op, pot), stencil_energy(phi, p, spec, op, pot)
+        )
+
+    @pytest.mark.parametrize("dim", sorted(GRIDS))
+    @pytest.mark.parametrize("kind", ["inverse_laplacian", "custom", "none"])
+    def test_carried_spectra_match_stencil_form(self, dim, kind):
+        # The spectra a step leaves on its state: the solve spectrum, which
+        # is rfftn(phi) only up to round-off, and rfftn(f(phi) - omega).
+        g = PeriodicGrid(*GRIDS[dim])
+        p = params()
+        op = operator(kind, g.sizes)
+        rng = np.random.default_rng(38)
+        state = step(
+            SchemeState.initial(GridField(g, rng.uniform(0.0, 1.0, size=g.shape))), p, CUBIC, op
+        )
+        assert state.phi_hat is not None
+        assert (state.mismatch_hat is None) == (kind == "none")
+        carried = discrete_energy(
+            state.phi, p, CUBIC, op, phi_hat=state.phi_hat, mismatch_hat=state.mismatch_hat
+        )
+        assert_parts_close(carried, stencil_energy(state.phi, p, CUBIC, op))

@@ -13,7 +13,7 @@ from pacok.physics import (
     f_eval,
     f_prime,
 )
-from pacok.spectral import LongRangeOp, estimate_linf_norm
+from pacok.spectral import LongRangeOp, OpKind, estimate_linf_norm
 from pacok.stepping import (
     ConditionReport,
     SchemeState,
@@ -353,3 +353,101 @@ class TestResumedRun:
         monkeypatch.setattr(stepping, "step", step_with_rise)
         with pytest.raises(EnergyIncreaseError, match="step 6"):
             self.run_segments(state, p, op, report)
+
+
+class TestCarriedSpectra:
+    """A step leaves its spectra on the state; the next step and the energy reuse them."""
+
+    @staticmethod
+    def certified_2d(n=16):
+        g = PeriodicGrid((n, n), (1.0, 1.0))
+        op = LongRangeOp.inverse_laplacian()
+        p0 = ModelParams(epsilon=0.15, gamma=100.0, M=100.0, omega=0.3, kappa=0.0, tau=1e-3)
+        kappa = check_conditions(p0, CUBIC, op, g).kappa_min_es + 1.0
+        p = ModelParams(epsilon=0.15, gamma=100.0, M=100.0, omega=0.3, kappa=kappa, tau=1e-3)
+        report = check_conditions(p, CUBIC, op, g)
+        assert report.mpp_ok and report.es_ok
+        rng = np.random.default_rng(65)
+        state = SchemeState.initial(GridField(g, rng.uniform(0.0, 1.0, size=g.shape)))
+        return state, p, op, report
+
+    @pytest.mark.parametrize(
+        "op", [LongRangeOp.inverse_laplacian(), LongRangeOp.helmholtz(0.3), LongRangeOp.none()]
+    )
+    def test_step_ignores_whether_spectra_are_carried(self, op):
+        state, p, _, _ = self.certified_2d()
+        carried = step(state, p, CUBIC, op)
+        bare = SchemeState(carried.phi, carried.step_index, carried.time,
+                           carried.last_increment_linf)
+        assert bare.mismatch_hat is None and bare.phi_hat is None
+        from_carried = step(carried, p, CUBIC, op)
+        from_bare = step(bare, p, CUBIC, op)
+        assert np.array_equal(from_carried.phi.values, from_bare.phi.values)
+        assert np.array_equal(from_carried.phi_hat, from_bare.phi_hat)
+        if op.kind is OpKind.NONE:
+            assert from_carried.mismatch_hat is None
+        else:
+            assert np.array_equal(from_carried.mismatch_hat, from_bare.mismatch_hat)
+
+    def test_spectra_left_out_of_equality_and_repr(self):
+        state, p, op, _ = self.certified_2d()
+        stepped = step(state, p, CUBIC, op)
+        bare = SchemeState(stepped.phi, stepped.step_index, stepped.time,
+                           stepped.last_increment_linf)
+        assert stepped == bare
+        assert repr(stepped) == repr(bare)
+        assert not stepped.phi_hat.flags.writeable
+        assert not stepped.mismatch_hat.flags.writeable
+
+    def test_recorded_run_makes_two_fft_round_trips_per_step(self, monkeypatch):
+        # Per step: the long-range inverse transform, the forward and inverse
+        # transforms of the solve, and the forward transform of the new
+        # mismatch.  The initial state adds its two forward transforms.
+        state, p, op, report = self.certified_2d()
+        counts = {"rfftn": 0, "irfftn": 0}
+        for name in counts:
+            real = getattr(np.fft, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        n_steps = 7
+        _, records = run(state, p, CUBIC, op, t_max=n_steps * p.tau, tol=0.0,
+                         record_every=1, report=report)
+        assert len(records) == n_steps + 1
+        assert counts == {"rfftn": 2 * n_steps + 2, "irfftn": 2 * n_steps}
+
+    def test_segments_write_the_series_of_one_run(self, tmp_path):
+        state, p, op, report = self.certified_2d()
+        out = {}
+        for label, times in (("whole", ()), ("segments", (0.0, 3 * p.tau, 7 * p.tau))):
+            out_dir = tmp_path / label
+            out_dir.mkdir()
+            final, _ = run_with_snapshots(
+                state, p, CUBIC, op, t_end=10 * p.tau, tol=0.0, snapshot_times=times,
+                out_dir=str(out_dir), record_every=1, report=report,
+            )
+            out[label] = (final.phi.values, (out_dir / "series.csv").read_bytes())
+        assert np.array_equal(out["whole"][0], out["segments"][0])
+        assert out["whole"][1] == out["segments"][1]
+
+    def test_energy_rise_between_records_raises_at_its_step(self, monkeypatch):
+        # A grid-scale oscillation inside [0, 1] raises the energy at step 7
+        # while the bounds hold; records are taken at steps 0, 10 and 20.
+        state, p, op, report = self.certified_2d()
+        real_step = stepping.step
+        g = state.phi.grid
+        rough = np.indices(g.shape).sum(axis=0) % 2 * 1.0
+
+        def step_with_rise(state, *args, **kwargs):
+            new = real_step(state, *args, **kwargs)
+            if new.step_index == 7:
+                new = SchemeState(GridField(g, rough), new.step_index, new.time,
+                                  new.last_increment_linf)
+            return new
+
+        monkeypatch.setattr(stepping, "step", step_with_rise)
+        with pytest.raises(EnergyIncreaseError, match="step 7:"):
+            run(state, p, CUBIC, op, t_max=20 * p.tau, tol=0.0, record_every=10, report=report)
