@@ -451,40 +451,42 @@ def pvism_compare(
 def count_bumps(phi: GridField, threshold: float = 0.5) -> int:
     """Connected components of {phi > threshold} with periodic adjacency.
 
-    1D components are circular runs; 2D uses 4-adjacency with the two wrap
-    seams merged.
+    1D components are circular runs; 2D uses 4-adjacency, wrapping across
+    both seams.
     """
     if not (0.0 < threshold < 1.0):
         raise ConfigError(f"threshold must lie in (0, 1), got {threshold}")
-    mask = phi.values > threshold
-    if not mask.any():
-        return 0
-    if phi.grid.dim == 1:
-        m = mask.astype(np.int8)
-        rises = int(np.sum((m - np.roll(m, 1)) == 1))
-        return rises if rises > 0 else 1
-    from scipy import ndimage   # deferred: the only scipy user, and slow to import
+    return _periodic_components(phi.values > threshold)
 
-    labels, count = ndimage.label(mask)
-    if count == 0:
-        return 0
-    parent = list(range(count + 1))
 
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
+def _periodic_components(mask: np.ndarray) -> int:
+    """Number of connected components of ``mask`` under periodic 4-adjacency.
 
-    def union(a: int, b: int):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for j in range(mask.shape[1]):
-        if mask[0, j] and mask[-1, j]:
-            union(labels[0, j], labels[-1, j])
-    for i in range(mask.shape[0]):
-        if mask[i, 0] and mask[i, -1]:
-            union(labels[i, 0], labels[i, -1])
-    return len({find(l) for l in range(1, count + 1)})
+    Union-find on all cells at once: every root that shares an edge with a
+    smaller root hooks onto the smallest such root, then pointer jumping
+    points every cell at its root.  A root that survives a round is smaller
+    than all its neighbouring roots, so at least half the roots of each
+    component go per round and the rounds number O(log n).
+    """
+    cells = np.arange(mask.size).reshape(mask.shape)
+    a, b = [], []   # the two cells of every edge
+    for axis in range(mask.ndim):
+        pairs = mask & np.roll(mask, -1, axis)   # the cell and its next along axis, wrapping
+        a.append(cells[pairs])
+        b.append(np.roll(cells, -1, axis)[pairs])
+    a, b = np.concatenate(a), np.concatenate(b)
+    parent = np.arange(mask.size)
+    while True:
+        root_a, root_b = parent[a], parent[b]
+        split = root_a != root_b
+        if not split.any():
+            break
+        root_a, root_b = root_a[split], root_b[split]
+        np.minimum.at(parent, np.maximum(root_a, root_b), np.minimum(root_a, root_b))
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+    roots = parent == np.arange(mask.size)
+    return int(np.count_nonzero(roots & mask.ravel()))

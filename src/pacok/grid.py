@@ -16,6 +16,7 @@ which keeps the bilinearity/symmetry identities at the 1e-12 level on
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,8 @@ import numpy as np
 from .errors import ConfigError, FieldValueError, GridMismatchError
 
 SNAPSHOT_MAGIC = "# pacok-grid v1"
+# Values formatted per write: about 90 kB of text.
+_SNAPSHOT_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -66,7 +69,7 @@ class PeriodicGrid:
 
     @property
     def num_cells(self) -> int:
-        return int(np.prod(self.sizes))
+        return math.prod(self.sizes)
 
     @property
     def spacings(self) -> tuple[float, ...]:
@@ -125,6 +128,17 @@ class GridField:
         arr.setflags(write=False)
         self.grid = grid
         self._values = arr
+
+    @classmethod
+    def _checked(cls, grid: PeriodicGrid, values: np.ndarray) -> "GridField":
+        """Wrap, without a copy or a second scan, a C-contiguous float64 array
+        of the grid's shape that the caller has already found finite; the
+        array becomes read-only."""
+        values.setflags(write=False)
+        field = cls.__new__(cls)
+        field.grid = grid
+        field._values = values
+        return field
 
     @property
     def values(self) -> np.ndarray:
@@ -187,15 +201,18 @@ def save_snapshot(path, field: GridField, t: float = 0.0):
 
     The header is ``# pacok-grid v1 dim=<d> N=<N1[,N2]> X=<X1[,X2]> t=<time>``
     and values are written row-major with 17 significant digits, which
-    round-trips float64 exactly.
+    round-trips float64 exactly.  The text is built and written a block of
+    values at a time, so the whole file is never held in memory.
     """
     g = field.grid
     n_str = ",".join(str(n) for n in g.sizes)
     x_str = ",".join(f"{x:.17g}" for x in g.half_extents)
-    lines = [f"{SNAPSHOT_MAGIC} dim={g.dim} N={n_str} X={x_str} t={t:.17g}"]
-    lines.extend(f"{v:.17g}" for v in field.values.ravel())
+    values = field.values.ravel()
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{SNAPSHOT_MAGIC} dim={g.dim} N={n_str} X={x_str} t={t:.17g}\n")
+        for start in range(0, values.size, _SNAPSHOT_BLOCK):
+            block = values[start:start + _SNAPSHOT_BLOCK].tolist()
+            fh.write("%.17g\n" * len(block) % tuple(block))
 
 
 def load_snapshot(path) -> tuple[GridField, float]:

@@ -15,9 +15,10 @@ The traditional linear choice f(s) = s is provided for comparison runs; it
 loses the bound-preservation guarantee.
 
 Bound constants L_W'' = max |W''|, L_f' = max |f'|, L_f'' = max |f''| over
-[0, 1] enter every stability condition.  They are computed by dense-grid
-maximization and cross-checked against the closed forms (36, 3/2, 6 for the
-cubic; 36, 1, 0 for the linear choice) so future f variants stay honest.
+[0, 1] enter every stability condition.  They are computed by maximization
+over a dyadic grid that holds the extremal points exactly, and
+cross-checked against the closed forms (36, 3/2, 6 for the cubic; 36, 1, 0
+for the linear choice) so future f variants stay honest.
 
 The explicit right-hand side of one stabilized semi-implicit step is
 
@@ -28,6 +29,11 @@ The explicit right-hand side of one stabilized semi-implicit step is
 with . the pointwise product.  In solvation mode (no long-range operator,
 an external potential U attached) the interaction terms are replaced by
 -tau * U . f'(p) and the volume penalty is dropped.
+
+W' and f' share q = p^2 - p: W'(p) = 36 q (2p - 1), and for the cubic
+f'(p) = -6 q.  A :class:`Problem`, built once per run, holds the operator
+arrays and the grid-sized buffers the right-hand side is assembled in, so
+assembling it allocates no grid-sized temporaries.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .grid import GridField, PeriodicGrid
-from .spectral import LongRangeOp, OpKind, multiplier_array
+from .spectral import LongRangeOp, OpKind, multiplier_array, stencil_symbol
 
 
 class FKind(enum.Enum):
@@ -192,13 +198,15 @@ _CLOSED_FORM = {
 
 @functools.lru_cache(maxsize=None)
 def lipschitz_constants(spec: NonlinearSpec) -> LipschitzConstants:
-    """Bound constants computed by dense-grid maximization over [0, 1].
+    """Bound constants computed by grid maximization over [0, 1].
 
-    The grid has 10^6 + 1 points, so the interior and endpoint extrema of
-    the polynomials are sampled exactly; the result is cross-checked
-    against the closed-form values to 1e-9 at first use.
+    The 1025 nodes k/1024 are dyadic, so the extremal points 0, 1/2 and 1
+    of the polynomials are sampled exactly and the maxima come out exact;
+    the result is cross-checked against the closed-form values to 1e-9 at
+    first use.  The constants depend on ``spec.f_kind`` only: the clamped
+    extension agrees with f on [0, 1].
     """
-    s = np.linspace(0.0, 1.0, 1_000_001)
+    s = np.linspace(0.0, 1.0, 1025)
     inner = NonlinearSpec(spec.f_kind, use_extension=False)
     computed = LipschitzConstants(
         L_Wpp=float(np.max(np.abs(W_pprime(s)))),
@@ -232,6 +240,90 @@ def mismatch_spectrum(phi_values: np.ndarray, spec: NonlinearSpec, omega: float)
     return np.fft.rfftn(f_eval(spec, phi_values) - omega)
 
 
+def _interleaved(a: np.ndarray) -> np.ndarray:
+    """``a`` with every entry twice along the last axis, read-only.
+
+    Multiplying a complex half spectrum viewed as float pairs by it gives
+    the same bits as multiplying the spectrum by the real array ``a``, in
+    one contiguous pass instead of a complex-by-complex loop.
+    """
+    out = np.repeat(a, 2, axis=-1)
+    out.setflags(write=False)
+    return out
+
+
+class Problem:
+    """Operator arrays and work buffers of one run, built once for its steps.
+
+    It holds the arguments it was built from, the long-range multiplier
+    (None without a long-range operator), the reciprocal of the implicit
+    solve's denominator
+
+        (1 + tau*kappa/eps) + tau*eps*lambda(j, k),   every entry >= 1,
+
+    both interleaved (see :func:`_interleaved`), and the buffers the
+    right-hand side and the time step write into.  Multiplying by the
+    reciprocal is what dividing a complex spectrum by the real denominator
+    computes, bit for bit.  A buffer is overwritten by the next call that
+    uses it; only :func:`assemble_rhs_array` hands one out, its result.
+    """
+
+    def __init__(
+        self,
+        grid: PeriodicGrid,
+        params: ModelParams,
+        spec: NonlinearSpec,
+        op: LongRangeOp,
+        potential_values: np.ndarray | None = None,
+    ):
+        if potential_values is not None and op.kind is not OpKind.NONE:
+            raise ConfigError("an external potential requires operator kind 'none'")
+        self.grid, self.params, self.spec, self.op = grid, params, spec, op
+        self.potential_values = potential_values
+        self.axes = tuple(range(grid.dim))
+        self.half_shape = grid.shape[:-1] + (grid.shape[-1] // 2 + 1,)
+        self.multiplier = (
+            None if op.kind is OpKind.NONE else _interleaved(multiplier_array(op, grid))
+        )
+        tau, eps = params.tau, params.epsilon
+        denom = 1.0 + tau * params.kappa / eps + tau * eps * stencil_symbol(grid)
+        if float(np.min(denom)) < 1.0 - 1e-15:
+            raise AssertionError("implicit solve lost unconditional solvability")
+        self.inverse_denominator = _interleaved(1.0 / denom)
+        self.q = np.empty(grid.shape)
+        self.rhs = np.empty(grid.shape)
+        self.work = np.empty(grid.shape)
+        self.product = None if self.multiplier is None else np.empty(self.half_shape, complex)
+
+    def built_from(self, grid, params, spec, op, potential_values) -> bool:
+        return (
+            (self.grid, self.params, self.spec, self.op) == (grid, params, spec, op)
+            and self.potential_values is potential_values
+        )
+
+    def mismatch_values(self, s: np.ndarray) -> np.ndarray:
+        """f(s) - omega in the ``work`` buffer, with the operations of :func:`f_eval`."""
+        spec, out = self.spec, self.work
+        if spec.use_extension:
+            s = np.clip(s, 0.0, 1.0, out=self.q)
+        if spec.f_kind is FKind.CUBIC_HERMITE:
+            np.multiply(2.0, s, out=out)
+            np.subtract(3.0, out, out=out)
+            out *= s
+            out *= s
+            out -= self.params.omega
+        else:
+            np.subtract(s, self.params.omega, out=out)
+        return out
+
+    def mismatch_spectrum(self, s: np.ndarray) -> np.ndarray:
+        """A new array rfftn(f(s) - omega); equal to :func:`mismatch_spectrum`."""
+        return np.fft.rfftn(
+            self.mismatch_values(s), axes=self.axes,
+            out=np.empty(self.half_shape, complex),
+        )
+
+
 def assemble_rhs_array(
     phi_values: np.ndarray,
     grid: PeriodicGrid,
@@ -240,6 +332,8 @@ def assemble_rhs_array(
     op: LongRangeOp,
     potential_values: np.ndarray | None = None,
     mismatch_hat: np.ndarray | None = None,
+    *,
+    problem: Problem | None = None,
 ) -> np.ndarray:
     """Raw-array right-hand side used by the time stepper's inner loop.
 
@@ -248,27 +342,54 @@ def assemble_rhs_array(
     term is the zero mode of ``mismatch_hat``.  Pass the spectrum when the
     caller has it (a state returned by :func:`pacok.stepping.step` carries
     it); otherwise it is computed here from ``phi_values``.
+
+    The result is written into a buffer of ``problem``, which must have
+    been built from the same arguments; without one, a new problem is built
+    and the result is the caller's.
     """
-    tau = params.tau
-    rhs = (1.0 + tau * params.kappa / params.epsilon) * phi_values
-    rhs -= (tau / params.epsilon) * W_prime(phi_values)
-    fp = f_prime(spec, phi_values)
-    if potential_values is not None:
-        if op.kind is not OpKind.NONE:
-            raise ConfigError("an external potential requires operator kind 'none'")
-        rhs -= tau * potential_values * fp
-        return rhs
-    if op.kind is OpKind.NONE:
-        vol = volume_term(phi_values, grid, spec, params.omega)
-    else:
-        if mismatch_hat is None:
-            mismatch_hat = mismatch_spectrum(phi_values, spec, params.omega)
-        lr = np.fft.irfftn(
-            mismatch_hat * multiplier_array(op, grid), s=grid.shape, axes=tuple(range(grid.dim))
+    if problem is None:
+        problem = Problem(grid, params, spec, op, potential_values)
+    s = phi_values
+    tau, eps = params.tau, params.epsilon
+    long_range = problem.multiplier is not None
+    # The mismatch goes first: it uses the buffers the local part fills.
+    if long_range and mismatch_hat is None:
+        mismatch_hat = problem.mismatch_spectrum(s)
+    elif not long_range and potential_values is None:
+        volume = grid.cell_measure * float(np.sum(problem.mismatch_values(s)))
+    # Local part (1 + tau*kappa/eps) s - (tau/eps) W'(s), W'(s) = 36 q (2s - 1).
+    q = np.multiply(s, s, out=problem.q)
+    q -= s
+    rhs = np.multiply(2.0, s, out=problem.rhs)
+    rhs -= 1.0
+    rhs *= q
+    rhs *= -36.0 * tau / eps
+    rhs += np.multiply(1.0 + tau * params.kappa / eps, s, out=problem.work)
+    # The force that multiplies f'(s).
+    if long_range:
+        np.multiply(
+            mismatch_hat.view(np.float64), problem.multiplier,
+            out=problem.product.view(np.float64),
         )
-        rhs -= tau * params.gamma * lr * fp
-        vol = grid.cell_measure * float(mismatch_hat[(0,) * grid.dim].real)
-    rhs -= tau * params.M * vol * fp
+        force = np.fft.irfftn(problem.product, s=grid.shape, axes=problem.axes, out=problem.work)
+        volume = grid.cell_measure * float(mismatch_hat[(0,) * grid.dim].real)
+        force *= tau * params.gamma
+        force += tau * params.M * volume
+    elif potential_values is not None:
+        force = np.multiply(tau, potential_values, out=problem.work)
+    else:
+        force = tau * params.M * volume
+    if spec.use_extension:
+        fp = f_prime(spec, s)   # the clamped variants are not used by discrete runs
+    elif spec.f_kind is FKind.CUBIC_HERMITE:
+        fp = np.multiply(-6.0, q, out=q)   # f'(s) = 6 s (1 - s) = -6 q
+    else:
+        fp = None   # f' = 1
+    if fp is None:
+        rhs -= force
+    else:
+        fp *= force
+        rhs -= fp
     return rhs
 
 

@@ -21,6 +21,13 @@ solve spectrum and the new mismatch spectrum, and :mod:`pacok.energy` takes
 the discrete energy from these two by Parseval's identity, so evaluating
 the energy after a step needs no further transform.
 
+:func:`run` builds one :class:`pacok.physics.Problem` for its steps: the
+multiplier, the reciprocal of the denominator and the buffers every step
+writes into.  Of grid size, a step then allocates only the field and the
+two half spectra of the state it returns, plus the half spectrum that
+numpy's irfftn holds while it transforms the leading axis of a 2D field.
+It never writes into an array a returned state holds.
+
 Two parameter conditions certify qualitative guarantees, both checked with
 the max-norm estimate of the long-range operator:
 
@@ -40,7 +47,6 @@ possible and are only reported, not raised.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -51,11 +57,11 @@ from .grid import GridField, PeriodicGrid
 from .physics import (
     ModelParams,
     NonlinearSpec,
+    Problem,
     assemble_rhs_array,
     lipschitz_constants,
-    mismatch_spectrum,
 )
-from .spectral import LongRangeOp, OpKind, estimate_linf_norm, stencil_symbol
+from .spectral import LongRangeOp, OpKind, estimate_linf_norm
 
 MPP_TOL = 1e-10
 ENERGY_TOL = 1e-9
@@ -166,36 +172,13 @@ def check_conditions(
     )
 
 
-_solver_cache: dict = {}
-_solver_lock = threading.Lock()
-
-
-def _solve_denominator(grid: PeriodicGrid, params: ModelParams) -> np.ndarray:
-    key = (grid.sizes, grid.half_extents, params.tau, params.kappa, params.epsilon)
-    with _solver_lock:
-        cached = _solver_cache.get(key)
-    if cached is not None:
-        return cached
-    denom = (
-        1.0
-        + params.tau * params.kappa / params.epsilon
-        + params.tau * params.epsilon * stencil_symbol(grid)
-    )
-    if float(np.min(denom)) < 1.0 - 1e-15:
-        raise AssertionError("implicit solve lost unconditional solvability")
-    denom.setflags(write=False)
-    with _solver_lock:
-        _solver_cache[key] = denom
-    return denom
-
-
-def _carried_mismatch(phi_values: np.ndarray, params, spec, op, potential) -> np.ndarray | None:
+def _carried_mismatch(phi_values: np.ndarray, problem: Problem) -> np.ndarray | None:
     """Read-only mismatch spectrum for a state; None without a long-range operator."""
-    if potential is not None or op.kind is OpKind.NONE:
+    if problem.multiplier is None:
         return None
     # A non-finite spectrum is reported as BlowupError by the next step or energy.
     with np.errstate(over="ignore", invalid="ignore"):
-        mismatch_hat = mismatch_spectrum(phi_values, spec, params.omega)
+        mismatch_hat = problem.mismatch_spectrum(phi_values)
     mismatch_hat.setflags(write=False)
     return mismatch_hat
 
@@ -206,50 +189,62 @@ def step(
     spec: NonlinearSpec,
     op: LongRangeOp,
     potential: GridField | None = None,
+    *,
+    problem: Problem | None = None,
 ) -> SchemeState:
     """Advance one step; deterministic for identical inputs on a fixed platform.
 
     The result is the same, bit for bit, whether or not ``state`` carries
-    its mismatch spectrum.
+    its mismatch spectrum.  ``problem`` holds the operator arrays and work
+    buffers (:func:`run` builds one per run and passes it); it must have
+    been built from the same arguments, and without it one is built here.
     """
     grid = state.phi.grid
     pot = potential.values if potential is not None else None
-    # Non-finite intermediates are detected and reported as BlowupError, so
-    # the overflow warnings on the way there are suppressed.
+    if problem is None:
+        problem = Problem(grid, params, spec, op, pot)
+    elif not problem.built_from(grid, params, spec, op, pot):
+        raise ValueError("problem was built for other arguments than this step's")
+    n_new = state.step_index + 1
+    # A non-finite value anywhere makes the increment non-finite, which is
+    # reported as BlowupError, so the overflow warnings on the way are
+    # suppressed.
     with np.errstate(over="ignore", invalid="ignore"):
         rhs = assemble_rhs_array(
-            state.phi.values, grid, params, spec, op, pot, mismatch_hat=state.mismatch_hat
+            state.phi.values, grid, params, spec, op, pot,
+            mismatch_hat=state.mismatch_hat, problem=problem,
         )
-    n_new = state.step_index + 1
-    if not np.all(np.isfinite(rhs)):
+        phi_hat = np.fft.rfftn(
+            rhs, axes=problem.axes, out=np.empty(problem.half_shape, complex)
+        )
+        solve = phi_hat.view(np.float64)
+        solve *= problem.inverse_denominator   # the division by the denominator
+        phi_new = np.fft.irfftn(
+            phi_hat, s=grid.shape, axes=problem.axes, out=np.empty(grid.shape)
+        )
+        change = np.subtract(phi_new, state.phi.values, out=problem.rhs)
+        increment = float(np.max(np.abs(change, out=change)))
+    if not math.isfinite(increment):
         raise BlowupError(n_new)
-    denom = _solve_denominator(grid, params)
-    axes = tuple(range(grid.dim))
-    spectrum = np.fft.rfftn(rhs, axes=axes)
-    spectrum /= denom
-    phi_new = np.fft.irfftn(spectrum, s=grid.shape, axes=axes)
-    if not np.all(np.isfinite(phi_new)):
-        raise BlowupError(n_new)
-    increment = float(np.max(np.abs(phi_new - state.phi.values)))
-    spectrum.setflags(write=False)
+    phi_hat.setflags(write=False)
     return SchemeState(
-        phi=GridField(grid, phi_new),
+        phi=GridField._checked(grid, phi_new),
         step_index=n_new,
         time=n_new * params.tau,
         last_increment_linf=increment,
-        phi_hat=spectrum,
-        mismatch_hat=_carried_mismatch(phi_new, params, spec, op, potential),
+        phi_hat=phi_hat,
+        mismatch_hat=_carried_mismatch(phi_new, problem),
     )
 
 
-def _with_spectra(state: SchemeState, params, spec, op, potential) -> SchemeState:
+def _with_spectra(state: SchemeState, problem: Problem) -> SchemeState:
     """``state`` carrying the spectra a step would have left on it."""
     phi_hat, mismatch_hat = state.phi_hat, state.mismatch_hat
     if phi_hat is None:
         phi_hat = np.fft.rfftn(state.phi.values)
         phi_hat.setflags(write=False)
     if mismatch_hat is None:
-        mismatch_hat = _carried_mismatch(state.phi.values, params, spec, op, potential)
+        mismatch_hat = _carried_mismatch(state.phi.values, problem)
     return replace(state, phi_hat=phi_hat, mismatch_hat=mismatch_hat)
 
 
@@ -325,7 +320,10 @@ def run(
         raise ConfigError(f"record_every must be >= 1, got {record_every}")
     if report is None:
         report = check_conditions(params, spec, op, state0.phi.grid, potential)
-    state = _with_spectra(state0, params, spec, op, potential)
+    problem = Problem(
+        state0.phi.grid, params, spec, op, potential.values if potential is not None else None
+    )
+    state = _with_spectra(state0, problem)
     records: list[StepRecord] = []
     last_energy = None
     if state.step_index == 0:
@@ -339,7 +337,7 @@ def run(
         last_energy = _energy(state, params, spec, op, potential)
     n_steps = max(0, math.ceil((t_max - state.time) / params.tau - 1e-12))
     for k in range(1, n_steps + 1):
-        state = step(state, params, spec, op, potential)
+        state = step(state, params, spec, op, potential, problem=problem)
         if report.mpp_ok:
             lo = float(np.min(state.phi.values))
             hi = float(np.max(state.phi.values))

@@ -12,16 +12,57 @@ from pacok.grid import GridField, PeriodicGrid
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy costs most of the import time and only count_bumps uses it.
+    # scipy is a test dependency only: importing pacok and running a
+    # coarsening study, bubble count included, must not load it.
     src = str(Path(pacok.__file__).resolve().parents[1])
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import pacok, pacok.cli; "
+        "from pacok.experiments import coarsening_run; "
+        "coarsening_run(1, 'g500', t_end=0.005); "
+        "coarsening_run(2, 'g1000_2d', scale='paper', t_end=0.001, tol=0.0); "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60
     )
     assert out.stdout.strip() == "[]"
+
+
+def scipy_count(mask):
+    """Oracle: scipy.ndimage.label, then the labels that meet across a wrap
+    seam merged with union-find; 1D counts circular runs by their rises."""
+    if mask.ndim == 1:
+        if not mask.any():
+            return 0
+        m = mask.astype(np.int8)
+        rises = int(np.sum((m - np.roll(m, 1)) == 1))
+        return rises if rises > 0 else 1
+    ndimage = pytest.importorskip("scipy.ndimage")
+    labels, count = ndimage.label(mask)
+    parent = list(range(count + 1))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for j in range(mask.shape[1]):
+        if mask[0, j] and mask[-1, j]:
+            parent[find(labels[-1, j])] = find(labels[0, j])
+    for i in range(mask.shape[0]):
+        if mask[i, 0] and mask[i, -1]:
+            parent[find(labels[i, -1])] = find(labels[i, 0])
+    return len({find(label) for label in range(1, count + 1)})
+
+
+def snake(n):
+    """One component winding through every other row of an n x n grid."""
+    mask = np.zeros((n, n), dtype=bool)
+    mask[: n - 1 : 2, 1:-1] = True
+    for i in range(1, n - 2, 2):
+        mask[i, -2 if (i // 2) % 2 == 0 else 1] = True
+    return mask
 
 
 class TestCountBumps:
@@ -48,3 +89,31 @@ class TestCountBumps:
         g = PeriodicGrid((8,), (1.0,))
         with pytest.raises(ConfigError):
             count_bumps(GridField.constant(g, 0.5), threshold=1.0)
+
+    @pytest.mark.parametrize("sizes", [(4,), (16,), (50,), (4, 4), (8, 8), (6, 10), (32, 32)])
+    def test_matches_scipy_oracle_on_random_masks(self, sizes):
+        g = PeriodicGrid(sizes, (1.0,) * len(sizes))
+        rng = np.random.default_rng(sum(sizes))
+        for density in (0.1, 0.3, 0.5, 0.6, 0.8, 0.95):
+            for _ in range(5):
+                values = (rng.random(g.shape) < density).astype(float)
+                assert count_bumps(GridField(g, values)) == scipy_count(values > 0.5)
+
+    @pytest.mark.parametrize("n", [8, 64, 256])
+    def test_snake_is_one_component(self, n):
+        mask = snake(n)
+        g = PeriodicGrid((n, n), (1.0, 1.0))
+        assert count_bumps(GridField(g, mask.astype(float))) == scipy_count(mask) == 1
+        cut = mask.copy()
+        cut[0, n // 2] = False
+        assert count_bumps(GridField(g, cut.astype(float))) == scipy_count(cut) == 2
+
+    def test_seams_match_scipy_oracle(self):
+        g = PeriodicGrid((8, 8), (1.0, 1.0))
+        for mask in (
+            np.eye(8, dtype=bool),                  # a diagonal: 4-adjacency keeps it apart
+            np.add.outer(range(8), range(8)) % 8 == 7,
+            np.isin(np.arange(64).reshape(8, 8) % 8, (0, 7)),   # columns meeting at the seam
+            np.isin(np.arange(64).reshape(8, 8) // 8, (0, 7)),  # rows meeting at the seam
+        ):
+            assert count_bumps(GridField(g, mask.astype(float))) == scipy_count(mask)

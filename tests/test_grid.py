@@ -31,6 +31,16 @@ class TestPeriodicGrid:
         # total measure equals dx * number of cells to machine precision
         assert g.cell_measure * g.num_cells == pytest.approx(g.measure, rel=1e-15)
 
+    def test_num_cells_is_a_python_product(self, monkeypatch):
+        # Read once per time step; a product of at most two ints needs no numpy call.
+        def no_numpy(*args, **kwargs):
+            raise AssertionError("np.prod called")
+
+        monkeypatch.setattr(np, "prod", no_numpy)
+        for sizes, cells in (((8,), 8), ((8, 16), 128), ((256, 256), 65536)):
+            n = PeriodicGrid(sizes, (1.0,) * len(sizes)).num_cells
+            assert type(n) is int and n == cells
+
     def test_coordinates_cover_half_open_box(self):
         g = PeriodicGrid((8,), (1.0,))
         (x,) = g.coordinates()
@@ -199,6 +209,20 @@ class TestSnapshots:
         assert t == 0.125
         assert loaded.grid == g
         assert np.array_equal(loaded.values, f.values)
+
+    @pytest.mark.parametrize("sizes", [(4,), (4100,), (8, 6), (128, 66)])
+    def test_bytes_match_one_joined_string(self, tmp_path, sizes):
+        # The former writer: every value formatted into one list, joined once.
+        g = PeriodicGrid(sizes, (1.0,) * len(sizes))
+        rng = np.random.default_rng(len(sizes))
+        v = rng.uniform(-1.0, 1.0, size=g.shape) * 10.0 ** rng.integers(-300, 300, size=g.shape)
+        v.flat[:4] = (-0.0, 0.0, 1.0, 5e-324)
+        f = GridField(g, v)
+        path = tmp_path / "snap.csv"
+        save_snapshot(path, f, t=0.1)
+        header = f"# pacok-grid v1 dim={g.dim} N={','.join(map(str, sizes))} X={','.join('1' for _ in sizes)} t=0.10000000000000001"
+        lines = [header] + [f"{x:.17g}" for x in f.values.ravel()]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_header_format(self, tmp_path):
         g = PeriodicGrid((4, 4), (1.0, 1.0))

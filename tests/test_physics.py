@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,22 +9,27 @@ from pacok.physics import (
     FKind,
     ModelParams,
     NonlinearSpec,
+    Problem,
     W_eval,
     W_pprime,
     W_prime,
     assemble_rhs,
+    assemble_rhs_array,
     f_eval,
     f_pprime,
     f_prime,
     lipschitz_constants,
+    mismatch_spectrum,
     pvism_potential,
     volume_term,
 )
-from pacok.spectral import LongRangeOp, estimate_linf_norm
+from pacok.spectral import LongRangeOp, OpKind, estimate_linf_norm, multiplier_array, stencil_symbol
 
 CUBIC = NonlinearSpec(FKind.CUBIC_HERMITE)
 CUBIC_EXT = NonlinearSpec(FKind.CUBIC_HERMITE, use_extension=True)
 LINEAR = NonlinearSpec(FKind.LINEAR)
+LINEAR_EXT = NonlinearSpec(FKind.LINEAR, use_extension=True)
+ALL_SPECS = (CUBIC, CUBIC_EXT, LINEAR, LINEAR_EXT)
 
 
 class TestDoubleWell:
@@ -100,6 +107,29 @@ class TestLipschitzConstants:
         s = np.linspace(0.0, 1.0, 1_000_001)
         assert np.max(np.abs(f_prime(CUBIC, s))) == pytest.approx(1.5, abs=1e-9)
         assert np.max(np.abs(f_pprime(CUBIC, s))) == pytest.approx(6.0, abs=1e-9)
+
+    @pytest.mark.parametrize("spec", ALL_SPECS)
+    def test_dyadic_grid_gives_the_dense_grid_constants(self, spec):
+        # The constants of the former 10^6 + 1 point grid, bit for bit.
+        s = np.linspace(0.0, 1.0, 1_000_001)
+        inner = NonlinearSpec(spec.f_kind)
+        dense = (
+            float(np.max(np.abs(W_pprime(s)))),
+            float(np.max(np.abs(f_prime(inner, s)))),
+            float(np.max(np.abs(f_pprime(inner, s)))),
+        )
+        lc = lipschitz_constants.__wrapped__(spec)
+        assert (lc.L_Wpp, lc.L_fp, lc.L_fpp) == dense
+
+    @pytest.mark.parametrize("spec", ALL_SPECS)
+    def test_peak_memory_below_one_megabyte(self, spec):
+        tracemalloc.start()
+        try:
+            lipschitz_constants.__wrapped__(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestModelParams:
@@ -280,3 +310,85 @@ class TestSolvationPotential:
         i = int(np.argmin(np.abs(x - 4.9)))
         single = pvism_potential(g, [2.0])
         assert u_two.values[i] == single.values[i]
+
+
+def rhs_oracle(phi_values, grid, params, spec, op, potential_values=None):
+    """The right-hand side as written before it was evaluated from q = s^2 - s."""
+    tau = params.tau
+    rhs = (1.0 + tau * params.kappa / params.epsilon) * phi_values
+    rhs -= (tau / params.epsilon) * W_prime(phi_values)
+    fp = f_prime(spec, phi_values)
+    if potential_values is not None:
+        rhs -= tau * potential_values * fp
+        return rhs
+    if op.kind is OpKind.NONE:
+        vol = volume_term(phi_values, grid, spec, params.omega)
+    else:
+        mismatch_hat = mismatch_spectrum(phi_values, spec, params.omega)
+        lr = np.fft.irfftn(
+            mismatch_hat * multiplier_array(op, grid), s=grid.shape, axes=tuple(range(grid.dim))
+        )
+        rhs -= tau * params.gamma * lr * fp
+        vol = grid.cell_measure * float(mismatch_hat[(0,) * grid.dim].real)
+    rhs -= tau * params.M * vol * fp
+    return rhs
+
+
+class TestRhsKernel:
+    PARAMS = ModelParams(epsilon=0.1, gamma=150.0, M=80.0, omega=0.3, kappa=40.0, tau=1e-3)
+
+    @pytest.mark.parametrize("spec", ALL_SPECS)
+    @pytest.mark.parametrize("sizes", [(16,), (8, 12)])
+    @pytest.mark.parametrize(
+        "mode", ["inverse_laplacian", "helmholtz", "none", "potential"]
+    )
+    def test_matches_the_former_formula(self, spec, sizes, mode):
+        g = PeriodicGrid(sizes, (1.0,) * len(sizes))
+        rng = np.random.default_rng(sum(sizes))
+        # Values outside [0, 1] exercise the clamped extensions.
+        phi = rng.uniform(-0.3, 1.3, size=g.shape)
+        pot = None
+        if mode == "potential":
+            op, pot = LongRangeOp.none(), rng.standard_normal(g.shape)
+        elif mode == "helmholtz":
+            op = LongRangeOp.helmholtz(0.3)
+        elif mode == "none":
+            op = LongRangeOp.none()
+        else:
+            op = LongRangeOp.inverse_laplacian()
+        expected = rhs_oracle(phi, g, self.PARAMS, spec, op, pot)
+        scale = max(1.0, float(np.max(np.abs(expected))))
+        problem = Problem(g, self.PARAMS, spec, op, pot)
+        carried = None if problem.multiplier is None else mismatch_spectrum(phi, spec, 0.3)
+        for out in (
+            assemble_rhs_array(phi, g, self.PARAMS, spec, op, pot),
+            assemble_rhs_array(phi, g, self.PARAMS, spec, op, pot, carried, problem=problem),
+        ):
+            assert np.max(np.abs(out - expected)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("spec", ALL_SPECS)
+    def test_problem_mismatch_spectrum_is_bit_identical(self, spec):
+        g = PeriodicGrid((8, 12), (1.0, 1.0))
+        phi = np.random.default_rng(5).uniform(-0.3, 1.3, size=g.shape)
+        problem = Problem(g, self.PARAMS, spec, LongRangeOp.inverse_laplacian())
+        assert np.array_equal(
+            problem.mismatch_spectrum(phi), mismatch_spectrum(phi, spec, self.PARAMS.omega)
+        )
+
+    @pytest.mark.parametrize("sizes", [(16,), (8, 12)])
+    def test_interleaved_arrays_scale_like_the_complex_arithmetic(self, sizes):
+        g = PeriodicGrid(sizes, (1.0,) * len(sizes))
+        p = self.PARAMS
+        problem = Problem(g, p, CUBIC, LongRangeOp.inverse_laplacian())
+        spectrum = np.fft.rfftn(np.random.default_rng(6).standard_normal(g.shape))
+        denom = 1.0 + p.tau * p.kappa / p.epsilon + p.tau * p.epsilon * stencil_symbol(g)
+        solved = spectrum.view(np.float64) * problem.inverse_denominator
+        assert np.array_equal(solved, (spectrum / denom).view(np.float64))
+        mult = multiplier_array(LongRangeOp.inverse_laplacian(), g)
+        scaled = spectrum.view(np.float64) * problem.multiplier
+        assert np.array_equal(scaled, (spectrum * mult).view(np.float64))
+
+    def test_potential_requires_none_operator(self):
+        g = PeriodicGrid((16,), (1.0,))
+        with pytest.raises(ConfigError):
+            Problem(g, self.PARAMS, CUBIC, LongRangeOp.inverse_laplacian(), np.ones(g.shape))

@@ -1,14 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from pacok import stepping
 from pacok.errors import BlowupError, ConfigError, EnergyIncreaseError, MppViolationError
-from pacok.experiments import run_with_snapshots
+from pacok.experiments import coarsening_preset, initial_random_piecewise, run_with_snapshots
 from pacok.grid import GridField, PeriodicGrid
 from pacok.physics import (
     FKind,
     ModelParams,
     NonlinearSpec,
+    Problem,
     W_prime,
     f_eval,
     f_prime,
@@ -167,6 +170,81 @@ class TestStep:
             for _ in range(10_000):
                 state = step(state, p, CUBIC, LongRangeOp.inverse_laplacian())
         assert str(exc_info.value.step_index) in str(exc_info.value)
+
+
+    def test_rejects_a_problem_built_for_other_arguments(self):
+        g = PeriodicGrid((16,), (1.0,))
+        p = self.make_params()
+        op = LongRangeOp.inverse_laplacian()
+        state = SchemeState.initial(GridField.constant(g, 0.3))
+        problem = Problem(g, self.make_params(tau=2e-3), CUBIC, op)
+        with pytest.raises(ValueError, match="other arguments"):
+            step(state, p, CUBIC, op, problem=problem)
+
+    @pytest.mark.parametrize(
+        "op", [LongRangeOp.inverse_laplacian(), LongRangeOp.none()]
+    )
+    def test_shared_problem_never_writes_a_returned_state(self, op):
+        g = PeriodicGrid((16, 16), (1.0, 1.0))
+        p = self.make_params()
+        rng = np.random.default_rng(58)
+        problem = Problem(g, p, CUBIC, op)
+        first = step(SchemeState.initial(GridField(g, rng.uniform(0.0, 1.0, g.shape))),
+                     p, CUBIC, op, problem=problem)
+        carried = [a for a in (first.phi.values, first.phi_hat, first.mismatch_hat)
+                   if a is not None]
+        saved = [a.copy() for a in carried]
+        state = first
+        for _ in range(3):
+            state = step(state, p, CUBIC, op, problem=problem)
+        for array, copy in zip(carried, saved):
+            assert not array.flags.writeable
+            assert np.array_equal(array, copy)
+        again = step(first, p, CUBIC, op)   # a fresh problem gives the same step
+        assert np.array_equal(again.phi.values, step(first, p, CUBIC, op, problem=problem).phi.values)
+
+
+class TestStepMemory:
+    """A step allocates, of grid size, only the arrays its state carries."""
+
+    @staticmethod
+    def setup(n):
+        if n == 256:
+            preset = coarsening_preset("g1000_2d", "paper")
+            g, p = preset.grid(), preset.params()
+        else:
+            g = PeriodicGrid((n, n), (1.0, 1.0))
+            p = ModelParams(epsilon=0.15625, gamma=200.0, M=1000.0, omega=0.3,
+                            kappa=4500.0, tau=1e-3)
+        return SchemeState.initial(initial_random_piecewise(g, 0.0, 0.8, 8, seed=3)), p
+
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_step_after_the_first_peaks_below_4_1_fields(self, n, monkeypatch):
+        # phi, phi_hat and mismatch_hat make 3 fields (each half spectrum a
+        # little over one); irfftn's transform over the leading axis keeps
+        # one more half spectrum while it runs.
+        state0, p = self.setup(n)
+        op = LongRangeOp.inverse_laplacian()
+        real_step = stepping.step
+        growth = []
+
+        def measured_step(state, *args, **kwargs):
+            new = real_step(state, *args, **kwargs)
+            if new.step_index == 1:
+                tracemalloc.start()
+                try:
+                    base = tracemalloc.get_traced_memory()[0]
+                    real_step(new, *args, **kwargs)
+                    growth.append(tracemalloc.get_traced_memory()[1] - base)
+                finally:
+                    tracemalloc.stop()
+            return new
+
+        monkeypatch.setattr(stepping, "step", measured_step)
+        run(state0, p, CUBIC, op, t_max=2 * p.tau, tol=0.0)
+        field_bytes = 8 * n * n
+        assert len(growth) == 1
+        assert growth[0] <= 4.1 * field_bytes
 
 
 class TestRun:
