@@ -16,17 +16,12 @@ from .grid import (
     PeriodicGrid,
     inner_product_h,
     load_snapshot,
-    mean_h,
     norm_l2_h,
-    norm_linf_h,
     save_snapshot,
 )
 from .spectral import (
     LongRangeOp,
     OpKind,
-    apply_inv_neg_laplacian,
-    apply_laplacian,
-    apply_long_range,
     estimate_linf_norm,
 )
 from .physics import (
@@ -36,7 +31,6 @@ from .physics import (
     NonlinearSpec,
     W_eval,
     W_prime,
-    assemble_rhs,
     f_eval,
     f_pprime,
     f_prime,

@@ -263,8 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_coarsen.set_defaults(func=cmd_coarsen)
 
     p_pvism = sub.add_parser("pvism", help="solvation equilibrium, cubic vs linear indicator")
-    p_pvism.add_argument("--scale", choices=("desk", "paper"), default="desk",
-                         help="accepted for interface uniformity; both scales run N=1024")
     p_pvism.add_argument("--tau", type=float, default=1e-4)
     p_pvism.add_argument("--t-max", type=float, default=100.0)
     p_pvism.add_argument("--out", help="output directory for equilibria")

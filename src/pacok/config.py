@@ -58,7 +58,6 @@ class RunConfig:
     hi: float = 0.8
     snapshot_times: tuple[float, ...] = ()
     monitor_every: int = 1
-    scale: str = "desk"
     out: str = ""
 
     # --- builders -------------------------------------------------------
@@ -84,15 +83,15 @@ class RunConfig:
         if self.pvism_solutes:
             return LongRangeOp.none()
         if self.operator == "inverse_laplacian":
-            return LongRangeOp.inverse_laplacian(self.gamma)
+            return LongRangeOp.inverse_laplacian()
         if self.operator == "helmholtz":
-            return LongRangeOp.helmholtz(self.op_gamma_len, self.gamma)
+            return LongRangeOp.helmholtz(self.op_gamma_len)
         if self.operator == "garnet_film":
-            return LongRangeOp.garnet_film(self.op_delta, self.gamma)
+            return LongRangeOp.garnet_film(self.op_delta)
         if self.operator == "custom":
             if not self.op_symbol_file:
                 raise ConfigError("operator = custom needs op_symbol_file")
-            return LongRangeOp.custom(load_symbol_csv(self.op_symbol_file), self.gamma)
+            return LongRangeOp.custom(load_symbol_csv(self.op_symbol_file))
         return LongRangeOp.none()
 
     def build_potential(self, grid: PeriodicGrid) -> GridField | None:
@@ -123,7 +122,6 @@ _CHOICES = {
     "f": ("cubic", "linear"),
     "operator": ("inverse_laplacian", "helmholtz", "garnet_film", "custom", "none"),
     "initial": ("random", "disk", "constant", "file"),
-    "scale": ("desk", "paper"),
 }
 
 # Config-file key -> dataclass field (dots are not valid identifiers).
@@ -167,26 +165,13 @@ _LIST_ITEM_TYPES = {"N": int, "X": float, "pvism_solutes": float, "snapshot_time
 
 
 def _validate(cfg: RunConfig) -> RunConfig:
-    if not (0.0 < cfg.omega < 1.0):
-        raise ConfigError(f"omega must lie in (0, 1), got {cfg.omega}")
-    if cfg.tau <= 0.0:
-        raise ConfigError(f"tau must be positive, got {cfg.tau}")
-    if cfg.epsilon <= 0.0:
-        raise ConfigError(f"epsilon must be positive, got {cfg.epsilon}")
-    if cfg.gamma < 0.0 or cfg.M < 0.0 or cfg.kappa < 0.0:
-        raise ConfigError("gamma, M and kappa must be >= 0")
+    # ModelParams and PeriodicGrid check the physics and the grid.
+    cfg.build_params()
+    cfg.build_grid()
     if cfg.T <= 0.0:
         raise ConfigError(f"T must be positive, got {cfg.T}")
     if cfg.tol < 0.0:
         raise ConfigError(f"tol must be >= 0, got {cfg.tol}")
-    if len(cfg.N) not in (1, 2) or len(cfg.N) != len(cfg.X):
-        raise ConfigError(f"N and X must both have 1 or 2 entries, got N={cfg.N}, X={cfg.X}")
-    for n in cfg.N:
-        if n < 4 or n % 2 != 0:
-            raise ConfigError(f"N entries must be even integers >= 4, got {n}")
-    for x in cfg.X:
-        if x <= 0.0:
-            raise ConfigError(f"X entries must be positive, got {x}")
     if cfg.monitor_every < 1:
         raise ConfigError(f"monitor_every must be >= 1, got {cfg.monitor_every}")
     if cfg.blocks < 1:

@@ -13,12 +13,12 @@ penalty is absent.
 Both quadratic forms are diagonal in the DFT, so they are taken by
 Parseval's identity from two half spectra: the field's, rfftn(P), and the
 mismatch's, rfftn(f(P) - omega), whose zero mode also gives the volume
-term.  A time step computes both anyway (the solve spectrum, and the
-forward half of the next step's long-range round trip), and a state
-returned by :func:`pacok.stepping.step` carries them, so a recorded step
-costs no FFT beyond the step's own two round trips.  A bare field has its
-spectra computed here.  Without a long-range operator there is no mismatch
-spectrum, and the interaction and volume parts are real-space sums.
+term.  A time step computes both, and q = P^2 - P, which gives the well
+part.  :func:`spectral_energy` takes the energy from these with no
+grid-sized temporary; the run loop calls it on its kernel's arrays and
+:func:`discrete_energy` on a field's, so there is one energy formula.
+Without a long-range operator there is no mismatch spectrum, and the
+interaction and volume parts are real-space sums.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridField
-from .physics import ModelParams, NonlinearSpec, f_eval, mismatch_spectrum, volume_term
-from .spectral import LongRangeOp, OpKind, multiplier_array, stencil_symbol
+from .grid import GridField, PeriodicGrid
+from .physics import ModelParams, NonlinearSpec, Problem, f_eval, mismatch_spectrum, volume_term
+from .spectral import LongRangeOp, OpKind, mirror_weights, multiplier_array, stencil_symbol
 
 
 @dataclass(frozen=True)
@@ -50,17 +50,50 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a.ravel(), b.ravel()))
 
 
-def _full_spectrum_sum(symbol: np.ndarray, half: np.ndarray) -> float:
-    """Sum of symbol * |s|^2 over all DFT modes, from the rfftn half spectrum.
+_WEIGHTED_SQUARES = {1: "i,i,i->", 2: "ij,ij,ij->"}   # einsum of sum(w * a * a), by dimension
 
-    Along the last axis the half spectrum keeps modes 0..n/2.  Every column
-    but the first and the last (the zero and Nyquist modes, n being even)
-    also stands for its mirror, so it counts twice.
+
+def _mode_sum(weights: np.ndarray, half: np.ndarray) -> float:
+    """Sum of symbol * |s|^2 over all DFT modes, from the rfftn half spectrum
+    and the symbol's :func:`pacok.spectral.mirror_weights`, with no copy."""
+    squares = _WEIGHTED_SQUARES[weights.ndim]
+    return float(np.einsum(squares, half.real, half.real, weights)) + float(
+        np.einsum(squares, half.imag, half.imag, weights)
+    )
+
+
+def spectral_energy(
+    params: ModelParams,
+    grid: PeriodicGrid,
+    q_squares: float,
+    phi_hat: np.ndarray,
+    weights: np.ndarray,
+    mismatch_hat: np.ndarray | None = None,
+    op_weights: np.ndarray | None = None,
+    volume: float = 0.0,
+    f_values: np.ndarray | None = None,
+    potential_values: np.ndarray | None = None,
+) -> EnergyBreakdown:
+    """The energy from sum(q^2), q = P^2 - P, and the field's half spectrum.
+
+    ``weights`` and ``op_weights`` are the mirror weights of the stencil and
+    operator symbols.  Without an operator, ``volume`` is the volume term;
+    in solvation mode ``f_values`` and ``potential_values`` give <f(P) U, 1>_h.
     """
-    power = np.square(half.real)
-    power += np.square(half.imag)
-    edges = (..., slice(None, None, power.shape[-1] - 1))   # the first and last columns
-    return 2.0 * _dot(power, symbol) - _dot(power[edges], symbol[edges])
+    dx = grid.cell_measure
+    parseval = dx / grid.num_cells
+    interfacial = 0.5 * params.epsilon * parseval * _mode_sum(weights, phi_hat)
+    well = 18.0 * dx * q_squares / params.epsilon   # W = 18 q^2
+    if potential_values is not None:
+        longrange, penalty = dx * _dot(f_values, potential_values), 0.0
+    else:
+        longrange = 0.0
+        if mismatch_hat is not None:
+            longrange = 0.5 * params.gamma * parseval * _mode_sum(op_weights, mismatch_hat)
+            volume = dx * float(mismatch_hat[(0,) * grid.dim].real)
+        penalty = 0.5 * params.M * volume * volume   # float ** 2 raises on overflow
+    total = interfacial + well + longrange + penalty
+    return EnergyBreakdown(interfacial, well, longrange, penalty, total)
 
 
 def discrete_energy(
@@ -77,32 +110,37 @@ def discrete_energy(
 
     ``phi_hat`` = rfftn(phi) and ``mismatch_hat`` = rfftn(f(phi) - omega)
     are the half spectra a state returned by :func:`pacok.stepping.step`
-    carries; each one not given is computed from ``phi``.
+    carries; each one not given is computed from ``phi``.  Given both, it
+    allocates about one grid field: q, then the symbols' mirror weights.
     """
     grid = phi.grid
     v = phi.values
-    dx = grid.cell_measure
-    parseval = dx / v.size
     if phi_hat is None:
         phi_hat = np.fft.rfftn(v)
-    interfacial = 0.5 * params.epsilon * parseval * _full_spectrum_sum(stencil_symbol(grid), phi_hat)
     q = v * v
     q -= v
-    well = 18.0 * dx * _dot(q, q) / params.epsilon   # W = 18 (v^2 - v)^2
+    q_squares = _dot(q, q)
+    del q   # the weights below take its place
+    volume, f_values, pot, op_weights = 0.0, None, None, None
     if potential is not None:
-        longrange = dx * float(np.sum(f_eval(spec, v) * potential.values))
-        penalty = 0.0
+        f_values, pot = f_eval(spec, v), potential.values
+    elif op.kind is OpKind.NONE:
+        volume = volume_term(v, grid, spec, params.omega)
     else:
-        if op.kind is OpKind.NONE:
-            longrange = 0.0
-            volume = volume_term(v, grid, spec, params.omega)
-        else:
-            if mismatch_hat is None:
-                mismatch_hat = mismatch_spectrum(v, spec, params.omega)
-            longrange = 0.5 * params.gamma * parseval * _full_spectrum_sum(
-                multiplier_array(op, grid), mismatch_hat
-            )
-            volume = dx * float(mismatch_hat[(0,) * grid.dim].real)
-        penalty = 0.5 * params.M * volume * volume   # float ** 2 raises on overflow
-    total = interfacial + well + longrange + penalty
-    return EnergyBreakdown(interfacial, well, longrange, penalty, total)
+        op_weights = mirror_weights(multiplier_array(op, grid))
+        if mismatch_hat is None:
+            mismatch_hat = mismatch_spectrum(v, spec, params.omega)
+    return spectral_energy(
+        params, grid, q_squares, phi_hat, mirror_weights(stencil_symbol(grid)), mismatch_hat,
+        op_weights, volume, f_values, pot,
+    )
+
+
+def problem_energy(problem: Problem, s: np.ndarray, phi_hat, mismatch_hat) -> EnergyBreakdown:
+    """The energy of a problem's current field ``s``: :func:`discrete_energy`'s sums, bit for bit."""
+    pot = problem.potential_values
+    return spectral_energy(
+        problem.params, problem.grid, _dot(problem.q, problem.q), phi_hat, problem.symbol_weights,
+        mismatch_hat, problem.op_weights, problem.volume,
+        None if pot is None else problem.mismatch_values(s, 0.0), pot,
+    )

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,7 +76,7 @@ class PeriodicGrid:
     def spacings(self) -> tuple[float, ...]:
         return tuple(2.0 * x / n for x, n in zip(self.half_extents, self.sizes))
 
-    @property
+    @cached_property   # read on every time step
     def cell_measure(self) -> float:
         """Volume h_1 * ... * h_d of one cell."""
         out = 1.0
@@ -183,17 +184,6 @@ def inner_product_h(a: GridField, b: GridField) -> float:
 def norm_l2_h(a: GridField) -> float:
     """Discrete L2 norm sqrt(<a, a>_h)."""
     return float(np.sqrt(inner_product_h(a, a)))
-
-
-def norm_linf_h(a: GridField) -> float:
-    """Discrete max norm max_k |a_k|."""
-    return float(np.max(np.abs(a.values)))
-
-
-def mean_h(a: GridField) -> float:
-    """Mean value <a, 1>_h / |T^d|."""
-    ones = GridField.constant(a.grid, 1.0)
-    return inner_product_h(a, ones) / a.grid.measure
 
 
 def save_snapshot(path, field: GridField, t: float = 0.0):

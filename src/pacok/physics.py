@@ -32,8 +32,11 @@ an external potential U attached) the interaction terms are replaced by
 
 W' and f' share q = p^2 - p: W'(p) = 36 q (2p - 1), and for the cubic
 f'(p) = -6 q.  A :class:`Problem`, built once per run, holds the operator
-arrays and the grid-sized buffers the right-hand side is assembled in, so
-assembling it allocates no grid-sized temporaries.
+arrays and every grid-sized buffer of a time step, and its methods are the
+array kernel of the step: the right-hand side, the solve, and the spectra
+and q the next step and the energy start from.  The kernel writes into its
+buffers and into arrays its caller passes; only the clamped extensions
+allocate (their f' array).
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .grid import GridField, PeriodicGrid
-from .spectral import LongRangeOp, OpKind, multiplier_array, stencil_symbol
+from .spectral import LongRangeOp, OpKind, mirror_weights, multiplier_array, stencil_symbol
 
 
 class FKind(enum.Enum):
@@ -232,11 +235,7 @@ def volume_term(phi_values: np.ndarray, grid: PeriodicGrid, spec: NonlinearSpec,
 
 
 def mismatch_spectrum(phi_values: np.ndarray, spec: NonlinearSpec, omega: float) -> np.ndarray:
-    """Half spectrum ``rfftn(f(phi) - omega)`` of the volume mismatch.
-
-    The long-range force, the long-range energy and (through the zero mode,
-    which is the plain sum of the mismatch) the volume term all start from it.
-    """
+    """Half spectrum ``rfftn(f(phi) - omega)``; its zero mode is the volume sum."""
     return np.fft.rfftn(f_eval(spec, phi_values) - omega)
 
 
@@ -253,19 +252,29 @@ def _interleaved(a: np.ndarray) -> np.ndarray:
 
 
 class Problem:
-    """Operator arrays and work buffers of one run, built once for its steps.
+    """Operator arrays and buffers of one run, and the array kernel of its steps.
 
-    It holds the arguments it was built from, the long-range multiplier
-    (None without a long-range operator), the reciprocal of the implicit
-    solve's denominator
+    With s = phi^n, q = s^2 - s, A = 1 + tau*kappa/eps and c = 36*tau/eps, a
+    step is
 
-        (1 + tau*kappa/eps) + tau*eps*lambda(j, k),   every entry >= 1,
+        rhs = A s + q (c - 2c s) - g f'(s),
+        phi^{n+1} = irfftn(rfftn(rhs) / ((1 + tau*kappa/eps) + tau*eps*lambda)),
 
-    both interleaved (see :func:`_interleaved`), and the buffers the
-    right-hand side and the time step write into.  Multiplying by the
-    reciprocal is what dividing a complex spectrum by the real denominator
-    computes, bit for bit.  A buffer is overwritten by the next call that
-    uses it; only :func:`assemble_rhs_array` hands one out, its result.
+    with the force g = tau*gamma L(f(s) - omega) + tau*M <f(s) - omega, 1>_h
+    (g = tau*U in solvation mode).  Every denominator entry is >= 1.  The
+    problem stores the force's coefficients already scaled by k: for the
+    cubic f, f' = -6 q, so k = 6 and rhs = A s + q (k g + c - 2c s); for the
+    other indicators k = -1 and rhs = A s + q (c - 2c s) + k g f'(s).
+
+    The multiplier and the reciprocal of the denominator are interleaved
+    (see :func:`_interleaved`); the energy takes the symbols' mirror
+    weights, ``symbol_weights`` and ``op_weights``.
+
+    ``q`` and, without a long-range operator or potential, ``volume`` belong
+    to the field last passed to :meth:`load` or produced by :meth:`advance`.
+    The run loop ping-pongs its fields through ``fields`` and writes its
+    spectra into ``phi_hat`` and ``mismatch_hat``
+    (:meth:`allocate_run_buffers`).  ``work`` and ``product`` are scratch.
     """
 
     def __init__(
@@ -282,18 +291,43 @@ class Problem:
         self.potential_values = potential_values
         self.axes = tuple(range(grid.dim))
         self.half_shape = grid.shape[:-1] + (grid.shape[-1] // 2 + 1,)
-        self.multiplier = (
-            None if op.kind is OpKind.NONE else _interleaved(multiplier_array(op, grid))
-        )
         tau, eps = params.tau, params.epsilon
-        denom = 1.0 + tau * params.kappa / eps + tau * eps * stencil_symbol(grid)
+        self.fused = spec.f_kind is FKind.CUBIC_HERMITE and not spec.use_extension
+        k = 6.0 if self.fused else -1.0
+        self.A = 1.0 + tau * params.kappa / eps
+        self.c = 36.0 * tau / eps
+        # Added to the scaled force: in the fused form it takes c along.
+        self.offset = self.c if self.fused else 0.0
+        self.volume_force = k * tau * params.M
+        self.volume = 0.0
+        symbol = stencil_symbol(grid)
+        self.symbol_weights = mirror_weights(symbol)
+        self.op_weights = self.multiplier = self.potential_force = None
+        if op.kind is not OpKind.NONE:
+            op_symbol = multiplier_array(op, grid)
+            self.op_weights = mirror_weights(op_symbol)
+            self.multiplier = _interleaved(k * tau * params.gamma * op_symbol)
+        elif potential_values is not None:
+            self.potential_force = k * tau * potential_values + self.offset
+            self.potential_force.setflags(write=False)
+        denom = self.A + tau * eps * symbol
         if float(np.min(denom)) < 1.0 - 1e-15:
             raise AssertionError("implicit solve lost unconditional solvability")
         self.inverse_denominator = _interleaved(1.0 / denom)
         self.q = np.empty(grid.shape)
-        self.rhs = np.empty(grid.shape)
         self.work = np.empty(grid.shape)
-        self.product = None if self.multiplier is None else np.empty(self.half_shape, complex)
+        self.clamped = np.empty(grid.shape) if spec.use_extension else None
+        # A step's scratch spectrum is its output mismatch spectrum, if it has one.
+        needs_scratch = grid.dim == 2 and self.multiplier is None
+        self.product = np.empty(self.half_shape, complex) if needs_scratch else None
+        self.fields = self.phi_hat = self.mismatch_hat = None
+
+    def allocate_run_buffers(self) -> None:
+        """The two fields and the two spectra the run loop writes its steps into."""
+        self.fields = (np.empty(self.grid.shape), np.empty(self.grid.shape))
+        self.phi_hat = np.empty(self.half_shape, complex)
+        if self.multiplier is not None:
+            self.mismatch_hat = np.empty(self.half_shape, complex)
 
     def built_from(self, grid, params, spec, op, potential_values) -> bool:
         return (
@@ -301,115 +335,114 @@ class Problem:
             and self.potential_values is potential_values
         )
 
-    def mismatch_values(self, s: np.ndarray) -> np.ndarray:
-        """f(s) - omega in the ``work`` buffer, with the operations of :func:`f_eval`."""
-        spec, out = self.spec, self.work
-        if spec.use_extension:
-            s = np.clip(s, 0.0, 1.0, out=self.q)
-        if spec.f_kind is FKind.CUBIC_HERMITE:
+    def forward(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """rfftn(x) into ``out``."""
+        if self.grid.dim == 1:
+            return np.fft.rfft(x, out=out)
+        return np.fft.rfftn(x, axes=self.axes, out=out)
+
+    def inverse(self, spectrum: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """irfftn(spectrum) into ``out``; in 2D the first pass goes into ``scratch``."""
+        n = self.grid.shape[-1]
+        if self.grid.dim == 1:
+            return np.fft.irfft(spectrum, n, out=out)
+        np.fft.ifft(spectrum, axis=0, out=scratch)
+        return np.fft.irfft(scratch, n, axis=1, out=out)
+
+    def mismatch_values(self, s: np.ndarray, omega: float | None = None) -> np.ndarray:
+        """f(s) - omega in ``work``, with the operations of :func:`f_eval`.
+
+        ``omega`` defaults to the run's; 0 gives f(s) itself.
+        """
+        out = self.work
+        omega = self.params.omega if omega is None else omega
+        if self.spec.use_extension:
+            s = np.clip(s, 0.0, 1.0, out=self.clamped)
+        if self.spec.f_kind is FKind.CUBIC_HERMITE:
             np.multiply(2.0, s, out=out)
             np.subtract(3.0, out, out=out)
             out *= s
             out *= s
-            out -= self.params.omega
+            out -= omega
         else:
-            np.subtract(s, self.params.omega, out=out)
+            np.subtract(s, omega, out=out)
         return out
 
     def mismatch_spectrum(self, s: np.ndarray) -> np.ndarray:
         """A new array rfftn(f(s) - omega); equal to :func:`mismatch_spectrum`."""
-        return np.fft.rfftn(
-            self.mismatch_values(s), axes=self.axes,
-            out=np.empty(self.half_shape, complex),
-        )
+        return self.forward(self.mismatch_values(s), np.empty(self.half_shape, complex))
 
+    def load(self, s: np.ndarray, mismatch_hat=None, into=None) -> np.ndarray | None:
+        """Make ``s`` the current field: set q and the volume term for it.
 
-def assemble_rhs_array(
-    phi_values: np.ndarray,
-    grid: PeriodicGrid,
-    params: ModelParams,
-    spec: NonlinearSpec,
-    op: LongRangeOp,
-    potential_values: np.ndarray | None = None,
-    mismatch_hat: np.ndarray | None = None,
-    *,
-    problem: Problem | None = None,
-) -> np.ndarray:
-    """Raw-array right-hand side used by the time stepper's inner loop.
+        Returns its mismatch spectrum (None without a long-range operator):
+        ``mismatch_hat`` if given, else computed into ``into``.
+        """
+        if self.multiplier is not None:
+            if mismatch_hat is None:
+                mismatch_hat = self.forward(self.mismatch_values(s), into)
+        elif self.potential_values is None:
+            self.volume = self.grid.cell_measure * float(np.sum(self.mismatch_values(s)))
+        np.multiply(s, s, out=self.q)
+        self.q -= s
+        return mismatch_hat
 
-    With a long-range operator the interaction force is one inverse
-    transform of ``mismatch_hat`` times the multiplier, and the volume
-    term is the zero mode of ``mismatch_hat``.  Pass the spectrum when the
-    caller has it (a state returned by :func:`pacok.stepping.step` carries
-    it); otherwise it is computed here from ``phi_values``.
+    def force(self, mismatch_hat: np.ndarray | None, scratch: np.ndarray | None):
+        """k g plus ``offset`` for the current field: an array, or a scalar without one.
 
-    The result is written into a buffer of ``problem``, which must have
-    been built from the same arguments; without one, a new problem is built
-    and the result is the caller's.
-    """
-    if problem is None:
-        problem = Problem(grid, params, spec, op, potential_values)
-    s = phi_values
-    tau, eps = params.tau, params.epsilon
-    long_range = problem.multiplier is not None
-    # The mismatch goes first: it uses the buffers the local part fills.
-    if long_range and mismatch_hat is None:
-        mismatch_hat = problem.mismatch_spectrum(s)
-    elif not long_range and potential_values is None:
-        volume = grid.cell_measure * float(np.sum(problem.mismatch_values(s)))
-    # Local part (1 + tau*kappa/eps) s - (tau/eps) W'(s), W'(s) = 36 q (2s - 1).
-    q = np.multiply(s, s, out=problem.q)
-    q -= s
-    rhs = np.multiply(2.0, s, out=problem.rhs)
-    rhs -= 1.0
-    rhs *= q
-    rhs *= -36.0 * tau / eps
-    rhs += np.multiply(1.0 + tau * params.kappa / eps, s, out=problem.work)
-    # The force that multiplies f'(s).
-    if long_range:
-        np.multiply(
-            mismatch_hat.view(np.float64), problem.multiplier,
-            out=problem.product.view(np.float64),
-        )
-        force = np.fft.irfftn(problem.product, s=grid.shape, axes=problem.axes, out=problem.work)
-        volume = grid.cell_measure * float(mismatch_hat[(0,) * grid.dim].real)
-        force *= tau * params.gamma
-        force += tau * params.M * volume
-    elif potential_values is not None:
-        force = np.multiply(tau, potential_values, out=problem.work)
-    else:
-        force = tau * params.M * volume
-    if spec.use_extension:
-        fp = f_prime(spec, s)   # the clamped variants are not used by discrete runs
-    elif spec.f_kind is FKind.CUBIC_HERMITE:
-        fp = np.multiply(-6.0, q, out=q)   # f'(s) = 6 s (1 - s) = -6 q
-    else:
-        fp = None   # f' = 1
-    if fp is None:
-        rhs -= force
-    else:
-        fp *= force
-        rhs -= fp
-    return rhs
+        The multiplied spectrum goes into ``scratch``, which may be ``mismatch_hat``.
+        """
+        if self.multiplier is None:
+            if self.potential_force is not None:
+                return self.potential_force
+            return self.volume_force * self.volume + self.offset
+        volume = self.grid.cell_measure * float(mismatch_hat[(0,) * self.grid.dim].real)
+        np.multiply(mismatch_hat.view(np.float64), self.multiplier, out=scratch.view(np.float64))
+        g = self.inverse(scratch, self.work, scratch)
+        g += self.volume_force * volume + self.offset
+        return g
 
+    def rhs(self, s: np.ndarray, g, out: np.ndarray) -> np.ndarray:
+        """The right-hand side for the current field ``s`` and its :meth:`force`, into ``out``."""
+        np.multiply(s, -2.0 * self.c, out=out)
+        if self.fused:
+            out += g
+            out *= self.q
+        else:
+            out += self.c
+            out *= self.q
+            out += g * f_prime(self.spec, s) if self.spec.use_extension else g   # linear f' = 1
+        out += np.multiply(s, self.A, out=self.work)
+        return out
 
-def assemble_rhs(
-    phi: GridField,
-    params: ModelParams,
-    spec: NonlinearSpec,
-    op: LongRangeOp,
-    potential: GridField | None = None,
-) -> GridField:
-    """Explicit right-hand side F(phi) of one stabilized semi-implicit step.
+    def advance(
+        self,
+        s: np.ndarray,
+        mismatch_hat: np.ndarray | None,
+        out: np.ndarray,
+        phi_hat: np.ndarray,
+        mismatch_out: np.ndarray | None,
+    ) -> float:
+        """One step from the current field ``s``; returns ||P_new - s||_inf.
 
-    For endpoint-compatible f and parameters satisfying the bound-
-    preservation condition, F maps fields with values in [0, 1] into
-    [0, 1 + tau*kappa/epsilon] pointwise.
-    """
-    pot = potential.values if potential is not None else None
-    return phi.with_values(
-        assemble_rhs_array(phi.values, phi.grid, params, spec, op, pot)
-    )
+        The new field, which becomes the current one, goes into ``out``, its
+        solve spectrum into ``phi_hat`` and its mismatch spectrum into
+        ``mismatch_out`` (scratch until then; it may be ``mismatch_hat``).
+        A non-finite value anywhere makes the increment non-finite.
+        """
+        scratch = self.product if mismatch_out is None else mismatch_out
+        self.rhs(s, self.force(mismatch_hat, scratch), out)
+        self.forward(out, phi_hat)
+        solve = phi_hat.view(np.float64)
+        solve *= self.inverse_denominator   # the division by the denominator
+        self.inverse(phi_hat, out, scratch)
+        change = np.subtract(out, s, out=self.work)
+        increment = float(np.abs(change, out=change).max())
+        if mismatch_out is not None:
+            self.load(out, self.forward(self.mismatch_values(out), mismatch_out))
+        else:
+            self.load(out)
+        return increment
 
 
 # Solvation potential constants: water density, Lennard-Jones well depth and

@@ -22,13 +22,12 @@ or an explicit per-mode table.
 from __future__ import annotations
 
 import enum
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError
-from .grid import GridField, PeriodicGrid
+from .grid import PeriodicGrid
 
 
 class OpKind(enum.Enum):
@@ -43,21 +42,15 @@ class OpKind(enum.Enum):
 class LongRangeOp:
     """Spectral-multiplier description of a long-range interaction operator.
 
-    ``strength`` records the coupling coefficient carried with the operator
-    description; the dynamics and the stability conditions take the coupling
-    from ``ModelParams.gamma``, which is the single runtime authority.
-    Multiplier application itself is always bare (coefficient-free).
+    The description is bare: the coupling strength is ``ModelParams.gamma``.
     """
 
     kind: OpKind
-    strength: float = 1.0
     gamma_len: float = 0.0   # Helmholtz screening length
     delta: float = 0.0       # relative film thickness
     symbol: dict | None = field(default=None, hash=False)
 
     def __post_init__(self):
-        if self.strength < 0.0:
-            raise ConfigError("operator strength must be >= 0")
         if self.kind is OpKind.HELMHOLTZ and self.gamma_len <= 0.0:
             raise ConfigError("helmholtz operator needs a positive length")
         if self.kind is OpKind.GARNET_FILM and self.delta <= 0.0:
@@ -74,19 +67,19 @@ class LongRangeOp:
                 )
 
     @classmethod
-    def inverse_laplacian(cls, strength: float = 1.0) -> "LongRangeOp":
-        return cls(OpKind.INVERSE_LAPLACIAN, strength=strength)
+    def inverse_laplacian(cls) -> "LongRangeOp":
+        return cls(OpKind.INVERSE_LAPLACIAN)
 
     @classmethod
-    def helmholtz(cls, gamma_len: float, strength: float = 1.0) -> "LongRangeOp":
-        return cls(OpKind.HELMHOLTZ, strength=strength, gamma_len=gamma_len)
+    def helmholtz(cls, gamma_len: float) -> "LongRangeOp":
+        return cls(OpKind.HELMHOLTZ, gamma_len=gamma_len)
 
     @classmethod
-    def garnet_film(cls, delta: float, strength: float = 1.0) -> "LongRangeOp":
-        return cls(OpKind.GARNET_FILM, strength=strength, delta=delta)
+    def garnet_film(cls, delta: float) -> "LongRangeOp":
+        return cls(OpKind.GARNET_FILM, delta=delta)
 
     @classmethod
-    def custom(cls, symbol: dict, strength: float = 1.0) -> "LongRangeOp":
+    def custom(cls, symbol: dict) -> "LongRangeOp":
         """Operator from a table ``{mode: value}``; a mode is an int or a tuple of ints."""
         try:
             modes = np.array(list(symbol))
@@ -100,16 +93,16 @@ class LongRangeOp:
                 for mode in symbol
             )
         normalized = dict(zip(keys, map(float, symbol.values())))
-        return cls(OpKind.CUSTOM_SYMBOL, strength=strength, symbol=normalized)
+        return cls(OpKind.CUSTOM_SYMBOL, symbol=normalized)
 
     @classmethod
     def none(cls) -> "LongRangeOp":
         return cls(OpKind.NONE)
 
 
+# Nothing runs in threads, so the caches need no lock.
 _symbol_cache: dict = {}
 _multiplier_cache: dict = {}
-_cache_lock = threading.Lock()
 
 
 def _grid_key(grid: PeriodicGrid):
@@ -119,8 +112,7 @@ def _grid_key(grid: PeriodicGrid):
 def stencil_symbol(grid: PeriodicGrid) -> np.ndarray:
     """Symbol of -Lap_h over the real-FFT mode layout (all entries >= 0)."""
     key = _grid_key(grid)
-    with _cache_lock:
-        cached = _symbol_cache.get(key)
+    cached = _symbol_cache.get(key)
     if cached is not None:
         return cached
     h = grid.spacings
@@ -134,8 +126,7 @@ def stencil_symbol(grid: PeriodicGrid) -> np.ndarray:
         lam = (4.0 / h[0] ** 2) * np.sin(np.pi * j1 / n[0]) ** 2 \
             + (4.0 / h[1] ** 2) * np.sin(np.pi * j2 / n[1]) ** 2
     lam.setflags(write=False)
-    with _cache_lock:
-        _symbol_cache[key] = lam
+    _symbol_cache[key] = lam
     return lam
 
 
@@ -205,8 +196,7 @@ def multiplier_array(op: LongRangeOp, grid: PeriodicGrid) -> np.ndarray:
         key = (op, _grid_key(grid))
     else:
         key = (op.kind, op.gamma_len, op.delta, _grid_key(grid))
-    with _cache_lock:
-        cached = _multiplier_cache.get(key)
+    cached = _multiplier_cache.get(key)
     if cached is not None:
         return cached
     if op.kind is OpKind.INVERSE_LAPLACIAN:
@@ -223,9 +213,17 @@ def multiplier_array(op: LongRangeOp, grid: PeriodicGrid) -> np.ndarray:
     else:
         mult = _custom_multiplier(op, grid)
     mult.setflags(write=False)
-    with _cache_lock:
-        _multiplier_cache[key] = mult
+    _multiplier_cache[key] = mult
     return mult
+
+
+def mirror_weights(symbol: np.ndarray) -> np.ndarray:
+    """``symbol`` times the number of DFT modes each rfftn half-spectrum entry stands for:
+    every column but the first and the last (modes 0 and n/2) also stands for its mirror."""
+    weights = 2.0 * symbol
+    weights[..., 0] = symbol[..., 0]
+    weights[..., -1] = symbol[..., -1]
+    return weights
 
 
 def _apply_multiplier(values: np.ndarray, mult: np.ndarray, shape) -> np.ndarray:
@@ -233,33 +231,6 @@ def _apply_multiplier(values: np.ndarray, mult: np.ndarray, shape) -> np.ndarray
     spectrum = np.fft.rfftn(values, axes=axes)
     spectrum *= mult
     return np.fft.irfftn(spectrum, s=shape, axes=axes)
-
-
-def apply_laplacian(a: GridField) -> GridField:
-    """Standard 3-point (1D) / 5-point (2D) periodic Laplacian stencil."""
-    v = a.values
-    h = a.grid.spacings
-    out = (np.roll(v, 1, axis=0) + np.roll(v, -1, axis=0) - 2.0 * v) / h[0] ** 2
-    if a.grid.dim == 2:
-        out = out + (np.roll(v, 1, axis=1) + np.roll(v, -1, axis=1) - 2.0 * v) / h[1] ** 2
-    return a.with_values(out)
-
-
-def apply_inv_neg_laplacian(a: GridField) -> GridField:
-    """Zero-mean solution u of -Lap_h u = a - mean(a).
-
-    The input's mean component is projected out by zeroing the zero mode,
-    so the operator is well defined on arbitrary fields and its output
-    always has zero mean.
-    """
-    mult = multiplier_array(LongRangeOp.inverse_laplacian(), a.grid)
-    return a.with_values(_apply_multiplier(a.values, mult, a.grid.shape))
-
-
-def apply_long_range(op: LongRangeOp, a: GridField) -> GridField:
-    """Apply the bare spectral multiplier of ``op`` to a field."""
-    mult = multiplier_array(op, a.grid)
-    return a.with_values(_apply_multiplier(a.values, mult, a.grid.shape))
 
 
 def estimate_linf_norm(op: LongRangeOp, grid: PeriodicGrid) -> float:

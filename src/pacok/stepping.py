@@ -14,19 +14,19 @@ and an inverse transform.  Every denominator entry is >= 1, which makes the
 step unconditionally uniquely solvable.
 
 A step costs two FFT round trips.  The long-range one starts from the
-mismatch spectrum rfftn(f(P_old) - omega), which the previous step computed
-and left on its state; the step multiplies it by the operator's symbol and
-transforms back.  The solve is the second.  The returned state carries the
-solve spectrum and the new mismatch spectrum, and :mod:`pacok.energy` takes
-the discrete energy from these two by Parseval's identity, so evaluating
-the energy after a step needs no further transform.
+mismatch spectrum rfftn(f(P_old) - omega), which the previous step computed;
+the step multiplies it by the operator's symbol and transforms back.  The
+solve is the second.  The energy comes from the solve spectrum, the new
+mismatch spectrum and q = P^2 - P by Parseval's identity
+(:func:`pacok.energy.spectral_energy`), so a recorded step needs no
+further transform.
 
-:func:`run` builds one :class:`pacok.physics.Problem` for its steps: the
-multiplier, the reciprocal of the denominator and the buffers every step
-writes into.  Of grid size, a step then allocates only the field and the
-two half spectra of the state it returns, plus the half spectrum that
-numpy's irfftn holds while it transforms the leading axis of a 2D field.
-It never writes into an array a returned state holds.
+A step is the array kernel of :class:`pacok.physics.Problem`, which holds
+the operator arrays and every buffer.  :func:`step` allocates the three
+arrays its returned state owns and runs the kernel once.  :func:`run` makes
+its first step through :func:`step` and the rest in the kernel alone, on
+the problem's buffers (two fields in turn, and the spectra); after its
+first step it allocates no grid-sized array.
 
 Two parameter conditions certify qualitative guarantees, both checked with
 the max-norm estimate of the long-range operator:
@@ -51,16 +51,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .energy import discrete_energy
+from .energy import discrete_energy, problem_energy
 from .errors import BlowupError, ConfigError, EnergyIncreaseError, MppViolationError
 from .grid import GridField, PeriodicGrid
-from .physics import (
-    ModelParams,
-    NonlinearSpec,
-    Problem,
-    assemble_rhs_array,
-    lipschitz_constants,
-)
+from .physics import ModelParams, NonlinearSpec, Problem, lipschitz_constants
 from .spectral import LongRangeOp, OpKind, estimate_linf_norm
 
 MPP_TOL = 1e-10
@@ -172,17 +166,6 @@ def check_conditions(
     )
 
 
-def _carried_mismatch(phi_values: np.ndarray, problem: Problem) -> np.ndarray | None:
-    """Read-only mismatch spectrum for a state; None without a long-range operator."""
-    if problem.multiplier is None:
-        return None
-    # A non-finite spectrum is reported as BlowupError by the next step or energy.
-    with np.errstate(over="ignore", invalid="ignore"):
-        mismatch_hat = problem.mismatch_spectrum(phi_values)
-    mismatch_hat.setflags(write=False)
-    return mismatch_hat
-
-
 def step(
     state: SchemeState,
     params: ModelParams,
@@ -196,8 +179,8 @@ def step(
 
     The result is the same, bit for bit, whether or not ``state`` carries
     its mismatch spectrum.  ``problem`` holds the operator arrays and work
-    buffers (:func:`run` builds one per run and passes it); it must have
-    been built from the same arguments, and without it one is built here.
+    buffers; it must have been built from the same arguments, and without
+    it one is built here.  The returned state owns its three arrays.
     """
     grid = state.phi.grid
     pot = potential.values if potential is not None else None
@@ -206,45 +189,40 @@ def step(
     elif not problem.built_from(grid, params, spec, op, pot):
         raise ValueError("problem was built for other arguments than this step's")
     n_new = state.step_index + 1
-    # A non-finite value anywhere makes the increment non-finite, which is
-    # reported as BlowupError, so the overflow warnings on the way are
-    # suppressed.
+    phi_new = np.empty(grid.shape)
+    phi_hat = np.empty(problem.half_shape, complex)
+    mismatch_hat = None if problem.multiplier is None else np.empty(problem.half_shape, complex)
+    # A non-finite value anywhere makes the increment non-finite, reported
+    # as BlowupError, so the overflow warnings on the way are suppressed.
     with np.errstate(over="ignore", invalid="ignore"):
-        rhs = assemble_rhs_array(
-            state.phi.values, grid, params, spec, op, pot,
-            mismatch_hat=state.mismatch_hat, problem=problem,
-        )
-        phi_hat = np.fft.rfftn(
-            rhs, axes=problem.axes, out=np.empty(problem.half_shape, complex)
-        )
-        solve = phi_hat.view(np.float64)
-        solve *= problem.inverse_denominator   # the division by the denominator
-        phi_new = np.fft.irfftn(
-            phi_hat, s=grid.shape, axes=problem.axes, out=np.empty(grid.shape)
-        )
-        change = np.subtract(phi_new, state.phi.values, out=problem.rhs)
-        increment = float(np.max(np.abs(change, out=change)))
+        carried = problem.load(state.phi.values, state.mismatch_hat, into=mismatch_hat)
+        increment = problem.advance(state.phi.values, carried, phi_new, phi_hat, mismatch_hat)
     if not math.isfinite(increment):
         raise BlowupError(n_new)
-    phi_hat.setflags(write=False)
-    return SchemeState(
-        phi=GridField._checked(grid, phi_new),
-        step_index=n_new,
-        time=n_new * params.tau,
-        last_increment_linf=increment,
-        phi_hat=phi_hat,
-        mismatch_hat=_carried_mismatch(phi_new, problem),
-    )
+    return _state(grid, n_new, params.tau, increment, phi_new, phi_hat, mismatch_hat)
+
+
+def _read_only(*spectra) -> None:
+    for spectrum in spectra:
+        if spectrum is not None:
+            spectrum.setflags(write=False)
+
+
+def _state(grid, n, tau, increment, phi, phi_hat, mismatch_hat) -> SchemeState:
+    """A state that takes these arrays, made read-only."""
+    _read_only(phi_hat, mismatch_hat)
+    return SchemeState(GridField._checked(grid, phi), n, n * tau, increment, phi_hat, mismatch_hat)
 
 
 def _with_spectra(state: SchemeState, problem: Problem) -> SchemeState:
     """``state`` carrying the spectra a step would have left on it."""
-    phi_hat, mismatch_hat = state.phi_hat, state.mismatch_hat
-    if phi_hat is None:
-        phi_hat = np.fft.rfftn(state.phi.values)
-        phi_hat.setflags(write=False)
-    if mismatch_hat is None:
-        mismatch_hat = _carried_mismatch(state.phi.values, problem)
+    phi_hat = state.phi_hat if state.phi_hat is not None else np.fft.rfftn(state.phi.values)
+    mismatch_hat = state.mismatch_hat
+    if mismatch_hat is None and problem.multiplier is not None:
+        # A non-finite spectrum is reported as BlowupError by the energy.
+        with np.errstate(over="ignore", invalid="ignore"):
+            mismatch_hat = problem.mismatch_spectrum(state.phi.values)
+    _read_only(phi_hat, mismatch_hat)
     return replace(state, phi_hat=phi_hat, mismatch_hat=mismatch_hat)
 
 
@@ -260,34 +238,23 @@ class StepRecord:
     increment: float
 
 
-def _energy(state: SchemeState, params, spec, op, potential) -> float:
-    """Total discrete energy of ``state``; a non-finite one is a blowup."""
+def _checked_energy(n: int, evaluate, *args) -> float:
+    """Total of the energy ``evaluate(*args)`` gives for step ``n``; a non-finite one is a blowup."""
     # The overflow warnings on the way to a non-finite energy are suppressed
     # because the result is checked and reported as BlowupError.
     with np.errstate(over="ignore", invalid="ignore"):
-        total = discrete_energy(
-            state.phi, params, spec, op, potential,
-            phi_hat=state.phi_hat, mismatch_hat=state.mismatch_hat,
-        ).total
+        total = evaluate(*args).total
     if not math.isfinite(total):
-        raise BlowupError(
-            state.step_index, f"non-finite energy at step {state.step_index}"
-        )
+        raise BlowupError(n, f"non-finite energy at step {n}")
     return total
 
 
-def _make_record(
-    state: SchemeState, params, spec, op, potential, energy: float | None = None
-) -> StepRecord:
-    """Diagnostics row of ``state``; ``energy`` is its energy if already known."""
-    return StepRecord(
-        n=state.step_index,
-        t=state.time,
-        phi_min=float(np.min(state.phi.values)),
-        phi_max=float(np.max(state.phi.values)),
-        energy=_energy(state, params, spec, op, potential) if energy is None else energy,
-        increment=state.last_increment_linf if state.step_index > 0 else 0.0,
-    )
+def _energy(state: SchemeState, params, spec, op, potential) -> float:
+    """Total discrete energy of ``state``, from the spectra it carries."""
+    return _checked_energy(state.step_index, lambda: discrete_energy(
+        state.phi, params, spec, op, potential,
+        phi_hat=state.phi_hat, mismatch_hat=state.mismatch_hat,
+    ))
 
 
 def run(
@@ -303,7 +270,7 @@ def run(
     report: ConditionReport | None = None,
     mpp_tol: float = MPP_TOL,
 ) -> tuple[SchemeState, list[StepRecord]]:
-    """Iterate :func:`step` until ``t >= t_max`` or the increment criterion.
+    """Iterate the time step until ``t >= t_max`` or the increment criterion.
 
     The iteration stops early once ||P_new - P_old||_inf / tau <= tol
     (pass ``tol <= 0`` to always integrate to ``t_max``).  Records are
@@ -311,53 +278,75 @@ def run(
     final step.  When the report certifies a guarantee, it is enforced on
     every step: bounds, and energy decay (for a resumed state, starting
     from that state's energy); a violation raises instead of returning.
-    The energy comes from the spectra each step carries, so checking it
-    costs no FFT.  A non-finite energy raises :class:`BlowupError`.
+    The energy comes from the spectra each step computes, so checking it
+    costs no FFT.  A non-finite increment or energy raises
+    :class:`BlowupError`.
+
+    The first step is a call of :func:`step`; the kernel makes the others
+    on the buffers of one :class:`pacok.physics.Problem`, and the returned
+    state takes the buffers it wrote last.
     """
     if t_max <= 0.0:
         raise ConfigError(f"t_max must be positive, got {t_max}")
     if record_every < 1:
         raise ConfigError(f"record_every must be >= 1, got {record_every}")
+    grid = state0.phi.grid
     if report is None:
-        report = check_conditions(params, spec, op, state0.phi.grid, potential)
-    problem = Problem(
-        state0.phi.grid, params, spec, op, potential.values if potential is not None else None
-    )
+        report = check_conditions(params, spec, op, grid, potential)
+    problem = Problem(grid, params, spec, op, None if potential is None else potential.values)
     state = _with_spectra(state0, problem)
     records: list[StepRecord] = []
     last_energy = None
     if state.step_index == 0:
-        first = _make_record(state, params, spec, op, potential)
-        records.append(first)
-        last_energy = first.energy
+        v = state.phi.values
+        last_energy = _energy(state, params, spec, op, potential)
+        records.append(StepRecord(0, state.time, float(v.min()), float(v.max()), last_energy, 0.0))
     elif report.es_ok:
         # A resumed run (the next segment of run_with_snapshots) checks its
         # first step against the state it starts from, which the previous
         # segment recorded last.
         last_energy = _energy(state, params, spec, op, potential)
     n_steps = max(0, math.ceil((t_max - state.time) / params.tau - 1e-12))
+    if n_steps == 0:
+        return state, records
+    state = step(state, params, spec, op, potential, problem=problem)
+    n, increment, s = state.step_index, state.last_increment_linf, state.phi.values
+    problem.allocate_run_buffers()
+    with np.errstate(over="ignore", invalid="ignore"):
+        mismatch_hat = problem.load(s, state.mismatch_hat, into=problem.mismatch_hat)
+        phi_hat = state.phi_hat if state.phi_hat is not None else problem.forward(s, problem.phi_hat)
+    del state   # the kernel holds what it needs of it
     for k in range(1, n_steps + 1):
-        state = step(state, params, spec, op, potential, problem=problem)
-        if report.mpp_ok:
-            lo = float(np.min(state.phi.values))
-            hi = float(np.max(state.phi.values))
-            if lo < -mpp_tol or hi > 1.0 + mpp_tol:
+        if k > 1:
+            out = problem.fields[k % 2]
+            with np.errstate(over="ignore", invalid="ignore"):
+                increment = problem.advance(
+                    s, mismatch_hat, out, problem.phi_hat, problem.mismatch_hat
+                )
+            n += 1
+            if not math.isfinite(increment):
+                raise BlowupError(n)
+            s, phi_hat, mismatch_hat = out, problem.phi_hat, problem.mismatch_hat
+        stopping = tol > 0.0 and increment / params.tau <= tol
+        recording = k % record_every == 0 or k == n_steps or stopping
+        if report.mpp_ok or recording:
+            lo, hi = float(s.min()), float(s.max())
+            if report.mpp_ok and (lo < -mpp_tol or hi > 1.0 + mpp_tol):
                 raise MppViolationError(
-                    f"certified bounds violated at step {state.step_index}: "
-                    f"min={lo:.3e}, max={hi:.3e}"
+                    f"certified bounds violated at step {n}: min={lo:.3e}, max={hi:.3e}"
                 )
         energy = None
+        if report.es_ok or recording:
+            energy = _checked_energy(n, problem_energy, problem, s, phi_hat, mismatch_hat)
         if report.es_ok:
-            energy = _energy(state, params, spec, op, potential)
             if energy > last_energy + ENERGY_TOL * (1.0 + abs(last_energy)):
                 raise EnergyIncreaseError(
-                    f"certified energy decay violated at step {state.step_index}: "
+                    f"certified energy decay violated at step {n}: "
                     f"{last_energy!r} -> {energy!r}"
                 )
             last_energy = energy
-        stopping = tol > 0.0 and state.last_increment_linf / params.tau <= tol
-        if k % record_every == 0 or k == n_steps or stopping:
-            records.append(_make_record(state, params, spec, op, potential, energy))
+        if recording:
+            records.append(StepRecord(n, n * params.tau, lo, hi, energy, increment))
         if stopping:
             break
-    return state, records
+    return _state(grid, n, params.tau, increment, s, phi_hat, mismatch_hat), records

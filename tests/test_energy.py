@@ -1,12 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from pacok.energy import EnergyBreakdown, discrete_energy
 from pacok.grid import GridField, PeriodicGrid
 from pacok.physics import FKind, ModelParams, NonlinearSpec, W_eval, f_eval
-from pacok.spectral import LongRangeOp, OpKind, apply_laplacian, apply_long_range
+from pacok.spectral import LongRangeOp, OpKind
 from pacok.stepping import SchemeState, step
 
+from oracles import apply_laplacian, apply_long_range
 from test_spectral import dense_laplacian, random_even_table
 
 CUBIC = NonlinearSpec(FKind.CUBIC_HERMITE)
@@ -216,3 +219,24 @@ class TestParsevalEnergy:
             state.phi, p, CUBIC, op, phi_hat=state.phi_hat, mismatch_hat=state.mismatch_hat
         )
         assert_parts_close(carried, stencil_energy(state.phi, p, CUBIC, op))
+
+
+@pytest.mark.parametrize("sizes", [(128, 128), (16384,)])
+@pytest.mark.parametrize("kind", ["inverse_laplacian", "helmholtz"])
+def test_energy_of_a_stepped_state_allocates_about_one_field(sizes, kind):
+    # Given the spectra a step carries, it allocates q, frees it, then the
+    # two mirror-weight arrays (about half a field each).
+    g = PeriodicGrid(sizes, (1.0,) * len(sizes))
+    p = params()
+    op = operator(kind, sizes)
+    rng = np.random.default_rng(39)
+    state = step(SchemeState.initial(GridField(g, rng.uniform(0.0, 1.0, sizes))), p, CUBIC, op)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        discrete_energy(state.phi, p, CUBIC, op, phi_hat=state.phi_hat,
+                        mismatch_hat=state.mismatch_hat)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * 8 * g.num_cells

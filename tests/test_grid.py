@@ -9,11 +9,11 @@ from pacok.grid import (
     PeriodicGrid,
     inner_product_h,
     load_snapshot,
-    mean_h,
     norm_l2_h,
-    norm_linf_h,
     save_snapshot,
 )
+
+from oracles import mean_h, norm_linf_h
 
 
 def random_field(grid, seed):

@@ -13,8 +13,6 @@ from pacok.physics import (
     W_eval,
     W_pprime,
     W_prime,
-    assemble_rhs,
-    assemble_rhs_array,
     f_eval,
     f_pprime,
     f_prime,
@@ -24,6 +22,8 @@ from pacok.physics import (
     volume_term,
 )
 from pacok.spectral import LongRangeOp, OpKind, estimate_linf_norm, multiplier_array, stencil_symbol
+
+from oracles import assemble_rhs, assemble_rhs_array
 
 CUBIC = NonlinearSpec(FKind.CUBIC_HERMITE)
 CUBIC_EXT = NonlinearSpec(FKind.CUBIC_HERMITE, use_extension=True)
@@ -384,7 +384,8 @@ class TestRhsKernel:
         denom = 1.0 + p.tau * p.kappa / p.epsilon + p.tau * p.epsilon * stencil_symbol(g)
         solved = spectrum.view(np.float64) * problem.inverse_denominator
         assert np.array_equal(solved, (spectrum / denom).view(np.float64))
-        mult = multiplier_array(LongRangeOp.inverse_laplacian(), g)
+        # The cubic's multiplier is stored scaled by 6 tau gamma.
+        mult = 6.0 * p.tau * p.gamma * multiplier_array(LongRangeOp.inverse_laplacian(), g)
         scaled = spectrum.view(np.float64) * problem.multiplier
         assert np.array_equal(scaled, (spectrum * mult).view(np.float64))
 

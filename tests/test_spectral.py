@@ -2,17 +2,22 @@ import numpy as np
 import pytest
 
 from pacok.errors import ConfigError
-from pacok.grid import GridField, PeriodicGrid, inner_product_h, mean_h, norm_linf_h
+from pacok.grid import GridField, PeriodicGrid, inner_product_h
 from pacok.spectral import (
     _custom_multiplier,
     LongRangeOp,
     OpKind,
-    apply_inv_neg_laplacian,
-    apply_laplacian,
-    apply_long_range,
     estimate_linf_norm,
     load_symbol_csv,
     multiplier_array,
+)
+
+from oracles import (
+    apply_inv_neg_laplacian,
+    apply_laplacian,
+    apply_long_range,
+    mean_h,
+    norm_linf_h,
 )
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pacok import stepping
+from pacok.energy import discrete_energy
 from pacok.errors import BlowupError, ConfigError, EnergyIncreaseError, MppViolationError
 from pacok.experiments import coarsening_preset, initial_random_piecewise, run_with_snapshots
 from pacok.grid import GridField, PeriodicGrid
@@ -20,12 +21,13 @@ from pacok.spectral import LongRangeOp, OpKind, estimate_linf_norm
 from pacok.stepping import (
     ConditionReport,
     SchemeState,
+    StepRecord,
     check_conditions,
     run,
     step,
 )
 
-from test_spectral import dense_laplacian
+from test_spectral import dense_laplacian, random_even_table
 
 CUBIC = NonlinearSpec(FKind.CUBIC_HERMITE)
 LINEAR = NonlinearSpec(FKind.LINEAR)
@@ -221,8 +223,9 @@ class TestStepMemory:
     @pytest.mark.parametrize("n", [128, 256])
     def test_step_after_the_first_peaks_below_4_1_fields(self, n, monkeypatch):
         # phi, phi_hat and mismatch_hat make 3 fields (each half spectrum a
-        # little over one); irfftn's transform over the leading axis keeps
-        # one more half spectrum while it runs.
+        # little over one); the inverse transforms go through the problem's
+        # scratch spectrum.  run makes only its first step through step, so
+        # this measures step itself, called with the run's problem.
         state0, p = self.setup(n)
         op = LongRangeOp.inverse_laplacian()
         real_step = stepping.step
@@ -480,9 +483,11 @@ class TestCarriedSpectra:
     def test_recorded_run_makes_two_fft_round_trips_per_step(self, monkeypatch):
         # Per step: the long-range inverse transform, the forward and inverse
         # transforms of the solve, and the forward transform of the new
-        # mismatch.  The initial state adds its two forward transforms.
+        # mismatch.  A 2D inverse transform is an ifft over the leading axis
+        # and an irfft over the last.  The initial state adds its two
+        # forward transforms.
         state, p, op, report = self.certified_2d()
-        counts = {"rfftn": 0, "irfftn": 0}
+        counts = dict.fromkeys(("rfftn", "rfft", "fft", "irfftn", "irfft", "ifft"), 0)
         for name in counts:
             real = getattr(np.fft, name)
 
@@ -495,7 +500,8 @@ class TestCarriedSpectra:
         _, records = run(state, p, CUBIC, op, t_max=n_steps * p.tau, tol=0.0,
                          record_every=1, report=report)
         assert len(records) == n_steps + 1
-        assert counts == {"rfftn": 2 * n_steps + 2, "irfftn": 2 * n_steps}
+        assert counts == {"rfftn": 2 * n_steps + 2, "rfft": 0, "fft": 0,
+                          "irfftn": 0, "irfft": 2 * n_steps, "ifft": 2 * n_steps}
 
     def test_segments_write_the_series_of_one_run(self, tmp_path):
         state, p, op, report = self.certified_2d()
@@ -514,18 +520,166 @@ class TestCarriedSpectra:
     def test_energy_rise_between_records_raises_at_its_step(self, monkeypatch):
         # A grid-scale oscillation inside [0, 1] raises the energy at step 7
         # while the bounds hold; records are taken at steps 0, 10 and 20.
+        # Step 7 is made by the kernel, so the hook replaces the field that
+        # its seventh Problem.advance call (the first is step 1) produced.
         state, p, op, report = self.certified_2d()
-        real_step = stepping.step
-        g = state.phi.grid
-        rough = np.indices(g.shape).sum(axis=0) % 2 * 1.0
+        real_advance = Problem.advance
+        rough = np.indices(state.phi.grid.shape).sum(axis=0) % 2 * 1.0
+        calls = []
 
-        def step_with_rise(state, *args, **kwargs):
-            new = real_step(state, *args, **kwargs)
-            if new.step_index == 7:
-                new = SchemeState(GridField(g, rough), new.step_index, new.time,
-                                  new.last_increment_linf)
-            return new
+        def advance_with_rise(problem, s, mismatch_hat, out, phi_hat, mismatch_out):
+            increment = real_advance(problem, s, mismatch_hat, out, phi_hat, mismatch_out)
+            calls.append(out)
+            if len(calls) == 7:
+                out[...] = rough
+                problem.forward(out, phi_hat)
+                problem.load(out, problem.forward(problem.mismatch_values(out), mismatch_out))
+            return increment
 
-        monkeypatch.setattr(stepping, "step", step_with_rise)
+        monkeypatch.setattr(Problem, "advance", advance_with_rise)
         with pytest.raises(EnergyIncreaseError, match="step 7:"):
             run(state, p, CUBIC, op, t_max=20 * p.tau, tol=0.0, record_every=10, report=report)
+        assert len(calls) == 7
+
+
+def step_loop(state, params, spec, op, t_max, tol, record_every, potential=None):
+    """What run returns, as a loop of step calls with discrete_energy records (oracle)."""
+    pot = None if potential is None else potential.values
+    problem = Problem(state.phi.grid, params, spec, op, pot)
+
+    def record(s):
+        energy = discrete_energy(s.phi, params, spec, op, potential,
+                                 phi_hat=s.phi_hat, mismatch_hat=s.mismatch_hat).total
+        v = s.phi.values
+        return StepRecord(s.step_index, s.time, float(np.min(v)), float(np.max(v)), energy,
+                          s.last_increment_linf if s.step_index else 0.0)
+
+    records = [record(state)]
+    n_steps = round(t_max / params.tau)
+    for k in range(1, n_steps + 1):
+        state = step(state, params, spec, op, potential, problem=problem)
+        stopping = tol > 0.0 and state.last_increment_linf / params.tau <= tol
+        if k % record_every == 0 or k == n_steps or stopping:
+            records.append(record(state))
+        if stopping:
+            break
+    return state, records
+
+
+CUBIC_EXT = NonlinearSpec(FKind.CUBIC_HERMITE, use_extension=True)
+LINEAR_EXT = NonlinearSpec(FKind.LINEAR, use_extension=True)
+KERNEL_CASES = {
+    "cubic-inverse-laplacian-2d": ((16, 16), CUBIC, "inverse_laplacian"),
+    "cubic-inverse-laplacian-1d": ((32,), CUBIC, "inverse_laplacian"),
+    "linear-helmholtz-2d": ((16, 12), LINEAR, "helmholtz"),
+    "extension-inverse-laplacian-1d": ((32,), CUBIC_EXT, "inverse_laplacian"),
+    "linear-extension-none-2d": ((8, 8), LINEAR_EXT, "none"),
+    "cubic-custom-2d": ((8, 12), CUBIC, "custom"),
+    "cubic-none-1d": ((32,), CUBIC, "none"),
+    "cubic-potential-1d": ((32,), CUBIC, "potential"),
+    "linear-potential-1d": ((32,), LINEAR, "potential"),
+}
+
+
+def kernel_case(name, scale=1):
+    sizes, spec, kind = KERNEL_CASES[name]
+    sizes = tuple(scale * n for n in sizes)
+    g = PeriodicGrid(sizes, (1.0,) * len(sizes))
+    rng = np.random.default_rng(len(name))
+    potential = None
+    if kind == "potential":
+        op, potential = LongRangeOp.none(), GridField(g, rng.standard_normal(sizes))
+    elif kind == "custom":
+        op = LongRangeOp.custom(random_even_table(sizes, 3))
+    else:
+        op = {"inverse_laplacian": LongRangeOp.inverse_laplacian(),
+              "helmholtz": LongRangeOp.helmholtz(0.3), "none": LongRangeOp.none()}[kind]
+    p = ModelParams(epsilon=0.2, gamma=50.0, M=20.0, omega=0.3, kappa=100.0, tau=1e-3)
+    state = SchemeState.initial(GridField(g, rng.uniform(0.1, 0.9, sizes)))
+    return state, p, spec, op, potential
+
+
+class TestKernel:
+    """run makes steps 2..n in the kernel; it matches a loop of step calls bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+    @pytest.mark.parametrize("mode", ["every step", "every 3rd", "early stop"])
+    def test_run_equals_a_loop_of_steps(self, name, mode):
+        state, p, spec, op, potential = kernel_case(name)
+        t_max, tol, every = 12 * p.tau, 0.0, {"every step": 1, "every 3rd": 3}.get(mode, 7)
+        if mode == "early stop":
+            # Stop at the first step whose increment is at most the fifth's;
+            # only the stop makes that step's record.
+            increments = [r.increment for r in step_loop(state, p, spec, op, t_max, 0.0, 1,
+                                                         potential)[1]]
+            tol = increments[5] / p.tau
+        expected, expected_records = step_loop(state, p, spec, op, t_max, tol, every, potential)
+        report = check_conditions(p, spec, op, state.phi.grid, potential)
+        got, records = run(state, p, spec, op, t_max=t_max, tol=tol, record_every=every,
+                           potential=potential, report=report)
+        assert records == expected_records
+        if mode == "early stop":
+            assert 2 <= got.step_index < 12
+        assert (got.step_index, got.time, got.last_increment_linf) == (
+            expected.step_index, expected.time, expected.last_increment_linf)
+        assert np.array_equal(got.phi.values, expected.phi.values)
+        assert np.array_equal(got.phi_hat, expected.phi_hat)
+        if op.kind is OpKind.NONE:
+            assert got.mismatch_hat is None and expected.mismatch_hat is None
+        else:
+            assert np.array_equal(got.mismatch_hat, expected.mismatch_hat)
+        for array in (got.phi.values, got.phi_hat, got.mismatch_hat):
+            assert array is None or not array.flags.writeable
+
+    def test_first_step_goes_through_step_and_keeps_its_arrays(self, monkeypatch):
+        state, p, spec, op, _ = kernel_case("cubic-inverse-laplacian-2d")
+        real_step = stepping.step
+        returned = []
+
+        def first_step(*args, **kwargs):
+            new = real_step(*args, **kwargs)
+            returned.append((new, [a.copy() for a in (new.phi.values, new.phi_hat,
+                                                      new.mismatch_hat)]))
+            return new
+
+        monkeypatch.setattr(stepping, "step", first_step)
+        final, _ = run(state, p, spec, op, t_max=20 * p.tau, tol=0.0)
+        assert final.step_index == 20
+        assert len(returned) == 1
+        first, copies = returned[0]
+        assert first.step_index == 1
+        arrays = (first.phi.values, first.phi_hat, first.mismatch_hat)
+        for array, copy in zip(arrays, copies):
+            assert not array.flags.writeable
+            assert np.array_equal(array, copy)
+            assert not any(np.shares_memory(array, a) for a in
+                           (final.phi.values, final.phi_hat, final.mismatch_hat))
+
+    @pytest.mark.parametrize(
+        "name", ["cubic-inverse-laplacian-2d", "cubic-inverse-laplacian-1d", "cubic-none-1d",
+                 "cubic-potential-1d", "linear-helmholtz-2d", "cubic-custom-2d"]
+    )
+    def test_no_grid_sized_allocation_after_the_first_step(self, name, monkeypatch):
+        # Tracing starts once the run has made its first step and its
+        # buffers; every later step, check and record is inside the trace.
+        # Scaled to 128 rows in 2D and 2^14 points in 1D: a field takes ~128 kB.
+        n = KERNEL_CASES[name][0]
+        state, p, spec, op, potential = kernel_case(name, 128 // n[0] if len(n) == 2 else 2**14 // n[0])
+        real_allocate = Problem.allocate_run_buffers
+        traced = []
+
+        def allocate_then_trace(problem):
+            real_allocate(problem)
+            tracemalloc.start()
+            traced.append(tracemalloc.get_traced_memory()[0])
+
+        monkeypatch.setattr(Problem, "allocate_run_buffers", allocate_then_trace)
+        report = check_conditions(p, spec, op, state.phi.grid, potential)
+        try:
+            final, records = run(state, p, spec, op, t_max=20 * p.tau, tol=0.0,
+                                 potential=potential, report=report)
+            growth = tracemalloc.get_traced_memory()[1] - traced[0]
+        finally:
+            tracemalloc.stop()
+        assert final.step_index == 20 and len(records) == 21
+        assert growth < 0.25 * 8 * state.phi.grid.num_cells   # records and spectrum edges
