@@ -2,8 +2,9 @@
 
 Subcommands: run, check, norm, energy, converge, coarsen, pvism.
 Exit codes: 0 success, 2 configuration error, 3 violated certified
-invariant, 4 numerical blowup.  Heavy imports happen inside the command
-handlers so that the PACOK_THREADS cap is exported before numpy loads.
+invariant, 4 numerical blowup.  Each command handler imports what it uses
+when it runs, not when this module loads, so it calls the names its modules
+hold at that time, also one a test or a profiler replaced in between.
 """
 
 from __future__ import annotations
@@ -13,31 +14,6 @@ import os
 import sys
 
 from .errors import PacokError
-
-
-def _apply_thread_cap() -> None:
-    """Export PACOK_THREADS (0 = auto) to the usual pool size variables.
-
-    These variables size the OpenMP and BLAS thread pools only.  The FFTs,
-    which take most of a step, run in numpy's pocketfft, which is
-    single-threaded and ignores them, so PACOK_THREADS does not change how
-    fast a run steps.
-    """
-    raw = os.environ.get("PACOK_THREADS", "").strip()
-    if not raw:
-        return
-    try:
-        cap = int(raw)
-    except ValueError:
-        print(f"error: config: PACOK_THREADS must be an integer, got '{raw}'", file=sys.stderr)
-        raise SystemExit(2)
-    if cap < 0:
-        print(f"error: config: PACOK_THREADS must be >= 0, got {cap}", file=sys.stderr)
-        raise SystemExit(2)
-    if cap == 0:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(cap))
 
 
 def _load_config(args):
@@ -272,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

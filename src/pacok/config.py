@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, reading
 from .grid import GridField, PeriodicGrid, load_snapshot
 from .physics import FKind, ModelParams, NonlinearSpec, pvism_potential
 from .spectral import LongRangeOp, load_symbol_csv
@@ -207,11 +207,8 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    with reading(path), open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
     try:
         return parse_config(text)
     except ConfigError as exc:
@@ -229,11 +226,20 @@ def _format_value(value) -> str:
 
 
 def format_config(cfg: RunConfig) -> str:
-    """Serialize a config so that ``parse_config(format_config(c)) == c``."""
+    """Serialize a config so that ``parse_config(format_config(c)) == c``.
+
+    A string the parser would read back otherwise (one with a ``#``, a line
+    break, or whitespace at either end) is a ConfigError.
+    """
     lines = []
     for f in fields(RunConfig):
         key = _FIELD_TO_KEY.get(f.name, f.name)
-        lines.append(f"{key} = {_format_value(getattr(cfg, f.name))}")
+        value = getattr(cfg, f.name)
+        if isinstance(value, str) and (
+            "#" in value or value != value.strip() or len(value.splitlines()) > 1
+        ):
+            raise ConfigError(f"{key} = {value!r} cannot be written to a config file")
+        lines.append(f"{key} = {_format_value(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -250,7 +256,7 @@ def write_series(path, records) -> None:
 
 
 def read_series(path) -> list[StepRecord]:
-    with open(path, "r", encoding="utf-8") as fh:
+    with reading(path), open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != SERIES_HEADER:
             raise ConfigError(f"{path}: expected header '{SERIES_HEADER}', got '{header}'")

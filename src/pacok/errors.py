@@ -4,6 +4,8 @@ The CLI maps these onto process exit codes: configuration problems exit
 with 2, violated runtime invariants with 3, numerical blowup with 4.
 """
 
+from contextlib import contextmanager
+
 
 class PacokError(Exception):
     """Base class for all errors raised by this package."""
@@ -49,3 +51,14 @@ class BlowupError(PacokError):
     def __init__(self, step_index: int, message: str | None = None):
         self.step_index = step_index
         super().__init__(message or f"non-finite values at step {step_index}")
+
+
+@contextmanager
+def reading(path):
+    """A file that cannot be opened, or is not UTF-8 text, as a ConfigError naming it."""
+    try:
+        yield
+    except UnicodeDecodeError:
+        raise ConfigError(f"cannot read {path}: not UTF-8 text") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from None

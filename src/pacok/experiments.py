@@ -22,7 +22,7 @@ from .errors import ConfigError
 from .grid import GridField, PeriodicGrid, norm_l2_h, save_snapshot
 from .physics import FKind, ModelParams, NonlinearSpec, pvism_potential
 from .spectral import LongRangeOp
-from .stepping import ConditionReport, SchemeState, StepRecord, check_conditions, run
+from .stepping import ConditionReport, SchemeState, StepRecord, check_conditions, run, stops
 
 
 def disk_radius(omega: float, measure: float) -> float:
@@ -309,11 +309,10 @@ def run_with_snapshots(
     if times and times[0] == 0.0:
         emit_snapshot(state)
         times = times[1:]
-    stopped = False
     if not times or times[-1] < t_end:
         times = times + [t_end]
     for t_target in times:
-        if stopped or state.time >= t_target:
+        if state.time >= t_target:
             continue
         state, segment = run(
             state,
@@ -327,8 +326,9 @@ def run_with_snapshots(
             report=report,
         )
         records.extend(segment)
-        stopped = tol > 0.0 and state.last_increment_linf / params.tau <= tol
         emit_snapshot(state)
+        if stops(state.last_increment_linf, params.tau, tol):
+            break
     if out_dir is not None:
         from .config import write_series
 

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, FieldValueError, GridMismatchError
+from .errors import ConfigError, FieldValueError, GridMismatchError, reading
 
 SNAPSHOT_MAGIC = "# pacok-grid v1"
 # Values formatted per write: about 90 kB of text.
@@ -207,7 +207,7 @@ def save_snapshot(path, field: GridField, t: float = 0.0):
 
 def load_snapshot(path) -> tuple[GridField, float]:
     """Read a snapshot written by :func:`save_snapshot`; returns (field, t)."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with reading(path), open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if not header.startswith(SNAPSHOT_MAGIC):
             raise ConfigError(f"{path}: not a pacok-grid v1 snapshot")
@@ -233,4 +233,8 @@ def load_snapshot(path) -> tuple[GridField, float]:
         raise ConfigError(
             f"{path}: expected {grid.num_cells} values, found {values.size}"
         )
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ConfigError(f"{path}: value {i + 1} is {values[i]}, not a finite number")
     return GridField(grid, values), t

@@ -368,10 +368,6 @@ class Problem:
             np.subtract(s, omega, out=out)
         return out
 
-    def mismatch_spectrum(self, s: np.ndarray) -> np.ndarray:
-        """A new array rfftn(f(s) - omega); equal to :func:`mismatch_spectrum`."""
-        return self.forward(self.mismatch_values(s), np.empty(self.half_shape, complex))
-
     def load(self, s: np.ndarray, mismatch_hat=None, into=None) -> np.ndarray | None:
         """Make ``s`` the current field: set q and the volume term for it.
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, reading
 from .grid import PeriodicGrid
 
 
@@ -226,25 +226,18 @@ def mirror_weights(symbol: np.ndarray) -> np.ndarray:
     return weights
 
 
-def _apply_multiplier(values: np.ndarray, mult: np.ndarray, shape) -> np.ndarray:
-    axes = tuple(range(len(shape)))
-    spectrum = np.fft.rfftn(values, axes=axes)
-    spectrum *= mult
-    return np.fft.irfftn(spectrum, s=shape, axes=axes)
-
-
 def estimate_linf_norm(op: LongRangeOp, grid: PeriodicGrid) -> float:
     """Max-norm of the operator, estimated from one impulse response.
 
     The operator matrix G (with the zero-mean projection built into the
     inverse-Laplacian symbol) is circulant, so all absolute row sums agree
     and the max-to-max norm is the absolute sum of the response to a single
-    unit impulse.
+    unit impulse.  The DFT of a unit impulse at the origin is exactly 1 in
+    every mode, so the response is the inverse transform of the multiplier
+    itself.
     """
-    impulse = np.zeros(grid.shape)
-    impulse[(0,) * grid.dim] = 1.0
     mult = multiplier_array(op, grid)
-    response = _apply_multiplier(impulse, mult, grid.shape)
+    response = np.fft.irfftn(mult, s=grid.shape, axes=tuple(range(grid.dim)))
     return float(np.sum(np.abs(response)))
 
 
@@ -255,7 +248,7 @@ def load_symbol_csv(path) -> dict:
     the dimension of its first one is parsed in one array pass; other files
     go through the line-by-line parser, which names the first bad line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with reading(path), open(path, "r", encoding="utf-8") as fh:
         lines = [
             (lineno, line)
             for lineno, line in enumerate(map(str.strip, fh), start=1)

@@ -23,10 +23,11 @@ further transform.
 
 A step is the array kernel of :class:`pacok.physics.Problem`, which holds
 the operator arrays and every buffer.  :func:`step` allocates the three
-arrays its returned state owns and runs the kernel once.  :func:`run` makes
-its first step through :func:`step` and the rest in the kernel alone, on
-the problem's buffers (two fields in turn, and the spectra); after its
-first step it allocates no grid-sized array.
+arrays its returned state owns and runs the kernel once.  :func:`run` loads
+its starting field into the problem, so the first row's energy comes from
+the kernel like every later one; it makes its first step through
+:func:`step` and the rest in the kernel alone, on the problem's buffers
+(two fields in turn, and the spectra), allocating no grid-sized array.
 
 Two parameter conditions certify qualitative guarantees, both checked with
 the max-norm estimate of the long-range operator:
@@ -51,7 +52,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .energy import discrete_energy, problem_energy
+from .energy import problem_energy
 from .errors import BlowupError, ConfigError, EnergyIncreaseError, MppViolationError
 from .grid import GridField, PeriodicGrid
 from .physics import ModelParams, NonlinearSpec, Problem, lipschitz_constants
@@ -202,28 +203,12 @@ def step(
     return _state(grid, n_new, params.tau, increment, phi_new, phi_hat, mismatch_hat)
 
 
-def _read_only(*spectra) -> None:
-    for spectrum in spectra:
-        if spectrum is not None:
-            spectrum.setflags(write=False)
-
-
 def _state(grid, n, tau, increment, phi, phi_hat, mismatch_hat) -> SchemeState:
     """A state that takes these arrays, made read-only."""
-    _read_only(phi_hat, mismatch_hat)
+    for spectrum in (phi_hat, mismatch_hat):
+        if spectrum is not None:
+            spectrum.setflags(write=False)
     return SchemeState(GridField._checked(grid, phi), n, n * tau, increment, phi_hat, mismatch_hat)
-
-
-def _with_spectra(state: SchemeState, problem: Problem) -> SchemeState:
-    """``state`` carrying the spectra a step would have left on it."""
-    phi_hat = state.phi_hat if state.phi_hat is not None else np.fft.rfftn(state.phi.values)
-    mismatch_hat = state.mismatch_hat
-    if mismatch_hat is None and problem.multiplier is not None:
-        # A non-finite spectrum is reported as BlowupError by the energy.
-        with np.errstate(over="ignore", invalid="ignore"):
-            mismatch_hat = problem.mismatch_spectrum(state.phi.values)
-    _read_only(phi_hat, mismatch_hat)
-    return replace(state, phi_hat=phi_hat, mismatch_hat=mismatch_hat)
 
 
 @dataclass(frozen=True)
@@ -238,23 +223,24 @@ class StepRecord:
     increment: float
 
 
-def _checked_energy(n: int, evaluate, *args) -> float:
-    """Total of the energy ``evaluate(*args)`` gives for step ``n``; a non-finite one is a blowup."""
+def _checked_energy(n: int, problem: Problem, s, phi_hat, mismatch_hat) -> float:
+    """Total energy of the problem's current field ``s``, at step ``n``; a non-finite one is a blowup."""
     # The overflow warnings on the way to a non-finite energy are suppressed
     # because the result is checked and reported as BlowupError.
     with np.errstate(over="ignore", invalid="ignore"):
-        total = evaluate(*args).total
+        total = problem_energy(problem, s, phi_hat, mismatch_hat).total
     if not math.isfinite(total):
         raise BlowupError(n, f"non-finite energy at step {n}")
     return total
 
 
-def _energy(state: SchemeState, params, spec, op, potential) -> float:
-    """Total discrete energy of ``state``, from the spectra it carries."""
-    return _checked_energy(state.step_index, lambda: discrete_energy(
-        state.phi, params, spec, op, potential,
-        phi_hat=state.phi_hat, mismatch_hat=state.mismatch_hat,
-    ))
+def _outside_bounds(lo: float, hi: float) -> bool:
+    return lo < -MPP_TOL or hi > 1.0 + MPP_TOL
+
+
+def stops(increment: float, tau: float, tol: float) -> bool:
+    """The increment criterion ||P_new - P_old||_inf / tau <= tol; ``tol <= 0`` never stops."""
+    return tol > 0.0 and increment / tau <= tol
 
 
 def run(
@@ -268,7 +254,6 @@ def run(
     potential: GridField | None = None,
     record_every: int = 1,
     report: ConditionReport | None = None,
-    mpp_tol: float = MPP_TOL,
 ) -> tuple[SchemeState, list[StepRecord]]:
     """Iterate the time step until ``t >= t_max`` or the increment criterion.
 
@@ -278,13 +263,16 @@ def run(
     final step.  When the report certifies a guarantee, it is enforced on
     every step: bounds, and energy decay (for a resumed state, starting
     from that state's energy); a violation raises instead of returning.
-    The energy comes from the spectra each step computes, so checking it
-    costs no FFT.  A non-finite increment or energy raises
+    Certified bounds also need a starting field in [0, 1]; one outside is
+    a :class:`ConfigError`.  A non-finite increment or energy raises
     :class:`BlowupError`.
 
-    The first step is a call of :func:`step`; the kernel makes the others
-    on the buffers of one :class:`pacok.physics.Problem`, and the returned
-    state takes the buffers it wrote last.
+    Every energy comes from :func:`pacok.energy.problem_energy`, on the
+    field and spectra the run's :class:`pacok.physics.Problem` holds; of the
+    start's spectra, only those ``state0`` does not carry are computed.  The
+    first step is a call of :func:`step`, the kernel makes the others, and
+    the returned state takes the buffers it wrote last (``state0`` itself
+    when there is nothing to step).
     """
     if t_max <= 0.0:
         raise ConfigError(f"t_max must be positive, got {t_max}")
@@ -294,22 +282,36 @@ def run(
     if report is None:
         report = check_conditions(params, spec, op, grid, potential)
     problem = Problem(grid, params, spec, op, None if potential is None else potential.values)
-    state = _with_spectra(state0, problem)
+    n, s = state0.step_index, state0.phi.values
+    fresh = problem.multiplier is not None and state0.mismatch_hat is None
+    with np.errstate(over="ignore", invalid="ignore"):
+        mismatch_hat = problem.load(
+            s, state0.mismatch_hat, into=np.empty(problem.half_shape, complex) if fresh else None
+        )
     records: list[StepRecord] = []
     last_energy = None
-    if state.step_index == 0:
-        v = state.phi.values
-        last_energy = _energy(state, params, spec, op, potential)
-        records.append(StepRecord(0, state.time, float(v.min()), float(v.max()), last_energy, 0.0))
-    elif report.es_ok:
-        # A resumed run (the next segment of run_with_snapshots) checks its
-        # first step against the state it starts from, which the previous
-        # segment recorded last.
-        last_energy = _energy(state, params, spec, op, potential)
-    n_steps = max(0, math.ceil((t_max - state.time) / params.tau - 1e-12))
+    # A resumed run (the next segment of run_with_snapshots) checks its first
+    # step against the energy of the state it starts from, which the
+    # previous segment recorded last.
+    if n == 0 or report.es_ok:
+        phi_hat = state0.phi_hat
+        if phi_hat is None:
+            phi_hat = problem.forward(s, np.empty(problem.half_shape, complex))
+        last_energy = _checked_energy(n, problem, s, phi_hat, mismatch_hat)
+        del phi_hat
+    if n == 0:
+        lo, hi = float(s.min()), float(s.max())
+        if report.mpp_ok and _outside_bounds(lo, hi):
+            raise ConfigError(
+                f"certified bounds need an initial field in [0, 1]: min={lo:.3e}, max={hi:.3e}"
+            )
+        records.append(StepRecord(0, state0.time, lo, hi, last_energy, 0.0))
+    n_steps = max(0, math.ceil((t_max - state0.time) / params.tau - 1e-12))
     if n_steps == 0:
-        return state, records
-    state = step(state, params, spec, op, potential, problem=problem)
+        return state0, records
+    state = step(replace(state0, mismatch_hat=mismatch_hat), params, spec, op, potential,
+                 problem=problem)
+    del mismatch_hat   # the start's spectra go before the run's buffers come
     n, increment, s = state.step_index, state.last_increment_linf, state.phi.values
     problem.allocate_run_buffers()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -327,17 +329,17 @@ def run(
             if not math.isfinite(increment):
                 raise BlowupError(n)
             s, phi_hat, mismatch_hat = out, problem.phi_hat, problem.mismatch_hat
-        stopping = tol > 0.0 and increment / params.tau <= tol
+        stopping = stops(increment, params.tau, tol)
         recording = k % record_every == 0 or k == n_steps or stopping
         if report.mpp_ok or recording:
             lo, hi = float(s.min()), float(s.max())
-            if report.mpp_ok and (lo < -mpp_tol or hi > 1.0 + mpp_tol):
+            if report.mpp_ok and _outside_bounds(lo, hi):
                 raise MppViolationError(
                     f"certified bounds violated at step {n}: min={lo:.3e}, max={hi:.3e}"
                 )
         energy = None
         if report.es_ok or recording:
-            energy = _checked_energy(n, problem_energy, problem, s, phi_hat, mismatch_hat)
+            energy = _checked_energy(n, problem, s, phi_hat, mismatch_hat)
         if report.es_ok:
             if energy > last_energy + ENERGY_TOL * (1.0 + abs(last_energy)):
                 raise EnergyIncreaseError(

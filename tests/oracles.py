@@ -9,7 +9,7 @@ import numpy as np
 
 from pacok.grid import GridField, inner_product_h
 from pacok.physics import Problem
-from pacok.spectral import LongRangeOp, _apply_multiplier, multiplier_array
+from pacok.spectral import LongRangeOp, multiplier_array
 
 
 def apply_laplacian(a: GridField) -> GridField:
@@ -24,8 +24,10 @@ def apply_laplacian(a: GridField) -> GridField:
 
 def apply_long_range(op: LongRangeOp, a: GridField) -> GridField:
     """Apply the bare spectral multiplier of ``op`` to a field."""
-    mult = multiplier_array(op, a.grid)
-    return a.with_values(_apply_multiplier(a.values, mult, a.grid.shape))
+    axes = tuple(range(a.grid.dim))
+    spectrum = np.fft.rfftn(a.values, axes=axes)
+    spectrum *= multiplier_array(op, a.grid)
+    return a.with_values(np.fft.irfftn(spectrum, s=a.grid.shape, axes=axes))
 
 
 def apply_inv_neg_laplacian(a: GridField) -> GridField:

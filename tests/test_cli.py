@@ -76,3 +76,72 @@ def test_check_of_an_uncertified_guarantee_exits_3(tmp_path, capsys):
     assert cli.main(["check", "--config", path, "--require", "mpp"]) == 0
     assert cli.main(["check", "--config", path, "--require", "both"]) == 3
     assert "requested guarantee 'both' is not satisfied" in capsys.readouterr().err
+
+
+BINARY = b"\x89PNG\r\n\x1a\n\x00\xff\xfe\xc3("   # not UTF-8 text
+
+
+@pytest.mark.parametrize(
+    "command, kind",
+    [
+        ("check", "symbol table"),
+        ("run", "initial file"),
+        ("energy", "snapshot"),
+        ("check", "config"),
+    ],
+)
+@pytest.mark.parametrize("contents", [None, BINARY], ids=["missing", "binary"])
+def test_unreadable_input_file_exits_2_naming_it(tmp_path, capsys, command, kind, contents):
+    target = tmp_path / "input.dat"
+    if contents is not None:
+        target.write_bytes(contents)
+    text = {"symbol table": f"operator = custom\nop_symbol_file = {target}\n",
+            "initial file": f"N = 8\ninitial = file\ninitial_file = {target}\n"}.get(kind, "")
+    config = target if kind == "config" else write_config(tmp_path, text)
+    argv = [command, "--config", str(config)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "out")]
+    if command == "energy":
+        argv += ["--snapshot", str(target)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config: cannot read {target}: ")
+    assert ("not UTF-8 text" in err) == (contents is not None)
+
+
+@pytest.mark.parametrize("command", ["run", "energy"])
+def test_non_finite_value_in_an_input_field_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "start.csv"
+    path.write_text("# pacok-grid v1 dim=1 N=8 X=1 t=0\n" + "0.25\n" * 7 + "nan\n")
+    config = write_config(tmp_path, f"N = 8\ninitial = file\ninitial_file = {path}\n")
+    argv = {"run": ["run", "--config", config, "--out", str(tmp_path / "out")],
+            "energy": ["energy", "--config", config, "--snapshot", str(path)]}[command]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: config: {path}: value 8 is nan, not a finite number\n"
+    )
+
+
+def test_certified_run_from_outside_the_bounds_exits_2(tmp_path, capsys):
+    # The defaults certify the bounds; a start at 1.2 is bad input, not a
+    # violation by the scheme.
+    path = write_config(tmp_path, "initial = constant\ninitial_value = 1.2\nT = 0.01\n")
+    assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: certified bounds need an initial field in [0, 1]")
+    assert "min=1.200e+00, max=1.200e+00" in err
+    # Without a certificate, the same start runs.
+    path = write_config(tmp_path, "initial = constant\ninitial_value = 1.2\nT = 0.01\n"
+                                  "f = linear\n")
+    assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 0
+
+
+def test_snapshot_of_a_run_gives_its_recorded_energy(tmp_path, capsys):
+    path = write_config(tmp_path, "N = 16\nT = 0.005\nsnapshot_times = 0.005\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", path, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert cli.main(["energy", "--config", path, "--snapshot", str(out / "snap_000.csv")]) == 0
+    total = float(capsys.readouterr().out.splitlines()[1].split(",")[-1])
+    recorded = float((out / "series.csv").read_text().splitlines()[-1].split(",")[4])
+    assert total == recorded

@@ -1,0 +1,118 @@
+"""Config text and series files: round trips, and the inputs they refuse."""
+
+import struct
+from dataclasses import replace
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from pacok.config import (
+    SERIES_HEADER,
+    RunConfig,
+    format_config,
+    parse_config,
+    read_series,
+    write_series,
+)
+from pacok.errors import ConfigError
+from pacok.stepping import StepRecord
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+nonnegative = st.floats(min_value=0.0, allow_infinity=False)
+# Strings a config file can hold: no '#', no line break, no whitespace at either end.
+writable = st.text(st.characters(exclude_characters="#", exclude_categories=("Cs",))).filter(
+    lambda s: s == s.strip() and len(s.splitlines()) <= 1
+)
+
+
+@st.composite
+def configs(draw):
+    dim = draw(st.sampled_from((1, 2)))
+    return RunConfig(
+        epsilon=draw(positive),
+        gamma=draw(nonnegative),
+        M=draw(nonnegative),
+        omega=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        kappa=draw(nonnegative),
+        tau=draw(positive),
+        N=tuple(2 * n for n in draw(st.lists(st.integers(2, 2**20), min_size=dim, max_size=dim))),
+        X=tuple(draw(st.lists(positive, min_size=dim, max_size=dim))),
+        T=draw(positive),
+        tol=draw(nonnegative),
+        f=draw(st.sampled_from(("cubic", "linear"))),
+        extension=draw(st.booleans()),
+        operator=draw(st.sampled_from(
+            ("inverse_laplacian", "helmholtz", "garnet_film", "custom", "none"))),
+        op_gamma_len=draw(finite),
+        op_delta=draw(finite),
+        op_symbol_file=draw(writable),
+        pvism_solutes=tuple(draw(st.lists(finite, max_size=3))),
+        seed=draw(st.integers(-2**70, 2**70)),
+        initial=draw(st.sampled_from(("random", "disk", "constant", "file"))),
+        initial_value=draw(finite),
+        initial_file=draw(writable),
+        blocks=draw(st.integers(1, 2**40)),
+        lo=draw(finite),
+        hi=draw(finite),
+        snapshot_times=tuple(draw(st.lists(finite, max_size=4))),
+        monitor_every=draw(st.integers(1, 2**40)),
+        out=draw(writable),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(configs())
+@example(RunConfig())
+def test_parse_reads_back_what_format_writes(cfg):
+    assert parse_config(format_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("out", "runs#1"), ("out", " spaced "), ("out", "runs\n"), ("initial_file", "a\nb"),
+     ("op_symbol_file", "a\rb"), ("out", "tab\t")],
+)
+def test_format_refuses_a_string_it_cannot_write_back(key, value):
+    with pytest.raises(ConfigError, match=f"{key} = "):
+        format_config(replace(RunConfig(), **{key: value}))
+
+
+def bits(record):
+    return (record.n,) + tuple(
+        struct.pack("<d", x)
+        for x in (record.t, record.phi_min, record.phi_max, record.energy, record.increment)
+    )
+
+
+records = st.lists(st.builds(StepRecord, st.integers(0, 2**62), finite, finite, finite, finite,
+                             finite))
+EDGE = (-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, 0.1, 1.0 / 3.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(records)
+@example([StepRecord(n, *(EDGE[(n + k) % len(EDGE)] for k in range(5))) for n in range(7)])
+def test_series_reads_back_bit_for_bit(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("series") / "series.csv"
+    write_series(path, rows)
+    assert [bits(r) for r in read_series(path)] == [bits(r) for r in rows]
+
+
+@pytest.mark.parametrize(
+    "contents, message",
+    [
+        (None, "cannot read .*: No such file"),
+        (b"\xff\xfe\x00garbage", "cannot read .*: not UTF-8 text"),
+        (b"n,t,min,max\n", "expected header"),
+        (f"{SERIES_HEADER}\n0,0,0,0,0\n".encode(), ":2: expected 6 columns"),
+        (f"{SERIES_HEADER}\n0,0,0,0,x,0\n".encode(), ":2: malformed row"),
+    ],
+)
+def test_read_series_refuses_bad_files(tmp_path, contents, message):
+    path = tmp_path / "series.csv"
+    if contents is not None:
+        path.write_bytes(contents)
+    with pytest.raises(ConfigError, match=message):
+        read_series(path)

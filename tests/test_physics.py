@@ -368,12 +368,12 @@ class TestRhsKernel:
 
     @pytest.mark.parametrize("spec", ALL_SPECS)
     def test_problem_mismatch_spectrum_is_bit_identical(self, spec):
-        g = PeriodicGrid((8, 12), (1.0, 1.0))
-        phi = np.random.default_rng(5).uniform(-0.3, 1.3, size=g.shape)
-        problem = Problem(g, self.PARAMS, spec, LongRangeOp.inverse_laplacian())
-        assert np.array_equal(
-            problem.mismatch_spectrum(phi), mismatch_spectrum(phi, spec, self.PARAMS.omega)
-        )
+        # The spectrum a run starts from: loaded into the kernel, not carried.
+        for g in (PeriodicGrid((8, 12), (1.0, 1.0)), PeriodicGrid((24,), (1.0,))):
+            phi = np.random.default_rng(5).uniform(-0.3, 1.3, size=g.shape)
+            problem = Problem(g, self.PARAMS, spec, LongRangeOp.inverse_laplacian())
+            loaded = problem.load(phi, None, into=np.empty(problem.half_shape, complex))
+            assert np.array_equal(loaded, mismatch_spectrum(phi, spec, self.PARAMS.omega))
 
     @pytest.mark.parametrize("sizes", [(16,), (8, 12)])
     def test_interleaved_arrays_scale_like_the_complex_arithmetic(self, sizes):
