@@ -176,6 +176,9 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"monitor_every must be >= 1, got {cfg.monitor_every}")
     if cfg.blocks < 1:
         raise ConfigError(f"blocks must be >= 1, got {cfg.blocks}")
+    for t in cfg.snapshot_times:
+        if not 0.0 <= t <= cfg.T:
+            raise ConfigError(f"snapshot_times must lie in [0, T = {cfg.T!r}], got {t!r}")
     for key, choices in _CHOICES.items():
         if getattr(cfg, key) not in choices:
             raise ConfigError(f"{key} must be one of {choices}, got '{getattr(cfg, key)}'")

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridField, PeriodicGrid
-from .physics import ModelParams, NonlinearSpec, Problem, f_eval, mismatch_spectrum, volume_term
+from .physics import ModelParams, NonlinearSpec, Problem, mismatch_values
 from .spectral import LongRangeOp, OpKind, mirror_weights, multiplier_array, stencil_symbol
 
 
@@ -71,21 +71,20 @@ def spectral_energy(
     mismatch_hat: np.ndarray | None = None,
     op_weights: np.ndarray | None = None,
     volume: float = 0.0,
-    f_values: np.ndarray | None = None,
-    potential_values: np.ndarray | None = None,
+    interaction: float | None = None,
 ) -> EnergyBreakdown:
     """The energy from sum(q^2), q = P^2 - P, and the field's half spectrum.
 
     ``weights`` and ``op_weights`` are the mirror weights of the stencil and
     operator symbols.  Without an operator, ``volume`` is the volume term;
-    in solvation mode ``f_values`` and ``potential_values`` give <f(P) U, 1>_h.
+    in solvation mode ``interaction`` is <f(P) U, 1>_h.
     """
     dx = grid.cell_measure
     parseval = dx / grid.num_cells
     interfacial = 0.5 * params.epsilon * parseval * _mode_sum(weights, phi_hat)
     well = 18.0 * dx * q_squares / params.epsilon   # W = 18 q^2
-    if potential_values is not None:
-        longrange, penalty = dx * _dot(f_values, potential_values), 0.0
+    if interaction is not None:
+        longrange, penalty = interaction, 0.0
     else:
         longrange = 0.0
         if mismatch_hat is not None:
@@ -110,37 +109,42 @@ def discrete_energy(
 
     ``phi_hat`` = rfftn(phi) and ``mismatch_hat`` = rfftn(f(phi) - omega)
     are the half spectra a state returned by :func:`pacok.stepping.step`
-    carries; each one not given is computed from ``phi``.  Given both, it
-    allocates about one grid field: q, then the symbols' mirror weights.
+    carries; each one not given is computed from ``phi``.  Given those a
+    state carries, it allocates about one grid field: q, whose array then
+    takes f(phi) or f(phi) - omega without an operator, then the symbols'
+    mirror weights.
     """
     grid = phi.grid
     v = phi.values
     if phi_hat is None:
         phi_hat = np.fft.rfftn(v)
-    q = v * v
-    q -= v
-    q_squares = _dot(q, q)
-    del q   # the weights below take its place
-    volume, f_values, pot, op_weights = 0.0, None, None, None
+    work = v * v
+    work -= v
+    q_squares = _dot(work, work)
+    volume, interaction, op_weights = 0.0, None, None
     if potential is not None:
-        f_values, pot = f_eval(spec, v), potential.values
+        mismatch_values(spec, v, 0.0, work)   # f(phi)
+        interaction = grid.cell_measure * _dot(work, potential.values)
     elif op.kind is OpKind.NONE:
-        volume = volume_term(v, grid, spec, params.omega)
-    else:
+        volume = grid.cell_measure * float(np.sum(mismatch_values(spec, v, params.omega, work)))
+    elif mismatch_hat is None:
+        mismatch_hat = np.fft.rfftn(mismatch_values(spec, v, params.omega, work))
+    del work   # the weights below take its place
+    if op.kind is not OpKind.NONE:
         op_weights = mirror_weights(multiplier_array(op, grid))
-        if mismatch_hat is None:
-            mismatch_hat = mismatch_spectrum(v, spec, params.omega)
     return spectral_energy(
         params, grid, q_squares, phi_hat, mirror_weights(stencil_symbol(grid)), mismatch_hat,
-        op_weights, volume, f_values, pot,
+        op_weights, volume, interaction,
     )
 
 
 def problem_energy(problem: Problem, s: np.ndarray, phi_hat, mismatch_hat) -> EnergyBreakdown:
     """The energy of a problem's current field ``s``: :func:`discrete_energy`'s sums, bit for bit."""
-    pot = problem.potential_values
+    pot, interaction = problem.potential_values, None
+    if pot is not None:
+        f_values = mismatch_values(problem.spec, s, 0.0, problem.work, problem.clamped)
+        interaction = problem.grid.cell_measure * _dot(f_values, pot)
     return spectral_energy(
         problem.params, problem.grid, _dot(problem.q, problem.q), phi_hat, problem.symbol_weights,
-        mismatch_hat, problem.op_weights, problem.volume,
-        None if pot is None else problem.mismatch_values(s, 0.0), pot,
+        mismatch_hat, problem.op_weights, problem.volume, interaction,
     )

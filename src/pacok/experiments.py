@@ -22,7 +22,7 @@ from .errors import ConfigError
 from .grid import GridField, PeriodicGrid, norm_l2_h, save_snapshot
 from .physics import FKind, ModelParams, NonlinearSpec, pvism_potential
 from .spectral import LongRangeOp
-from .stepping import ConditionReport, SchemeState, StepRecord, check_conditions, run, stops
+from .stepping import ConditionReport, SchemeState, StepRecord, check_conditions, run
 
 
 def disk_radius(omega: float, measure: float) -> float:
@@ -290,14 +290,10 @@ def run_with_snapshots(
     potential: GridField | None = None,
     report: ConditionReport | None = None,
 ) -> tuple[SchemeState, list[StepRecord]]:
-    """Drive :func:`pacok.stepping.run` in segments, writing a snapshot file
-    after each requested time (and the initial state for t = 0); appends a
-    combined series.csv when an output directory is given."""
-    if report is None:
-        report = check_conditions(params, spec, op, state.phi.grid, potential)
-    records: list[StepRecord] = []
+    """Run :func:`pacok.stepping.run` once, writing a snapshot file at each
+    requested time in [0, t_end] (others, as in a shortened preset, are
+    skipped) and at the end; writes series.csv when given an output directory."""
     times = sorted(t for t in snapshot_times if 0.0 <= t <= t_end)
-
     snap_index = 0
 
     def emit_snapshot(s: SchemeState):
@@ -308,27 +304,20 @@ def run_with_snapshots(
 
     if times and times[0] == 0.0:
         emit_snapshot(state)
-        times = times[1:]
-    if not times or times[-1] < t_end:
-        times = times + [t_end]
-    for t_target in times:
-        if state.time >= t_target:
-            continue
-        state, segment = run(
-            state,
-            params,
-            spec,
-            op,
-            t_max=t_target,
-            tol=tol,
-            record_every=record_every,
-            potential=potential,
-            report=report,
-        )
-        records.extend(segment)
-        emit_snapshot(state)
-        if stops(state.last_increment_linf, params.tau, tol):
-            break
+    state, records = run(
+        state,
+        params,
+        spec,
+        op,
+        t_max=t_end,
+        tol=tol,
+        record_every=record_every,
+        potential=potential,
+        report=report,
+        snapshot_times=times,
+        on_snapshot=emit_snapshot,
+    )
+    emit_snapshot(state)
     if out_dir is not None:
         from .config import write_series
 

@@ -229,14 +229,25 @@ def lipschitz_constants(spec: NonlinearSpec) -> LipschitzConstants:
     return computed
 
 
-def volume_term(phi_values: np.ndarray, grid: PeriodicGrid, spec: NonlinearSpec, omega: float) -> float:
-    """Riemann sum <f(phi) - omega, 1>_h of the volume mismatch."""
-    return grid.cell_measure * float(np.sum(f_eval(spec, phi_values) - omega))
+def mismatch_values(
+    spec: NonlinearSpec, s: np.ndarray, omega: float, out: np.ndarray, clamped=None
+) -> np.ndarray:
+    """f(s) - omega into ``out``, with the operations of :func:`f_eval`; 0 gives f(s).
 
-
-def mismatch_spectrum(phi_values: np.ndarray, spec: NonlinearSpec, omega: float) -> np.ndarray:
-    """Half spectrum ``rfftn(f(phi) - omega)``; its zero mode is the volume sum."""
-    return np.fft.rfftn(f_eval(spec, phi_values) - omega)
+    The clamped extensions clip ``s`` into ``clamped`` first (a new array
+    when it is None).
+    """
+    if spec.use_extension:
+        s = np.clip(s, 0.0, 1.0, out=clamped)
+    if spec.f_kind is FKind.CUBIC_HERMITE:
+        np.multiply(2.0, s, out=out)
+        np.subtract(3.0, out, out=out)
+        out *= s
+        out *= s
+        out -= omega
+    else:
+        np.subtract(s, omega, out=out)
+    return out
 
 
 def _interleaved(a: np.ndarray) -> np.ndarray:
@@ -335,8 +346,8 @@ class Problem:
             and self.potential_values is potential_values
         )
 
-    def forward(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """rfftn(x) into ``out``."""
+    def forward(self, x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+        """rfftn(x) into ``out``, or into a new array when it is None."""
         if self.grid.dim == 1:
             return np.fft.rfft(x, out=out)
         return np.fft.rfftn(x, axes=self.axes, out=out)
@@ -349,36 +360,20 @@ class Problem:
         np.fft.ifft(spectrum, axis=0, out=scratch)
         return np.fft.irfft(scratch, n, axis=1, out=out)
 
-    def mismatch_values(self, s: np.ndarray, omega: float | None = None) -> np.ndarray:
-        """f(s) - omega in ``work``, with the operations of :func:`f_eval`.
-
-        ``omega`` defaults to the run's; 0 gives f(s) itself.
-        """
-        out = self.work
-        omega = self.params.omega if omega is None else omega
-        if self.spec.use_extension:
-            s = np.clip(s, 0.0, 1.0, out=self.clamped)
-        if self.spec.f_kind is FKind.CUBIC_HERMITE:
-            np.multiply(2.0, s, out=out)
-            np.subtract(3.0, out, out=out)
-            out *= s
-            out *= s
-            out -= omega
-        else:
-            np.subtract(s, omega, out=out)
-        return out
-
     def load(self, s: np.ndarray, mismatch_hat=None, into=None) -> np.ndarray | None:
         """Make ``s`` the current field: set q and the volume term for it.
 
         Returns its mismatch spectrum (None without a long-range operator):
-        ``mismatch_hat`` if given, else computed into ``into``.
+        ``mismatch_hat`` if given, else computed into ``into`` (a new array
+        when it is None).
         """
         if self.multiplier is not None:
             if mismatch_hat is None:
-                mismatch_hat = self.forward(self.mismatch_values(s), into)
+                f = mismatch_values(self.spec, s, self.params.omega, self.work, self.clamped)
+                mismatch_hat = self.forward(f, into)
         elif self.potential_values is None:
-            self.volume = self.grid.cell_measure * float(np.sum(self.mismatch_values(s)))
+            f = mismatch_values(self.spec, s, self.params.omega, self.work, self.clamped)
+            self.volume = self.grid.cell_measure * float(np.sum(f))
         np.multiply(s, s, out=self.q)
         self.q -= s
         return mismatch_hat
@@ -434,10 +429,7 @@ class Problem:
         self.inverse(phi_hat, out, scratch)
         change = np.subtract(out, s, out=self.work)
         increment = float(np.abs(change, out=change).max())
-        if mismatch_out is not None:
-            self.load(out, self.forward(self.mismatch_values(out), mismatch_out))
-        else:
-            self.load(out)
+        self.load(out, into=mismatch_out)
         return increment
 
 

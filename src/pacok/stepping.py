@@ -23,11 +23,12 @@ further transform.
 
 A step is the array kernel of :class:`pacok.physics.Problem`, which holds
 the operator arrays and every buffer.  :func:`step` allocates the three
-arrays its returned state owns and runs the kernel once.  :func:`run` loads
-its starting field into the problem, so the first row's energy comes from
-the kernel like every later one; it makes its first step through
-:func:`step` and the rest in the kernel alone, on the problem's buffers
-(two fields in turn, and the spectra), allocating no grid-sized array.
+arrays its returned state owns and runs the kernel once.  :func:`run`
+builds one problem for the whole run and loads its starting field into it,
+so the first row's energy comes from the kernel like every later one; it
+makes its first step through :func:`step` and the rest in the kernel alone,
+on the problem's buffers (two fields in turn, and the spectra), allocating
+no grid-sized array but a copy of the field at each snapshot time.
 
 Two parameter conditions certify qualitative guarantees, both checked with
 the max-norm estimate of the long-range operator:
@@ -66,13 +67,14 @@ ENERGY_TOL = 1e-9
 class SchemeState:
     """Current iterate, its step index, physical time, and last increment.
 
-    A state returned by :func:`step` also carries two read-only half
-    spectra the step computed: ``phi_hat`` = rfftn(phi), the solve
-    spectrum, and ``mismatch_hat`` = rfftn(f(phi) - omega) under the spec
-    and omega of that step (None without a long-range operator).  The next
-    step and the energy reuse them, so a state is advanced with the spec
-    and parameters that made it.  A bare state carries neither and has them
-    computed when first needed.  They take no part in ``==`` or ``repr``.
+    A state returned by :func:`step` or :func:`run` also carries two
+    read-only half spectra the step computed: ``phi_hat`` = rfftn(phi), the
+    solve spectrum, and ``mismatch_hat`` = rfftn(f(phi) - omega) under the
+    spec and omega of that step (None without a long-range operator).
+    :func:`step` and :func:`pacok.energy.discrete_energy` reuse them, so a
+    state is advanced with the spec and parameters that made it; :func:`run`
+    computes both for its start.  A bare state, such as a snapshot state of
+    :func:`run`, carries neither.  They take no part in ``==`` or ``repr``.
     """
 
     phi: GridField
@@ -238,11 +240,6 @@ def _outside_bounds(lo: float, hi: float) -> bool:
     return lo < -MPP_TOL or hi > 1.0 + MPP_TOL
 
 
-def stops(increment: float, tau: float, tol: float) -> bool:
-    """The increment criterion ||P_new - P_old||_inf / tau <= tol; ``tol <= 0`` never stops."""
-    return tol > 0.0 and increment / tau <= tol
-
-
 def run(
     state0: SchemeState,
     params: ModelParams,
@@ -254,69 +251,69 @@ def run(
     potential: GridField | None = None,
     record_every: int = 1,
     report: ConditionReport | None = None,
+    snapshot_times=(),
+    on_snapshot=None,
 ) -> tuple[SchemeState, list[StepRecord]]:
     """Iterate the time step until ``t >= t_max`` or the increment criterion.
 
     The iteration stops early once ||P_new - P_old||_inf / tau <= tol
     (pass ``tol <= 0`` to always integrate to ``t_max``).  Records are
-    taken every ``record_every`` steps plus at the initial state and the
-    final step.  When the report certifies a guarantee, it is enforced on
-    every step: bounds, and energy decay (for a resumed state, starting
-    from that state's energy); a violation raises instead of returning.
-    Certified bounds also need a starting field in [0, 1]; one outside is
-    a :class:`ConfigError`.  A non-finite increment or energy raises
-    :class:`BlowupError`.
+    taken at the start, every ``record_every`` steps counted from it, at
+    each snapshot step and at the final step.  When the report certifies a
+    guarantee, it is enforced on every step: bounds, and energy decay from
+    the starting field's energy on; a violation raises instead of
+    returning.  Certified bounds also need a starting field in [0, 1]; one
+    outside is a :class:`ConfigError`.  A non-finite increment or energy
+    raises :class:`BlowupError`.
+
+    Each of ``snapshot_times`` (none beyond ``t_max``) is reached at the
+    first step at or after it, counted from the step of the time before it.
+    At such a step before the last, ``on_snapshot`` gets a bare
+    :class:`SchemeState` that owns a copy of the field.
 
     Every energy comes from :func:`pacok.energy.problem_energy`, on the
-    field and spectra the run's :class:`pacok.physics.Problem` holds; of the
-    start's spectra, only those ``state0`` does not carry are computed.  The
-    first step is a call of :func:`step`, the kernel makes the others, and
-    the returned state takes the buffers it wrote last (``state0`` itself
-    when there is nothing to step).
+    field and spectra the run's :class:`pacok.physics.Problem` holds; the
+    start's two spectra are computed here, whatever ``state0`` carries.
+    The first step is a call of :func:`step`, the kernel makes the others,
+    and the returned state takes the buffers it wrote last (``state0``
+    itself when there is nothing to step).
     """
     if t_max <= 0.0:
         raise ConfigError(f"t_max must be positive, got {t_max}")
     if record_every < 1:
         raise ConfigError(f"record_every must be >= 1, got {record_every}")
+    for t in snapshot_times:
+        if not t <= t_max:
+            raise ConfigError(f"snapshot time {t!r} lies beyond t_max = {t_max!r}")
     grid = state0.phi.grid
     if report is None:
         report = check_conditions(params, spec, op, grid, potential)
     problem = Problem(grid, params, spec, op, None if potential is None else potential.values)
     n, s = state0.step_index, state0.phi.values
-    fresh = problem.multiplier is not None and state0.mismatch_hat is None
     with np.errstate(over="ignore", invalid="ignore"):
-        mismatch_hat = problem.load(
-            s, state0.mismatch_hat, into=np.empty(problem.half_shape, complex) if fresh else None
+        mismatch_hat = problem.load(s)   # a new spectrum, None without an operator
+    last_energy = _checked_energy(n, problem, s, problem.forward(s, None), mismatch_hat)
+    lo, hi = float(s.min()), float(s.max())
+    if report.mpp_ok and _outside_bounds(lo, hi):
+        raise ConfigError(
+            f"certified bounds need an initial field in [0, 1]: min={lo:.3e}, max={hi:.3e}"
         )
-    records: list[StepRecord] = []
-    last_energy = None
-    # A resumed run (the next segment of run_with_snapshots) checks its first
-    # step against the energy of the state it starts from, which the
-    # previous segment recorded last.
-    if n == 0 or report.es_ok:
-        phi_hat = state0.phi_hat
-        if phi_hat is None:
-            phi_hat = problem.forward(s, np.empty(problem.half_shape, complex))
-        last_energy = _checked_energy(n, problem, s, phi_hat, mismatch_hat)
-        del phi_hat
-    if n == 0:
-        lo, hi = float(s.min()), float(s.max())
-        if report.mpp_ok and _outside_bounds(lo, hi):
-            raise ConfigError(
-                f"certified bounds need an initial field in [0, 1]: min={lo:.3e}, max={hi:.3e}"
-            )
-        records.append(StepRecord(0, state0.time, lo, hi, last_energy, 0.0))
-    n_steps = max(0, math.ceil((t_max - state0.time) / params.tau - 1e-12))
+    records = [StepRecord(n, state0.time, lo, hi, last_energy, 0.0)]
+    # The steps that reach each time, counted as separate runs would count them.
+    ends, t = [0], state0.time
+    for target in sorted(snapshot_times) + [t_max]:
+        ends.append(ends[-1] + max(0, math.ceil((target - t) / params.tau - 1e-12)))
+        t = (n + ends[-1]) * params.tau
+    n_steps, snapshot_steps = ends[-1], set(ends[1:-1]) - {ends[-1]}
     if n_steps == 0:
         return state0, records
     state = step(replace(state0, mismatch_hat=mismatch_hat), params, spec, op, potential,
                  problem=problem)
     del mismatch_hat   # the start's spectra go before the run's buffers come
-    n, increment, s = state.step_index, state.last_increment_linf, state.phi.values
     problem.allocate_run_buffers()
-    with np.errstate(over="ignore", invalid="ignore"):
-        mismatch_hat = problem.load(s, state.mismatch_hat, into=problem.mismatch_hat)
-        phi_hat = state.phi_hat if state.phi_hat is not None else problem.forward(s, problem.phi_hat)
+    # step left q and the volume term for its field in the problem.
+    n, increment, s = state.step_index, state.last_increment_linf, state.phi.values
+    phi_hat, mismatch_hat = state.phi_hat, state.mismatch_hat
     del state   # the kernel holds what it needs of it
     for k in range(1, n_steps + 1):
         if k > 1:
@@ -329,8 +326,9 @@ def run(
             if not math.isfinite(increment):
                 raise BlowupError(n)
             s, phi_hat, mismatch_hat = out, problem.phi_hat, problem.mismatch_hat
-        stopping = stops(increment, params.tau, tol)
-        recording = k % record_every == 0 or k == n_steps or stopping
+        stopping = tol > 0.0 and increment / params.tau <= tol
+        snapshot = k in snapshot_steps and not stopping
+        recording = k % record_every == 0 or k == n_steps or stopping or snapshot
         if report.mpp_ok or recording:
             lo, hi = float(s.min()), float(s.max())
             if report.mpp_ok and _outside_bounds(lo, hi):
@@ -349,6 +347,9 @@ def run(
             last_energy = energy
         if recording:
             records.append(StepRecord(n, n * params.tau, lo, hi, energy, increment))
+        if snapshot and on_snapshot is not None:
+            field = GridField._checked(grid, s.copy())
+            on_snapshot(SchemeState(field, n, n * params.tau, increment))
         if stopping:
             break
     return _state(grid, n, params.tau, increment, s, phi_hat, mismatch_hat), records

@@ -2,13 +2,14 @@
 
 They were public helpers of the package that only the tests used: the
 stencil Laplacian, spectral operator application, the max norm and mean of
-a field, and the right-hand side of one step as a function of a field.
+a field, the volume mismatch and its spectrum as new arrays, and the
+right-hand side of one step as a function of a field.
 """
 
 import numpy as np
 
 from pacok.grid import GridField, inner_product_h
-from pacok.physics import Problem
+from pacok.physics import Problem, f_eval
 from pacok.spectral import LongRangeOp, multiplier_array
 
 
@@ -43,6 +44,16 @@ def norm_linf_h(a: GridField) -> float:
 def mean_h(a: GridField) -> float:
     """Mean value <a, 1>_h / |T^d|."""
     return inner_product_h(a, GridField.constant(a.grid, 1.0)) / a.grid.measure
+
+
+def volume_term(phi_values, grid, spec, omega) -> float:
+    """Riemann sum <f(phi) - omega, 1>_h of the volume mismatch."""
+    return grid.cell_measure * float(np.sum(f_eval(spec, phi_values) - omega))
+
+
+def mismatch_spectrum(phi_values, spec, omega) -> np.ndarray:
+    """Half spectrum ``rfftn(f(phi) - omega)``; its zero mode is the volume sum."""
+    return np.fft.rfftn(f_eval(spec, phi_values) - omega)
 
 
 def assemble_rhs_array(

@@ -70,6 +70,17 @@ def test_unknown_config_key_exits_2(tmp_path, capsys, line):
     assert f"unknown key '{key}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("times, named", [("0.5,-1", "0.5"), ("0.005,-1", "-1.0")])
+def test_snapshot_time_outside_the_run_exits_2(tmp_path, capsys, times, named):
+    path = write_config(tmp_path, f"T = 0.01\nsnapshot_times = {times}\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: config: {path}: snapshot_times must lie in [0, T = 0.01], got {named}\n"
+    )
+    assert not out.exists()
+
+
 def test_check_of_an_uncertified_guarantee_exits_3(tmp_path, capsys):
     # The defaults (1D, kappa = 2000) certify the bounds but not energy decay.
     path = write_config(tmp_path, "tau = 1e-3\n")

@@ -30,6 +30,7 @@ writable = st.text(st.characters(exclude_characters="#", exclude_categories=("Cs
 @st.composite
 def configs(draw):
     dim = draw(st.sampled_from((1, 2)))
+    T = draw(positive)
     return RunConfig(
         epsilon=draw(positive),
         gamma=draw(nonnegative),
@@ -39,7 +40,7 @@ def configs(draw):
         tau=draw(positive),
         N=tuple(2 * n for n in draw(st.lists(st.integers(2, 2**20), min_size=dim, max_size=dim))),
         X=tuple(draw(st.lists(positive, min_size=dim, max_size=dim))),
-        T=draw(positive),
+        T=T,
         tol=draw(nonnegative),
         f=draw(st.sampled_from(("cubic", "linear"))),
         extension=draw(st.booleans()),
@@ -56,7 +57,7 @@ def configs(draw):
         blocks=draw(st.integers(1, 2**40)),
         lo=draw(finite),
         hi=draw(finite),
-        snapshot_times=tuple(draw(st.lists(finite, max_size=4))),
+        snapshot_times=tuple(draw(st.lists(st.floats(0.0, T), max_size=4))),
         monitor_every=draw(st.integers(1, 2**40)),
         out=draw(writable),
     )

@@ -222,19 +222,25 @@ class TestParsevalEnergy:
 
 
 @pytest.mark.parametrize("sizes", [(128, 128), (16384,)])
-@pytest.mark.parametrize("kind", ["inverse_laplacian", "helmholtz"])
+@pytest.mark.parametrize("kind", ["inverse_laplacian", "helmholtz", "none", "potential"])
 def test_energy_of_a_stepped_state_allocates_about_one_field(sizes, kind):
-    # Given the spectra a step carries, it allocates q, frees it, then the
-    # two mirror-weight arrays (about half a field each).
+    # Given the spectra a step carries, it allocates q, whose array then
+    # takes f - omega or f without an operator, frees it, then the
+    # mirror-weight arrays (about half a field each).
     g = PeriodicGrid(sizes, (1.0,) * len(sizes))
-    p = params()
-    op = operator(kind, sizes)
     rng = np.random.default_rng(39)
-    state = step(SchemeState.initial(GridField(g, rng.uniform(0.0, 1.0, sizes))), p, CUBIC, op)
+    potential = None
+    if kind == "potential":
+        p, op = params(gamma=0.0, M=0.0, omega=0.5), LongRangeOp.none()
+        potential = GridField(g, rng.standard_normal(sizes))
+    else:
+        p, op = params(), operator(kind, sizes)
+    state = step(SchemeState.initial(GridField(g, rng.uniform(0.0, 1.0, sizes))), p, CUBIC, op,
+                 potential)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        discrete_energy(state.phi, p, CUBIC, op, phi_hat=state.phi_hat,
+        discrete_energy(state.phi, p, CUBIC, op, potential, phi_hat=state.phi_hat,
                         mismatch_hat=state.mismatch_hat)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:

@@ -17,13 +17,12 @@ from pacok.physics import (
     f_pprime,
     f_prime,
     lipschitz_constants,
-    mismatch_spectrum,
+    mismatch_values,
     pvism_potential,
-    volume_term,
 )
 from pacok.spectral import LongRangeOp, OpKind, estimate_linf_norm, multiplier_array, stencil_symbol
 
-from oracles import assemble_rhs, assemble_rhs_array
+from oracles import assemble_rhs, assemble_rhs_array, mismatch_spectrum, volume_term
 
 CUBIC = NonlinearSpec(FKind.CUBIC_HERMITE)
 CUBIC_EXT = NonlinearSpec(FKind.CUBIC_HERMITE, use_extension=True)
@@ -374,6 +373,18 @@ class TestRhsKernel:
             problem = Problem(g, self.PARAMS, spec, LongRangeOp.inverse_laplacian())
             loaded = problem.load(phi, None, into=np.empty(problem.half_shape, complex))
             assert np.array_equal(loaded, mismatch_spectrum(phi, spec, self.PARAMS.omega))
+
+    @pytest.mark.parametrize("spec", ALL_SPECS)
+    @pytest.mark.parametrize("omega", [0.0, 0.3])
+    def test_mismatch_values_is_f_eval_bit_for_bit(self, spec, omega):
+        # In place, with or without a buffer for the clamped field; s is left alone.
+        s = np.random.default_rng(7).uniform(-0.3, 1.3, size=(8, 12))
+        before = s.copy()
+        for clamped in (None, np.empty_like(s)):
+            out = np.empty_like(s)
+            assert mismatch_values(spec, s, omega, out, clamped) is out
+            assert np.array_equal(out, f_eval(spec, s) - omega)
+        assert np.array_equal(s, before)
 
     @pytest.mark.parametrize("sizes", [(16,), (8, 12)])
     def test_interleaved_arrays_scale_like_the_complex_arithmetic(self, sizes):

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pacok import stepping
+from pacok import experiments, stepping
 from pacok.energy import discrete_energy
 from pacok.errors import BlowupError, ConfigError, EnergyIncreaseError, MppViolationError
 from pacok.experiments import coarsening_preset, initial_random_piecewise, run_with_snapshots
@@ -387,7 +387,7 @@ class TestRun:
 
 
 class TestResumedRun:
-    """run_with_snapshots runs one segment per snapshot time."""
+    """run_with_snapshots makes one run call; a snapshot time does not break the run."""
 
     @staticmethod
     def certified_setup():
@@ -415,25 +415,97 @@ class TestResumedRun:
         assert segmented == whole
 
     def test_energy_rise_after_a_snapshot_raises(self, monkeypatch):
-        # Replace the field after the first step of the second segment by a
-        # grid-scale oscillation inside [0, 1]: the energy jumps while the
-        # bounds hold, so only the decay check across the snapshot sees it.
+        # Replace the field that step 6, the first after the snapshot at
+        # step 5, produced by a grid-scale oscillation inside [0, 1]: the
+        # energy jumps while the bounds hold, so only the decay check sees
+        # it.  Step 6 is the kernel's sixth Problem.advance call (the first
+        # is step 1, made through step).
         state, p, op, report = self.certified_setup()
-        real_step = stepping.step
+        real_advance = Problem.advance
         rough = np.where(np.arange(state.phi.grid.sizes[0]) % 2 == 0, 0.0, 1.0)
+        calls = []
 
-        def step_with_rise(state, *args, **kwargs):
-            new = real_step(state, *args, **kwargs)
-            if new.step_index == 6:
-                new = stepping.SchemeState(
-                    GridField(new.phi.grid, rough), new.step_index, new.time,
-                    new.last_increment_linf,
-                )
-            return new
+        def advance_with_rise(problem, s, mismatch_hat, out, phi_hat, mismatch_out):
+            increment = real_advance(problem, s, mismatch_hat, out, phi_hat, mismatch_out)
+            calls.append(out)
+            if len(calls) == 6:
+                out[...] = rough
+                problem.forward(out, phi_hat)
+                problem.load(out, into=mismatch_out)
+            return increment
 
-        monkeypatch.setattr(stepping, "step", step_with_rise)
-        with pytest.raises(EnergyIncreaseError, match="step 6"):
+        monkeypatch.setattr(Problem, "advance", advance_with_rise)
+        with pytest.raises(EnergyIncreaseError, match="step 6:"):
             self.run_segments(state, p, op, report)
+        assert len(calls) == 6
+
+    def test_one_problem_and_one_run_call(self, monkeypatch, tmp_path):
+        state, p, op, report = self.certified_setup()
+        built, runs = [], []
+        real_init, real_run = Problem.__init__, experiments.run
+
+        def counting_init(problem, *args, **kwargs):
+            built.append(problem)
+            real_init(problem, *args, **kwargs)
+
+        def counting_run(*args, **kwargs):
+            runs.append(kwargs["snapshot_times"])
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(Problem, "__init__", counting_init)
+        monkeypatch.setattr(experiments, "run", counting_run)
+        final, _ = run_with_snapshots(
+            state, p, CUBIC, op, t_end=10 * p.tau, tol=0.0,
+            snapshot_times=(0.0, 3 * p.tau, 5 * p.tau, 7 * p.tau, 1.0, -1.0),
+            out_dir=str(tmp_path), record_every=4, report=report,
+        )
+        assert final.step_index == 10
+        assert len(built) == 1 and len(runs) == 1
+        assert runs[0] == [0.0, 3 * p.tau, 5 * p.tau, 7 * p.tau]
+        assert sorted(f.name for f in tmp_path.glob("snap_*.csv")) == [
+            f"snap_{i:03d}.csv" for i in range(5)]
+
+    def test_records_do_not_depend_on_snapshot_times(self):
+        # The cadence counts from the run's start; a snapshot step adds its row.
+        state, p, op, report = self.certified_setup()
+        rows = {}
+        for times in ((), (5 * p.tau,)):
+            _, records = run_with_snapshots(
+                state, p, CUBIC, op, t_end=20 * p.tau, tol=0.0, snapshot_times=times,
+                record_every=3, report=report,
+            )
+            rows[times] = records
+        whole, snapped = rows.values()
+        assert [r.n for r in whole] == [0, 3, 6, 9, 12, 15, 18, 20]
+        assert [r.n for r in snapped] == [0, 3, 5, 6, 9, 12, 15, 18, 20]
+        assert [r for r in snapped if r.n != 5] == whole
+
+    def test_each_snapshot_equals_a_run_stopped_at_its_time(self):
+        state, p, op, report = self.certified_setup()
+        times = (2 * p.tau, 5 * p.tau, 8 * p.tau)
+        got = []
+
+        def keep(snap):
+            got.append((snap, snap.phi.values.copy()))
+
+        final, _ = run(state, p, CUBIC, op, t_max=10 * p.tau, tol=0.0, report=report,
+                       snapshot_times=times, on_snapshot=keep)
+        assert final.step_index == 10
+        assert [snap.step_index for snap, _ in got] == [2, 5, 8]
+        for (snap, copy), t in zip(got, times):
+            stopped, _ = run(state, p, CUBIC, op, t_max=t, tol=0.0, report=report)
+            assert (snap.step_index, snap.time, snap.last_increment_linf) == (
+                stopped.step_index, stopped.time, stopped.last_increment_linf)
+            assert snap.phi_hat is None and snap.mismatch_hat is None
+            assert np.array_equal(snap.phi.values, stopped.phi.values)
+            assert np.array_equal(snap.phi.values, copy)   # later steps left it alone
+            assert not snap.phi.values.flags.writeable
+
+    def test_snapshot_time_beyond_the_run_is_refused(self):
+        state, p, op, report = self.certified_setup()
+        with pytest.raises(ConfigError, match="snapshot time 0.02 lies beyond t_max = 0.01"):
+            run(state, p, CUBIC, op, t_max=0.01, tol=0.0, report=report,
+                snapshot_times=(0.005, 0.02))
 
 
 class TestCarriedSpectra:
@@ -533,7 +605,7 @@ class TestCarriedSpectra:
             if len(calls) == 7:
                 out[...] = rough
                 problem.forward(out, phi_hat)
-                problem.load(out, problem.forward(problem.mismatch_values(out), mismatch_out))
+                problem.load(out, into=mismatch_out)
             return increment
 
         monkeypatch.setattr(Problem, "advance", advance_with_rise)
