@@ -123,15 +123,17 @@ def cmd_converge(args) -> int:
         ]
     else:
         rows = convergence_setups(args.scale)
-    lines = ["eps,tau,error,rate"]
+    lines = ["eps,tau,error,rate,successive_rate"]
     for label, setup, base_tau, levels, bench_tau in rows:
         result = rate_study(base_tau, levels, bench_tau, setup)
         print(f"eps = {label} (N = {setup.n}, T = {setup.t_end})")
-        print(f"  {'tau':>12}  {'error':>12}  {'rate':>6}")
+        print(f"  {'tau':>12}  {'error':>12}  {'rate':>6}  {'successive':>10}")
         for i, (tau, err) in enumerate(zip(result.taus, result.errors)):
-            rate = f"{result.rates[i - 1]:.2f}" if i > 0 else "---"
-            print(f"  {tau:>12.3e}  {err:>12.3e}  {rate:>6}")
-            lines.append(f"{label},{tau:.17g},{err:.17g},{rate if i > 0 else ''}")
+            # Each rate sits on the row of the smallest step it uses.
+            rate = f"{result.rates[i - 1]:.2f}" if i > 0 else ""
+            successive = f"{result.successive_rates[i - 2]:.2f}" if i > 1 else ""
+            print(f"  {tau:>12.3e}  {err:>12.3e}  {rate or '---':>6}  {successive or '---':>10}")
+            lines.append(f"{label},{tau:.17g},{err:.17g},{rate},{successive}")
     if args.out:
         out = _ensure_out_dir(args.out)
         path = os.path.join(out, "rates.csv")

@@ -97,9 +97,17 @@ class RateStudySetup:
 
 @dataclass(frozen=True)
 class RateStudyResult:
+    """Errors against the benchmark and the rates between successive steps.
+
+    ``rates[i]`` is log2(errors[i] / errors[i + 1]).  ``successive_rates[i]``
+    needs no benchmark: it is log2(||phi_i - phi_{i+1}|| / ||phi_{i+1} - phi_{i+2}||)
+    for the terminal fields phi_i of taus[i].
+    """
+
     taus: tuple[float, ...]
     errors: tuple[float, ...]
     rates: tuple[float, ...]
+    successive_rates: tuple[float, ...]
 
 
 def _steps_to(t_end: float, tau: float) -> int:
@@ -128,7 +136,8 @@ def _terminal_state(setup: RateStudySetup, tau: float, phi0: GridField) -> GridF
 def rate_study(
     base_tau: float, levels: int, bench_tau: float, setup: RateStudySetup
 ) -> RateStudyResult:
-    """Errors against a fine-step benchmark for tau = base_tau / 2^i.
+    """Errors against a fine-step benchmark for tau = base_tau / 2^i, and the
+    successive-difference rates of the same runs.
 
     All runs share the grid and the disk initial state, so the measured
     error is purely temporal; the benchmark step must divide the horizon
@@ -137,18 +146,18 @@ def rate_study(
     if levels < 1:
         raise ConfigError(f"levels must be >= 1, got {levels}")
     taus = [base_tau / 2**i for i in range(levels)]
+    if not bench_tau < taus[-1]:
+        raise ConfigError(f"the benchmark step must be below {taus[-1]!r}, got {bench_tau!r}")
     for tau in taus + [bench_tau]:
         _steps_to(setup.t_end, tau)
     phi0 = initial_tanh_disk(setup.grid(), setup.omega, setup.epsilon)
     bench = _terminal_state(setup, bench_tau, phi0)
-    errors = []
-    for tau in taus:
-        phi = _terminal_state(setup, tau, phi0)
-        errors.append(norm_l2_h(GridField(phi.grid, phi.values - bench.values)))
-    rates = [
-        math.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)
-    ]
-    return RateStudyResult(tuple(taus), tuple(errors), tuple(rates))
+    fields = [_terminal_state(setup, tau, phi0) for tau in taus]
+    distance = lambda a, b: norm_l2_h(GridField(a.grid, a.values - b.values))
+    errors = [distance(phi, bench) for phi in fields]
+    changes = [distance(a, b) for a, b in zip(fields, fields[1:])]
+    log2_ratios = lambda x: tuple(math.log2(a / b) for a, b in zip(x, x[1:]))
+    return RateStudyResult(tuple(taus), tuple(errors), log2_ratios(errors), log2_ratios(changes))
 
 
 def convergence_setups(scale: str) -> list[tuple[str, RateStudySetup, float, int, float]]:

@@ -35,8 +35,7 @@ f'(p) = -6 q.  A :class:`Problem`, built once per run, holds the operator
 arrays and every grid-sized buffer of a time step, and its methods are the
 array kernel of the step: the right-hand side, the solve, and the spectra
 and q the next step and the energy start from.  The kernel writes into its
-buffers and into arrays its caller passes; only the clamped extensions
-allocate (their f' array).
+buffers and into arrays its caller passes.
 """
 
 from __future__ import annotations
@@ -285,7 +284,8 @@ class Problem:
     to the field last passed to :meth:`load` or produced by :meth:`advance`.
     The run loop ping-pongs its fields through ``fields`` and writes its
     spectra into ``phi_hat`` and ``mismatch_hat``
-    (:meth:`allocate_run_buffers`).  ``work`` and ``product`` are scratch.
+    (:meth:`allocate_run_buffers`).  ``work``, ``product``, and for the clamped
+    extensions ``clamped`` and ``outside``, are scratch.
     """
 
     def __init__(
@@ -328,6 +328,8 @@ class Problem:
         self.q = np.empty(grid.shape)
         self.work = np.empty(grid.shape)
         self.clamped = np.empty(grid.shape) if spec.use_extension else None
+        linear_extension = spec.use_extension and spec.f_kind is FKind.LINEAR
+        self.outside = np.empty(grid.shape, dtype=bool) if linear_extension else None
         # A step's scratch spectrum is its output mismatch spectrum, if it has one.
         needs_scratch = grid.dim == 2 and self.multiplier is None
         self.product = np.empty(self.half_shape, complex) if needs_scratch else None
@@ -395,6 +397,8 @@ class Problem:
 
     def rhs(self, s: np.ndarray, g, out: np.ndarray) -> np.ndarray:
         """The right-hand side for the current field ``s`` and its :meth:`force`, into ``out``."""
+        if self.spec.use_extension:
+            g = self._times_slope(s, g, out)
         np.multiply(s, -2.0 * self.c, out=out)
         if self.fused:
             out += g
@@ -402,9 +406,25 @@ class Problem:
         else:
             out += self.c
             out *= self.q
-            out += g * f_prime(self.spec, s) if self.spec.use_extension else g   # linear f' = 1
+            out += g   # linear f' = 1; an extension's g already holds g f'(s)
         out += np.multiply(s, self.A, out=self.work)
         return out
+
+    def _times_slope(self, s: np.ndarray, g, scratch: np.ndarray) -> np.ndarray:
+        """g f'(s) of a clamped extension into ``clamped``, with the operations of
+        :func:`f_prime`; ``scratch`` is overwritten."""
+        slope = np.clip(s, 0.0, 1.0, out=self.clamped)
+        if self.spec.f_kind is FKind.CUBIC_HERMITE:
+            np.subtract(1.0, slope, out=scratch)
+            slope *= 6.0
+            slope *= scratch
+        else:
+            # s < 0 or s > 1; also NaN, where the right-hand side is NaN either way
+            np.not_equal(slope, s, out=self.outside)
+            slope.fill(1.0)
+            np.copyto(slope, 0.0, where=self.outside)
+        slope *= g
+        return slope
 
     def advance(
         self,

@@ -17,11 +17,18 @@ multiplier: the inverse of the negative Laplacian (zero mode projected out),
 the Helmholtz resolvent (I - l^2 Lap)^-1, the thin-film symbol
 (1 - exp(-delta |k|)) / (delta |k|) in physical wavenumbers k = pi m / X,
 or an explicit per-mode table.
+
+A table is a :class:`SymbolTable`: a read-only mapping ``{mode: value}``
+held as an int64 mode array and a float64 value array.  The CSV loader
+fills the arrays in one ``np.loadtxt`` pass and the multiplier scatters
+them onto the grid's modes, so no per-mode Python object lies between the
+file and the multiplier.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,17 +45,125 @@ class OpKind(enum.Enum):
     NONE = "none"
 
 
+_INT64 = np.iinfo(np.int64)
+
+
+class SymbolTable(Mapping):
+    """Read-only custom symbol table ``{mode: value}`` held as arrays.
+
+    Row i of an int64 mode array holds the components of entry i, padded
+    with zeros to the longest mode, a length array its number of
+    components, and a float64 array its value.  A mode with a component
+    beyond int64 keeps its tuple aside and length 0, so no grid reads it.
+    As a mapping it yields tuples of ints and floats, in the order the
+    entries were first given, and compares equal to the same dict.
+    """
+
+    def __init__(self, modes, values, lengths=None, wide=None):
+        self._modes = np.array(modes, dtype=np.int64)
+        self._values = np.array(values, dtype=np.float64)
+        if lengths is None:
+            lengths = np.full(len(self._values), self._modes.shape[1])
+        self._lengths = np.array(lengths, dtype=np.int64)
+        for array in (self._modes, self._values, self._lengths):
+            array.setflags(write=False)
+        self._wide = dict(wide or {})
+        self._index = None
+
+    @classmethod
+    def from_rows(cls, modes: np.ndarray, values: np.ndarray) -> "SymbolTable":
+        """Table from rows of equal-length int64 modes, in order; a later
+        row of a repeated mode gives its value, as in a dict."""
+        order = np.lexsort(modes.T[::-1])   # stable: a repeated mode keeps its row order
+        in_order = modes[order]
+        starts = np.ones(len(order), dtype=bool)
+        starts[1:] = np.any(in_order[1:] != in_order[:-1], axis=1)
+        if not starts.all():
+            first = np.flatnonzero(starts)
+            last = order[np.append(first[1:], len(order)) - 1]
+            first = order[first]
+            kept = np.argsort(first)
+            modes, values = modes[first[kept]], values[last[kept]]
+        return cls(modes, values)
+
+    @classmethod
+    def from_mapping(cls, symbol) -> "SymbolTable":
+        """Table from ``{mode: value}``; a mode is an int or a tuple of ints."""
+        try:
+            modes = np.array(list(symbol))
+        except ValueError:   # tuples of different lengths
+            modes = None
+        values = np.fromiter(symbol.values(), dtype=np.float64, count=len(symbol))
+        if modes is not None and modes.dtype.kind == "i" and modes.ndim <= 2:
+            return cls(modes.reshape(len(symbol), -1), values)
+        table = {}
+        for mode, value in zip(symbol, values.tolist()):
+            table[(int(mode),) if np.isscalar(mode) else tuple(int(m) for m in mode)] = value
+        width = max(map(len, table))
+        modes = np.zeros((len(table), width), dtype=np.int64)
+        lengths = np.zeros(len(table), dtype=np.int64)
+        wide = {}
+        for row, mode in enumerate(table):
+            if all(_INT64.min <= m <= _INT64.max for m in mode):
+                modes[row, : len(mode)] = mode
+                lengths[row] = len(mode)
+            else:
+                wide[row] = mode
+        return cls(modes, list(table.values()), lengths, wide)
+
+    def arrays(self, dim: int) -> tuple[np.ndarray, np.ndarray]:
+        """The int64 modes, one row each, and the values of the entries with ``dim`` components."""
+        rows = self._lengths == dim
+        if rows.all():
+            return self._modes, self._values
+        if self._modes.shape[1] < dim:
+            return np.empty((0, dim), dtype=np.int64), np.empty(0)
+        return self._modes[rows, :dim], self._values[rows]
+
+    def _mode(self, row: int) -> tuple:
+        """The mode of entry ``row`` as a tuple of ints."""
+        if row in self._wide:
+            return self._wide[row]
+        return tuple(self._modes[row, : self._lengths[row]].tolist())
+
+    def first_invalid(self):
+        """(mode, value) of the first entry that is not finite and >= 0, or None."""
+        bad = ~(np.isfinite(self._values) & (self._values >= 0.0))
+        if not bad.any():
+            return None
+        row = int(np.argmax(bad))
+        return self._mode(row), float(self._values[row])
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __iter__(self):
+        if not self._wide and (self._lengths == self._modes.shape[1]).all():
+            return map(tuple, self._modes.tolist())
+        return map(self._mode, range(len(self)))
+
+    def __getitem__(self, mode):
+        if self._index is None:
+            self._index = dict(zip(self, self._values.tolist()))
+        return self._index[mode]
+
+    def __repr__(self) -> str:
+        return f"SymbolTable({len(self)} entries)"
+
+
 @dataclass(frozen=True)
 class LongRangeOp:
     """Spectral-multiplier description of a long-range interaction operator.
 
     The description is bare: the coupling strength is ``ModelParams.gamma``.
+    A custom ``symbol`` given as another mapping is converted once into a
+    :class:`SymbolTable`.
     """
 
     kind: OpKind
     gamma_len: float = 0.0   # Helmholtz screening length
     delta: float = 0.0       # relative film thickness
-    symbol: dict | None = field(default=None, hash=False)
+    symbol: SymbolTable | None = field(default=None, hash=False)
 
     def __post_init__(self):
         if self.kind is OpKind.HELMHOLTZ and self.gamma_len <= 0.0:
@@ -58,10 +173,11 @@ class LongRangeOp:
         if self.kind is OpKind.CUSTOM_SYMBOL:
             if not self.symbol:
                 raise ConfigError("custom operator needs a non-empty symbol table")
-            values = np.fromiter(self.symbol.values(), dtype=float, count=len(self.symbol))
-            bad = ~(np.isfinite(values) & (values >= 0.0))
-            if bad.any():
-                mode, value = list(self.symbol.items())[int(np.argmax(bad))]
+            if not isinstance(self.symbol, SymbolTable):
+                object.__setattr__(self, "symbol", SymbolTable.from_mapping(self.symbol))
+            invalid = self.symbol.first_invalid()
+            if invalid is not None:
+                mode, value = invalid
                 raise ConfigError(
                     f"custom symbol must be finite and >= 0, got {value} at mode {mode}"
                 )
@@ -79,21 +195,12 @@ class LongRangeOp:
         return cls(OpKind.GARNET_FILM, delta=delta)
 
     @classmethod
-    def custom(cls, symbol: dict) -> "LongRangeOp":
-        """Operator from a table ``{mode: value}``; a mode is an int or a tuple of ints."""
-        try:
-            modes = np.array(list(symbol))
-        except ValueError:   # tuples of different lengths
-            modes = None
-        if modes is not None and modes.dtype.kind in "iu" and modes.ndim <= 2:
-            keys = map(tuple, modes.reshape(len(symbol), -1).tolist())
-        else:
-            keys = (
-                (int(mode),) if np.isscalar(mode) else tuple(int(m) for m in mode)
-                for mode in symbol
-            )
-        normalized = dict(zip(keys, map(float, symbol.values())))
-        return cls(OpKind.CUSTOM_SYMBOL, symbol=normalized)
+    def custom(cls, symbol: Mapping) -> "LongRangeOp":
+        """Operator from a table ``{mode: value}``; a mode is an int or a tuple of ints.
+
+        A :class:`SymbolTable` is taken as it is.
+        """
+        return cls(OpKind.CUSTOM_SYMBOL, symbol=symbol)
 
     @classmethod
     def none(cls) -> "LongRangeOp":
@@ -147,22 +254,18 @@ def _wrap_mode(m: int, n: int) -> int:
 
 
 def _custom_multiplier(op: LongRangeOp, grid: PeriodicGrid) -> np.ndarray:
-    """Scatter a custom table onto the DFT modes of ``grid`` and validate it.
+    """Scatter a custom table's int64 arrays onto the DFT modes of ``grid`` and validate it.
 
-    Entries of another dimension, or with a mode outside -n/2 <= m < n/2,
-    are ignored.  Every mode of the grid needs an entry, and the entry of m
-    must equal that of its mirror -m (mod n); the first mode in C order that
-    breaks either rule is named in the ConfigError.
+    Entries of another dimension, with a mode outside -n/2 <= m < n/2, or
+    beyond int64, are ignored.  Every mode of the grid needs an entry, and
+    the entry of m must equal that of its mirror -m (mod n); the first mode
+    in C order that breaks either rule is named in the ConfigError.
     """
     n = grid.sizes
-    table = op.symbol
-    in_dim = [mode for mode in table if len(mode) == grid.dim]
-    values = np.fromiter(map(table.__getitem__, in_dim), dtype=float, count=len(in_dim))
-    # Object dtype keeps modes beyond int64 exact until the range test drops them.
-    modes = np.array(in_dim, dtype=object).reshape(len(in_dim), grid.dim)
+    modes, values = op.symbol.arrays(grid.dim)
     half = np.array(n) // 2
     inside = np.all((modes >= -half) & (modes < half), axis=1)
-    index = modes[inside].astype(np.int64) % np.array(n)
+    index = modes[inside] % np.array(n)
     full = np.full(n, np.nan)
     full[tuple(index.T)] = values[inside]
 
@@ -192,13 +295,14 @@ def multiplier_array(op: LongRangeOp, grid: PeriodicGrid) -> np.ndarray:
     if op.kind is OpKind.NONE:
         raise ConfigError("cannot apply a long-range operator of kind 'none'")
     if op.kind is OpKind.CUSTOM_SYMBOL:
-        # The op's hash leaves the table out; equal keys compare it.
-        key = (op, _grid_key(grid))
+        # Keyed by the table's identity, so no lookup compares tables; the
+        # entry holds the table, so no other table can take its id.
+        key, owner = (id(op.symbol), _grid_key(grid)), op.symbol
     else:
-        key = (op.kind, op.gamma_len, op.delta, _grid_key(grid))
+        key, owner = (op.kind, op.gamma_len, op.delta, _grid_key(grid)), None
     cached = _multiplier_cache.get(key)
     if cached is not None:
-        return cached
+        return cached[1]
     if op.kind is OpKind.INVERSE_LAPLACIAN:
         lam = stencil_symbol(grid)
         with np.errstate(divide="ignore"):
@@ -213,7 +317,7 @@ def multiplier_array(op: LongRangeOp, grid: PeriodicGrid) -> np.ndarray:
     else:
         mult = _custom_multiplier(op, grid)
     mult.setflags(write=False)
-    _multiplier_cache[key] = mult
+    _multiplier_cache[key] = (owner, mult)
     return mult
 
 
@@ -241,34 +345,32 @@ def estimate_linf_norm(op: LongRangeOp, grid: PeriodicGrid) -> float:
     return float(np.sum(np.abs(response)))
 
 
-def load_symbol_csv(path) -> dict:
+def load_symbol_csv(path) -> SymbolTable:
     """Read a custom symbol table from CSV lines ``k1[,k2],value``.
 
     ``#`` lines and blank lines are skipped.  A file whose entries all have
-    the dimension of its first one is parsed in one array pass; other files
-    go through the line-by-line parser, which names the first bad line.
+    the dimension of its first one and fit int64 is parsed in one
+    ``np.loadtxt`` pass straight into the table's arrays.  Other files go
+    through the line-by-line parser, which names the first bad line.
     """
     with reading(path), open(path, "r", encoding="utf-8") as fh:
-        lines = [
-            (lineno, line)
-            for lineno, line in enumerate(map(str.strip, fh), start=1)
-            if line and not line.startswith("#")
-        ]
-    if not lines:
+        lines = fh.read().split("\n")
+    data = [line for line in map(str.strip, lines) if line and not line.startswith("#")]
+    if not data:
         raise ConfigError(f"{path}: empty symbol table")
-    dim = lines[0][1].count(",")
+    dim = data[0].count(",")
     if dim in (1, 2):
         row = np.dtype([("mode", np.int64, (dim,)), ("value", np.float64)])
         try:
-            rows = np.loadtxt(
-                [line for _, line in lines], dtype=row, delimiter=",", comments=None, ndmin=1
-            )
+            rows = np.loadtxt(data, dtype=row, delimiter=",", comments=None, ndmin=1)
         except ValueError:
-            pass   # the line parser reports the error, or reads the mixed table
+            pass   # the line parser reports the error, or reads the table
         else:
-            return dict(zip(map(tuple, rows["mode"].tolist()), rows["value"].tolist()))
+            return SymbolTable.from_rows(rows["mode"], rows["value"])
     table = {}
-    for lineno, line in lines:
+    for lineno, line in enumerate(map(str.strip, lines), start=1):
+        if not line or line.startswith("#"):
+            continue
         parts = [p.strip() for p in line.split(",")]
         if len(parts) not in (2, 3):
             raise ConfigError(f"{path}:{lineno}: expected 'k1[,k2],value'")
@@ -278,4 +380,4 @@ def load_symbol_csv(path) -> dict:
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: malformed symbol entry") from exc
         table[mode] = value
-    return table
+    return SymbolTable.from_mapping(table)

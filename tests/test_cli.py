@@ -156,3 +156,26 @@ def test_snapshot_of_a_run_gives_its_recorded_energy(tmp_path, capsys):
     total = float(capsys.readouterr().out.splitlines()[1].split(",")[-1])
     recorded = float((out / "series.csv").read_text().splitlines()[-1].split(",")[4])
     assert total == recorded
+
+
+def test_converge_prints_successive_rates_beside_the_benchmark_rates(tmp_path, capsys):
+    argv = ["converge", "--eps-factors", "4", "--n", "16", "--levels", "4", "--base-tau", "1e-3",
+            "--bench-tau", "6.25e-5", "--t-end", "0.004", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[1].split() == ["tau", "error", "rate", "successive"]
+    rows = (tmp_path / "rates.csv").read_text().splitlines()
+    assert rows[0] == "eps,tau,error,rate,successive_rate"
+    cells = [row.split(",") for row in rows[1:]]
+    # A rate sits on the row of the smallest step it uses.
+    assert [(c[3] != "", c[4] != "") for c in cells] == [
+        (False, False), (True, False), (True, True), (True, True)]
+    for line, c in zip(printed[2:6], cells):
+        assert line.split()[2:] == [c[3] or "---", c[4] or "---"]
+
+
+def test_converge_with_a_benchmark_step_no_finer_than_the_steps_exits_2(capsys):
+    argv = ["converge", "--eps-factors", "4", "--n", "16", "--levels", "2", "--base-tau", "1e-3",
+            "--bench-tau", "5e-4", "--t-end", "0.004"]
+    assert cli.main(argv) == 2
+    assert "benchmark step must be below 0.0005, got 0.0005" in capsys.readouterr().err

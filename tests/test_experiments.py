@@ -7,8 +7,9 @@ import pytest
 
 import pacok
 from pacok.errors import ConfigError
-from pacok.experiments import count_bumps
+from pacok.experiments import RateStudySetup, count_bumps, pvism_compare, rate_study
 from pacok.grid import GridField, PeriodicGrid
+from pacok.stepping import MPP_TOL
 
 
 def test_import_leaves_scipy_unloaded():
@@ -117,3 +118,22 @@ class TestCountBumps:
             np.isin(np.arange(64).reshape(8, 8) // 8, (0, 7)),  # rows meeting at the seam
         ):
             assert count_bumps(GridField(g, mask.astype(float))) == scipy_count(mask)
+
+
+def test_successive_difference_rate_is_first_order():
+    # Paper claim: the scheme is first order in time.  The successive-difference
+    # rates need no benchmark run: 0.82, 0.93, 0.97 at N = 64, eps = 10h.
+    setup = RateStudySetup(n=64, epsilon=10 * 2.0 / 64)
+    result = rate_study(1e-4, 5, 4e-6, setup)
+    assert len(result.rates) == 4 and len(result.successive_rates) == 3
+    assert 0.9 <= result.successive_rates[-1] <= 1.1
+
+
+def test_solvation_cubic_indicator_stays_in_bounds_and_linear_leaves_them():
+    # Paper claim: with the cubic f the solvation run stays in [0, 1]; with
+    # the linear f = s it leaves [0, 1] on both sides (min -0.0106, max 1.0021).
+    result = pvism_compare(t_max=0.5)
+    lo, hi = result.cubic_bounds
+    assert -MPP_TOL <= lo and hi <= 1.0 + MPP_TOL
+    lo, hi = result.linear_bounds
+    assert lo < -1e-3 and hi > 1.0 + 1e-3

@@ -365,6 +365,22 @@ class TestRhsKernel:
         ):
             assert np.max(np.abs(out - expected)) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("spec", [CUBIC_EXT, LINEAR_EXT])
+    def test_extension_slope_in_buffers_is_the_former_expression_bit_for_bit(self, spec):
+        g = PeriodicGrid((8, 12), (1.0, 1.0))
+        rng = np.random.default_rng(3)
+        phi = rng.uniform(-0.3, 1.3, size=g.shape)
+        phi[0, :3] = (0.0, 1.0, 0.5)
+        problem = Problem(g, self.PARAMS, spec, LongRangeOp.inverse_laplacian())
+        problem.load(phi)
+        for force in (rng.standard_normal(g.shape), -2.5):
+            expected = phi * (-2.0 * problem.c)
+            expected += problem.c
+            expected *= problem.q
+            expected += force * f_prime(spec, phi)
+            expected += phi * problem.A
+            assert np.array_equal(problem.rhs(phi, force, np.empty(g.shape)), expected)
+
     @pytest.mark.parametrize("spec", ALL_SPECS)
     def test_problem_mismatch_spectrum_is_bit_identical(self, spec):
         # The spectrum a run starts from: loaded into the kernel, not carried.

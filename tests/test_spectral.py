@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pacok.config import RunConfig
 from pacok.errors import ConfigError
 from pacok.grid import GridField, PeriodicGrid, inner_product_h
 from pacok.spectral import (
     _custom_multiplier,
     LongRangeOp,
     OpKind,
+    SymbolTable,
     estimate_linf_norm,
     load_symbol_csv,
     multiplier_array,
@@ -438,6 +442,157 @@ class TestCustomTableNormalisation:
         table = {(0,): 1.0, (1,): bad, (2,): -5.0}
         with pytest.raises(ConfigError, match=r"got .* at mode \(1,\)"):
             LongRangeOp.custom(table)
+
+
+def write_table(path, lines):
+    """CSV lines ``k1[,k2],value`` under a comment line, values written exactly."""
+    body = [",".join(map(str, mode)) + f",{value!r}" for mode, value in lines]
+    path.write_text("# symbol table\n" + "\n".join(body) + "\n")
+
+
+@st.composite
+def table_files(draw):
+    """Grid sizes, the lines of a CSV table in file order, and the dict they
+    stand for.  The table is even over every mode of the grid; some draws add
+    out-of-range, beyond-int64 and other-dimension lines, a repeated line
+    whose later value wins, or damage one entry (missing or uneven)."""
+    sizes = tuple(draw(st.sampled_from([4, 6, 8, 10])) for _ in range(draw(st.sampled_from([1, 2]))))
+    table = random_even_table(sizes, draw(st.integers(0, 2**32 - 1)))
+    modes = sorted(table)
+    damage = draw(st.sampled_from(["none", "missing", "uneven"]))
+    if damage == "missing":
+        del table[draw(st.sampled_from(modes))]
+    elif damage == "uneven":
+        mirrored = lambda mode: tuple(wrap_mode(-m, n) for m, n in zip(mode, sizes))
+        table[draw(st.sampled_from([m for m in modes if mirrored(m) != m]))] += 0.5
+    rest = (0,) * (len(sizes) - 1)
+    extra = {}
+    if draw(st.booleans()):
+        extra[(sizes[0] // 2,) + rest] = 7.0        # +n/2: outside -n/2 <= m < n/2
+        extra[(-sizes[0] // 2 - 1,) + rest] = 7.0
+    if draw(st.booleans()):
+        extra[(-(10**20),) + rest] = 8.0             # beyond int64
+    if draw(st.booleans()):
+        extra[(0,) * (3 - len(sizes))] = 9.0         # the other dimension
+    lines = list(table.items()) + list(extra.items())
+    lines = draw(st.permutations(lines))
+    if draw(st.booleans()):
+        index = draw(st.integers(0, len(lines) - 1))
+        lines.insert(index, (lines[index][0], 5.0))  # overwritten by the line after it
+    expected = dict(lines)
+    return sizes, lines, expected
+
+
+class TestTablePath:
+    """File to multiplier: the array path against the per-mode builder on the dict."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=table_files())
+    def test_file_to_multiplier_matches_per_mode_builder(self, tmp_path_factory, case):
+        sizes, lines, table = case
+        path = tmp_path_factory.mktemp("table") / "symbol.csv"
+        write_table(path, lines)
+        g = PeriodicGrid(sizes, (1.0,) * len(sizes))
+        op = RunConfig(N=sizes, X=(1.0,) * len(sizes), operator="custom",
+                       op_symbol_file=str(path)).build_op()
+        assert op.symbol == table and table == op.symbol
+        try:
+            expected = loop_custom_multiplier(table, g)
+        except ConfigError as exc:
+            with pytest.raises(ConfigError) as got:
+                multiplier_array(op, g)
+            assert str(got.value) == str(exc)
+        else:
+            assert np.array_equal(multiplier_array(op, g), expected)
+
+    def test_inverse_laplacian_table_at_256_loads_back_bit_equal(self, tmp_path):
+        n = 256
+        g = PeriodicGrid((n, n), (1.0, 1.0))
+        mult = multiplier_array(LongRangeOp.inverse_laplacian(), g)
+        # sin^2(pi m / n) and sin^2(pi (n - m) / n) can differ in the last bit, so
+        # columns 0 and n/2 take the value of their rows' mirrors from row n/2 on.
+        half = mult.copy()
+        rows = np.arange(n // 2 + 1, n)[:, None]
+        half[rows, [0, n // 2]] = mult[n - rows, [0, n // 2]]
+        assert np.allclose(half, mult, rtol=1e-12, atol=0.0)
+        full = np.empty((n, n))
+        full[:, : n // 2 + 1] = half
+        full[:, n // 2 + 1:] = half[-np.arange(n) % n][:, n // 2 - 1:0:-1]   # value(m) = value(-m)
+        m1, m2 = np.meshgrid(*[np.fft.fftfreq(n, 1.0 / n).astype(int)] * 2, indexing="ij")
+        path = tmp_path / "symbol.csv"
+        path.write_text("\n".join(
+            f"{a},{b},{v!r}" for a, b, v in zip(m1.ravel().tolist(), m2.ravel().tolist(),
+                                                full.ravel().tolist())) + "\n")
+        op = RunConfig(N=(n, n), X=(1.0, 1.0), operator="custom",
+                       op_symbol_file=str(path)).build_op()
+        assert np.array_equal(multiplier_array(op, g), half)
+
+    def test_uniform_table_goes_from_loadtxt_to_the_multiplier_as_arrays(self, tmp_path,
+                                                                         monkeypatch):
+        sizes = (8, 6)
+        table = random_even_table(sizes, 11)
+        path = tmp_path / "symbol.csv"
+        write_table(path, table.items())
+
+        def per_mode(*args):
+            raise AssertionError("a uniform int64 table went through the per-mode conversion")
+
+        monkeypatch.setattr(SymbolTable, "from_mapping", per_mode)
+        monkeypatch.setattr(SymbolTable, "__iter__", per_mode)
+        loaded = load_symbol_csv(path)
+        op = LongRangeOp.custom(loaded)
+        assert op.symbol is loaded
+        mult = multiplier_array(op, PeriodicGrid(sizes, (1.0, 1.0)))
+        monkeypatch.undo()
+        assert np.array_equal(mult, loop_custom_multiplier(table, PeriodicGrid(sizes, (1.0, 1.0))))
+
+    def test_cache_hit_does_not_compare_tables(self, monkeypatch):
+        g = PeriodicGrid((8, 8), (1.0, 1.0))
+        op = LongRangeOp.custom(random_even_table((8, 8), 12))
+        first = multiplier_array(op, g)
+
+        def compare(*args):
+            raise AssertionError("a cache hit compared two tables")
+
+        monkeypatch.setattr(SymbolTable, "__eq__", compare)
+        assert multiplier_array(op, g) is first
+
+
+class TestSymbolTable:
+    def test_arrays_are_int64_modes_and_float64_values_read_only(self):
+        table = LongRangeOp.custom({(1, -2): 2, (0, 0): 1.5}).symbol
+        modes, values = table.arrays(2)
+        assert modes.dtype == np.int64 and values.dtype == np.float64
+        assert modes.tolist() == [[1, -2], [0, 0]] and values.tolist() == [2.0, 1.5]
+        assert not modes.flags.writeable and not values.flags.writeable
+        with pytest.raises(TypeError):
+            table[(0, 0)] = 3.0
+
+    def test_mixed_table_keeps_order_and_splits_by_dimension(self):
+        source = {(1,): 1.0, (10**30,): 4.0, (1, -2): 2.0, (): 5.0, (1, 2, 3): 6.0, (-1,): 1.0}
+        table = LongRangeOp.custom(source).symbol
+        assert list(table.items()) == list(source.items())
+        assert table[(10**30,)] == 4.0 and (1, -2) in table and (2, 1) not in table
+        assert [a.tolist() for a in table.arrays(1)] == [[[1], [-1]], [1.0, 1.0]]
+        assert [a.tolist() for a in table.arrays(2)] == [[[1, -2]], [2.0]]
+        modes, values = SymbolTable.from_mapping({(1,): 1.0}).arrays(2)
+        assert modes.shape == (0, 2) and values.shape == (0,)
+
+    def test_repeated_rows_keep_the_first_place_and_the_last_value(self):
+        modes = np.array([[0, 1], [2, 3], [0, 1], [4, 5], [2, 3], [0, 1]])
+        values = np.arange(6.0)
+        table = SymbolTable.from_rows(modes, values)
+        expected = {}
+        for mode, value in zip(map(tuple, modes.tolist()), values.tolist()):
+            expected[mode] = value
+        assert list(table.items()) == list(expected.items())
+
+    def test_equality(self):
+        a = LongRangeOp.custom({(0,): 1.0, (1,): 2.0}).symbol
+        assert a == SymbolTable.from_mapping({(0,): 1.0, (1,): 2.0})
+        assert a == SymbolTable.from_mapping({(1,): 2.0, (0,): 1.0})   # order does not count
+        assert a != SymbolTable.from_mapping({(0,): 1.0, (1,): 3.0})
+        assert a != {(0,): 1.0} and a != [(0,), (1,)]
 
 
 class TestOperatorNorm:

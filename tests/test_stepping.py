@@ -729,7 +729,8 @@ class TestKernel:
 
     @pytest.mark.parametrize(
         "name", ["cubic-inverse-laplacian-2d", "cubic-inverse-laplacian-1d", "cubic-none-1d",
-                 "cubic-potential-1d", "linear-helmholtz-2d", "cubic-custom-2d"]
+                 "cubic-potential-1d", "linear-helmholtz-2d", "cubic-custom-2d",
+                 "extension-inverse-laplacian-1d", "linear-extension-none-2d"]
     )
     def test_no_grid_sized_allocation_after_the_first_step(self, name, monkeypatch):
         # Tracing starts once the run has made its first step and its
