@@ -10,10 +10,11 @@ hold at that time, also one a test or a profiler replaced in between.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
-from .errors import PacokError
+from .errors import ConfigError, PacokError
 
 
 def _load_config(args):
@@ -110,11 +111,24 @@ def cmd_energy(args) -> int:
     return 0
 
 
+def _eps_factors(text: str) -> list[float]:
+    factors = []
+    for item in text.split(","):
+        try:
+            factor = float(item)
+        except ValueError:
+            factor = math.nan
+        if not 0.0 < factor < math.inf:
+            raise ConfigError(f"--eps-factors: {item.strip()!r} is not a positive number")
+        factors.append(factor)
+    return factors
+
+
 def cmd_converge(args) -> int:
     from .experiments import RateStudySetup, convergence_setups, rate_study
 
     if args.eps_factors:
-        factors = [float(f) for f in args.eps_factors.split(",")]
+        factors = _eps_factors(args.eps_factors)
         h = 2.0 / args.n
         rows = [
             (f"{factor:g}h", RateStudySetup(n=args.n, epsilon=factor * h, t_end=args.t_end),

@@ -150,11 +150,6 @@ class GridField:
     def constant(cls, grid: PeriodicGrid, value: float) -> "GridField":
         return cls(grid, np.full(grid.shape, float(value)))
 
-    @classmethod
-    def from_function(cls, grid: PeriodicGrid, fn) -> "GridField":
-        """Sample ``fn(*coords)`` on the grid nodes."""
-        return cls(grid, fn(*grid.meshgrid()))
-
     def with_values(self, values) -> "GridField":
         return GridField(self.grid, values)
 

@@ -15,10 +15,10 @@ The traditional linear choice f(s) = s is provided for comparison runs; it
 loses the bound-preservation guarantee.
 
 Bound constants L_W'' = max |W''|, L_f' = max |f'|, L_f'' = max |f''| over
-[0, 1] enter every stability condition.  They are computed by maximization
-over a dyadic grid that holds the extremal points exactly, and
-cross-checked against the closed forms (36, 3/2, 6 for the cubic; 36, 1, 0
-for the linear choice) so future f variants stay honest.
+[0, 1] enter every stability condition.  They are computed on each call,
+with no cache, by maximization over a dyadic grid that holds the extremal
+points exactly, and cross-checked against the closed forms (36, 3/2, 6 for
+the cubic; 36, 1, 0 for the linear choice) so future f variants stay honest.
 
 The explicit right-hand side of one stabilized semi-implicit step is
 
@@ -32,16 +32,16 @@ an external potential U attached) the interaction terms are replaced by
 
 W' and f' share q = p^2 - p: W'(p) = 36 q (2p - 1), and for the cubic
 f'(p) = -6 q.  A :class:`Problem`, built once per run, holds the operator
-arrays and every grid-sized buffer of a time step, and its methods are the
-array kernel of the step: the right-hand side, the solve, and the spectra
-and q the next step and the energy start from.  The kernel writes into its
+arrays, each built once from its symbol with no second copy kept, and every
+grid-sized buffer of a time step, and its methods are the array kernel of
+the step: the right-hand side, the solve, and the spectra and q the next
+step and the energy start from.  The kernel writes into its
 buffers and into arrays its caller passes.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,15 +198,14 @@ _CLOSED_FORM = {
 }
 
 
-@functools.lru_cache(maxsize=None)
 def lipschitz_constants(spec: NonlinearSpec) -> LipschitzConstants:
     """Bound constants computed by grid maximization over [0, 1].
 
     The 1025 nodes k/1024 are dyadic, so the extremal points 0, 1/2 and 1
     of the polynomials are sampled exactly and the maxima come out exact;
-    the result is cross-checked against the closed-form values to 1e-9 at
-    first use.  The constants depend on ``spec.f_kind`` only: the clamped
-    extension agrees with f on [0, 1].
+    the result is cross-checked against the closed-form values to 1e-9 on
+    every call (about 80 us).  The constants depend on ``spec.f_kind``
+    only: the clamped extension agrees with f on [0, 1].
     """
     s = np.linspace(0.0, 1.0, 1025)
     inner = NonlinearSpec(spec.f_kind, use_extension=False)
@@ -311,20 +310,21 @@ class Problem:
         self.offset = self.c if self.fused else 0.0
         self.volume_force = k * tau * params.M
         self.volume = 0.0
+        # Each symbol is built once; its mirror weights overwrite it last.
         symbol = stencil_symbol(grid)
+        denom = self.A + tau * eps * symbol
+        if float(np.min(denom)) < 1.0 - 1e-15:
+            raise AssertionError("implicit solve lost unconditional solvability")
+        self.inverse_denominator = _interleaved(np.divide(1.0, denom, out=denom))
         self.symbol_weights = mirror_weights(symbol)
         self.op_weights = self.multiplier = self.potential_force = None
         if op.kind is not OpKind.NONE:
             op_symbol = multiplier_array(op, grid)
-            self.op_weights = mirror_weights(op_symbol)
             self.multiplier = _interleaved(k * tau * params.gamma * op_symbol)
+            self.op_weights = mirror_weights(op_symbol)
         elif potential_values is not None:
             self.potential_force = k * tau * potential_values + self.offset
             self.potential_force.setflags(write=False)
-        denom = self.A + tau * eps * symbol
-        if float(np.min(denom)) < 1.0 - 1e-15:
-            raise AssertionError("implicit solve lost unconditional solvability")
-        self.inverse_denominator = _interleaved(1.0 / denom)
         self.q = np.empty(grid.shape)
         self.work = np.empty(grid.shape)
         self.clamped = np.empty(grid.shape) if spec.use_extension else None

@@ -18,6 +18,10 @@ the Helmholtz resolvent (I - l^2 Lap)^-1, the thin-film symbol
 (1 - exp(-delta |k|)) / (delta |k|) in physical wavenumbers k = pi m / X,
 or an explicit per-mode table.
 
+Nothing is cached: :func:`stencil_symbol` and :func:`multiplier_array`
+return a new array the caller owns and :func:`mirror_weights` works in
+place, so each owner builds its operator arrays once, with no second copy.
+
 A table is a :class:`SymbolTable`: a read-only mapping ``{mode: value}``
 held as an int64 mode array and a float64 value array.  The CSV loader
 fills the arrays in one ``np.loadtxt`` pass and the multiplier scatters
@@ -207,33 +211,29 @@ class LongRangeOp:
         return cls(OpKind.NONE)
 
 
-# Nothing runs in threads, so the caches need no lock.
-_symbol_cache: dict = {}
-_multiplier_cache: dict = {}
-
-
-def _grid_key(grid: PeriodicGrid):
-    return (grid.sizes, grid.half_extents)
-
-
 def stencil_symbol(grid: PeriodicGrid) -> np.ndarray:
-    """Symbol of -Lap_h over the real-FFT mode layout (all entries >= 0)."""
-    key = _grid_key(grid)
-    cached = _symbol_cache.get(key)
-    if cached is not None:
-        return cached
+    """Symbol of -Lap_h over the real-FFT mode layout (all entries >= 0), a new array."""
     h = grid.spacings
     n = grid.sizes
     if grid.dim == 1:
-        j = np.arange(n[0] // 2 + 1)
-        lam = (4.0 / h[0] ** 2) * np.sin(np.pi * j / n[0]) ** 2
-    else:
-        j1 = np.arange(n[0])[:, None]
-        j2 = np.arange(n[1] // 2 + 1)[None, :]
-        lam = (4.0 / h[0] ** 2) * np.sin(np.pi * j1 / n[0]) ** 2 \
-            + (4.0 / h[1] ** 2) * np.sin(np.pi * j2 / n[1]) ** 2
-    lam.setflags(write=False)
-    _symbol_cache[key] = lam
+        return _axis_symbol(n[0] // 2 + 1, n[0], h[0])
+    col = _axis_symbol(n[0], n[0], h[0])
+    row = _axis_symbol(n[1] // 2 + 1, n[1], h[1])
+    lam = np.empty((n[0], row.size))
+    # Row by row: a broadcast sum would go through numpy's iterator buffers (~128 kB).
+    for i, value in enumerate(col):
+        np.add(value, row, out=lam[i])
+    return lam
+
+
+def _axis_symbol(count: int, n: int, h: float) -> np.ndarray:
+    """(4/h^2) sin^2(pi j / n) for j = 0, ..., count - 1, with no temporary."""
+    lam = np.arange(count, dtype=np.float64)
+    lam *= np.pi
+    lam /= n
+    np.sin(lam, out=lam)
+    np.square(lam, out=lam)
+    lam *= 4.0 / h ** 2
     return lam
 
 
@@ -286,48 +286,37 @@ def _custom_multiplier(op: LongRangeOp, grid: PeriodicGrid) -> np.ndarray:
 
 
 def multiplier_array(op: LongRangeOp, grid: PeriodicGrid) -> np.ndarray:
-    """Fourier multiplier of ``op`` over the real-FFT mode layout.
+    """Fourier multiplier of ``op`` over the real-FFT mode layout, a new array the caller owns.
 
-    Built once per operator and grid and cached read-only.  A custom table
-    is validated against the grid (complete and even) once, when its
-    multiplier is built.
+    A custom table is validated against the grid (complete and even) each
+    time its multiplier is built.
     """
     if op.kind is OpKind.NONE:
         raise ConfigError("cannot apply a long-range operator of kind 'none'")
-    if op.kind is OpKind.CUSTOM_SYMBOL:
-        # Keyed by the table's identity, so no lookup compares tables; the
-        # entry holds the table, so no other table can take its id.
-        key, owner = (id(op.symbol), _grid_key(grid)), op.symbol
-    else:
-        key, owner = (op.kind, op.gamma_len, op.delta, _grid_key(grid)), None
-    cached = _multiplier_cache.get(key)
-    if cached is not None:
-        return cached[1]
     if op.kind is OpKind.INVERSE_LAPLACIAN:
-        lam = stencil_symbol(grid)
-        with np.errstate(divide="ignore"):
-            mult = np.where(lam > 0.0, 1.0 / np.where(lam > 0.0, lam, 1.0), 0.0)
-    elif op.kind is OpKind.HELMHOLTZ:
-        mult = 1.0 / (1.0 + op.gamma_len ** 2 * stencil_symbol(grid))
-    elif op.kind is OpKind.GARNET_FILM:
-        kmag = _wavenumber_magnitude(grid)
-        dk = op.delta * kmag
+        mult = stencil_symbol(grid)
+        return np.divide(1.0, mult, out=mult, where=mult > 0.0)   # the zero mode stays 0
+    if op.kind is OpKind.HELMHOLTZ:
+        mult = stencil_symbol(grid)
+        mult *= op.gamma_len ** 2
+        mult += 1.0
+        return np.divide(1.0, mult, out=mult)
+    if op.kind is OpKind.GARNET_FILM:
+        dk = op.delta * _wavenumber_magnitude(grid)
         with np.errstate(divide="ignore", invalid="ignore"):
-            mult = np.where(dk > 0.0, -np.expm1(-dk) / np.where(dk > 0.0, dk, 1.0), 1.0)
-    else:
-        mult = _custom_multiplier(op, grid)
-    mult.setflags(write=False)
-    _multiplier_cache[key] = (owner, mult)
-    return mult
+            return np.where(dk > 0.0, -np.expm1(-dk) / np.where(dk > 0.0, dk, 1.0), 1.0)
+    return _custom_multiplier(op, grid)
 
 
 def mirror_weights(symbol: np.ndarray) -> np.ndarray:
-    """``symbol`` times the number of DFT modes each rfftn half-spectrum entry stands for:
-    every column but the first and the last (modes 0 and n/2) also stands for its mirror."""
-    weights = 2.0 * symbol
-    weights[..., 0] = symbol[..., 0]
-    weights[..., -1] = symbol[..., -1]
-    return weights
+    """``symbol`` times, in place, the number of DFT modes each rfftn half-spectrum entry
+    stands for: every column but the first and the last (modes 0 and n/2) also stands
+    for its mirror.  Returns ``symbol``."""
+    first, last = symbol[..., 0].copy(), symbol[..., -1].copy()
+    symbol *= 2.0
+    symbol[..., 0] = first
+    symbol[..., -1] = last
+    return symbol
 
 
 def estimate_linf_norm(op: LongRangeOp, grid: PeriodicGrid) -> float:

@@ -179,3 +179,12 @@ def test_converge_with_a_benchmark_step_no_finer_than_the_steps_exits_2(capsys):
             "--bench-tau", "5e-4", "--t-end", "0.004"]
     assert cli.main(argv) == 2
     assert "benchmark step must be below 0.0005, got 0.0005" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("factors, bad", [("abc", "abc"), ("4,x2", "x2"), ("4,,2", ""),
+                                          ("4, nan", "nan"), ("0", "0"), ("-1", "-1"),
+                                          ("inf", "inf")])
+def test_converge_with_a_factor_that_is_not_a_positive_number_exits_2(factors, bad, capsys):
+    assert cli.main(["converge", "--eps-factors", factors, "--n", "16"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: config: --eps-factors: {bad!r} is not a positive number\n"

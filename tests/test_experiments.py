@@ -7,7 +7,13 @@ import pytest
 
 import pacok
 from pacok.errors import ConfigError
-from pacok.experiments import RateStudySetup, count_bumps, pvism_compare, rate_study
+from pacok.experiments import (
+    RateStudySetup,
+    coarsening_run,
+    count_bumps,
+    pvism_compare,
+    rate_study,
+)
 from pacok.grid import GridField, PeriodicGrid
 from pacok.stepping import MPP_TOL
 
@@ -127,6 +133,17 @@ def test_successive_difference_rate_is_first_order():
     result = rate_study(1e-4, 5, 4e-6, setup)
     assert len(result.rates) == 4 and len(result.successive_rates) == 3
     assert 0.9 <= result.successive_rates[-1] <= 1.1
+
+
+@pytest.mark.slow
+def test_desk_1d_coarsening_keeps_the_maximum_principle():
+    # Paper claim at desk scale: the certified g500 run (100000 steps, about
+    # 7 s) keeps phi in [0, 1]; here it stays in [1.4e-10, 0.99982].
+    result = coarsening_run(1, "g500", "desk", tol=0.0)
+    assert result.report.mpp_ok
+    assert result.final.step_index == 100_000
+    for record in result.records:
+        assert -MPP_TOL <= record.phi_min and record.phi_max <= 1.0 + MPP_TOL
 
 
 def test_solvation_cubic_indicator_stays_in_bounds_and_linear_leaves_them():

@@ -117,14 +117,14 @@ class TestLipschitzConstants:
             float(np.max(np.abs(f_prime(inner, s)))),
             float(np.max(np.abs(f_pprime(inner, s)))),
         )
-        lc = lipschitz_constants.__wrapped__(spec)
+        lc = lipschitz_constants(spec)
         assert (lc.L_Wpp, lc.L_fp, lc.L_fpp) == dense
 
     @pytest.mark.parametrize("spec", ALL_SPECS)
     def test_peak_memory_below_one_megabyte(self, spec):
         tracemalloc.start()
         try:
-            lipschitz_constants.__wrapped__(spec)
+            lipschitz_constants(spec)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
