@@ -129,7 +129,7 @@ def cmd_converge(args) -> int:
 
     if args.eps_factors:
         factors = _eps_factors(args.eps_factors)
-        h = 2.0 / args.n
+        h = RateStudySetup(n=args.n).grid().spacings[0]   # refuses a bad --n first
         rows = [
             (f"{factor:g}h", RateStudySetup(n=args.n, epsilon=factor * h, t_end=args.t_end),
              args.base_tau, args.levels, args.bench_tau)

@@ -15,10 +15,11 @@ Parseval's identity from two half spectra: the field's, rfftn(P), and the
 mismatch's, rfftn(f(P) - omega), whose zero mode also gives the volume
 term.  A time step computes both, and q = P^2 - P, which gives the well
 part.  :func:`spectral_energy` takes the energy from these with no
-grid-sized temporary; the run loop calls it on its kernel's arrays and
-:func:`discrete_energy` on a field's, so there is one energy formula.
-Without a long-range operator there is no mismatch spectrum, and the
-interaction and volume parts are real-space sums.
+grid-sized temporary.  :func:`problem_energy` calls it on the arrays a run's
+:class:`pacok.physics.Problem` holds, and :func:`discrete_energy`, the
+reference energy of a field, on spectra it computes, so there is one energy
+formula.  Without a long-range operator there is no mismatch spectrum, and
+the interaction and volume parts are real-space sums.
 """
 
 from __future__ import annotations
@@ -101,33 +102,27 @@ def discrete_energy(
     spec: NonlinearSpec,
     op: LongRangeOp,
     potential: GridField | None = None,
-    *,
-    phi_hat: np.ndarray | None = None,
-    mismatch_hat: np.ndarray | None = None,
 ) -> EnergyBreakdown:
     """Evaluate the discrete energy of ``phi`` term by term.
 
-    ``phi_hat`` = rfftn(phi) and ``mismatch_hat`` = rfftn(f(phi) - omega)
-    are the half spectra a state returned by :func:`pacok.stepping.step`
-    carries; each one not given is computed from ``phi``.  Given those a
-    state carries, it allocates about one grid field: q, whose array then
-    takes f(phi) or f(phi) - omega without an operator, then the symbols'
-    mirror weights.
+    It computes rfftn(phi) and, with a long-range operator,
+    rfftn(f(phi) - omega); q = phi^2 - phi takes a grid field, whose array
+    then takes f(phi) or f(phi) - omega, and goes before the symbols'
+    mirror weights are built.
     """
     grid = phi.grid
     v = phi.values
-    if phi_hat is None:
-        phi_hat = np.fft.rfftn(v)
+    phi_hat = np.fft.rfftn(v)
     work = v * v
     work -= v
     q_squares = _dot(work, work)
-    volume, interaction, op_weights = 0.0, None, None
+    volume, interaction, mismatch_hat, op_weights = 0.0, None, None, None
     if potential is not None:
         mismatch_values(spec, v, 0.0, work)   # f(phi)
         interaction = grid.cell_measure * _dot(work, potential.values)
     elif op.kind is OpKind.NONE:
         volume = grid.cell_measure * float(np.sum(mismatch_values(spec, v, params.omega, work)))
-    elif mismatch_hat is None:
+    else:
         mismatch_hat = np.fft.rfftn(mismatch_values(spec, v, params.omega, work))
     del work   # the weights below take its place
     if op.kind is not OpKind.NONE:
@@ -138,13 +133,15 @@ def discrete_energy(
     )
 
 
-def problem_energy(problem: Problem, s: np.ndarray, phi_hat, mismatch_hat) -> EnergyBreakdown:
-    """The energy of a problem's current field ``s``: :func:`discrete_energy`'s sums, bit for bit."""
+def problem_energy(problem: Problem, s: np.ndarray) -> EnergyBreakdown:
+    """The energy of a problem's current field ``s`` from the spectra the
+    problem holds: :func:`discrete_energy`'s sums, bit for bit."""
     pot, interaction = problem.potential_values, None
     if pot is not None:
         f_values = mismatch_values(problem.spec, s, 0.0, problem.work, problem.clamped)
         interaction = problem.grid.cell_measure * _dot(f_values, pot)
     return spectral_energy(
-        problem.params, problem.grid, _dot(problem.q, problem.q), phi_hat, problem.symbol_weights,
-        mismatch_hat, problem.op_weights, problem.volume, interaction,
+        problem.params, problem.grid, _dot(problem.q, problem.q), problem.phi_hat,
+        problem.symbol_weights, problem.mismatch_hat, problem.op_weights, problem.volume,
+        interaction,
     )

@@ -35,8 +35,8 @@ f'(p) = -6 q.  A :class:`Problem`, built once per run, holds the operator
 arrays, each built once from its symbol with no second copy kept, and every
 grid-sized buffer of a time step, and its methods are the array kernel of
 the step: the right-hand side, the solve, and the spectra and q the next
-step and the energy start from.  The kernel writes into its
-buffers and into arrays its caller passes.
+step and the energy start from.  The problem owns those spectra; the kernel
+writes into its buffers and into the field its caller passes.
 """
 
 from __future__ import annotations
@@ -279,12 +279,14 @@ class Problem:
     (see :func:`_interleaved`); the energy takes the symbols' mirror
     weights, ``symbol_weights`` and ``op_weights``.
 
-    ``q`` and, without a long-range operator or potential, ``volume`` belong
-    to the field last passed to :meth:`load` or produced by :meth:`advance`.
-    The run loop ping-pongs its fields through ``fields`` and writes its
-    spectra into ``phi_hat`` and ``mismatch_hat``
+    ``q``, the mismatch spectrum ``mismatch_hat`` (None without a long-range
+    operator) and, without an operator or potential, ``volume`` belong to the
+    field last passed to :meth:`load` or produced by :meth:`advance`;
+    ``phi_hat`` is the solve spectrum of the field :meth:`advance` produced.
+    The run loop ping-pongs its fields through ``fields``
     (:meth:`allocate_run_buffers`).  ``work``, ``product``, and for the clamped
-    extensions ``clamped`` and ``outside``, are scratch.
+    extensions ``clamped`` and ``outside``, are scratch.  The transforms act
+    on the trailing ``grid.dim`` axes.
     """
 
     def __init__(
@@ -299,7 +301,7 @@ class Problem:
             raise ConfigError("an external potential requires operator kind 'none'")
         self.grid, self.params, self.spec, self.op = grid, params, spec, op
         self.potential_values = potential_values
-        self.axes = tuple(range(grid.dim))
+        self.axes = tuple(range(-grid.dim, 0))
         self.half_shape = grid.shape[:-1] + (grid.shape[-1] // 2 + 1,)
         tau, eps = params.tau, params.epsilon
         self.fused = spec.f_kind is FKind.CUBIC_HERMITE and not spec.use_extension
@@ -330,17 +332,16 @@ class Problem:
         self.clamped = np.empty(grid.shape) if spec.use_extension else None
         linear_extension = spec.use_extension and spec.f_kind is FKind.LINEAR
         self.outside = np.empty(grid.shape, dtype=bool) if linear_extension else None
-        # A step's scratch spectrum is its output mismatch spectrum, if it has one.
-        needs_scratch = grid.dim == 2 and self.multiplier is None
-        self.product = np.empty(self.half_shape, complex) if needs_scratch else None
-        self.fields = self.phi_hat = self.mismatch_hat = None
+        self.phi_hat = np.empty(self.half_shape, complex)
+        self.mismatch_hat = None if self.multiplier is None else np.empty(self.half_shape, complex)
+        # The inverse transforms' scratch spectrum is the mismatch spectrum, if there is one.
+        needs_scratch = grid.dim > 1 and self.mismatch_hat is None
+        self.product = np.empty(self.half_shape, complex) if needs_scratch else self.mismatch_hat
+        self.fields = None
 
     def allocate_run_buffers(self) -> None:
-        """The two fields and the two spectra the run loop writes its steps into."""
+        """The two fields the run loop writes its steps into, in turn."""
         self.fields = (np.empty(self.grid.shape), np.empty(self.grid.shape))
-        self.phi_hat = np.empty(self.half_shape, complex)
-        if self.multiplier is not None:
-            self.mismatch_hat = np.empty(self.half_shape, complex)
 
     def built_from(self, grid, params, spec, op, potential_values) -> bool:
         return (
@@ -350,48 +351,40 @@ class Problem:
 
     def forward(self, x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
         """rfftn(x) into ``out``, or into a new array when it is None."""
-        if self.grid.dim == 1:
-            return np.fft.rfft(x, out=out)
-        return np.fft.rfftn(x, axes=self.axes, out=out)
+        # Given the shape, numpy need not derive it from the axes, which costs
+        # as much as a small 1D transform.
+        return np.fft.rfftn(x, self.grid.shape, self.axes, out=out)
 
-    def inverse(self, spectrum: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-        """irfftn(spectrum) into ``out``; in 2D the first pass goes into ``scratch``."""
-        n = self.grid.shape[-1]
-        if self.grid.dim == 1:
-            return np.fft.irfft(spectrum, n, out=out)
-        np.fft.ifft(spectrum, axis=0, out=scratch)
-        return np.fft.irfft(scratch, n, axis=1, out=out)
+    def inverse(self, spectrum: np.ndarray, out: np.ndarray, scratch) -> np.ndarray:
+        """irfftn(spectrum) into ``out``; the passes over the leading axes go into ``scratch``."""
+        for axis in self.axes[:-1]:
+            spectrum = np.fft.ifft(spectrum, axis=axis, out=scratch)
+        return np.fft.irfft(spectrum, self.grid.shape[-1], axis=-1, out=out)
 
-    def load(self, s: np.ndarray, mismatch_hat=None, into=None) -> np.ndarray | None:
-        """Make ``s`` the current field: set q and the volume term for it.
-
-        Returns its mismatch spectrum (None without a long-range operator):
-        ``mismatch_hat`` if given, else computed into ``into`` (a new array
-        when it is None).
-        """
+    def load(self, s: np.ndarray) -> None:
+        """Make ``s`` the current field: set q, and its mismatch spectrum or volume term."""
         if self.multiplier is not None:
-            if mismatch_hat is None:
-                f = mismatch_values(self.spec, s, self.params.omega, self.work, self.clamped)
-                mismatch_hat = self.forward(f, into)
+            f = mismatch_values(self.spec, s, self.params.omega, self.work, self.clamped)
+            self.forward(f, self.mismatch_hat)
         elif self.potential_values is None:
             f = mismatch_values(self.spec, s, self.params.omega, self.work, self.clamped)
             self.volume = self.grid.cell_measure * float(np.sum(f))
         np.multiply(s, s, out=self.q)
         self.q -= s
-        return mismatch_hat
 
-    def force(self, mismatch_hat: np.ndarray | None, scratch: np.ndarray | None):
+    def force(self):
         """k g plus ``offset`` for the current field: an array, or a scalar without one.
 
-        The multiplied spectrum goes into ``scratch``, which may be ``mismatch_hat``.
+        The multiplied spectrum overwrites ``mismatch_hat``.
         """
         if self.multiplier is None:
             if self.potential_force is not None:
                 return self.potential_force
             return self.volume_force * self.volume + self.offset
-        volume = self.grid.cell_measure * float(mismatch_hat[(0,) * self.grid.dim].real)
-        np.multiply(mismatch_hat.view(np.float64), self.multiplier, out=scratch.view(np.float64))
-        g = self.inverse(scratch, self.work, scratch)
+        spectrum = self.mismatch_hat
+        volume = self.grid.cell_measure * float(spectrum[(0,) * self.grid.dim].real)
+        np.multiply(spectrum.view(np.float64), self.multiplier, out=spectrum.view(np.float64))
+        g = self.inverse(spectrum, self.work, spectrum)
         g += self.volume_force * volume + self.offset
         return g
 
@@ -426,30 +419,22 @@ class Problem:
         slope *= g
         return slope
 
-    def advance(
-        self,
-        s: np.ndarray,
-        mismatch_hat: np.ndarray | None,
-        out: np.ndarray,
-        phi_hat: np.ndarray,
-        mismatch_out: np.ndarray | None,
-    ) -> float:
+    def advance(self, s: np.ndarray, out: np.ndarray) -> float:
         """One step from the current field ``s``; returns ||P_new - s||_inf.
 
         The new field, which becomes the current one, goes into ``out``, its
         solve spectrum into ``phi_hat`` and its mismatch spectrum into
-        ``mismatch_out`` (scratch until then; it may be ``mismatch_hat``).
-        A non-finite value anywhere makes the increment non-finite.
+        ``mismatch_hat``.  A non-finite value anywhere makes the increment
+        non-finite.
         """
-        scratch = self.product if mismatch_out is None else mismatch_out
-        self.rhs(s, self.force(mismatch_hat, scratch), out)
-        self.forward(out, phi_hat)
-        solve = phi_hat.view(np.float64)
+        self.rhs(s, self.force(), out)
+        self.forward(out, self.phi_hat)
+        solve = self.phi_hat.view(np.float64)
         solve *= self.inverse_denominator   # the division by the denominator
-        self.inverse(phi_hat, out, scratch)
+        self.inverse(self.phi_hat, out, self.product)
         change = np.subtract(out, s, out=self.work)
         increment = float(np.abs(change, out=change).max())
-        self.load(out, into=mismatch_out)
+        self.load(out)
         return increment
 
 

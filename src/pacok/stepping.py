@@ -22,13 +22,15 @@ mismatch spectrum and q = P^2 - P by Parseval's identity
 further transform.
 
 A step is the array kernel of :class:`pacok.physics.Problem`, which holds
-the operator arrays and every buffer.  :func:`step` allocates the three
-arrays its returned state owns and runs the kernel once.  :func:`run`
-builds one problem for the whole run and loads its starting field into it,
-so the first row's energy comes from the kernel like every later one; it
-makes its first step through :func:`step` and the rest in the kernel alone,
-on the problem's buffers (two fields in turn, and the spectra), allocating
-no grid-sized array but a copy of the field at each snapshot time.
+the operator arrays, every buffer and both spectra; a :class:`SchemeState`
+holds only the field.  :func:`step` loads the state's field into the
+problem, allocates the new field its returned state owns and runs the
+kernel once.  :func:`run` builds one problem for the whole run and loads
+its starting field into it, so the first row's energy comes from the
+kernel like every later one; it makes its first step through :func:`step`
+and the rest in the kernel alone, on the problem's buffers (two fields in
+turn), allocating no grid-sized array but a copy of the field at each
+snapshot time.
 
 Two parameter conditions certify qualitative guarantees, both checked with
 the max-norm estimate of the long-range operator:
@@ -49,7 +51,7 @@ possible and are only reported, not raised.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,22 +69,14 @@ ENERGY_TOL = 1e-9
 class SchemeState:
     """Current iterate, its step index, physical time, and last increment.
 
-    A state returned by :func:`step` or :func:`run` also carries two
-    read-only half spectra the step computed: ``phi_hat`` = rfftn(phi), the
-    solve spectrum, and ``mismatch_hat`` = rfftn(f(phi) - omega) under the
-    spec and omega of that step (None without a long-range operator).
-    :func:`step` and :func:`pacok.energy.discrete_energy` reuse them, so a
-    state is advanced with the spec and parameters that made it; :func:`run`
-    computes both for its start.  A bare state, such as a snapshot state of
-    :func:`run`, carries neither.  They take no part in ``==`` or ``repr``.
+    A state holds no spectrum: the run's :class:`pacok.physics.Problem`
+    owns the solve and mismatch spectra.
     """
 
     phi: GridField
     step_index: int = 0
     time: float = 0.0
     last_increment_linf: float = math.inf
-    phi_hat: np.ndarray | None = field(default=None, compare=False, repr=False)
-    mismatch_hat: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def initial(cls, phi: GridField) -> "SchemeState":
@@ -180,10 +174,10 @@ def step(
 ) -> SchemeState:
     """Advance one step; deterministic for identical inputs on a fixed platform.
 
-    The result is the same, bit for bit, whether or not ``state`` carries
-    its mismatch spectrum.  ``problem`` holds the operator arrays and work
-    buffers; it must have been built from the same arguments, and without
-    it one is built here.  The returned state owns its three arrays.
+    ``problem`` holds the operator arrays and work buffers; it must have been
+    built from the same arguments, and without it one is built here.  The
+    step loads ``state.phi`` into it and leaves the new field's q and
+    spectra there.  The returned state owns its field, a new array.
     """
     grid = state.phi.grid
     pot = potential.values if potential is not None else None
@@ -193,24 +187,14 @@ def step(
         raise ValueError("problem was built for other arguments than this step's")
     n_new = state.step_index + 1
     phi_new = np.empty(grid.shape)
-    phi_hat = np.empty(problem.half_shape, complex)
-    mismatch_hat = None if problem.multiplier is None else np.empty(problem.half_shape, complex)
     # A non-finite value anywhere makes the increment non-finite, reported
     # as BlowupError, so the overflow warnings on the way are suppressed.
     with np.errstate(over="ignore", invalid="ignore"):
-        carried = problem.load(state.phi.values, state.mismatch_hat, into=mismatch_hat)
-        increment = problem.advance(state.phi.values, carried, phi_new, phi_hat, mismatch_hat)
+        problem.load(state.phi.values)
+        increment = problem.advance(state.phi.values, phi_new)
     if not math.isfinite(increment):
         raise BlowupError(n_new)
-    return _state(grid, n_new, params.tau, increment, phi_new, phi_hat, mismatch_hat)
-
-
-def _state(grid, n, tau, increment, phi, phi_hat, mismatch_hat) -> SchemeState:
-    """A state that takes these arrays, made read-only."""
-    for spectrum in (phi_hat, mismatch_hat):
-        if spectrum is not None:
-            spectrum.setflags(write=False)
-    return SchemeState(GridField._checked(grid, phi), n, n * tau, increment, phi_hat, mismatch_hat)
+    return SchemeState(GridField._checked(grid, phi_new), n_new, n_new * params.tau, increment)
 
 
 @dataclass(frozen=True)
@@ -225,12 +209,12 @@ class StepRecord:
     increment: float
 
 
-def _checked_energy(n: int, problem: Problem, s, phi_hat, mismatch_hat) -> float:
+def _checked_energy(n: int, problem: Problem, s) -> float:
     """Total energy of the problem's current field ``s``, at step ``n``; a non-finite one is a blowup."""
     # The overflow warnings on the way to a non-finite energy are suppressed
     # because the result is checked and reported as BlowupError.
     with np.errstate(over="ignore", invalid="ignore"):
-        total = problem_energy(problem, s, phi_hat, mismatch_hat).total
+        total = problem_energy(problem, s).total
     if not math.isfinite(total):
         raise BlowupError(n, f"non-finite energy at step {n}")
     return total
@@ -273,10 +257,10 @@ def run(
 
     Every energy comes from :func:`pacok.energy.problem_energy`, on the
     field and spectra the run's :class:`pacok.physics.Problem` holds; the
-    start's two spectra are computed here, whatever ``state0`` carries.
-    The first step is a call of :func:`step`, the kernel makes the others,
-    and the returned state takes the buffers it wrote last (``state0``
-    itself when there is nothing to step).
+    start's two spectra are computed here.  The first step is a call of
+    :func:`step`, the kernel makes the others, and the returned state takes
+    the field buffer the kernel wrote last (``state0`` itself when there is
+    nothing to step).
     """
     if t_max <= 0.0:
         raise ConfigError(f"t_max must be positive, got {t_max}")
@@ -291,8 +275,9 @@ def run(
     problem = Problem(grid, params, spec, op, None if potential is None else potential.values)
     n, s = state0.step_index, state0.phi.values
     with np.errstate(over="ignore", invalid="ignore"):
-        mismatch_hat = problem.load(s)   # a new spectrum, None without an operator
-    last_energy = _checked_energy(n, problem, s, problem.forward(s, None), mismatch_hat)
+        problem.load(s)
+    problem.forward(s, problem.phi_hat)
+    last_energy = _checked_energy(n, problem, s)
     lo, hi = float(s.min()), float(s.max())
     if report.mpp_ok and _outside_bounds(lo, hi):
         raise ConfigError(
@@ -307,25 +292,20 @@ def run(
     n_steps, snapshot_steps = ends[-1], set(ends[1:-1]) - {ends[-1]}
     if n_steps == 0:
         return state0, records
-    state = step(replace(state0, mismatch_hat=mismatch_hat), params, spec, op, potential,
-                 problem=problem)
-    del mismatch_hat   # the start's spectra go before the run's buffers come
+    state = step(state0, params, spec, op, potential, problem=problem)
     problem.allocate_run_buffers()
-    # step left q and the volume term for its field in the problem.
+    # step left q, the spectra and the volume term for its field in the problem.
     n, increment, s = state.step_index, state.last_increment_linf, state.phi.values
-    phi_hat, mismatch_hat = state.phi_hat, state.mismatch_hat
-    del state   # the kernel holds what it needs of it
+    del state   # its field goes once the kernel has stepped past it
     for k in range(1, n_steps + 1):
         if k > 1:
             out = problem.fields[k % 2]
             with np.errstate(over="ignore", invalid="ignore"):
-                increment = problem.advance(
-                    s, mismatch_hat, out, problem.phi_hat, problem.mismatch_hat
-                )
+                increment = problem.advance(s, out)
             n += 1
             if not math.isfinite(increment):
                 raise BlowupError(n)
-            s, phi_hat, mismatch_hat = out, problem.phi_hat, problem.mismatch_hat
+            s = out
         stopping = tol > 0.0 and increment / params.tau <= tol
         snapshot = k in snapshot_steps and not stopping
         recording = k % record_every == 0 or k == n_steps or stopping or snapshot
@@ -337,7 +317,7 @@ def run(
                 )
         energy = None
         if report.es_ok or recording:
-            energy = _checked_energy(n, problem, s, phi_hat, mismatch_hat)
+            energy = _checked_energy(n, problem, s)
         if report.es_ok:
             if energy > last_energy + ENERGY_TOL * (1.0 + abs(last_energy)):
                 raise EnergyIncreaseError(
@@ -352,4 +332,4 @@ def run(
             on_snapshot(SchemeState(field, n, n * params.tau, increment))
         if stopping:
             break
-    return _state(grid, n, params.tau, increment, s, phi_hat, mismatch_hat), records
+    return SchemeState(GridField._checked(grid, s), n, n * params.tau, increment), records

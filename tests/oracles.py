@@ -56,15 +56,12 @@ def mismatch_spectrum(phi_values, spec, omega) -> np.ndarray:
     return np.fft.rfftn(f_eval(spec, phi_values) - omega)
 
 
-def assemble_rhs_array(
-    phi_values, grid, params, spec, op, potential_values=None, mismatch_hat=None, *, problem=None
-):
+def assemble_rhs_array(phi_values, grid, params, spec, op, potential_values=None, *, problem=None):
     """A new array holding the kernel's right-hand side of one step from ``phi_values``."""
     if problem is None:
         problem = Problem(grid, params, spec, op, potential_values)
-    scratch = np.empty(problem.half_shape, complex)
-    mismatch_hat = problem.load(phi_values, mismatch_hat, into=scratch)
-    return problem.rhs(phi_values, problem.force(mismatch_hat, scratch), np.empty(grid.shape))
+    problem.load(phi_values)
+    return problem.rhs(phi_values, problem.force(), np.empty(grid.shape))
 
 
 def assemble_rhs(phi, params, spec, op, potential=None) -> GridField:

@@ -188,3 +188,10 @@ def test_converge_with_a_factor_that_is_not_a_positive_number_exits_2(factors, b
     assert cli.main(["converge", "--eps-factors", factors, "--n", "16"]) == 2
     err = capsys.readouterr().err
     assert err == f"error: config: --eps-factors: {bad!r} is not a positive number\n"
+
+
+@pytest.mark.parametrize("n", [0, -2, 3])
+def test_converge_with_a_grid_size_that_is_not_an_even_integer_of_at_least_4_exits_2(n, capsys):
+    assert cli.main(["converge", "--eps-factors", "4", "--n", str(n)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: config: grid size must be an even integer >= 4, got {n}\n"

@@ -358,10 +358,9 @@ class TestRhsKernel:
         expected = rhs_oracle(phi, g, self.PARAMS, spec, op, pot)
         scale = max(1.0, float(np.max(np.abs(expected))))
         problem = Problem(g, self.PARAMS, spec, op, pot)
-        carried = None if problem.multiplier is None else mismatch_spectrum(phi, spec, 0.3)
         for out in (
             assemble_rhs_array(phi, g, self.PARAMS, spec, op, pot),
-            assemble_rhs_array(phi, g, self.PARAMS, spec, op, pot, carried, problem=problem),
+            assemble_rhs_array(phi, g, self.PARAMS, spec, op, pot, problem=problem),
         ):
             assert np.max(np.abs(out - expected)) <= 1e-12 * scale
 
@@ -383,12 +382,13 @@ class TestRhsKernel:
 
     @pytest.mark.parametrize("spec", ALL_SPECS)
     def test_problem_mismatch_spectrum_is_bit_identical(self, spec):
-        # The spectrum a run starts from: loaded into the kernel, not carried.
+        # The spectrum a run and a step start from, loaded into the kernel.
         for g in (PeriodicGrid((8, 12), (1.0, 1.0)), PeriodicGrid((24,), (1.0,))):
             phi = np.random.default_rng(5).uniform(-0.3, 1.3, size=g.shape)
             problem = Problem(g, self.PARAMS, spec, LongRangeOp.inverse_laplacian())
-            loaded = problem.load(phi, None, into=np.empty(problem.half_shape, complex))
-            assert np.array_equal(loaded, mismatch_spectrum(phi, spec, self.PARAMS.omega))
+            problem.load(phi)
+            assert np.array_equal(problem.mismatch_hat,
+                                  mismatch_spectrum(phi, spec, self.PARAMS.omega))
 
     @pytest.mark.parametrize("spec", ALL_SPECS)
     @pytest.mark.parametrize("omega", [0.0, 0.3])
@@ -415,6 +415,18 @@ class TestRhsKernel:
         mult = 6.0 * p.tau * p.gamma * multiplier_array(LongRangeOp.inverse_laplacian(), g)
         scaled = spectrum.view(np.float64) * problem.multiplier
         assert np.array_equal(scaled, (spectrum * mult).view(np.float64))
+
+    @pytest.mark.parametrize("sizes", [(16,), (8, 12)])
+    def test_transforms_act_on_the_trailing_axes(self, sizes):
+        # A leading batch axis transforms member by member.
+        g = PeriodicGrid(sizes, (1.0,) * len(sizes))
+        problem = Problem(g, self.PARAMS, CUBIC, LongRangeOp.inverse_laplacian())
+        batch = np.random.default_rng(8).standard_normal((3,) + g.shape)
+        spectra = problem.forward(batch, None)
+        back = problem.inverse(spectra, np.empty_like(batch), np.empty_like(spectra))
+        for member, spectrum, field in zip(batch, spectra, back):
+            assert np.array_equal(spectrum, np.fft.rfftn(member))
+            assert np.array_equal(field, np.fft.irfftn(spectrum, g.shape, problem.axes))
 
     def test_potential_requires_none_operator(self):
         g = PeriodicGrid((16,), (1.0,))

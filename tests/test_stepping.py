@@ -1,10 +1,11 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from pacok import experiments, stepping
-from pacok.energy import discrete_energy
+from pacok.energy import problem_energy
 from pacok.errors import BlowupError, ConfigError, EnergyIncreaseError, MppViolationError
 from pacok.experiments import coarsening_preset, initial_random_piecewise, run_with_snapshots
 from pacok.grid import GridField, PeriodicGrid
@@ -17,7 +18,7 @@ from pacok.physics import (
     f_eval,
     f_prime,
 )
-from pacok.spectral import LongRangeOp, OpKind, estimate_linf_norm
+from pacok.spectral import LongRangeOp, estimate_linf_norm
 from pacok.stepping import (
     ConditionReport,
     SchemeState,
@@ -193,21 +194,18 @@ class TestStep:
         problem = Problem(g, p, CUBIC, op)
         first = step(SchemeState.initial(GridField(g, rng.uniform(0.0, 1.0, g.shape))),
                      p, CUBIC, op, problem=problem)
-        carried = [a for a in (first.phi.values, first.phi_hat, first.mismatch_hat)
-                   if a is not None]
-        saved = [a.copy() for a in carried]
+        saved = first.phi.values.copy()
         state = first
         for _ in range(3):
             state = step(state, p, CUBIC, op, problem=problem)
-        for array, copy in zip(carried, saved):
-            assert not array.flags.writeable
-            assert np.array_equal(array, copy)
+        assert not first.phi.values.flags.writeable
+        assert np.array_equal(first.phi.values, saved)
         again = step(first, p, CUBIC, op)   # a fresh problem gives the same step
         assert np.array_equal(again.phi.values, step(first, p, CUBIC, op, problem=problem).phi.values)
 
 
 class TestStepMemory:
-    """A step allocates, of grid size, only the arrays its state carries."""
+    """A step allocates, of grid size, only the field its state owns."""
 
     @staticmethod
     def setup(n):
@@ -221,11 +219,10 @@ class TestStepMemory:
         return SchemeState.initial(initial_random_piecewise(g, 0.0, 0.8, 8, seed=3)), p
 
     @pytest.mark.parametrize("n", [128, 256])
-    def test_step_after_the_first_peaks_below_4_1_fields(self, n, monkeypatch):
-        # phi, phi_hat and mismatch_hat make 3 fields (each half spectrum a
-        # little over one); the inverse transforms go through the problem's
-        # scratch spectrum.  run makes only its first step through step, so
-        # this measures step itself, called with the run's problem.
+    def test_step_after_the_first_peaks_below_1_05_fields(self, n, monkeypatch):
+        # The new field; the spectra and every transform's scratch are the
+        # problem's.  run makes only its first step through step, so this
+        # measures step itself, called with the run's problem.
         state0, p = self.setup(n)
         op = LongRangeOp.inverse_laplacian()
         real_step = stepping.step
@@ -241,13 +238,14 @@ class TestStepMemory:
                     growth.append(tracemalloc.get_traced_memory()[1] - base)
                 finally:
                     tracemalloc.stop()
+                new = real_step(state, *args, **kwargs)   # the problem holds step 1 again
             return new
 
         monkeypatch.setattr(stepping, "step", measured_step)
         run(state0, p, CUBIC, op, t_max=2 * p.tau, tol=0.0)
         field_bytes = 8 * n * n
         assert len(growth) == 1
-        assert growth[0] <= 4.1 * field_bytes
+        assert growth[0] <= 1.05 * field_bytes
 
 
 class TestRun:
@@ -425,13 +423,13 @@ class TestResumedRun:
         rough = np.where(np.arange(state.phi.grid.sizes[0]) % 2 == 0, 0.0, 1.0)
         calls = []
 
-        def advance_with_rise(problem, s, mismatch_hat, out, phi_hat, mismatch_out):
-            increment = real_advance(problem, s, mismatch_hat, out, phi_hat, mismatch_out)
+        def advance_with_rise(problem, s, out):
+            increment = real_advance(problem, s, out)
             calls.append(out)
             if len(calls) == 6:
                 out[...] = rough
-                problem.forward(out, phi_hat)
-                problem.load(out, into=mismatch_out)
+                problem.forward(out, problem.phi_hat)
+                problem.load(out)
             return increment
 
         monkeypatch.setattr(Problem, "advance", advance_with_rise)
@@ -496,7 +494,6 @@ class TestResumedRun:
             stopped, _ = run(state, p, CUBIC, op, t_max=t, tol=0.0, report=report)
             assert (snap.step_index, snap.time, snap.last_increment_linf) == (
                 stopped.step_index, stopped.time, stopped.last_increment_linf)
-            assert snap.phi_hat is None and snap.mismatch_hat is None
             assert np.array_equal(snap.phi.values, stopped.phi.values)
             assert np.array_equal(snap.phi.values, copy)   # later steps left it alone
             assert not snap.phi.values.flags.writeable
@@ -509,7 +506,7 @@ class TestResumedRun:
 
 
 class TestCarriedSpectra:
-    """A step leaves its spectra on the state; the next step and the energy reuse them."""
+    """A step leaves its spectra in the problem; the next step and the energy reuse them."""
 
     @staticmethod
     def certified_2d(n=16):
@@ -524,40 +521,24 @@ class TestCarriedSpectra:
         state = SchemeState.initial(GridField(g, rng.uniform(0.0, 1.0, size=g.shape)))
         return state, p, op, report
 
-    @pytest.mark.parametrize(
-        "op", [LongRangeOp.inverse_laplacian(), LongRangeOp.helmholtz(0.3), LongRangeOp.none()]
-    )
-    def test_step_ignores_whether_spectra_are_carried(self, op):
-        state, p, _, _ = self.certified_2d()
-        carried = step(state, p, CUBIC, op)
-        bare = SchemeState(carried.phi, carried.step_index, carried.time,
-                           carried.last_increment_linf)
-        assert bare.mismatch_hat is None and bare.phi_hat is None
-        from_carried = step(carried, p, CUBIC, op)
-        from_bare = step(bare, p, CUBIC, op)
-        assert np.array_equal(from_carried.phi.values, from_bare.phi.values)
-        assert np.array_equal(from_carried.phi_hat, from_bare.phi_hat)
-        if op.kind is OpKind.NONE:
-            assert from_carried.mismatch_hat is None
-        else:
-            assert np.array_equal(from_carried.mismatch_hat, from_bare.mismatch_hat)
-
-    def test_spectra_left_out_of_equality_and_repr(self):
+    def test_a_state_holds_only_its_field(self):
         state, p, op, _ = self.certified_2d()
-        stepped = step(state, p, CUBIC, op)
-        bare = SchemeState(stepped.phi, stepped.step_index, stepped.time,
-                           stepped.last_increment_linf)
-        assert stepped == bare
-        assert repr(stepped) == repr(bare)
-        assert not stepped.phi_hat.flags.writeable
-        assert not stepped.mismatch_hat.flags.writeable
+        problem = Problem(state.phi.grid, p, CUBIC, op)
+        stepped = step(state, p, CUBIC, op, problem=problem)
+        assert [f.name for f in dataclasses.fields(stepped)] == [
+            "phi", "step_index", "time", "last_increment_linf"]
+        v = stepped.phi.values
+        assert np.array_equal(problem.mismatch_hat, np.fft.rfftn(f_eval(CUBIC, v) - p.omega))
+        assert np.array_equal(problem.q, v * v - v)
+        # The solve spectrum is rfftn(phi) only up to round-off.
+        assert np.allclose(problem.phi_hat, np.fft.rfftn(v), rtol=0.0, atol=1e-12)
 
     def test_recorded_run_makes_two_fft_round_trips_per_step(self, monkeypatch):
         # Per step: the long-range inverse transform, the forward and inverse
         # transforms of the solve, and the forward transform of the new
         # mismatch.  A 2D inverse transform is an ifft over the leading axis
         # and an irfft over the last.  The initial state adds its two
-        # forward transforms.
+        # forward transforms, and step 1 transforms that mismatch again.
         state, p, op, report = self.certified_2d()
         counts = dict.fromkeys(("rfftn", "rfft", "fft", "irfftn", "irfft", "ifft"), 0)
         for name in counts:
@@ -572,7 +553,7 @@ class TestCarriedSpectra:
         _, records = run(state, p, CUBIC, op, t_max=n_steps * p.tau, tol=0.0,
                          record_every=1, report=report)
         assert len(records) == n_steps + 1
-        assert counts == {"rfftn": 2 * n_steps + 2, "rfft": 0, "fft": 0,
+        assert counts == {"rfftn": 2 * n_steps + 3, "rfft": 0, "fft": 0,
                           "irfftn": 0, "irfft": 2 * n_steps, "ifft": 2 * n_steps}
 
     def test_segments_write_the_series_of_one_run(self, tmp_path):
@@ -599,13 +580,13 @@ class TestCarriedSpectra:
         rough = np.indices(state.phi.grid.shape).sum(axis=0) % 2 * 1.0
         calls = []
 
-        def advance_with_rise(problem, s, mismatch_hat, out, phi_hat, mismatch_out):
-            increment = real_advance(problem, s, mismatch_hat, out, phi_hat, mismatch_out)
+        def advance_with_rise(problem, s, out):
+            increment = real_advance(problem, s, out)
             calls.append(out)
             if len(calls) == 7:
                 out[...] = rough
-                problem.forward(out, phi_hat)
-                problem.load(out, into=mismatch_out)
+                problem.forward(out, problem.phi_hat)
+                problem.load(out)
             return increment
 
         monkeypatch.setattr(Problem, "advance", advance_with_rise)
@@ -615,14 +596,16 @@ class TestCarriedSpectra:
 
 
 def step_loop(state, params, spec, op, t_max, tol, record_every, potential=None):
-    """What run returns, as a loop of step calls with discrete_energy records (oracle)."""
+    """What run returns, as a loop of step calls with problem_energy records (oracle)."""
     pot = None if potential is None else potential.values
     problem = Problem(state.phi.grid, params, spec, op, pot)
 
     def record(s):
-        energy = discrete_energy(s.phi, params, spec, op, potential,
-                                 phi_hat=s.phi_hat, mismatch_hat=s.mismatch_hat).total
         v = s.phi.values
+        if s.step_index == 0:   # the start's spectra, as run computes them
+            problem.load(v)
+            problem.forward(v, problem.phi_hat)
+        energy = problem_energy(problem, v).total
         return StepRecord(s.step_index, s.time, float(np.min(v)), float(np.max(v)), energy,
                           s.last_increment_linf if s.step_index else 0.0)
 
@@ -695,13 +678,7 @@ class TestKernel:
         assert (got.step_index, got.time, got.last_increment_linf) == (
             expected.step_index, expected.time, expected.last_increment_linf)
         assert np.array_equal(got.phi.values, expected.phi.values)
-        assert np.array_equal(got.phi_hat, expected.phi_hat)
-        if op.kind is OpKind.NONE:
-            assert got.mismatch_hat is None and expected.mismatch_hat is None
-        else:
-            assert np.array_equal(got.mismatch_hat, expected.mismatch_hat)
-        for array in (got.phi.values, got.phi_hat, got.mismatch_hat):
-            assert array is None or not array.flags.writeable
+        assert not got.phi.values.flags.writeable
 
     def test_first_step_goes_through_step_and_keeps_its_arrays(self, monkeypatch):
         state, p, spec, op, _ = kernel_case("cubic-inverse-laplacian-2d")
@@ -710,22 +687,18 @@ class TestKernel:
 
         def first_step(*args, **kwargs):
             new = real_step(*args, **kwargs)
-            returned.append((new, [a.copy() for a in (new.phi.values, new.phi_hat,
-                                                      new.mismatch_hat)]))
+            returned.append((new, new.phi.values.copy()))
             return new
 
         monkeypatch.setattr(stepping, "step", first_step)
         final, _ = run(state, p, spec, op, t_max=20 * p.tau, tol=0.0)
         assert final.step_index == 20
         assert len(returned) == 1
-        first, copies = returned[0]
+        first, copy = returned[0]
         assert first.step_index == 1
-        arrays = (first.phi.values, first.phi_hat, first.mismatch_hat)
-        for array, copy in zip(arrays, copies):
-            assert not array.flags.writeable
-            assert np.array_equal(array, copy)
-            assert not any(np.shares_memory(array, a) for a in
-                           (final.phi.values, final.phi_hat, final.mismatch_hat))
+        assert not first.phi.values.flags.writeable
+        assert np.array_equal(first.phi.values, copy)
+        assert not np.shares_memory(first.phi.values, final.phi.values)
 
     @pytest.mark.parametrize(
         "name", ["cubic-inverse-laplacian-2d", "cubic-inverse-laplacian-1d", "cubic-none-1d",
