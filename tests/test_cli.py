@@ -81,6 +81,24 @@ def test_snapshot_time_outside_the_run_exits_2(tmp_path, capsys, times, named):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "text, named",
+    [("seed = -1\n", "seed must be >= 0, got -1"),
+     ("lo = -1e308\nhi = 1e308\n", "hi - lo must be finite, got lo=-1e+308, hi=1e+308")],
+)
+def test_random_start_with_a_negative_seed_or_an_infinite_range_exits_2(
+    tmp_path, capsys, text, named
+):
+    path = write_config(tmp_path, "N = 16\nT = 0.005\n" + text)
+    assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.endswith(f"{named}\n")
+
+
+def test_coarsen_with_a_negative_seed_exits_2(capsys):
+    assert cli.main(["coarsen", "--dim", "1", "--preset", "g500", "--seed", "-3"]) == 2
+    assert capsys.readouterr().err == "error: config: seed must be >= 0, got -3\n"
+
+
 def test_check_of_an_uncertified_guarantee_exits_3(tmp_path, capsys):
     # The defaults (1D, kappa = 2000) certify the bounds but not energy decay.
     path = write_config(tmp_path, "tau = 1e-3\n")

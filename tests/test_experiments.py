@@ -1,9 +1,12 @@
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pacok
 from pacok.errors import ConfigError
@@ -11,6 +14,7 @@ from pacok.experiments import (
     RateStudySetup,
     coarsening_run,
     count_bumps,
+    initial_random_piecewise,
     pvism_compare,
     rate_study,
 )
@@ -18,21 +22,67 @@ from pacok.grid import GridField, PeriodicGrid
 from pacok.stepping import MPP_TOL
 
 
-def test_import_leaves_scipy_unloaded():
-    # scipy is a test dependency only: importing pacok and running a
-    # coarsening study, bubble count included, must not load it.
+def test_import_and_runs_leave_scipy_and_numpy_random_unloaded(tmp_path):
+    # scipy is a test dependency only, and the random start draws its values
+    # without numpy.random: importing pacok, a coarsening study with its bubble
+    # count and a `pacok run` from a random start must load neither.
     src = str(Path(pacok.__file__).resolve().parents[1])
+    config = tmp_path / "run.cfg"
+    config.write_text("N = 16,16\nX = 1.0,1.0\nT = 0.002\ninitial = random\nblocks = 4\n")
+    argv = ["run", "--config", str(config), "--out", str(tmp_path / "out")]
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import pacok, pacok.cli; "
         "from pacok.experiments import coarsening_run; "
         "coarsening_run(1, 'g500', t_end=0.005); "
         "coarsening_run(2, 'g1000_2d', scale='paper', t_end=0.001, tol=0.0); "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        f"assert pacok.cli.main({argv!r}) == 0; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+        "or m.startswith('numpy.random')))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+# numpy's C code may compute lo + range * u as one fused multiply-add where
+# the hardware has one; x86-64 builds do not, so there the package's stream
+# must equal numpy's bit for bit.
+numpy_oracle = pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"),
+    reason="numpy's uniform is the bitwise oracle on x86-64 only",
+)
+
+
+def assert_is_numpy_stream(sizes, lo, hi, blocks, seed):
+    grid = PeriodicGrid(sizes, (1.0,) * len(sizes))
+    field = initial_random_piecewise(grid, lo, hi, blocks, seed).values
+    expected = np.random.default_rng(seed).uniform(lo, hi, (blocks,) * len(sizes))
+    for axis, n in enumerate(sizes):
+        expected = np.repeat(expected, n // blocks, axis=axis)
+    assert field.shape == expected.shape
+    assert field.tobytes() == expected.tobytes()
+
+
+@numpy_oracle
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64, 2**128 + 5, 2**200 + 1])
+@pytest.mark.parametrize("lo, hi", [(0.0, 0.8), (-2.5, 1e3), (0.3, 0.3)])
+@pytest.mark.parametrize("sizes, blocks", [((64,), 16), ((32, 16), 8)])
+def test_random_start_is_the_default_rng_uniform_stream(sizes, blocks, lo, hi, seed):
+    assert_is_numpy_stream(sizes, lo, hi, blocks, seed)
+
+
+@numpy_oracle
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**300),
+    ends=st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=2),
+    dim=st.sampled_from([1, 2]),
+    blocks=st.sampled_from([1, 2, 4]),
+)
+def test_random_start_matches_numpy_for_any_seed_and_range(seed, ends, dim, blocks):
+    lo, hi = sorted(ends)
+    assert_is_numpy_stream((8,) * dim, lo, hi, blocks, seed)
 
 
 def scipy_count(mask):
