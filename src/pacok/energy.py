@@ -51,13 +51,11 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a.ravel(), b.ravel()))
 
 
-_WEIGHTED_SQUARES = {1: "i,i,i->", 2: "ij,ij,ij->"}   # einsum of sum(w * a * a), by dimension
-
-
 def _mode_sum(weights: np.ndarray, half: np.ndarray) -> float:
     """Sum of symbol * |s|^2 over all DFT modes, from the rfftn half spectrum
     and the symbol's :func:`pacok.spectral.mirror_weights`, with no copy."""
-    squares = _WEIGHTED_SQUARES[weights.ndim]
+    axes = "ijklmn"[: weights.ndim]
+    squares = f"{axes},{axes},{axes}->"   # sum(w * a * a)
     return float(np.einsum(squares, half.real, half.real, weights)) + float(
         np.einsum(squares, half.imag, half.imag, weights)
     )

@@ -183,7 +183,7 @@ class RateStudyResult:
 
 def _steps_to(t_end: float, tau: float) -> int:
     steps = t_end / tau
-    rounded = round(steps)
+    rounded = round(steps) if math.isfinite(steps) else 0
     if rounded < 1 or abs(steps - rounded) > 1e-9 * max(1.0, abs(steps)):
         raise ConfigError(f"tau={tau} does not divide the horizon T={t_end}")
     return rounded

@@ -89,10 +89,10 @@ class ModelParams:
     """Scalar physics and scheme parameters.
 
     epsilon : interface width (> 0)
-    gamma   : long-range coupling strength (>= 0)
-    M       : volume penalty constant (>= 0)
+    gamma   : long-range coupling strength (finite, >= 0)
+    M       : volume penalty constant (finite, >= 0)
     omega   : relative volume in (0, 1)
-    kappa   : stabilizing splitting constant (>= 0)
+    kappa   : stabilizing splitting constant (finite, >= 0)
     tau     : time step (> 0)
     """
 
@@ -106,14 +106,12 @@ class ModelParams:
     def __post_init__(self):
         if not (np.isfinite(self.epsilon) and self.epsilon > 0.0):
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
-        if self.gamma < 0.0:
-            raise ConfigError(f"gamma must be >= 0, got {self.gamma}")
-        if self.M < 0.0:
-            raise ConfigError(f"M must be >= 0, got {self.M}")
+        for name in ("gamma", "M", "kappa"):
+            value = getattr(self, name)
+            if not 0.0 <= value < np.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
         if not (0.0 < self.omega < 1.0):
             raise ConfigError(f"omega must lie in (0, 1), got {self.omega}")
-        if self.kappa < 0.0:
-            raise ConfigError(f"kappa must be >= 0, got {self.kappa}")
         if not (np.isfinite(self.tau) and self.tau > 0.0):
             raise ConfigError(f"tau must be positive, got {self.tau}")
 
@@ -299,7 +297,7 @@ class Problem:
     ):
         if potential_values is not None and op.kind is not OpKind.NONE:
             raise ConfigError("an external potential requires operator kind 'none'")
-        self.grid, self.params, self.spec, self.op = grid, params, spec, op
+        self.grid, self.params, self.spec = grid, params, spec
         self.potential_values = potential_values
         self.axes = tuple(range(-grid.dim, 0))
         self.half_shape = grid.shape[:-1] + (grid.shape[-1] // 2 + 1,)
@@ -342,12 +340,6 @@ class Problem:
     def allocate_run_buffers(self) -> None:
         """The two fields the run loop writes its steps into, in turn."""
         self.fields = (np.empty(self.grid.shape), np.empty(self.grid.shape))
-
-    def built_from(self, grid, params, spec, op, potential_values) -> bool:
-        return (
-            (self.grid, self.params, self.spec, self.op) == (grid, params, spec, op)
-            and self.potential_values is potential_values
-        )
 
     def forward(self, x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
         """rfftn(x) into ``out``, or into a new array when it is None."""

@@ -212,17 +212,19 @@ class LongRangeOp:
 
 
 def stencil_symbol(grid: PeriodicGrid) -> np.ndarray:
-    """Symbol of -Lap_h over the real-FFT mode layout (all entries >= 0), a new array."""
-    h = grid.spacings
-    n = grid.sizes
-    if grid.dim == 1:
-        return _axis_symbol(n[0] // 2 + 1, n[0], h[0])
-    col = _axis_symbol(n[0], n[0], h[0])
-    row = _axis_symbol(n[1] // 2 + 1, n[1], h[1])
-    lam = np.empty((n[0], row.size))
-    # Row by row: a broadcast sum would go through numpy's iterator buffers (~128 kB).
-    for i, value in enumerate(col):
-        np.add(value, row, out=lam[i])
+    """Symbol of -Lap_h over the real-FFT mode layout (all entries >= 0), a new array.
+
+    It is the sum of the per-axis symbols, the last axis halved.
+    """
+    n, h = grid.sizes, grid.spacings
+    lam = _axis_symbol(n[-1] // 2 + 1, n[-1], h[-1])
+    for size, spacing in zip(n[-2::-1], h[-2::-1]):
+        leading = _axis_symbol(size, size, spacing)
+        total = np.empty((size,) + lam.shape)
+        # Slice by slice: a broadcast sum would go through numpy's iterator buffers (~128 kB).
+        for i, value in enumerate(leading):
+            np.add(value, lam, out=total[i])
+        lam = total
     return lam
 
 
@@ -240,13 +242,9 @@ def _axis_symbol(count: int, n: int, h: float) -> np.ndarray:
 def _wavenumber_magnitude(grid: PeriodicGrid) -> np.ndarray:
     """|k| with k_i = pi * m_i / X_i over the real-FFT mode layout."""
     n = grid.sizes
-    x = grid.half_extents
-    if grid.dim == 1:
-        m = np.arange(n[0] // 2 + 1)
-        return np.pi * m / x[0]
-    m1 = (np.fft.fftfreq(n[0]) * n[0])[:, None]
-    m2 = np.arange(n[1] // 2 + 1)[None, :]
-    return np.sqrt((np.pi * m1 / x[0]) ** 2 + (np.pi * m2 / x[1]) ** 2)
+    modes = [np.fft.fftfreq(size) * size for size in n[:-1]] + [np.arange(n[-1] // 2 + 1)]
+    k = np.ix_(*[np.pi * m / x for m, x in zip(modes, grid.half_extents)])
+    return np.sqrt(sum(k_i ** 2 for k_i in k))
 
 
 def _wrap_mode(m: int, n: int) -> int:

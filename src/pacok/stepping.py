@@ -23,14 +23,16 @@ further transform.
 
 A step is the array kernel of :class:`pacok.physics.Problem`, which holds
 the operator arrays, every buffer and both spectra; a :class:`SchemeState`
-holds only the field.  :func:`step` loads the state's field into the
-problem, allocates the new field its returned state owns and runs the
-kernel once.  :func:`run` builds one problem for the whole run and loads
-its starting field into it, so the first row's energy comes from the
-kernel like every later one; it makes its first step through :func:`step`
-and the rest in the kernel alone, on the problem's buffers (two fields in
-turn), allocating no grid-sized array but a copy of the field at each
-snapshot time.
+holds only the field.  :func:`step` runs on the problem it is given and on
+nothing else: it loads the state's field into the problem, allocates the
+new field its returned state owns and runs the kernel once.  A problem
+serves one sequence of steps, since each step leaves its field's q and
+spectra in the problem for the next step and the energy.  :func:`run`
+builds one problem for the whole run and loads its starting field into
+it, so the first row's energy comes from the kernel like every later one;
+it makes its first step through :func:`step` and the rest in the kernel
+alone, on the problem's buffers (two fields in turn), allocating no
+grid-sized array but a copy of the field at each snapshot time.
 
 Two parameter conditions certify qualitative guarantees, both checked with
 the max-norm estimate of the long-range operator:
@@ -56,7 +58,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import problem_energy
-from .errors import BlowupError, ConfigError, EnergyIncreaseError, MppViolationError
+from .errors import (
+    BlowupError, ConfigError, EnergyIncreaseError, GridMismatchError, MppViolationError,
+)
 from .grid import GridField, PeriodicGrid
 from .physics import ModelParams, NonlinearSpec, Problem, lipschitz_constants
 from .spectral import LongRangeOp, OpKind, estimate_linf_norm
@@ -163,28 +167,18 @@ def check_conditions(
     )
 
 
-def step(
-    state: SchemeState,
-    params: ModelParams,
-    spec: NonlinearSpec,
-    op: LongRangeOp,
-    potential: GridField | None = None,
-    *,
-    problem: Problem | None = None,
-) -> SchemeState:
-    """Advance one step; deterministic for identical inputs on a fixed platform.
+def step(state: SchemeState, problem: Problem) -> SchemeState:
+    """Advance one step on ``problem``; deterministic for identical inputs on a fixed platform.
 
-    ``problem`` holds the operator arrays and work buffers; it must have been
-    built from the same arguments, and without it one is built here.  The
-    step loads ``state.phi`` into it and leaves the new field's q and
-    spectra there.  The returned state owns its field, a new array.
+    A problem serves one sequence of steps: the step loads ``state.phi``
+    into it and leaves the new field's q and spectra there, which the next
+    step and :func:`pacok.energy.problem_energy` of that field read, so a
+    step made on it from elsewhere replaces them.  The returned state owns
+    its field, a new array.
     """
-    grid = state.phi.grid
-    pot = potential.values if potential is not None else None
-    if problem is None:
-        problem = Problem(grid, params, spec, op, pot)
-    elif not problem.built_from(grid, params, spec, op, pot):
-        raise ValueError("problem was built for other arguments than this step's")
+    grid = problem.grid
+    if state.phi.grid != grid:
+        raise GridMismatchError(f"the state lives on {state.phi.grid}, the problem on {grid}")
     n_new = state.step_index + 1
     phi_new = np.empty(grid.shape)
     # A non-finite value anywhere makes the increment non-finite, reported
@@ -194,7 +188,9 @@ def step(
         increment = problem.advance(state.phi.values, phi_new)
     if not math.isfinite(increment):
         raise BlowupError(n_new)
-    return SchemeState(GridField._checked(grid, phi_new), n_new, n_new * params.tau, increment)
+    return SchemeState(
+        GridField._checked(grid, phi_new), n_new, n_new * problem.params.tau, increment
+    )
 
 
 @dataclass(frozen=True)
@@ -262,8 +258,8 @@ def run(
     the field buffer the kernel wrote last (``state0`` itself when there is
     nothing to step).
     """
-    if t_max <= 0.0:
-        raise ConfigError(f"t_max must be positive, got {t_max}")
+    if not 0.0 < t_max < math.inf:
+        raise ConfigError(f"t_max must be positive and finite, got {t_max}")
     if record_every < 1:
         raise ConfigError(f"record_every must be >= 1, got {record_every}")
     for t in snapshot_times:
@@ -292,7 +288,7 @@ def run(
     n_steps, snapshot_steps = ends[-1], set(ends[1:-1]) - {ends[-1]}
     if n_steps == 0:
         return state0, records
-    state = step(state0, params, spec, op, potential, problem=problem)
+    state = step(state0, problem)
     problem.allocate_run_buffers()
     # step left q, the spectra and the volume term for its field in the problem.
     n, increment, s = state.step_index, state.last_increment_linf, state.phi.values

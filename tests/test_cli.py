@@ -199,6 +199,20 @@ def test_converge_with_a_benchmark_step_no_finer_than_the_steps_exits_2(capsys):
     assert "benchmark step must be below 0.0005, got 0.0005" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("t_end", ["nan", "inf"])
+def test_converge_with_a_horizon_that_is_not_finite_exits_2(t_end, capsys):
+    argv = ["converge", "--eps-factors", "4", "--n", "8", "--t-end", t_end]
+    assert cli.main(argv) == 2
+    assert f"does not divide the horizon T={t_end}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t_max", ["nan", "inf"])
+def test_pvism_with_a_time_that_is_not_finite_exits_2(t_max, capsys):
+    assert cli.main(["pvism", "--t-max", t_max]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: config: t_max must be positive and finite, got {t_max}\n"
+
+
 @pytest.mark.parametrize("factors, bad", [("abc", "abc"), ("4,x2", "x2"), ("4,,2", ""),
                                           ("4, nan", "nan"), ("0", "0"), ("-1", "-1"),
                                           ("inf", "inf")])

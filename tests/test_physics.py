@@ -158,6 +158,14 @@ class TestModelParams:
         with pytest.raises(ConfigError):
             ModelParams(**base)
 
+    @pytest.mark.parametrize("name", ["gamma", "M", "kappa"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_a_non_finite_coupling_or_stabilizer(self, name, value):
+        base = dict(epsilon=0.1, gamma=1.0, M=1.0, omega=0.3, kappa=1.0, tau=1e-3)
+        base[name] = value
+        with pytest.raises(ConfigError, match=f"^{name} must be finite and >= 0, got {value}$"):
+            ModelParams(**base)
+
 
 def mpp_satisfying_params(grid, spec, op, gamma, M, omega, epsilon, tau, margin=1.0):
     """Smallest stabilizer satisfying the bound-preservation condition, plus margin."""

@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from pacok.energy import discrete_energy
 from pacok.grid import GridField, PeriodicGrid
-from pacok.physics import FKind, ModelParams, NonlinearSpec
+from pacok.physics import FKind, ModelParams, NonlinearSpec, Problem
 from pacok.spectral import LongRangeOp
 from pacok.stepping import ENERGY_TOL, MPP_TOL, SchemeState, check_conditions, step
 
@@ -42,7 +42,7 @@ def test_certified_step_keeps_bounds_and_decays_energy(case):
     grid, op, params, phi = case
     report = check_conditions(params, CUBIC, op, grid)
     assert report.mpp_ok and report.es_ok
-    new = step(SchemeState.initial(phi), params, CUBIC, op)
+    new = step(SchemeState.initial(phi), Problem(grid, params, CUBIC, op))
     assert float(np.min(new.phi.values)) >= -MPP_TOL
     assert float(np.max(new.phi.values)) <= 1.0 + MPP_TOL
     before = discrete_energy(phi, params, CUBIC, op).total

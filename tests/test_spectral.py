@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,7 @@ from pacok.spectral import (
     estimate_linf_norm,
     load_symbol_csv,
     multiplier_array,
+    stencil_symbol,
 )
 
 from oracles import (
@@ -91,6 +93,30 @@ class TestLaplacian:
         out = apply_laplacian(a)
         assert abs(np.sum(out.values)) <= 1e-12 * np.sum(np.abs(a.values)) / a.grid.spacings[0] ** 2
 
+    def test_symbol_per_mode_on_a_non_square_box(self):
+        # Mode (j, k) of an N1 x N2 box has (4/h1^2) sin^2(pi j/N1) + (4/h2^2) sin^2(pi k/N2);
+        # the last axis keeps k = 0..N2/2.
+        g = PeriodicGrid((8, 6), (1.0, 2.0))
+        (h1, h2), lam = g.spacings, stencil_symbol(g)
+        assert lam.shape == (8, 4)
+        for j in range(8):
+            for k in range(4):
+                expected = (4 / h1**2 * math.sin(math.pi * j / 8) ** 2
+                            + 4 / h2**2 * math.sin(math.pi * k / 6) ** 2)
+                assert lam[j, k] == pytest.approx(expected, rel=1e-14, abs=1e-14)
+
+    @pytest.mark.parametrize("sizes", [(256, 256), (65536,)])
+    def test_symbol_peaks_at_about_one_output_array(self, sizes):
+        g = PeriodicGrid(sizes, (1.0,) * len(sizes))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            lam = stencil_symbol(g)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * lam.nbytes
+
 
 class TestInverseLaplacian:
     def test_constants_map_to_zero(self):
@@ -157,6 +183,18 @@ class TestLongRangeOps:
         expected = np.where(k > 0, (1.0 - np.exp(-delta * k)) / np.maximum(delta * k, 1e-300), 1.0)
         assert mult[0] == 1.0
         assert np.max(np.abs(mult - expected)) <= 1e-13
+
+    def test_garnet_symbol_formula_on_a_non_square_box(self):
+        # Mode (j, k) has |k| = pi |(m/X1, k/X2)|, m = j wrapped into -N1/2..N1/2-1.
+        g = PeriodicGrid((8, 6), (1.0, 2.0))
+        delta = 0.7
+        mult = multiplier_array(LongRangeOp.garnet_film(delta), g)
+        assert mult.shape == (8, 4)
+        for j in range(8):
+            for k in range(4):
+                kmag = math.hypot(math.pi * (j if j < 4 else j - 8) / 1.0, math.pi * k / 2.0)
+                expected = (1.0 - math.exp(-delta * kmag)) / (delta * kmag) if kmag else 1.0
+                assert mult[j, k] == pytest.approx(expected, rel=1e-13)
 
     def test_garnet_acts_mode_by_mode(self):
         g = PeriodicGrid((16, 16), (1.0, 1.0))

@@ -6,7 +6,9 @@ import pytest
 
 from pacok import experiments, stepping
 from pacok.energy import problem_energy
-from pacok.errors import BlowupError, ConfigError, EnergyIncreaseError, MppViolationError
+from pacok.errors import (
+    BlowupError, ConfigError, EnergyIncreaseError, GridMismatchError, MppViolationError,
+)
 from pacok.experiments import coarsening_preset, initial_random_piecewise, run_with_snapshots
 from pacok.grid import GridField, PeriodicGrid
 from pacok.physics import (
@@ -131,7 +133,7 @@ class TestStep:
         op = LongRangeOp.inverse_laplacian()
         for c in (0.0, 1.0):
             s0 = SchemeState.initial(GridField.constant(g, c))
-            s1 = step(s0, p, CUBIC, op)
+            s1 = step(s0, Problem(g, p, CUBIC, op))
             assert np.max(np.abs(s1.phi.values - c)) <= 1e-13
             assert s1.step_index == 1
             assert s1.time == pytest.approx(p.tau)
@@ -140,7 +142,7 @@ class TestStep:
         g = PeriodicGrid((32,), (1.0,))
         p = self.make_params(gamma=0.0, M=0.0)
         s0 = SchemeState.initial(GridField.constant(g, 0.5))
-        s1 = step(s0, p, CUBIC, LongRangeOp.inverse_laplacian())
+        s1 = step(s0, Problem(g, p, CUBIC, LongRangeOp.inverse_laplacian()))
         assert np.max(np.abs(s1.phi.values - 0.5)) <= 1e-14
 
     def test_matches_dense_oracle_8x8(self):
@@ -151,7 +153,7 @@ class TestStep:
         for _ in range(5):
             phi = GridField(g, rng.uniform(0.0, 1.0, size=g.shape))
             expected = dense_step_oracle(phi, p, CUBIC)
-            got = step(SchemeState.initial(phi), p, CUBIC, op)
+            got = step(SchemeState.initial(phi), Problem(g, p, CUBIC, op))
             assert np.max(np.abs(got.phi.values - expected)) <= 1e-10
 
     def test_deterministic(self):
@@ -160,8 +162,8 @@ class TestStep:
         rng = np.random.default_rng(56)
         phi = GridField(g, rng.uniform(0.0, 1.0, size=g.shape))
         op = LongRangeOp.inverse_laplacian()
-        a = step(SchemeState.initial(phi), p, CUBIC, op)
-        b = step(SchemeState.initial(phi), p, CUBIC, op)
+        a = step(SchemeState.initial(phi), Problem(g, p, CUBIC, op))
+        b = step(SchemeState.initial(phi), Problem(g, p, CUBIC, op))
         assert np.array_equal(a.phi.values, b.phi.values)
 
     def test_blowup_names_step_index(self):
@@ -169,20 +171,19 @@ class TestStep:
         p = self.make_params(epsilon=1e-8, tau=10.0, kappa=0.0, gamma=0.0, M=0.0)
         rng = np.random.default_rng(57)
         state = SchemeState.initial(GridField(g, rng.uniform(0.4, 0.6, size=g.shape)))
+        problem = Problem(g, p, CUBIC, LongRangeOp.inverse_laplacian())
         with pytest.raises(BlowupError) as exc_info:
             for _ in range(10_000):
-                state = step(state, p, CUBIC, LongRangeOp.inverse_laplacian())
+                state = step(state, problem)
         assert str(exc_info.value.step_index) in str(exc_info.value)
 
-
-    def test_rejects_a_problem_built_for_other_arguments(self):
-        g = PeriodicGrid((16,), (1.0,))
+    def test_rejects_a_state_on_another_grid_than_the_problem(self):
         p = self.make_params()
         op = LongRangeOp.inverse_laplacian()
-        state = SchemeState.initial(GridField.constant(g, 0.3))
-        problem = Problem(g, self.make_params(tau=2e-3), CUBIC, op)
-        with pytest.raises(ValueError, match="other arguments"):
-            step(state, p, CUBIC, op, problem=problem)
+        state = SchemeState.initial(GridField.constant(PeriodicGrid((16,), (1.0,)), 0.3))
+        for other in (PeriodicGrid((32,), (1.0,)), PeriodicGrid((16,), (2.0,))):
+            with pytest.raises(GridMismatchError):
+                step(state, Problem(other, p, CUBIC, op))
 
     @pytest.mark.parametrize(
         "op", [LongRangeOp.inverse_laplacian(), LongRangeOp.none()]
@@ -192,16 +193,15 @@ class TestStep:
         p = self.make_params()
         rng = np.random.default_rng(58)
         problem = Problem(g, p, CUBIC, op)
-        first = step(SchemeState.initial(GridField(g, rng.uniform(0.0, 1.0, g.shape))),
-                     p, CUBIC, op, problem=problem)
+        first = step(SchemeState.initial(GridField(g, rng.uniform(0.0, 1.0, g.shape))), problem)
         saved = first.phi.values.copy()
         state = first
         for _ in range(3):
-            state = step(state, p, CUBIC, op, problem=problem)
+            state = step(state, problem)
         assert not first.phi.values.flags.writeable
         assert np.array_equal(first.phi.values, saved)
-        again = step(first, p, CUBIC, op)   # a fresh problem gives the same step
-        assert np.array_equal(again.phi.values, step(first, p, CUBIC, op, problem=problem).phi.values)
+        again = step(first, Problem(g, p, CUBIC, op))   # a fresh problem gives the same step
+        assert np.array_equal(again.phi.values, step(first, problem).phi.values)
 
 
 class TestStepMemory:
@@ -228,17 +228,17 @@ class TestStepMemory:
         real_step = stepping.step
         growth = []
 
-        def measured_step(state, *args, **kwargs):
-            new = real_step(state, *args, **kwargs)
+        def measured_step(state, problem):
+            new = real_step(state, problem)
             if new.step_index == 1:
                 tracemalloc.start()
                 try:
                     base = tracemalloc.get_traced_memory()[0]
-                    real_step(new, *args, **kwargs)
+                    real_step(new, problem)
                     growth.append(tracemalloc.get_traced_memory()[1] - base)
                 finally:
                     tracemalloc.stop()
-                new = real_step(state, *args, **kwargs)   # the problem holds step 1 again
+                new = real_step(state, problem)   # the problem holds step 1 again
             return new
 
         monkeypatch.setattr(stepping, "step", measured_step)
@@ -524,7 +524,7 @@ class TestCarriedSpectra:
     def test_a_state_holds_only_its_field(self):
         state, p, op, _ = self.certified_2d()
         problem = Problem(state.phi.grid, p, CUBIC, op)
-        stepped = step(state, p, CUBIC, op, problem=problem)
+        stepped = step(state, problem)
         assert [f.name for f in dataclasses.fields(stepped)] == [
             "phi", "step_index", "time", "last_increment_linf"]
         v = stepped.phi.values
@@ -612,7 +612,7 @@ def step_loop(state, params, spec, op, t_max, tol, record_every, potential=None)
     records = [record(state)]
     n_steps = round(t_max / params.tau)
     for k in range(1, n_steps + 1):
-        state = step(state, params, spec, op, potential, problem=problem)
+        state = step(state, problem)
         stopping = tol > 0.0 and state.last_increment_linf / params.tau <= tol
         if k % record_every == 0 or k == n_steps or stopping:
             records.append(record(state))
