@@ -29,6 +29,7 @@ from .physics import (
     LipschitzConstants,
     ModelParams,
     NonlinearSpec,
+    Problem,
     W_eval,
     W_prime,
     f_eval,

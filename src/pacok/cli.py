@@ -36,29 +36,16 @@ def _ensure_out_dir(path: str) -> str:
 
 def cmd_run(args) -> int:
     from .experiments import run_with_snapshots
-    from .stepping import SchemeState, check_conditions
+    from .stepping import SchemeState
 
     cfg = _load_config(args)
     grid = cfg.build_grid()
-    params = cfg.build_params()
-    spec = cfg.build_spec()
-    op = cfg.build_op()
-    potential = cfg.build_potential(grid)
+    problem = cfg.build_problem(grid)
     out = _ensure_out_dir(cfg.out)
-    report = check_conditions(params, spec, op, grid, potential)
     state = SchemeState.initial(cfg.build_initial(grid))
     state, records = run_with_snapshots(
-        state,
-        params,
-        spec,
-        op,
-        t_end=cfg.T,
-        tol=cfg.tol,
-        snapshot_times=cfg.snapshot_times,
-        out_dir=out,
-        record_every=cfg.monitor_every,
-        potential=potential,
-        report=report,
+        state, problem, t_end=cfg.T, tol=cfg.tol, snapshot_times=cfg.snapshot_times,
+        out_dir=out, record_every=cfg.monitor_every,
     )
     print(
         f"run finished: n={state.step_index} t={state.time:.6g} "
@@ -73,9 +60,7 @@ def cmd_check(args) -> int:
     from .stepping import check_conditions
 
     cfg = _load_config(args)
-    grid = cfg.build_grid()
-    potential = cfg.build_potential(grid)
-    report = check_conditions(cfg.build_params(), cfg.build_spec(), cfg.build_op(), grid, potential)
+    report = check_conditions(cfg.build_problem(cfg.build_grid()))
     print(report.pretty())
     required = {
         "mpp": report.mpp_ok,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, reading
 from .grid import GridField, PeriodicGrid, load_snapshot
-from .physics import FKind, ModelParams, NonlinearSpec, pvism_potential
+from .physics import FKind, ModelParams, NonlinearSpec, Problem, pvism_potential
 from .spectral import LongRangeOp, load_symbol_csv
 from .stepping import StepRecord
 
@@ -98,6 +98,14 @@ class RunConfig:
         if not self.pvism_solutes:
             return None
         return pvism_potential(grid, self.pvism_solutes)
+
+    def build_problem(self, grid: PeriodicGrid) -> Problem:
+        """The run's model on ``grid``: parameters, indicator, operator and potential."""
+        potential = self.build_potential(grid)
+        return Problem(
+            grid, self.build_params(), self.build_spec(), self.build_op(),
+            None if potential is None else potential.values,
+        )
 
     def build_initial(self, grid: PeriodicGrid) -> GridField:
         from .experiments import initial_random_piecewise, initial_tanh_disk

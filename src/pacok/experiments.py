@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .grid import GridField, PeriodicGrid, norm_l2_h, save_snapshot
-from .physics import FKind, ModelParams, NonlinearSpec, pvism_potential
+from .physics import FKind, ModelParams, NonlinearSpec, Problem, pvism_potential
 from .spectral import LongRangeOp
 from .stepping import ConditionReport, SchemeState, StepRecord, check_conditions, run
 
@@ -182,6 +182,8 @@ class RateStudyResult:
 
 
 def _steps_to(t_end: float, tau: float) -> int:
+    if not 0.0 < tau < math.inf:
+        raise ConfigError(f"the time step must be positive and finite, got tau={tau!r}")
     steps = t_end / tau
     rounded = round(steps) if math.isfinite(steps) else 0
     if rounded < 1 or abs(steps - rounded) > 1e-9 * max(1.0, abs(steps)):
@@ -191,15 +193,10 @@ def _steps_to(t_end: float, tau: float) -> int:
 
 def _terminal_state(setup: RateStudySetup, tau: float, phi0: GridField) -> GridField:
     _steps_to(setup.t_end, tau)
-    params = setup.params(tau)
+    spec, op = NonlinearSpec(FKind.CUBIC_HERMITE), LongRangeOp.inverse_laplacian()
+    problem = Problem(phi0.grid, setup.params(tau), spec, op)
     state, _ = run(
-        SchemeState.initial(phi0),
-        params,
-        NonlinearSpec(FKind.CUBIC_HERMITE),
-        LongRangeOp.inverse_laplacian(),
-        t_max=setup.t_end,
-        tol=0.0,
-        record_every=10**9,
+        SchemeState.initial(phi0), problem, t_max=setup.t_end, tol=0.0, record_every=10**9
     )
     return state.phi
 
@@ -359,20 +356,17 @@ class CoarseningResult:
 
 def run_with_snapshots(
     state: SchemeState,
-    params: ModelParams,
-    spec: NonlinearSpec,
-    op: LongRangeOp,
+    problem: Problem,
     t_end: float,
     tol: float,
     snapshot_times=(),
     out_dir=None,
     record_every: int = 100,
-    potential: GridField | None = None,
-    report: ConditionReport | None = None,
 ) -> tuple[SchemeState, list[StepRecord]]:
-    """Run :func:`pacok.stepping.run` once, writing a snapshot file at each
-    requested time in [0, t_end] (others, as in a shortened preset, are
-    skipped) and at the end; writes series.csv when given an output directory."""
+    """Run :func:`pacok.stepping.run` once on ``problem``, writing a snapshot
+    file at each requested time in [0, t_end] (others, as in a shortened
+    preset, are skipped) and at the end; writes series.csv when given an
+    output directory."""
     times = sorted(t for t in snapshot_times if 0.0 <= t <= t_end)
     snap_index = 0
 
@@ -385,17 +379,8 @@ def run_with_snapshots(
     if times and times[0] == 0.0:
         emit_snapshot(state)
     state, records = run(
-        state,
-        params,
-        spec,
-        op,
-        t_max=t_end,
-        tol=tol,
-        record_every=record_every,
-        potential=potential,
-        report=report,
-        snapshot_times=times,
-        on_snapshot=emit_snapshot,
+        state, problem, t_max=t_end, tol=tol, record_every=record_every,
+        snapshot_times=times, on_snapshot=emit_snapshot,
     )
     emit_snapshot(state)
     if out_dir is not None:
@@ -415,31 +400,27 @@ def coarsening_run(
     tol: float = 1e-3,
     **overrides,
 ) -> CoarseningResult:
-    """Run one coarsening preset; optionally write series.csv and snapshots."""
+    """Run one coarsening preset; optionally write series.csv and snapshots.
+
+    The result's report is :func:`pacok.stepping.check_conditions` of the
+    run's problem, which the run enforces.
+    """
     cfg = preset if isinstance(preset, CoarseningPreset) else coarsening_preset(preset, scale)
     if overrides:
         cfg = replace(cfg, **overrides)
     if cfg.dim != dimension:
         raise ConfigError(f"preset '{cfg.name}' is {cfg.dim}D, not {dimension}D")
     grid = cfg.grid()
-    params = cfg.params()
-    spec = NonlinearSpec(FKind.CUBIC_HERMITE)
-    op = LongRangeOp.inverse_laplacian()
-    report = check_conditions(params, spec, op, grid)
+    problem = Problem(
+        grid, cfg.params(), NonlinearSpec(FKind.CUBIC_HERMITE), LongRangeOp.inverse_laplacian()
+    )
+    report = check_conditions(problem)
     state = SchemeState.initial(
         initial_random_piecewise(grid, cfg.lo, cfg.hi, cfg.blocks, seed)
     )
     state, records = run_with_snapshots(
-        state,
-        params,
-        spec,
-        op,
-        t_end=cfg.t_end,
-        tol=tol,
-        snapshot_times=cfg.snapshot_times,
-        out_dir=out_dir,
-        record_every=record_every,
-        report=report,
+        state, problem, t_end=cfg.t_end, tol=tol, snapshot_times=cfg.snapshot_times,
+        out_dir=out_dir, record_every=record_every,
     )
     return CoarseningResult(
         preset=cfg,
@@ -473,9 +454,10 @@ def pvism_compare(
 
     A single solute sits at the origin; the initial interface is the tanh
     profile through the potential's cutoff radius.  Both runs use the
-    increment stopping criterion.  The cubic equilibrium stays inside
-    [0, 1]; the linear one undershoots inside the interface and overshoots
-    outside it.
+    increment stopping criterion; each has its own
+    :class:`pacok.physics.Problem` and enforces what that problem
+    certifies.  The cubic equilibrium stays inside [0, 1]; the linear one
+    undershoots inside the interface and overshoots outside it.
     """
     grid = PeriodicGrid((n,), (half_extent,))
     h = 2.0 * half_extent / n
@@ -489,19 +471,9 @@ def pvism_compare(
     op = LongRangeOp.none()
     results = {}
     for label, kind in (("cubic", FKind.CUBIC_HERMITE), ("linear", FKind.LINEAR)):
-        spec = NonlinearSpec(kind)
-        report = check_conditions(params, spec, op, grid, potential)
-        state, records = run(
-            SchemeState.initial(phi0),
-            params,
-            spec,
-            op,
-            t_max=t_max,
-            tol=tol,
-            potential=potential,
-            record_every=1000,
-            report=report,
-        )
+        problem = Problem(grid, params, NonlinearSpec(kind), op, potential.values)
+        report = check_conditions(problem)
+        state, _ = run(SchemeState.initial(phi0), problem, t_max=t_max, tol=tol, record_every=1000)
         if out_dir is not None:
             save_snapshot(f"{out_dir}/equilibrium_{label}.csv", state.phi, t=state.time)
         results[label] = (state, report)

@@ -150,9 +150,6 @@ class GridField:
     def constant(cls, grid: PeriodicGrid, value: float) -> "GridField":
         return cls(grid, np.full(grid.shape, float(value)))
 
-    def with_values(self, values) -> "GridField":
-        return GridField(self.grid, values)
-
     def __getitem__(self, idx) -> float:
         if np.isscalar(idx):
             idx = (idx,)

@@ -31,12 +31,14 @@ an external potential U attached) the interaction terms are replaced by
 -tau * U . f'(p) and the volume penalty is dropped.
 
 W' and f' share q = p^2 - p: W'(p) = 36 q (2p - 1), and for the cubic
-f'(p) = -6 q.  A :class:`Problem`, built once per run, holds the operator
-arrays, each built once from its symbol with no second copy kept, and every
-grid-sized buffer of a time step, and its methods are the array kernel of
-the step: the right-hand side, the solve, and the spectra and q the next
-step and the energy start from.  The problem owns those spectra; the kernel
-writes into its buffers and into the field its caller passes.
+f'(p) = -6 q.  A :class:`Problem`, built once per run, is the run's model:
+its parameters, its indicator, the max-norm of its interaction operator,
+the operator arrays, each built once from its symbol with no second copy
+kept, and every grid-sized buffer of a time step.  Its methods are the
+array kernel of the step: the right-hand side, the solve, and the spectra
+and q the next step and the energy start from.  The problem owns those
+spectra; the kernel writes into its buffers and into the field its caller
+passes.
 """
 
 from __future__ import annotations
@@ -48,7 +50,9 @@ import numpy as np
 
 from .errors import ConfigError
 from .grid import GridField, PeriodicGrid
-from .spectral import LongRangeOp, OpKind, mirror_weights, multiplier_array, stencil_symbol
+from .spectral import (
+    LongRangeOp, OpKind, impulse_response_norm, mirror_weights, multiplier_array, stencil_symbol,
+)
 
 
 class FKind(enum.Enum):
@@ -259,7 +263,7 @@ def _interleaved(a: np.ndarray) -> np.ndarray:
 
 
 class Problem:
-    """Operator arrays and buffers of one run, and the array kernel of its steps.
+    """The model of one run: its operator arrays and buffers, and the array kernel of its steps.
 
     With s = phi^n, q = s^2 - s, A = 1 + tau*kappa/eps and c = 36*tau/eps, a
     step is
@@ -275,7 +279,10 @@ class Problem:
 
     The multiplier and the reciprocal of the denominator are interleaved
     (see :func:`_interleaved`); the energy takes the symbols' mirror
-    weights, ``symbol_weights`` and ``op_weights``.
+    weights, ``symbol_weights`` and ``op_weights``.  ``op_norm``, which the
+    stability conditions read, is the max-norm of the operator
+    (:func:`pacok.spectral.impulse_response_norm` of its multiplier), max|U|
+    in solvation mode, and 0 with neither.
 
     ``q``, the mismatch spectrum ``mismatch_hat`` (None without a long-range
     operator) and, without an operator or potential, ``volume`` belong to the
@@ -318,11 +325,14 @@ class Problem:
         self.inverse_denominator = _interleaved(np.divide(1.0, denom, out=denom))
         self.symbol_weights = mirror_weights(symbol)
         self.op_weights = self.multiplier = self.potential_force = None
+        self.op_norm = 0.0
         if op.kind is not OpKind.NONE:
             op_symbol = multiplier_array(op, grid)
+            self.op_norm = impulse_response_norm(op_symbol, grid)
             self.multiplier = _interleaved(k * tau * params.gamma * op_symbol)
             self.op_weights = mirror_weights(op_symbol)
         elif potential_values is not None:
+            self.op_norm = float(np.max(np.abs(potential_values)))
             self.potential_force = k * tau * potential_values + self.offset
             self.potential_force.setflags(write=False)
         self.q = np.empty(grid.shape)

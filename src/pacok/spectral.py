@@ -317,8 +317,8 @@ def mirror_weights(symbol: np.ndarray) -> np.ndarray:
     return symbol
 
 
-def estimate_linf_norm(op: LongRangeOp, grid: PeriodicGrid) -> float:
-    """Max-norm of the operator, estimated from one impulse response.
+def impulse_response_norm(mult: np.ndarray, grid: PeriodicGrid) -> float:
+    """Max-norm of the operator whose multiplier over the real-FFT mode layout is ``mult``.
 
     The operator matrix G (with the zero-mean projection built into the
     inverse-Laplacian symbol) is circulant, so all absolute row sums agree
@@ -327,9 +327,13 @@ def estimate_linf_norm(op: LongRangeOp, grid: PeriodicGrid) -> float:
     every mode, so the response is the inverse transform of the multiplier
     itself.
     """
-    mult = multiplier_array(op, grid)
     response = np.fft.irfftn(mult, s=grid.shape, axes=tuple(range(grid.dim)))
     return float(np.sum(np.abs(response)))
+
+
+def estimate_linf_norm(op: LongRangeOp, grid: PeriodicGrid) -> float:
+    """Max-norm of the operator, from one impulse response (:func:`impulse_response_norm`)."""
+    return impulse_response_norm(multiplier_array(op, grid), grid)
 
 
 def load_symbol_csv(path) -> SymbolTable:

@@ -21,21 +21,23 @@ mismatch spectrum and q = P^2 - P by Parseval's identity
 (:func:`pacok.energy.spectral_energy`), so a recorded step needs no
 further transform.
 
-A step is the array kernel of :class:`pacok.physics.Problem`, which holds
-the operator arrays, every buffer and both spectra; a :class:`SchemeState`
-holds only the field.  :func:`step` runs on the problem it is given and on
-nothing else: it loads the state's field into the problem, allocates the
-new field its returned state owns and runs the kernel once.  A problem
-serves one sequence of steps, since each step leaves its field's q and
-spectra in the problem for the next step and the energy.  :func:`run`
-builds one problem for the whole run and loads its starting field into
-it, so the first row's energy comes from the kernel like every later one;
-it makes its first step through :func:`step` and the rest in the kernel
-alone, on the problem's buffers (two fields in turn), allocating no
-grid-sized array but a copy of the field at each snapshot time.
+A step is the array kernel of :class:`pacok.physics.Problem`, the run's
+one model object, which holds the parameters, the operator arrays, every
+buffer and both spectra; a :class:`SchemeState` holds only the field.
+:func:`step` runs on the problem it is given and on nothing else: it loads
+the state's field into the problem, allocates the new field its returned
+state owns and runs the kernel once.  A problem serves one sequence of
+steps at a time, since each step leaves its field's q and spectra in the
+problem for the next step and the energy.  :func:`run` takes the problem
+its caller built, checks the conditions of that problem and loads its
+starting field into it, so the first row's energy comes from the kernel
+like every later one; it makes its first step through :func:`step` and the
+rest in the kernel alone, on the problem's buffers (two fields in turn),
+allocating no grid-sized array but a copy of the field at each snapshot
+time.
 
 Two parameter conditions certify qualitative guarantees, both checked with
-the max-norm estimate of the long-range operator:
+the max-norm of the long-range operator that the problem keeps:
 
   bounds:  1/tau + kappa/eps >= L_W''/eps
              + omega_t * L_f'' * (gamma*||L|| + M*|T|),
@@ -45,9 +47,9 @@ the max-norm estimate of the long-range operator:
 with omega_t = max(omega, 1-omega).  The energy condition implies the
 bounds condition.  Both proofs also require f'(0) = f'(1) = 0, so with the
 linear indicator the guarantees are reported as unsatisfied no matter the
-arithmetic.  When a guarantee is certified, :func:`run` enforces it at run
-time and raises on violation; outside the conditions violations are
-possible and are only reported, not raised.
+arithmetic.  When the run's problem certifies a guarantee, :func:`run`
+enforces it at run time and raises on violation; outside the conditions
+violations are possible and are only reported, not raised.
 """
 
 from __future__ import annotations
@@ -61,9 +63,8 @@ from .energy import problem_energy
 from .errors import (
     BlowupError, ConfigError, EnergyIncreaseError, GridMismatchError, MppViolationError,
 )
-from .grid import GridField, PeriodicGrid
-from .physics import ModelParams, NonlinearSpec, Problem, lipschitz_constants
-from .spectral import LongRangeOp, OpKind, estimate_linf_norm
+from .grid import GridField
+from .physics import Problem, lipschitz_constants
 
 MPP_TOL = 1e-10
 ENERGY_TOL = 1e-9
@@ -121,31 +122,24 @@ class ConditionReport:
         return "\n".join(f"{name:<{width}}  {value}" for name, value in rows)
 
 
-def check_conditions(
-    params: ModelParams,
-    spec: NonlinearSpec,
-    op: LongRangeOp,
-    grid: PeriodicGrid,
-    potential: GridField | None = None,
-) -> ConditionReport:
-    """Evaluate the bounds and energy-decay conditions for these parameters.
+def check_conditions(problem: Problem) -> ConditionReport:
+    """Evaluate the bounds and energy-decay conditions of ``problem``.
 
-    With an external potential (solvation mode) the interaction load
-    gamma*||L|| + M*|T| is replaced by ||U||_inf, and the energy condition
-    loses its L_f'^2 part because that energy term is linear in f.
+    The conditions read the problem's parameters, indicator, grid and
+    ``op_norm``.  With an external potential (solvation mode) the
+    interaction load gamma*||L|| + M*|T| is replaced by ||U||_inf, and the
+    energy condition loses its L_f'^2 part because that energy term is
+    linear in f.
     """
+    params, spec, op_norm = problem.params, problem.spec, problem.op_norm
     lc = lipschitz_constants(spec)
     eps = params.epsilon
-    if potential is not None:
-        if op.kind is not OpKind.NONE:
-            raise ConfigError("an external potential requires operator kind 'none'")
-        op_norm = float(np.max(np.abs(potential.values)))
+    if problem.potential_values is not None:
         mpp_rhs = lc.L_Wpp / eps + lc.L_fpp * op_norm
         es_rhs = mpp_rhs
         continuous_lhs = eps / 6.0 * op_norm
     else:
-        op_norm = 0.0 if op.kind is OpKind.NONE else estimate_linf_norm(op, grid)
-        load = params.gamma * op_norm + params.M * grid.measure
+        load = params.gamma * op_norm + params.M * problem.grid.measure
         mpp_rhs = lc.L_Wpp / eps + params.omega_tilde * lc.L_fpp * load
         es_rhs = lc.L_Wpp / eps + (lc.L_fp**2 + params.omega_tilde * lc.L_fpp) * load
         continuous_lhs = eps * params.omega_tilde / 6.0 * load
@@ -222,29 +216,28 @@ def _outside_bounds(lo: float, hi: float) -> bool:
 
 def run(
     state0: SchemeState,
-    params: ModelParams,
-    spec: NonlinearSpec,
-    op: LongRangeOp,
+    problem: Problem,
     t_max: float,
     tol: float = 1e-3,
     *,
-    potential: GridField | None = None,
     record_every: int = 1,
-    report: ConditionReport | None = None,
     snapshot_times=(),
     on_snapshot=None,
 ) -> tuple[SchemeState, list[StepRecord]]:
-    """Iterate the time step until ``t >= t_max`` or the increment criterion.
+    """Iterate the time step of ``problem`` until ``t >= t_max`` or the increment criterion.
 
     The iteration stops early once ||P_new - P_old||_inf / tau <= tol
     (pass ``tol <= 0`` to always integrate to ``t_max``).  Records are
     taken at the start, every ``record_every`` steps counted from it, at
-    each snapshot step and at the final step.  When the report certifies a
-    guarantee, it is enforced on every step: bounds, and energy decay from
-    the starting field's energy on; a violation raises instead of
-    returning.  Certified bounds also need a starting field in [0, 1]; one
-    outside is a :class:`ConfigError`.  A non-finite increment or energy
-    raises :class:`BlowupError`.
+    each snapshot step and at the final step.  When
+    :func:`check_conditions` of the problem certifies a guarantee, it is
+    enforced on every step: bounds, and energy decay from the starting
+    field's energy on; a violation raises instead of returning.  Certified
+    bounds also need a starting field in [0, 1]; one outside is a
+    :class:`ConfigError`, as is a step count that is not finite.  A
+    ``state0`` on another grid than the problem's raises
+    :class:`GridMismatchError`.  A non-finite increment or energy raises
+    :class:`BlowupError`.
 
     Each of ``snapshot_times`` (none beyond ``t_max``) is reached at the
     first step at or after it, counted from the step of the time before it.
@@ -252,11 +245,10 @@ def run(
     :class:`SchemeState` that owns a copy of the field.
 
     Every energy comes from :func:`pacok.energy.problem_energy`, on the
-    field and spectra the run's :class:`pacok.physics.Problem` holds; the
-    start's two spectra are computed here.  The first step is a call of
-    :func:`step`, the kernel makes the others, and the returned state takes
-    the field buffer the kernel wrote last (``state0`` itself when there is
-    nothing to step).
+    field and spectra the problem holds; the start's two spectra are
+    computed here.  The first step is a call of :func:`step`, the kernel
+    makes the others, and the returned state takes the field buffer the
+    kernel wrote last (``state0`` itself when there is nothing to step).
     """
     if not 0.0 < t_max < math.inf:
         raise ConfigError(f"t_max must be positive and finite, got {t_max}")
@@ -265,11 +257,20 @@ def run(
     for t in snapshot_times:
         if not t <= t_max:
             raise ConfigError(f"snapshot time {t!r} lies beyond t_max = {t_max!r}")
-    grid = state0.phi.grid
-    if report is None:
-        report = check_conditions(params, spec, op, grid, potential)
-    problem = Problem(grid, params, spec, op, None if potential is None else potential.values)
+    grid, tau = problem.grid, problem.params.tau
+    if state0.phi.grid != grid:
+        raise GridMismatchError(f"the state lives on {state0.phi.grid}, the problem on {grid}")
     n, s = state0.step_index, state0.phi.values
+    # The steps that reach each time, counted as separate runs would count them.
+    ends, t = [0], state0.time
+    for target in sorted(snapshot_times) + [t_max]:
+        steps = (target - t) / tau - 1e-12
+        if not math.isfinite(steps):
+            raise ConfigError(f"the step count to t = {target!r} with tau = {tau!r} is not finite")
+        ends.append(ends[-1] + max(0, math.ceil(steps)))
+        t = (n + ends[-1]) * tau
+    n_steps, snapshot_steps = ends[-1], set(ends[1:-1]) - {ends[-1]}
+    report = check_conditions(problem)
     with np.errstate(over="ignore", invalid="ignore"):
         problem.load(s)
     problem.forward(s, problem.phi_hat)
@@ -280,12 +281,6 @@ def run(
             f"certified bounds need an initial field in [0, 1]: min={lo:.3e}, max={hi:.3e}"
         )
     records = [StepRecord(n, state0.time, lo, hi, last_energy, 0.0)]
-    # The steps that reach each time, counted as separate runs would count them.
-    ends, t = [0], state0.time
-    for target in sorted(snapshot_times) + [t_max]:
-        ends.append(ends[-1] + max(0, math.ceil((target - t) / params.tau - 1e-12)))
-        t = (n + ends[-1]) * params.tau
-    n_steps, snapshot_steps = ends[-1], set(ends[1:-1]) - {ends[-1]}
     if n_steps == 0:
         return state0, records
     state = step(state0, problem)
@@ -302,7 +297,7 @@ def run(
             if not math.isfinite(increment):
                 raise BlowupError(n)
             s = out
-        stopping = tol > 0.0 and increment / params.tau <= tol
+        stopping = tol > 0.0 and increment / tau <= tol
         snapshot = k in snapshot_steps and not stopping
         recording = k % record_every == 0 or k == n_steps or stopping or snapshot
         if report.mpp_ok or recording:
@@ -322,10 +317,10 @@ def run(
                 )
             last_energy = energy
         if recording:
-            records.append(StepRecord(n, n * params.tau, lo, hi, energy, increment))
+            records.append(StepRecord(n, n * tau, lo, hi, energy, increment))
         if snapshot and on_snapshot is not None:
             field = GridField._checked(grid, s.copy())
-            on_snapshot(SchemeState(field, n, n * params.tau, increment))
+            on_snapshot(SchemeState(field, n, n * tau, increment))
         if stopping:
             break
-    return SchemeState(GridField._checked(grid, s), n, n * params.tau, increment), records
+    return SchemeState(GridField._checked(grid, s), n, n * tau, increment), records

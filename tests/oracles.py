@@ -20,7 +20,7 @@ def apply_laplacian(a: GridField) -> GridField:
     out = (np.roll(v, 1, axis=0) + np.roll(v, -1, axis=0) - 2.0 * v) / h[0] ** 2
     if a.grid.dim == 2:
         out = out + (np.roll(v, 1, axis=1) + np.roll(v, -1, axis=1) - 2.0 * v) / h[1] ** 2
-    return a.with_values(out)
+    return GridField(a.grid, out)
 
 
 def apply_long_range(op: LongRangeOp, a: GridField) -> GridField:
@@ -28,7 +28,7 @@ def apply_long_range(op: LongRangeOp, a: GridField) -> GridField:
     axes = tuple(range(a.grid.dim))
     spectrum = np.fft.rfftn(a.values, axes=axes)
     spectrum *= multiplier_array(op, a.grid)
-    return a.with_values(np.fft.irfftn(spectrum, s=a.grid.shape, axes=axes))
+    return GridField(a.grid, np.fft.irfftn(spectrum, s=a.grid.shape, axes=axes))
 
 
 def apply_inv_neg_laplacian(a: GridField) -> GridField:
@@ -67,4 +67,4 @@ def assemble_rhs_array(phi_values, grid, params, spec, op, potential_values=None
 def assemble_rhs(phi, params, spec, op, potential=None) -> GridField:
     """The right-hand side F(phi) of one step, as a field."""
     pot = potential.values if potential is not None else None
-    return phi.with_values(assemble_rhs_array(phi.values, phi.grid, params, spec, op, pot))
+    return GridField(phi.grid, assemble_rhs_array(phi.values, phi.grid, params, spec, op, pot))

@@ -1,9 +1,10 @@
 import re
+import sys
 from dataclasses import replace
 
 import pytest
 
-from pacok import cli, experiments
+from pacok import cli, experiments, spectral
 
 
 @pytest.fixture
@@ -227,3 +228,43 @@ def test_converge_with_a_grid_size_that_is_not_an_even_integer_of_at_least_4_exi
     assert cli.main(["converge", "--eps-factors", "4", "--n", str(n)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: config: grid size must be an even integer >= 4, got {n}\n"
+
+
+def test_pvism_with_a_step_count_that_is_not_finite_exits_2(capsys):
+    assert cli.main(["pvism", "--tau", "1e-320", "--t-max", "0.5"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: config: the step count to t = 0.5 with tau = 1e-320 is not finite\n"
+
+
+@pytest.mark.parametrize("bench_tau", ["0", "-1e-4"])
+def test_converge_with_a_step_that_is_not_positive_exits_2(bench_tau, capsys):
+    argv = ["converge", "--eps-factors", "4", "--n", "16", f"--bench-tau={bench_tau}"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: config: the time step must be positive and finite, got tau={float(bench_tau)!r}\n"
+    )
+
+
+@pytest.mark.parametrize("operator, stencils", [("inverse_laplacian", 2), ("custom", 1)])
+def test_run_builds_the_multiplier_once(tmp_path, monkeypatch, operator, stencils):
+    # Each function is counted wherever a pacok module binds it.  The stencil
+    # symbol is built for the solve and, for the inverse Laplacian, for its
+    # multiplier.
+    calls = {}
+    for name in ("multiplier_array", "stencil_symbol"):
+        real = getattr(spectral, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+
+        for module in [m for key, m in sys.modules.items() if key.startswith("pacok")]:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
+    table = tmp_path / "symbol.csv"
+    table.write_text("".join(f"{a},{b},1.0\n" for a in range(-4, 4) for b in range(-4, 4)))
+    path = write_config(tmp_path, f"N = 8,8\nX = 1.0,1.0\nT = 0.003\noperator = {operator}\n"
+                                  f"op_symbol_file = {table}\n")
+    assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    assert calls == {"multiplier_array": 1, "stencil_symbol": stencils}

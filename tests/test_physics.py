@@ -440,3 +440,23 @@ class TestRhsKernel:
         g = PeriodicGrid((16,), (1.0,))
         with pytest.raises(ConfigError):
             Problem(g, self.PARAMS, CUBIC, LongRangeOp.inverse_laplacian(), np.ones(g.shape))
+
+    @pytest.mark.parametrize(
+        "op",
+        [LongRangeOp.inverse_laplacian(), LongRangeOp.helmholtz(0.3), LongRangeOp.garnet_film(0.5),
+         "custom"],
+        ids=["inverse_laplacian", "helmholtz", "garnet_film", "custom"],
+    )
+    def test_keeps_the_operator_norm_of_estimate_linf_norm_bit_for_bit(self, op):
+        from test_spectral import random_even_table
+
+        g = PeriodicGrid((8, 12), (1.0, 1.5))
+        if op == "custom":
+            op = LongRangeOp.custom(random_even_table(g.sizes, 5))
+        assert Problem(g, self.PARAMS, CUBIC, op).op_norm == estimate_linf_norm(op, g)
+
+    def test_operator_norm_is_max_abs_potential_or_0_without_either(self):
+        g = PeriodicGrid((16,), (1.0,))
+        potential = np.linspace(-3.0, 2.0, 16)
+        assert Problem(g, self.PARAMS, CUBIC, LongRangeOp.none(), potential).op_norm == 3.0
+        assert Problem(g, self.PARAMS, CUBIC, LongRangeOp.none()).op_norm == 0.0

@@ -30,7 +30,7 @@ def certified_cases(draw):
         tau=draw(st.floats(1e-4, 1e-2)),
     )
     bare = ModelParams(kappa=0.0, **physics)
-    kappa_min = check_conditions(bare, CUBIC, op, grid).kappa_min_es
+    kappa_min = check_conditions(Problem(grid, bare, CUBIC, op)).kappa_min_es
     params = ModelParams(kappa=kappa_min * draw(st.floats(1.0, 2.0)) + 1e-6, **physics)
     values = draw(arrays(np.float64, grid.shape, elements=st.floats(0.0, 1.0)))
     return grid, op, params, GridField(grid, values)
@@ -40,9 +40,10 @@ def certified_cases(draw):
 @given(certified_cases())
 def test_certified_step_keeps_bounds_and_decays_energy(case):
     grid, op, params, phi = case
-    report = check_conditions(params, CUBIC, op, grid)
+    problem = Problem(grid, params, CUBIC, op)
+    report = check_conditions(problem)
     assert report.mpp_ok and report.es_ok
-    new = step(SchemeState.initial(phi), Problem(grid, params, CUBIC, op))
+    new = step(SchemeState.initial(phi), problem)
     assert float(np.min(new.phi.values)) >= -MPP_TOL
     assert float(np.max(new.phi.values)) <= 1.0 + MPP_TOL
     before = discrete_energy(phi, params, CUBIC, op).total

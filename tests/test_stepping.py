@@ -59,7 +59,7 @@ class TestCheckConditions:
         # so kappa = 0 already certifies the bounds.
         g = PeriodicGrid((32,), (1.0,))
         p = ModelParams(epsilon=0.1, gamma=0.0, M=0.0, omega=0.3, kappa=0.0, tau=1e-3)
-        r = check_conditions(p, CUBIC, LongRangeOp.inverse_laplacian(), g)
+        r = check_conditions(Problem(g, p, CUBIC, LongRangeOp.inverse_laplacian()))
         assert r.mpp_rhs == pytest.approx(360.0)
         assert r.mpp_lhs == pytest.approx(1000.0)
         assert r.mpp_ok
@@ -69,11 +69,11 @@ class TestCheckConditions:
         # gamma = M = 0: energy condition reduces to kappa >= L_W'' = 36.
         g = PeriodicGrid((32,), (1.0,))
         p = ModelParams(epsilon=0.1, gamma=0.0, M=0.0, omega=0.3, kappa=0.0, tau=1e-3)
-        r = check_conditions(p, CUBIC, LongRangeOp.inverse_laplacian(), g)
+        r = check_conditions(Problem(g, p, CUBIC, LongRangeOp.inverse_laplacian()))
         assert r.kappa_min_es == pytest.approx(36.0)
         assert not r.es_ok
         p36 = ModelParams(epsilon=0.1, gamma=0.0, M=0.0, omega=0.3, kappa=36.0, tau=1e-3)
-        assert check_conditions(p36, CUBIC, LongRangeOp.inverse_laplacian(), g).es_ok
+        assert check_conditions(Problem(g, p36, CUBIC, LongRangeOp.inverse_laplacian())).es_ok
 
     def test_paper_2d_setup_reported_consistently(self):
         # omega = 0.15, gamma = 1000, M = 1e4, |T^2| = 4, kappa = 2000: the
@@ -81,7 +81,7 @@ class TestCheckConditions:
         # reports must be internally consistent.
         g = PeriodicGrid((64, 64), (1.0, 1.0))
         p = ModelParams(epsilon=0.078125, gamma=1000.0, M=1e4, omega=0.15, kappa=2000.0, tau=2e-4)
-        r = check_conditions(p, CUBIC, LongRangeOp.inverse_laplacian(), g)
+        r = check_conditions(Problem(g, p, CUBIC, LongRangeOp.inverse_laplacian()))
         assert p.omega_tilde == 0.85
         assert r.mpp_ok == (r.mpp_lhs >= r.mpp_rhs)
         assert r.es_ok == (r.es_lhs >= r.es_rhs)
@@ -100,14 +100,14 @@ class TestCheckConditions:
                 kappa=rng.uniform(0.0, 5000.0),
                 tau=10.0 ** rng.uniform(-4, -2),
             )
-            r = check_conditions(p, CUBIC, LongRangeOp.inverse_laplacian(), g)
+            r = check_conditions(Problem(g, p, CUBIC, LongRangeOp.inverse_laplacian()))
             if r.es_ok:
                 assert r.mpp_ok
 
     def test_linear_f_never_certified(self):
         g = PeriodicGrid((32,), (1.0,))
         p = ModelParams(epsilon=0.1, gamma=0.0, M=0.0, omega=0.3, kappa=1e6, tau=1e-3)
-        r = check_conditions(p, LINEAR, LongRangeOp.inverse_laplacian(), g)
+        r = check_conditions(Problem(g, p, LINEAR, LongRangeOp.inverse_laplacian()))
         assert not r.mpp_ok and not r.es_ok
         assert r.es_lhs >= r.es_rhs  # arithmetic alone would pass
 
@@ -115,7 +115,7 @@ class TestCheckConditions:
         g = PeriodicGrid((64,), (5.0,))
         p = ModelParams(epsilon=0.5, gamma=0.0, M=0.0, omega=0.5, kappa=2000.0, tau=1e-4)
         u = GridField.constant(g, -7.0)
-        r = check_conditions(p, CUBIC, LongRangeOp.none(), g, potential=u)
+        r = check_conditions(Problem(g, p, CUBIC, LongRangeOp.none(), u.values))
         assert r.op_norm == 7.0
         assert r.mpp_rhs == pytest.approx(36.0 / 0.5 + 6.0 * 7.0)
         assert r.mpp_ok and r.es_ok
@@ -242,7 +242,7 @@ class TestStepMemory:
             return new
 
         monkeypatch.setattr(stepping, "step", measured_step)
-        run(state0, p, CUBIC, op, t_max=2 * p.tau, tol=0.0)
+        run(state0, Problem(state0.phi.grid, p, CUBIC, op), t_max=2 * p.tau, tol=0.0)
         field_bytes = 8 * n * n
         assert len(growth) == 1
         assert growth[0] <= 1.05 * field_bytes
@@ -256,7 +256,8 @@ class TestRun:
         g = PeriodicGrid((32,), (1.0,))
         p = ModelParams(epsilon=0.1, gamma=100.0, M=100.0, omega=0.5, kappa=100.0, tau=1e-3)
         s0 = SchemeState.initial(GridField.constant(g, 0.5))
-        final, records = run(s0, p, CUBIC, LongRangeOp.inverse_laplacian(), t_max=1.0, tol=1e-3)
+        final, records = run(s0, Problem(g, p, CUBIC, LongRangeOp.inverse_laplacian()), t_max=1.0,
+                             tol=1e-3)
         assert final.step_index == 1
         assert final.last_increment_linf <= 1e-14
         assert records[0].n == 0 and records[-1].n == 1
@@ -266,7 +267,8 @@ class TestRun:
         p = ModelParams(epsilon=0.2, gamma=10.0, M=10.0, omega=0.3, kappa=50.0, tau=1e-2)
         rng = np.random.default_rng(58)
         s0 = SchemeState.initial(GridField(g, rng.uniform(0.0, 1.0, size=g.shape)))
-        final, records = run(s0, p, CUBIC, LongRangeOp.inverse_laplacian(), t_max=0.1, tol=0.0)
+        final, records = run(s0, Problem(g, p, CUBIC, LongRangeOp.inverse_laplacian()), t_max=0.1,
+                             tol=0.0)
         assert final.step_index == 10
         assert final.time == pytest.approx(0.1)
         assert [r.n for r in records] == list(range(11))
@@ -278,7 +280,8 @@ class TestRun:
         rng = np.random.default_rng(59)
         s0 = SchemeState.initial(GridField(g, rng.uniform(0.0, 1.0, size=g.shape)))
         _, records = run(
-            s0, p, CUBIC, LongRangeOp.inverse_laplacian(), t_max=0.1, tol=0.0, record_every=4
+            s0, Problem(g, p, CUBIC, LongRangeOp.inverse_laplacian()), t_max=0.1, tol=0.0,
+            record_every=4,
         )
         assert [r.n for r in records] == [0, 4, 8, 10]
 
@@ -290,28 +293,30 @@ class TestRun:
         rhs = 36.0 / eps + max(omega, 1 - omega) * 6.0 * (gamma * op_norm + M * g.measure)
         kappa = max(0.0, eps * (rhs - 1.0 / tau)) + 1.0
         p = ModelParams(epsilon=eps, gamma=gamma, M=M, omega=omega, kappa=kappa, tau=tau)
-        r = check_conditions(p, CUBIC, op, g)
+        problem = Problem(g, p, CUBIC, op)
+        r = check_conditions(problem)
         assert r.mpp_ok
         rng = np.random.default_rng(60)
         for trial in range(10):
             state = SchemeState.initial(GridField(g, rng.uniform(0.0, 1.0, size=g.shape)))
-            final, records = run(state, p, CUBIC, op, t_max=20 * tau, tol=0.0, report=r)
+            final, records = run(state, problem, t_max=20 * tau, tol=0.0)
             assert all(-1e-10 <= rec.phi_min and rec.phi_max <= 1 + 1e-10 for rec in records)
 
     def test_energy_decay_battery_small(self):
         g = PeriodicGrid((32, 32), (1.0, 1.0))
         op = LongRangeOp.inverse_laplacian()
         p0 = ModelParams(epsilon=0.1, gamma=100.0, M=100.0, omega=0.3, kappa=0.0, tau=1e-3)
-        r0 = check_conditions(p0, CUBIC, op, g)
+        r0 = check_conditions(Problem(g, p0, CUBIC, op))
         p = ModelParams(
             epsilon=0.1, gamma=100.0, M=100.0, omega=0.3, kappa=r0.kappa_min_es + 1.0, tau=1e-3
         )
-        r = check_conditions(p, CUBIC, op, g)
+        problem = Problem(g, p, CUBIC, op)
+        r = check_conditions(problem)
         assert r.es_ok
         rng = np.random.default_rng(61)
         for trial in range(5):
             state = SchemeState.initial(GridField(g, rng.uniform(0.0, 1.0, size=g.shape)))
-            final, records = run(state, p, CUBIC, op, t_max=20 * p.tau, tol=0.0, report=r)
+            final, records = run(state, problem, t_max=20 * p.tau, tol=0.0)
             energies = [rec.energy for rec in records]
             for a, b in zip(energies, energies[1:]):
                 assert b <= a + 1e-9 * (1.0 + abs(a))
@@ -323,14 +328,15 @@ class TestRun:
         g = PeriodicGrid((32,), (1.0,))
         p = ModelParams(epsilon=0.02, gamma=100.0, M=100.0, omega=0.3, kappa=0.0, tau=2e-2)
         op = LongRangeOp.inverse_laplacian()
-        r = check_conditions(p, LINEAR, op, g)
+        problem = Problem(g, p, LINEAR, op)
+        r = check_conditions(problem)
         assert not r.mpp_ok
         rng = np.random.default_rng(62)
         worst = 0.0
         for trial in range(20):
             state = SchemeState.initial(GridField(g, rng.uniform(0.0, 1.0, size=g.shape)))
             try:
-                state, records = run(state, p, LINEAR, op, t_max=50 * p.tau, tol=0.0, report=r)
+                state, records = run(state, problem, t_max=50 * p.tau, tol=0.0)
                 lo = min(rec.phi_min for rec in records)
                 hi = max(rec.phi_max for rec in records)
             except BlowupError:
@@ -339,13 +345,14 @@ class TestRun:
             worst = max(worst, -lo, hi - 1.0)
         assert worst > 1e-3
 
-    def test_monitor_raises_on_forced_violation(self):
+    def test_monitor_raises_on_forced_violation(self, monkeypatch):
         # A report that (falsely) certifies the bounds for violating
         # parameters must trigger the hard monitor failure.
         g = PeriodicGrid((32,), (1.0,))
         p = ModelParams(epsilon=0.02, gamma=100.0, M=100.0, omega=0.3, kappa=0.0, tau=2e-2)
         op = LongRangeOp.inverse_laplacian()
-        honest = check_conditions(p, CUBIC, op, g)
+        problem = Problem(g, p, CUBIC, op)
+        honest = check_conditions(problem)
         assert not honest.mpp_ok
         forged = ConditionReport(
             op_norm=honest.op_norm,
@@ -362,17 +369,27 @@ class TestRun:
         )
         rng = np.random.default_rng(63)
         state = SchemeState.initial(GridField(g, rng.uniform(0.0, 1.0, size=g.shape)))
+        monkeypatch.setattr(stepping, "check_conditions", lambda _: forged)
         with pytest.raises(MppViolationError):
-            run(state, p, CUBIC, op, t_max=100 * p.tau, tol=0.0, report=forged)
+            run(state, problem, t_max=100 * p.tau, tol=0.0)
 
     def test_rejects_bad_arguments(self):
         g = PeriodicGrid((16,), (1.0,))
         p = ModelParams(epsilon=0.1, gamma=0.0, M=0.0, omega=0.3, kappa=0.0, tau=1e-3)
         s0 = SchemeState.initial(GridField.constant(g, 0.5))
         with pytest.raises(ConfigError):
-            run(s0, p, CUBIC, LongRangeOp.none(), t_max=0.0)
+            run(s0, Problem(g, p, CUBIC, LongRangeOp.none()), t_max=0.0)
         with pytest.raises(ConfigError):
-            run(s0, p, CUBIC, LongRangeOp.none(), t_max=1.0, record_every=0)
+            run(s0, Problem(g, p, CUBIC, LongRangeOp.none()), t_max=1.0, record_every=0)
+
+    def test_rejects_a_start_on_another_grid_than_the_problem(self, monkeypatch):
+        # The grids are compared before row 0, so no energy is taken.
+        monkeypatch.setattr(stepping, "problem_energy", None)
+        p = ModelParams(epsilon=0.1, gamma=0.0, M=0.0, omega=0.3, kappa=0.0, tau=1e-3)
+        s0 = SchemeState.initial(GridField.constant(PeriodicGrid((16,), (1.0,)), 0.5))
+        for other in (PeriodicGrid((32,), (1.0,)), PeriodicGrid((16,), (2.0,))):
+            with pytest.raises(GridMismatchError):
+                run(s0, Problem(other, p, CUBIC, LongRangeOp.inverse_laplacian()), t_max=0.01)
 
     def test_nonfinite_energy_is_blowup(self):
         # A finite field whose energy overflows: W(P) ~ P^4 is inf at 1e90.
@@ -380,7 +397,7 @@ class TestRun:
         p = ModelParams(epsilon=0.1, gamma=10.0, M=10.0, omega=0.3, kappa=50.0, tau=1e-2)
         s0 = SchemeState.initial(GridField.constant(g, 1e90))
         with pytest.raises(BlowupError, match="energy") as exc_info:
-            run(s0, p, CUBIC, LongRangeOp.inverse_laplacian(), t_max=0.1, tol=0.0)
+            run(s0, Problem(g, p, CUBIC, LongRangeOp.inverse_laplacian()), t_max=0.1, tol=0.0)
         assert exc_info.value.step_index == 0
 
 
@@ -392,24 +409,24 @@ class TestResumedRun:
         g = PeriodicGrid((32,), (1.0,))
         op = LongRangeOp.inverse_laplacian()
         p0 = ModelParams(epsilon=0.1, gamma=100.0, M=100.0, omega=0.3, kappa=0.0, tau=1e-3)
-        kappa = check_conditions(p0, CUBIC, op, g).kappa_min_es + 1.0
+        kappa = check_conditions(Problem(g, p0, CUBIC, op)).kappa_min_es + 1.0
         p = ModelParams(epsilon=0.1, gamma=100.0, M=100.0, omega=0.3, kappa=kappa, tau=1e-3)
-        report = check_conditions(p, CUBIC, op, g)
-        assert report.es_ok
+        problem = Problem(g, p, CUBIC, op)
+        assert check_conditions(problem).es_ok
         rng = np.random.default_rng(64)
         state = SchemeState.initial(GridField(g, rng.uniform(0.0, 1.0, size=g.shape)))
-        return state, p, op, report
+        return state, p, op, problem
 
-    def run_segments(self, state, p, op, report):
+    def run_segments(self, state, p, problem):
         return run_with_snapshots(
-            state, p, CUBIC, op, t_end=10 * p.tau, tol=0.0,
-            snapshot_times=(5 * p.tau,), record_every=1, report=report,
+            state, problem, t_end=10 * p.tau, tol=0.0,
+            snapshot_times=(5 * p.tau,), record_every=1,
         )
 
     def test_segments_record_like_one_run(self):
-        state, p, op, report = self.certified_setup()
-        _, segmented = self.run_segments(state, p, op, report)
-        _, whole = run(state, p, CUBIC, op, t_max=10 * p.tau, tol=0.0, report=report)
+        state, p, op, problem = self.certified_setup()
+        _, segmented = self.run_segments(state, p, problem)
+        _, whole = run(state, problem, t_max=10 * p.tau, tol=0.0)
         assert segmented == whole
 
     def test_energy_rise_after_a_snapshot_raises(self, monkeypatch):
@@ -418,7 +435,7 @@ class TestResumedRun:
         # energy jumps while the bounds hold, so only the decay check sees
         # it.  Step 6 is the kernel's sixth Problem.advance call (the first
         # is step 1, made through step).
-        state, p, op, report = self.certified_setup()
+        state, p, op, problem = self.certified_setup()
         real_advance = Problem.advance
         rough = np.where(np.arange(state.phi.grid.sizes[0]) % 2 == 0, 0.0, 1.0)
         calls = []
@@ -434,11 +451,11 @@ class TestResumedRun:
 
         monkeypatch.setattr(Problem, "advance", advance_with_rise)
         with pytest.raises(EnergyIncreaseError, match="step 6:"):
-            self.run_segments(state, p, op, report)
+            self.run_segments(state, p, problem)
         assert len(calls) == 6
 
     def test_one_problem_and_one_run_call(self, monkeypatch, tmp_path):
-        state, p, op, report = self.certified_setup()
+        state, p, op, _ = self.certified_setup()
         built, runs = [], []
         real_init, real_run = Problem.__init__, experiments.run
 
@@ -453,9 +470,9 @@ class TestResumedRun:
         monkeypatch.setattr(Problem, "__init__", counting_init)
         monkeypatch.setattr(experiments, "run", counting_run)
         final, _ = run_with_snapshots(
-            state, p, CUBIC, op, t_end=10 * p.tau, tol=0.0,
+            state, Problem(state.phi.grid, p, CUBIC, op), t_end=10 * p.tau, tol=0.0,
             snapshot_times=(0.0, 3 * p.tau, 5 * p.tau, 7 * p.tau, 1.0, -1.0),
-            out_dir=str(tmp_path), record_every=4, report=report,
+            out_dir=str(tmp_path), record_every=4,
         )
         assert final.step_index == 10
         assert len(built) == 1 and len(runs) == 1
@@ -465,12 +482,12 @@ class TestResumedRun:
 
     def test_records_do_not_depend_on_snapshot_times(self):
         # The cadence counts from the run's start; a snapshot step adds its row.
-        state, p, op, report = self.certified_setup()
+        state, p, op, problem = self.certified_setup()
         rows = {}
         for times in ((), (5 * p.tau,)):
             _, records = run_with_snapshots(
-                state, p, CUBIC, op, t_end=20 * p.tau, tol=0.0, snapshot_times=times,
-                record_every=3, report=report,
+                state, problem, t_end=20 * p.tau, tol=0.0, snapshot_times=times,
+                record_every=3,
             )
             rows[times] = records
         whole, snapped = rows.values()
@@ -479,19 +496,19 @@ class TestResumedRun:
         assert [r for r in snapped if r.n != 5] == whole
 
     def test_each_snapshot_equals_a_run_stopped_at_its_time(self):
-        state, p, op, report = self.certified_setup()
+        state, p, op, problem = self.certified_setup()
         times = (2 * p.tau, 5 * p.tau, 8 * p.tau)
         got = []
 
         def keep(snap):
             got.append((snap, snap.phi.values.copy()))
 
-        final, _ = run(state, p, CUBIC, op, t_max=10 * p.tau, tol=0.0, report=report,
+        final, _ = run(state, problem, t_max=10 * p.tau, tol=0.0,
                        snapshot_times=times, on_snapshot=keep)
         assert final.step_index == 10
         assert [snap.step_index for snap, _ in got] == [2, 5, 8]
         for (snap, copy), t in zip(got, times):
-            stopped, _ = run(state, p, CUBIC, op, t_max=t, tol=0.0, report=report)
+            stopped, _ = run(state, problem, t_max=t, tol=0.0)
             assert (snap.step_index, snap.time, snap.last_increment_linf) == (
                 stopped.step_index, stopped.time, stopped.last_increment_linf)
             assert np.array_equal(snap.phi.values, stopped.phi.values)
@@ -499,10 +516,9 @@ class TestResumedRun:
             assert not snap.phi.values.flags.writeable
 
     def test_snapshot_time_beyond_the_run_is_refused(self):
-        state, p, op, report = self.certified_setup()
+        state, p, op, problem = self.certified_setup()
         with pytest.raises(ConfigError, match="snapshot time 0.02 lies beyond t_max = 0.01"):
-            run(state, p, CUBIC, op, t_max=0.01, tol=0.0, report=report,
-                snapshot_times=(0.005, 0.02))
+            run(state, problem, t_max=0.01, tol=0.0, snapshot_times=(0.005, 0.02))
 
 
 class TestCarriedSpectra:
@@ -513,13 +529,14 @@ class TestCarriedSpectra:
         g = PeriodicGrid((n, n), (1.0, 1.0))
         op = LongRangeOp.inverse_laplacian()
         p0 = ModelParams(epsilon=0.15, gamma=100.0, M=100.0, omega=0.3, kappa=0.0, tau=1e-3)
-        kappa = check_conditions(p0, CUBIC, op, g).kappa_min_es + 1.0
+        kappa = check_conditions(Problem(g, p0, CUBIC, op)).kappa_min_es + 1.0
         p = ModelParams(epsilon=0.15, gamma=100.0, M=100.0, omega=0.3, kappa=kappa, tau=1e-3)
-        report = check_conditions(p, CUBIC, op, g)
+        problem = Problem(g, p, CUBIC, op)
+        report = check_conditions(problem)
         assert report.mpp_ok and report.es_ok
         rng = np.random.default_rng(65)
         state = SchemeState.initial(GridField(g, rng.uniform(0.0, 1.0, size=g.shape)))
-        return state, p, op, report
+        return state, p, op, problem
 
     def test_a_state_holds_only_its_field(self):
         state, p, op, _ = self.certified_2d()
@@ -539,7 +556,7 @@ class TestCarriedSpectra:
         # mismatch.  A 2D inverse transform is an ifft over the leading axis
         # and an irfft over the last.  The initial state adds its two
         # forward transforms, and step 1 transforms that mismatch again.
-        state, p, op, report = self.certified_2d()
+        state, p, op, problem = self.certified_2d()
         counts = dict.fromkeys(("rfftn", "rfft", "fft", "irfftn", "irfft", "ifft"), 0)
         for name in counts:
             real = getattr(np.fft, name)
@@ -550,21 +567,20 @@ class TestCarriedSpectra:
 
             monkeypatch.setattr(np.fft, name, counted)
         n_steps = 7
-        _, records = run(state, p, CUBIC, op, t_max=n_steps * p.tau, tol=0.0,
-                         record_every=1, report=report)
+        _, records = run(state, problem, t_max=n_steps * p.tau, tol=0.0, record_every=1)
         assert len(records) == n_steps + 1
         assert counts == {"rfftn": 2 * n_steps + 3, "rfft": 0, "fft": 0,
                           "irfftn": 0, "irfft": 2 * n_steps, "ifft": 2 * n_steps}
 
     def test_segments_write_the_series_of_one_run(self, tmp_path):
-        state, p, op, report = self.certified_2d()
+        state, p, op, problem = self.certified_2d()
         out = {}
         for label, times in (("whole", ()), ("segments", (0.0, 3 * p.tau, 7 * p.tau))):
             out_dir = tmp_path / label
             out_dir.mkdir()
             final, _ = run_with_snapshots(
-                state, p, CUBIC, op, t_end=10 * p.tau, tol=0.0, snapshot_times=times,
-                out_dir=str(out_dir), record_every=1, report=report,
+                state, problem, t_end=10 * p.tau, tol=0.0, snapshot_times=times,
+                out_dir=str(out_dir), record_every=1,
             )
             out[label] = (final.phi.values, (out_dir / "series.csv").read_bytes())
         assert np.array_equal(out["whole"][0], out["segments"][0])
@@ -575,7 +591,7 @@ class TestCarriedSpectra:
         # while the bounds hold; records are taken at steps 0, 10 and 20.
         # Step 7 is made by the kernel, so the hook replaces the field that
         # its seventh Problem.advance call (the first is step 1) produced.
-        state, p, op, report = self.certified_2d()
+        state, p, op, problem = self.certified_2d()
         real_advance = Problem.advance
         rough = np.indices(state.phi.grid.shape).sum(axis=0) % 2 * 1.0
         calls = []
@@ -591,7 +607,7 @@ class TestCarriedSpectra:
 
         monkeypatch.setattr(Problem, "advance", advance_with_rise)
         with pytest.raises(EnergyIncreaseError, match="step 7:"):
-            run(state, p, CUBIC, op, t_max=20 * p.tau, tol=0.0, record_every=10, report=report)
+            run(state, problem, t_max=20 * p.tau, tol=0.0, record_every=10)
         assert len(calls) == 7
 
 
@@ -654,6 +670,12 @@ def kernel_case(name, scale=1):
     return state, p, spec, op, potential
 
 
+def kernel_problem(state, p, spec, op, potential=None):
+    """The problem of a kernel case, on the grid of its state."""
+    pot = None if potential is None else potential.values
+    return Problem(state.phi.grid, p, spec, op, pot)
+
+
 class TestKernel:
     """run makes steps 2..n in the kernel; it matches a loop of step calls bit for bit."""
 
@@ -669,9 +691,8 @@ class TestKernel:
                                                          potential)[1]]
             tol = increments[5] / p.tau
         expected, expected_records = step_loop(state, p, spec, op, t_max, tol, every, potential)
-        report = check_conditions(p, spec, op, state.phi.grid, potential)
-        got, records = run(state, p, spec, op, t_max=t_max, tol=tol, record_every=every,
-                           potential=potential, report=report)
+        got, records = run(state, kernel_problem(state, p, spec, op, potential), t_max=t_max,
+                           tol=tol, record_every=every)
         assert records == expected_records
         if mode == "early stop":
             assert 2 <= got.step_index < 12
@@ -691,7 +712,7 @@ class TestKernel:
             return new
 
         monkeypatch.setattr(stepping, "step", first_step)
-        final, _ = run(state, p, spec, op, t_max=20 * p.tau, tol=0.0)
+        final, _ = run(state, kernel_problem(state, p, spec, op), t_max=20 * p.tau, tol=0.0)
         assert final.step_index == 20
         assert len(returned) == 1
         first, copy = returned[0]
@@ -720,10 +741,9 @@ class TestKernel:
             traced.append(tracemalloc.get_traced_memory()[0])
 
         monkeypatch.setattr(Problem, "allocate_run_buffers", allocate_then_trace)
-        report = check_conditions(p, spec, op, state.phi.grid, potential)
+        problem = kernel_problem(state, p, spec, op, potential)
         try:
-            final, records = run(state, p, spec, op, t_max=20 * p.tau, tol=0.0,
-                                 potential=potential, report=report)
+            final, records = run(state, problem, t_max=20 * p.tau, tol=0.0)
             growth = tracemalloc.get_traced_memory()[1] - traced[0]
         finally:
             tracemalloc.stop()
