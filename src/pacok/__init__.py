@@ -48,10 +48,9 @@ from .stepping import (
     step,
 )
 from .experiments import (
-    CoarseningPreset,
+    RATE_STUDY,
     CoarseningResult,
     RateStudyResult,
-    RateStudySetup,
     SolvationComparison,
     coarsening_preset,
     coarsening_run,
@@ -61,6 +60,7 @@ from .experiments import (
     initial_tanh_disk,
     pvism_compare,
     rate_study,
+    run_config,
     run_with_snapshots,
 )
 from .config import (

@@ -35,18 +35,11 @@ def _ensure_out_dir(path: str) -> str:
 
 
 def cmd_run(args) -> int:
-    from .experiments import run_with_snapshots
-    from .stepping import SchemeState
+    from .experiments import run_config
 
     cfg = _load_config(args)
-    grid = cfg.build_grid()
-    problem = cfg.build_problem(grid)
     out = _ensure_out_dir(cfg.out)
-    state = SchemeState.initial(cfg.build_initial(grid))
-    state, records = run_with_snapshots(
-        state, problem, t_end=cfg.T, tol=cfg.tol, snapshot_times=cfg.snapshot_times,
-        out_dir=out, record_every=cfg.monitor_every,
-    )
+    _, state, records = run_config(cfg, out)
     print(
         f"run finished: n={state.step_index} t={state.time:.6g} "
         f"min={records[-1].phi_min:.6g} max={records[-1].phi_max:.6g} "
@@ -110,13 +103,16 @@ def _eps_factors(text: str) -> list[float]:
 
 
 def cmd_converge(args) -> int:
-    from .experiments import RateStudySetup, convergence_setups, rate_study
+    from dataclasses import replace
+
+    from .experiments import RATE_STUDY, convergence_setups, rate_study
 
     if args.eps_factors:
         factors = _eps_factors(args.eps_factors)
-        h = RateStudySetup(n=args.n).grid().spacings[0]   # refuses a bad --n first
+        base = replace(RATE_STUDY, N=(args.n, args.n), T=args.t_end)
+        h = base.build_grid().spacings[0]   # refuses a bad --n first
         rows = [
-            (f"{factor:g}h", RateStudySetup(n=args.n, epsilon=factor * h, t_end=args.t_end),
+            (f"{factor:g}h", replace(base, epsilon=factor * h),
              args.base_tau, args.levels, args.bench_tau)
             for factor in factors
         ]
@@ -125,7 +121,7 @@ def cmd_converge(args) -> int:
     lines = ["eps,tau,error,rate,successive_rate"]
     for label, setup, base_tau, levels, bench_tau in rows:
         result = rate_study(base_tau, levels, bench_tau, setup)
-        print(f"eps = {label} (N = {setup.n}, T = {setup.t_end})")
+        print(f"eps = {label} (N = {setup.N[0]}, T = {setup.T})")
         print(f"  {'tau':>12}  {'error':>12}  {'rate':>6}  {'successive':>10}")
         for i, (tau, err) in enumerate(zip(result.taus, result.errors)):
             # Each rate sits on the row of the smallest step it uses.
@@ -156,7 +152,7 @@ def cmd_coarsen(args) -> int:
     last = result.records[-1]
     yes_no = {True: "yes", False: "no"}
     print(
-        f"preset {result.preset.name} ({args.scale}): n={result.final.step_index} "
+        f"preset {args.preset} ({args.scale}): n={result.final.step_index} "
         f"t={result.final.time:.6g} bumps={result.bump_count} "
         f"min={last.phi_min:.6g} max={last.phi_max:.6g} energy={last.energy:.6g} "
         f"certified: bounds={yes_no[result.report.mpp_ok]} decay={yes_no[result.report.es_ok]}"

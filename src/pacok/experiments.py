@@ -1,7 +1,8 @@
 """Reproducible experiment drivers: convergence rates, coarsening, solvation.
 
-Three studies are packaged with their published parameter sets plus reduced
-"desk" variants that finish in minutes:
+Three studies run as :class:`pacok.config.RunConfig` values, with their
+published parameter sets plus reduced "desk" variants that finish in
+minutes:
 
 * a temporal convergence study on a shrinking-disk initial state, comparing
   halved time steps against a fine-step benchmark on the same grid;
@@ -24,10 +25,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import ConfigError
 from .grid import GridField, PeriodicGrid, norm_l2_h, save_snapshot
-from .physics import FKind, ModelParams, NonlinearSpec, Problem, pvism_potential
-from .spectral import LongRangeOp
+from .physics import Problem
 from .stepping import ConditionReport, SchemeState, StepRecord, check_conditions, run
 
 
@@ -140,33 +141,6 @@ def _pcg64_uniform(seed: int, lo: float, hi: float, count: int) -> list[float]:
 
 
 @dataclass(frozen=True)
-class RateStudySetup:
-    """Fixed configuration of one convergence study (everything but tau)."""
-
-    n: int = 256
-    half_extent: float = 1.0
-    epsilon: float = 0.15625
-    omega: float = 0.1
-    gamma: float = 100.0
-    M: float = 1000.0
-    kappa: float = 2000.0
-    t_end: float = 0.02
-
-    def grid(self) -> PeriodicGrid:
-        return PeriodicGrid((self.n, self.n), (self.half_extent, self.half_extent))
-
-    def params(self, tau: float) -> ModelParams:
-        return ModelParams(
-            epsilon=self.epsilon,
-            gamma=self.gamma,
-            M=self.M,
-            omega=self.omega,
-            kappa=self.kappa,
-            tau=tau,
-        )
-
-
-@dataclass(frozen=True)
 class RateStudyResult:
     """Errors against the benchmark and the rates between successive steps.
 
@@ -191,36 +165,38 @@ def _steps_to(t_end: float, tau: float) -> int:
     return rounded
 
 
-def _terminal_state(setup: RateStudySetup, tau: float, phi0: GridField) -> GridField:
-    _steps_to(setup.t_end, tau)
-    spec, op = NonlinearSpec(FKind.CUBIC_HERMITE), LongRangeOp.inverse_laplacian()
-    problem = Problem(phi0.grid, setup.params(tau), spec, op)
-    state, _ = run(
-        SchemeState.initial(phi0), problem, t_max=setup.t_end, tol=0.0, record_every=10**9
-    )
-    return state.phi
+# The temporal rate study: a tanh disk on [-1, 1)^2 run to T without the
+# increment stop, recording only its start and end.  A study sets N and
+# epsilon; rate_study sets tau.
+RATE_STUDY = RunConfig(
+    epsilon=0.15625, gamma=100.0, M=1000.0, omega=0.1, N=(256, 256), X=(1.0, 1.0),
+    T=0.02, tol=0.0, initial="disk", monitor_every=10**9,
+)
 
 
 def rate_study(
-    base_tau: float, levels: int, bench_tau: float, setup: RateStudySetup
+    base_tau: float, levels: int, bench_tau: float, setup: RunConfig
 ) -> RateStudyResult:
     """Errors against a fine-step benchmark for tau = base_tau / 2^i, and the
     successive-difference rates of the same runs.
 
-    All runs share the grid and the disk initial state, so the measured
-    error is purely temporal; the benchmark step must divide the horizon
-    exactly, as must every compared step.
+    Every run is :func:`run_config` of ``setup`` with its own tau.  All
+    runs share the grid and the initial state, so the measured error is
+    purely temporal; the benchmark step must divide the horizon exactly, as
+    must every compared step.
     """
     if levels < 1:
         raise ConfigError(f"levels must be >= 1, got {levels}")
-    taus = [base_tau / 2**i for i in range(levels)]
-    if not bench_tau < taus[-1]:
-        raise ConfigError(f"the benchmark step must be below {taus[-1]!r}, got {bench_tau!r}")
+    # ldexp, as base_tau / 2**i overflows converting 2**i once i > 1023; the
+    # finest step is checked before the list of steps is built.
+    finest = math.ldexp(base_tau, 1 - levels)
+    if not bench_tau < finest:
+        raise ConfigError(f"the benchmark step must be below {finest!r}, got {bench_tau!r}")
+    taus = [math.ldexp(base_tau, -i) for i in range(levels)]
     for tau in taus + [bench_tau]:
-        _steps_to(setup.t_end, tau)
-    phi0 = initial_tanh_disk(setup.grid(), setup.omega, setup.epsilon)
-    bench = _terminal_state(setup, bench_tau, phi0)
-    fields = [_terminal_state(setup, tau, phi0) for tau in taus]
+        _steps_to(setup.T, tau)
+    fields = [run_config(replace(setup, tau=tau))[1].phi for tau in taus + [bench_tau]]
+    bench = fields.pop()
     distance = lambda a, b: norm_l2_h(GridField(a.grid, a.values - b.values))
     errors = [distance(phi, bench) for phi in fields]
     changes = [distance(a, b) for a, b in zip(fields, fields[1:])]
@@ -228,7 +204,7 @@ def rate_study(
     return RateStudyResult(tuple(taus), tuple(errors), log2_ratios(errors), log2_ratios(changes))
 
 
-def convergence_setups(scale: str) -> list[tuple[str, RateStudySetup, float, int, float]]:
+def convergence_setups(scale: str) -> list[tuple[str, RunConfig, float, int, float]]:
     """(label, setup, base_tau, levels, bench_tau) rows for the rate study CLI."""
     if scale == "desk":
         n = 128
@@ -241,16 +217,30 @@ def convergence_setups(scale: str) -> list[tuple[str, RateStudySetup, float, int
     else:
         raise ConfigError(f"unknown scale '{scale}' (expected desk or paper)")
     h = 2.0 / n
-    rows = []
-    for factor in factors:
-        setup = RateStudySetup(n=n, epsilon=factor * h)
-        rows.append((f"{factor}h", setup, 1e-4, 5, bench_tau))
-    return rows
+    return [
+        (f"{factor}h", replace(RATE_STUDY, N=(n, n), epsilon=factor * h), 1e-4, 5, bench_tau)
+        for factor in factors
+    ]
 
 
-@dataclass(frozen=True)
-class CoarseningPreset:
-    """One coarsening configuration; desk variants shrink horizon and grid.
+PRESET_GAMMAS = {"g500": 500.0, "g2000": 2000.0, "g1000_2d": 1000.0, "g2000_2d": 2000.0}
+# (T, snapshot_times) of the presets of each dimension and scale.
+_HORIZONS = {
+    (1, "paper"): (1000.0, (0.0, 10.0, 500.0, 1000.0)),
+    (1, "desk"): (100.0, (0.0, 10.0, 50.0, 100.0)),
+    (2, "paper"): (100.0, (0.0, 1.0, 10.0, 100.0)),
+    (2, "desk"): (5.0, (0.0, 0.5, 2.5, 5.0)),
+}
+
+
+def coarsening_preset(name: str, scale: str = "desk") -> RunConfig:
+    """The run config of one coarsening preset; desk variants shrink horizon and grid.
+
+    A 1D preset is the :class:`RunConfig` defaults with its gamma, 16
+    blocks, and the horizon and snapshot times of its scale.  A 2D preset
+    runs on 256^2 (paper) or 128^2 (desk) points of [-1, 1)^2 with
+    epsilon = 10h, M = 1e4, omega = 0.15 and tau = 2e-4.  Every preset
+    records every 100 steps.
 
     The presets keep the published parameters, and not all of them meet the
     conditions of :func:`pacok.stepping.check_conditions`.  At both scales
@@ -261,93 +251,25 @@ class CoarseningPreset:
     conditions a run may leave [0, 1] or raise the energy; ``pacok coarsen``
     prints what was certified.
     """
-
-    name: str
-    dim: int
-    n: int
-    half_extent: float
-    omega: float
-    gamma: float
-    M: float
-    kappa: float
-    tau: float
-    t_end: float
-    snapshot_times: tuple[float, ...]
-    blocks: int
-    lo: float = 0.0
-    hi: float = 0.8
-
-    @property
-    def epsilon(self) -> float:
-        # Interface width tied to resolution: 10 grid spacings.
-        return 10.0 * (2.0 * self.half_extent / self.n)
-
-    def grid(self) -> PeriodicGrid:
-        shape = (self.n,) * self.dim
-        return PeriodicGrid(shape, (self.half_extent,) * self.dim)
-
-    def params(self) -> ModelParams:
-        return ModelParams(
-            epsilon=self.epsilon,
-            gamma=self.gamma,
-            M=self.M,
-            omega=self.omega,
-            kappa=self.kappa,
-            tau=self.tau,
-        )
-
-
-_PRESETS = {
-    ("g500", "paper"): CoarseningPreset(
-        "g500", 1, 256, 1.0, 0.3, 500.0, 2000.0, 2000.0, 1e-3, 1000.0,
-        (0.0, 10.0, 500.0, 1000.0), 16,
-    ),
-    ("g500", "desk"): CoarseningPreset(
-        "g500", 1, 256, 1.0, 0.3, 500.0, 2000.0, 2000.0, 1e-3, 100.0,
-        (0.0, 10.0, 50.0, 100.0), 16,
-    ),
-    ("g2000", "paper"): CoarseningPreset(
-        "g2000", 1, 256, 1.0, 0.3, 2000.0, 2000.0, 2000.0, 1e-3, 1000.0,
-        (0.0, 10.0, 500.0, 1000.0), 16,
-    ),
-    ("g2000", "desk"): CoarseningPreset(
-        "g2000", 1, 256, 1.0, 0.3, 2000.0, 2000.0, 2000.0, 1e-3, 100.0,
-        (0.0, 10.0, 50.0, 100.0), 16,
-    ),
-    ("g1000_2d", "paper"): CoarseningPreset(
-        "g1000_2d", 2, 256, 1.0, 0.15, 1000.0, 1e4, 2000.0, 2e-4, 100.0,
-        (0.0, 1.0, 10.0, 100.0), 8,
-    ),
-    ("g1000_2d", "desk"): CoarseningPreset(
-        "g1000_2d", 2, 128, 1.0, 0.15, 1000.0, 1e4, 2000.0, 2e-4, 5.0,
-        (0.0, 0.5, 2.5, 5.0), 8,
-    ),
-    ("g2000_2d", "paper"): CoarseningPreset(
-        "g2000_2d", 2, 256, 1.0, 0.15, 2000.0, 1e4, 2000.0, 2e-4, 100.0,
-        (0.0, 1.0, 10.0, 100.0), 8,
-    ),
-    ("g2000_2d", "desk"): CoarseningPreset(
-        "g2000_2d", 2, 128, 1.0, 0.15, 2000.0, 1e4, 2000.0, 2e-4, 5.0,
-        (0.0, 0.5, 2.5, 5.0), 8,
-    ),
-}
-
-PRESET_NAMES = ("g500", "g2000", "g1000_2d", "g2000_2d")
-
-
-def coarsening_preset(name: str, scale: str = "desk") -> CoarseningPreset:
-    try:
-        return _PRESETS[(name, scale)]
-    except KeyError:
+    dim = 2 if name.endswith("_2d") else 1
+    if name not in PRESET_GAMMAS or (dim, scale) not in _HORIZONS:
         raise ConfigError(
             f"unknown coarsening preset '{name}'/'{scale}' "
-            f"(presets: {', '.join(PRESET_NAMES)}; scales: desk, paper)"
-        ) from None
+            f"(presets: {', '.join(PRESET_GAMMAS)}; scales: desk, paper)"
+        )
+    T, times = _HORIZONS[dim, scale]
+    cfg = RunConfig(gamma=PRESET_GAMMAS[name], T=T, snapshot_times=times, monitor_every=100)
+    if dim == 1:
+        return replace(cfg, blocks=16)
+    n = 256 if scale == "paper" else 128
+    return replace(
+        cfg, N=(n, n), X=(1.0, 1.0), epsilon=10 * (2.0 / n), M=1e4, omega=0.15, tau=2e-4
+    )
 
 
 @dataclass(frozen=True)
 class CoarseningResult:
-    preset: CoarseningPreset
+    config: RunConfig
     report: ConditionReport
     final: SchemeState
     records: tuple[StepRecord, ...]
@@ -390,41 +312,51 @@ def run_with_snapshots(
     return state, records
 
 
+def run_config(cfg: RunConfig, out_dir=None) -> tuple[Problem, SchemeState, list[StepRecord]]:
+    """Run one configuration from its start to ``cfg.T`` or its ``tol`` stop.
+
+    Builds the grid, the problem and the initial state, then calls
+    :func:`run_with_snapshots` with the config's snapshot times and its
+    record cadence ``monitor_every``.  Returns the problem with the final
+    state and the records.
+    """
+    grid = cfg.build_grid()
+    problem = cfg.build_problem(grid)
+    state = SchemeState.initial(cfg.build_initial(grid))
+    state, records = run_with_snapshots(
+        state, problem, t_end=cfg.T, tol=cfg.tol, snapshot_times=cfg.snapshot_times,
+        out_dir=out_dir, record_every=cfg.monitor_every,
+    )
+    return problem, state, records
+
+
 def coarsening_run(
     dimension: int,
-    preset: str | CoarseningPreset,
+    preset: str,
     scale: str = "desk",
     seed: int = 0,
     out_dir=None,
     record_every: int = 100,
     tol: float = 1e-3,
-    **overrides,
+    t_end: float | None = None,
 ) -> CoarseningResult:
     """Run one coarsening preset; optionally write series.csv and snapshots.
 
-    The result's report is :func:`pacok.stepping.check_conditions` of the
-    run's problem, which the run enforces.
+    ``t_end``, when given, replaces the preset's horizon; snapshot times
+    beyond it are skipped.  The result's config is the one that ran, and
+    its report is :func:`pacok.stepping.check_conditions` of the run's
+    problem, which the run enforces.
     """
-    cfg = preset if isinstance(preset, CoarseningPreset) else coarsening_preset(preset, scale)
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    if cfg.dim != dimension:
-        raise ConfigError(f"preset '{cfg.name}' is {cfg.dim}D, not {dimension}D")
-    grid = cfg.grid()
-    problem = Problem(
-        grid, cfg.params(), NonlinearSpec(FKind.CUBIC_HERMITE), LongRangeOp.inverse_laplacian()
+    cfg = coarsening_preset(preset, scale)
+    if len(cfg.N) != dimension:
+        raise ConfigError(f"preset '{preset}' is {len(cfg.N)}D, not {dimension}D")
+    cfg = replace(
+        cfg, seed=seed, monitor_every=record_every, tol=tol, T=cfg.T if t_end is None else t_end
     )
-    report = check_conditions(problem)
-    state = SchemeState.initial(
-        initial_random_piecewise(grid, cfg.lo, cfg.hi, cfg.blocks, seed)
-    )
-    state, records = run_with_snapshots(
-        state, problem, t_end=cfg.t_end, tol=tol, snapshot_times=cfg.snapshot_times,
-        out_dir=out_dir, record_every=record_every,
-    )
+    problem, state, records = run_config(cfg, out_dir)
     return CoarseningResult(
-        preset=cfg,
-        report=report,
+        config=cfg,
+        report=check_conditions(problem),
         final=state,
         records=tuple(records),
         bump_count=count_bumps(state.phi),
@@ -437,8 +369,6 @@ class SolvationComparison:
     linear_final: SchemeState
     cubic_bounds: tuple[float, float]
     linear_bounds: tuple[float, float]
-    cubic_report: ConditionReport
-    linear_report: ConditionReport
 
 
 def pvism_compare(
@@ -454,39 +384,32 @@ def pvism_compare(
 
     A single solute sits at the origin; the initial interface is the tanh
     profile through the potential's cutoff radius.  Both runs use the
-    increment stopping criterion; each has its own
-    :class:`pacok.physics.Problem` and enforces what that problem
-    certifies.  The cubic equilibrium stays inside [0, 1]; the linear one
-    undershoots inside the interface and overshoots outside it.
+    increment stopping criterion and differ only in the config's ``f``;
+    each has its own :class:`pacok.physics.Problem` and enforces what that
+    problem certifies.  The cubic equilibrium stays inside [0, 1]; the
+    linear one undershoots inside the interface and overshoots outside it.
     """
-    grid = PeriodicGrid((n,), (half_extent,))
-    h = 2.0 * half_extent / n
-    epsilon = 50.0 * h
-    potential = pvism_potential(grid, [0.0])
+    cfg = RunConfig(
+        epsilon=50.0 * (2.0 * half_extent / n), gamma=0.0, M=0.0, omega=0.5, kappa=kappa,
+        tau=tau, N=(n,), X=(half_extent,), T=t_max, tol=tol, pvism_solutes=(0.0,),
+        monitor_every=1000,
+    )
+    grid = cfg.build_grid()
     (x,) = grid.coordinates()
-    phi0 = GridField(grid, 0.5 + 0.5 * np.tanh((np.abs(x) - 2.5) / (epsilon / 3.0)))
-    params = ModelParams(
-        epsilon=epsilon, gamma=0.0, M=0.0, omega=0.5, kappa=kappa, tau=tau
-    )
-    op = LongRangeOp.none()
-    results = {}
-    for label, kind in (("cubic", FKind.CUBIC_HERMITE), ("linear", FKind.LINEAR)):
-        problem = Problem(grid, params, NonlinearSpec(kind), op, potential.values)
-        report = check_conditions(problem)
-        state, _ = run(SchemeState.initial(phi0), problem, t_max=t_max, tol=tol, record_every=1000)
+    phi0 = GridField(grid, 0.5 + 0.5 * np.tanh((np.abs(x) - 2.5) / (cfg.epsilon / 3.0)))
+    finals = {}
+    for f in ("cubic", "linear"):
+        problem = replace(cfg, f=f).build_problem(grid)
+        state, _ = run(
+            SchemeState.initial(phi0), problem, t_max=cfg.T, tol=cfg.tol,
+            record_every=cfg.monitor_every,
+        )
         if out_dir is not None:
-            save_snapshot(f"{out_dir}/equilibrium_{label}.csv", state.phi, t=state.time)
-        results[label] = (state, report)
-    cubic_state, cubic_report = results["cubic"]
-    linear_state, linear_report = results["linear"]
-    return SolvationComparison(
-        cubic_final=cubic_state,
-        linear_final=linear_state,
-        cubic_bounds=(float(np.min(cubic_state.phi.values)), float(np.max(cubic_state.phi.values))),
-        linear_bounds=(float(np.min(linear_state.phi.values)), float(np.max(linear_state.phi.values))),
-        cubic_report=cubic_report,
-        linear_report=linear_report,
-    )
+            save_snapshot(f"{out_dir}/equilibrium_{f}.csv", state.phi, t=state.time)
+        finals[f] = state
+    bounds = lambda s: (float(np.min(s.phi.values)), float(np.max(s.phi.values)))
+    cubic, linear = finals["cubic"], finals["linear"]
+    return SolvationComparison(cubic, linear, bounds(cubic), bounds(linear))
 
 
 def count_bumps(phi: GridField, threshold: float = 0.5) -> int:

@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from pacok import cli, experiments, spectral
+from pacok.config import format_config
 
 
 @pytest.fixture
@@ -14,7 +15,7 @@ def short_presets(monkeypatch):
 
     def short(name, scale="desk"):
         preset = real(name, scale)
-        return replace(preset, t_end=5 * preset.tau, snapshot_times=(0.0,))
+        return replace(preset, T=5 * preset.tau, snapshot_times=(0.0,))
 
     monkeypatch.setattr(experiments, "coarsening_preset", short)
 
@@ -36,6 +37,22 @@ def write_config(tmp_path, text):
     path = tmp_path / "run.cfg"
     path.write_text(text)
     return str(path)
+
+
+def test_run_of_a_formatted_preset_writes_what_coarsen_writes(tmp_path):
+    preset = experiments.coarsening_preset("g500")
+    t_end = 5 * preset.tau
+    cfg = replace(preset, T=t_end, seed=3,
+                  snapshot_times=tuple(t for t in preset.snapshot_times if t <= t_end))
+    path = write_config(tmp_path, format_config(cfg))
+    assert cli.main(["run", "--config", path, "--out", str(tmp_path / "run")]) == 0
+    (tmp_path / "coarsen").mkdir()
+    experiments.coarsening_run(1, "g500", seed=3, t_end=t_end, out_dir=str(tmp_path / "coarsen"))
+    names = sorted(p.name for p in (tmp_path / "run").iterdir())
+    assert names == ["series.csv", "snap_000.csv", "snap_001.csv"]
+    assert names == sorted(p.name for p in (tmp_path / "coarsen").iterdir())
+    for name in names:
+        assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "coarsen" / name).read_bytes()
 
 
 # The 128^2 g1000_2d coarsening physics, which the conditions do not certify.
@@ -198,6 +215,13 @@ def test_converge_with_a_benchmark_step_no_finer_than_the_steps_exits_2(capsys):
             "--bench-tau", "5e-4", "--t-end", "0.004"]
     assert cli.main(argv) == 2
     assert "benchmark step must be below 0.0005, got 0.0005" in capsys.readouterr().err
+
+
+def test_converge_with_levels_that_halve_the_step_to_zero_exits_2(capsys):
+    # 1e-3 / 2**1999 underflows to 0, and 2**1999 itself is beyond any float.
+    argv = ["converge", "--eps-factors", "4", "--n", "16", "--levels", "2000"]
+    assert cli.main(argv) == 2
+    assert "benchmark step must be below 0.0, got 4e-06" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("t_end", ["nan", "inf"])

@@ -16,6 +16,7 @@ from pacok.config import (
     write_series,
 )
 from pacok.errors import ConfigError
+from pacok.experiments import PRESET_GAMMAS, coarsening_preset
 from pacok.stepping import StepRecord
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -68,6 +69,13 @@ def configs(draw):
 @example(RunConfig())
 def test_parse_reads_back_what_format_writes(cfg):
     assert parse_config(format_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize("scale", ["desk", "paper"])
+@pytest.mark.parametrize("name", list(PRESET_GAMMAS))
+def test_every_coarsening_preset_is_a_valid_config_that_reads_back(name, scale):
+    preset = coarsening_preset(name, scale)
+    assert parse_config(format_config(preset)) == preset
 
 
 @pytest.mark.parametrize(

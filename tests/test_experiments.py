@@ -1,6 +1,7 @@
 import platform
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 import pacok
 from pacok.errors import ConfigError
 from pacok.experiments import (
-    RateStudySetup,
+    RATE_STUDY,
     coarsening_run,
     count_bumps,
     initial_random_piecewise,
@@ -179,7 +180,7 @@ class TestCountBumps:
 def test_successive_difference_rate_is_first_order():
     # Paper claim: the scheme is first order in time.  The successive-difference
     # rates need no benchmark run: 0.82, 0.93, 0.97 at N = 64, eps = 10h.
-    setup = RateStudySetup(n=64, epsilon=10 * 2.0 / 64)
+    setup = replace(RATE_STUDY, N=(64, 64), epsilon=10 * 2.0 / 64)
     result = rate_study(1e-4, 5, 4e-6, setup)
     assert len(result.rates) == 4 and len(result.successive_rates) == 3
     assert 0.9 <= result.successive_rates[-1] <= 1.1

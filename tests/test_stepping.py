@@ -211,7 +211,7 @@ class TestStepMemory:
     def setup(n):
         if n == 256:
             preset = coarsening_preset("g1000_2d", "paper")
-            g, p = preset.grid(), preset.params()
+            g, p = preset.build_grid(), preset.build_params()
         else:
             g = PeriodicGrid((n, n), (1.0, 1.0))
             p = ModelParams(epsilon=0.15625, gamma=200.0, M=1000.0, omega=0.3,
