@@ -60,6 +60,7 @@ from .experiments import (
     initial_tanh_disk,
     pvism_compare,
     rate_study,
+    rate_study_steps,
     run_config,
     run_with_snapshots,
 )

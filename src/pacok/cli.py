@@ -38,7 +38,7 @@ def cmd_run(args) -> int:
     from .experiments import run_config
 
     cfg = _load_config(args)
-    out = _ensure_out_dir(cfg.out)
+    out = cfg.out or "."
     _, state, records = run_config(cfg, out)
     print(
         f"run finished: n={state.step_index} t={state.time:.6g} "
@@ -105,7 +105,7 @@ def _eps_factors(text: str) -> list[float]:
 def cmd_converge(args) -> int:
     from dataclasses import replace
 
-    from .experiments import RATE_STUDY, convergence_setups, rate_study
+    from .experiments import RATE_STUDY, convergence_setups, rate_study, rate_study_steps
 
     if args.eps_factors:
         factors = _eps_factors(args.eps_factors)
@@ -120,8 +120,9 @@ def cmd_converge(args) -> int:
         rows = convergence_setups(args.scale)
     lines = ["eps,tau,error,rate,successive_rate"]
     for label, setup, base_tau, levels, bench_tau in rows:
+        steps = rate_study_steps(base_tau, levels, bench_tau, setup)
+        print(f"eps = {label} (N = {setup.N[0]}, T = {setup.T}, {steps} steps)", flush=True)
         result = rate_study(base_tau, levels, bench_tau, setup)
-        print(f"eps = {label} (N = {setup.N[0]}, T = {setup.T})")
         print(f"  {'tau':>12}  {'error':>12}  {'rate':>6}  {'successive':>10}")
         for i, (tau, err) in enumerate(zip(result.taus, result.errors)):
             # Each rate sits on the row of the smallest step it uses.
@@ -141,7 +142,7 @@ def cmd_converge(args) -> int:
 def cmd_coarsen(args) -> int:
     from .experiments import coarsening_run
 
-    out = _ensure_out_dir(args.out) if args.out else None
+    out = args.out or None
     result = coarsening_run(
         args.dim,
         args.preset,

@@ -230,7 +230,7 @@ def _format_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return f"{value:.17g}"
+        return repr(value)   # the shortest text that reads back to the same float
     if isinstance(value, tuple):
         return ",".join(_format_value(v) for v in value)
     return str(value)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -174,6 +175,20 @@ RATE_STUDY = RunConfig(
 )
 
 
+def rate_study_steps(base_tau: float, levels: int, bench_tau: float, setup: RunConfig) -> int:
+    """Total step count of a rate study's runs: tau = base_tau / 2^i for
+    i < levels, and the benchmark step.  Each step must divide the horizon."""
+    if levels < 1:
+        raise ConfigError(f"levels must be >= 1, got {levels}")
+    # ldexp, as base_tau / 2**i overflows converting 2**i once i > 1023; the
+    # finest step is checked before the steps are counted.
+    finest = math.ldexp(base_tau, 1 - levels)
+    if not bench_tau < finest:
+        raise ConfigError(f"the benchmark step must be below {finest!r}, got {bench_tau!r}")
+    taus = [math.ldexp(base_tau, -i) for i in range(levels)] + [bench_tau]
+    return sum(_steps_to(setup.T, tau) for tau in taus)
+
+
 def rate_study(
     base_tau: float, levels: int, bench_tau: float, setup: RunConfig
 ) -> RateStudyResult:
@@ -182,19 +197,10 @@ def rate_study(
 
     Every run is :func:`run_config` of ``setup`` with its own tau.  All
     runs share the grid and the initial state, so the measured error is
-    purely temporal; the benchmark step must divide the horizon exactly, as
-    must every compared step.
+    purely temporal; the steps are checked by :func:`rate_study_steps`.
     """
-    if levels < 1:
-        raise ConfigError(f"levels must be >= 1, got {levels}")
-    # ldexp, as base_tau / 2**i overflows converting 2**i once i > 1023; the
-    # finest step is checked before the list of steps is built.
-    finest = math.ldexp(base_tau, 1 - levels)
-    if not bench_tau < finest:
-        raise ConfigError(f"the benchmark step must be below {finest!r}, got {bench_tau!r}")
+    rate_study_steps(base_tau, levels, bench_tau, setup)
     taus = [math.ldexp(base_tau, -i) for i in range(levels)]
-    for tau in taus + [bench_tau]:
-        _steps_to(setup.T, tau)
     fields = [run_config(replace(setup, tau=tau))[1].phi for tau in taus + [bench_tau]]
     bench = fields.pop()
     distance = lambda a, b: norm_l2_h(GridField(a.grid, a.values - b.values))
@@ -315,14 +321,17 @@ def run_with_snapshots(
 def run_config(cfg: RunConfig, out_dir=None) -> tuple[Problem, SchemeState, list[StepRecord]]:
     """Run one configuration from its start to ``cfg.T`` or its ``tol`` stop.
 
-    Builds the grid, the problem and the initial state, then calls
-    :func:`run_with_snapshots` with the config's snapshot times and its
-    record cadence ``monitor_every``.  Returns the problem with the final
-    state and the records.
+    Builds the grid, the problem and the initial state, then creates
+    ``out_dir`` and calls :func:`run_with_snapshots` with the config's
+    snapshot times and its record cadence ``monitor_every``, so a config
+    that fails to build leaves no directory.  Returns the problem with the
+    final state and the records.
     """
     grid = cfg.build_grid()
     problem = cfg.build_problem(grid)
     state = SchemeState.initial(cfg.build_initial(grid))
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
     state, records = run_with_snapshots(
         state, problem, t_end=cfg.T, tol=cfg.tol, snapshot_times=cfg.snapshot_times,
         out_dir=out_dir, record_every=cfg.monitor_every,

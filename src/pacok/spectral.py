@@ -22,17 +22,17 @@ Nothing is cached: :func:`stencil_symbol` and :func:`multiplier_array`
 return a new array the caller owns and :func:`mirror_weights` works in
 place, so each owner builds its operator arrays once, with no second copy.
 
-A table is a :class:`SymbolTable`: a read-only mapping ``{mode: value}``
-held as an int64 mode array and a float64 value array.  The CSV loader
-fills the arrays in one ``np.loadtxt`` pass and the multiplier scatters
-them onto the grid's modes, so no per-mode Python object lies between the
-file and the multiplier.
+A table is a :class:`SymbolTable`: an int64 mode array and a float64 value
+array.  The CSV loader fills both in one ``np.loadtxt`` pass and the
+multiplier scatters them onto the grid's modes, so no per-mode Python
+object lies between the file and the multiplier.  A line of the other
+dimension, a mode beyond int64 and a mode given twice are errors; a mode
+outside the grid's range is ignored.
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,110 +49,48 @@ class OpKind(enum.Enum):
     NONE = "none"
 
 
-_INT64 = np.iinfo(np.int64)
+@dataclass(frozen=True, eq=False)
+class SymbolTable:
+    """A custom symbol: an (n, dim) int64 mode array, dim 1 or 2, and an (n,)
+    float64 value array, both read-only copies.
 
-
-class SymbolTable(Mapping):
-    """Read-only custom symbol table ``{mode: value}`` held as arrays.
-
-    Row i of an int64 mode array holds the components of entry i, padded
-    with zeros to the longest mode, a length array its number of
-    components, and a float64 array its value.  A mode with a component
-    beyond int64 keeps its tuple aside and length 0, so no grid reads it.
-    As a mapping it yields tuples of ints and floats, in the order the
-    entries were first given, and compares equal to the same dict.
+    Values must be finite and >= 0 and no mode may be given twice; the
+    ConfigError names the first bad mode.  Two tables are equal only if they
+    are the same object, so no comparison reads the arrays.
     """
 
-    def __init__(self, modes, values, lengths=None, wide=None):
-        self._modes = np.array(modes, dtype=np.int64)
-        self._values = np.array(values, dtype=np.float64)
-        if lengths is None:
-            lengths = np.full(len(self._values), self._modes.shape[1])
-        self._lengths = np.array(lengths, dtype=np.int64)
-        for array in (self._modes, self._values, self._lengths):
+    modes: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        modes, values = np.array(self.modes), np.array(self.values)
+        if modes.dtype != np.int64 or modes.ndim != 2 or modes.shape[1] not in (1, 2):
+            raise ConfigError(
+                f"custom symbol modes must be an (n, 1) or (n, 2) int64 array, "
+                f"got {modes.dtype} of shape {modes.shape}"
+            )
+        if values.dtype != np.float64 or values.shape != modes.shape[:1]:
+            raise ConfigError(
+                f"custom symbol values must be a float64 array of shape {modes.shape[:1]}, "
+                f"got {values.dtype} of shape {values.shape}"
+            )
+        if not len(values):
+            raise ConfigError("custom operator needs a non-empty symbol table")
+        bad = ~(np.isfinite(values) & (values >= 0.0))
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise ConfigError(
+                f"custom symbol must be finite and >= 0, "
+                f"got {float(values[row])} at mode {tuple(modes[row].tolist())}"
+            )
+        in_order = modes[np.lexsort(modes.T[::-1])]
+        repeated = np.all(in_order[1:] == in_order[:-1], axis=1)
+        if repeated.any():
+            mode = tuple(in_order[int(np.argmax(repeated))].tolist())
+            raise ConfigError(f"custom symbol table gives mode {mode} twice")
+        for name, array in (("modes", modes), ("values", values)):
             array.setflags(write=False)
-        self._wide = dict(wide or {})
-        self._index = None
-
-    @classmethod
-    def from_rows(cls, modes: np.ndarray, values: np.ndarray) -> "SymbolTable":
-        """Table from rows of equal-length int64 modes, in order; a later
-        row of a repeated mode gives its value, as in a dict."""
-        order = np.lexsort(modes.T[::-1])   # stable: a repeated mode keeps its row order
-        in_order = modes[order]
-        starts = np.ones(len(order), dtype=bool)
-        starts[1:] = np.any(in_order[1:] != in_order[:-1], axis=1)
-        if not starts.all():
-            first = np.flatnonzero(starts)
-            last = order[np.append(first[1:], len(order)) - 1]
-            first = order[first]
-            kept = np.argsort(first)
-            modes, values = modes[first[kept]], values[last[kept]]
-        return cls(modes, values)
-
-    @classmethod
-    def from_mapping(cls, symbol) -> "SymbolTable":
-        """Table from ``{mode: value}``; a mode is an int or a tuple of ints."""
-        try:
-            modes = np.array(list(symbol))
-        except ValueError:   # tuples of different lengths
-            modes = None
-        values = np.fromiter(symbol.values(), dtype=np.float64, count=len(symbol))
-        if modes is not None and modes.dtype.kind == "i" and modes.ndim <= 2:
-            return cls(modes.reshape(len(symbol), -1), values)
-        table = {}
-        for mode, value in zip(symbol, values.tolist()):
-            table[(int(mode),) if np.isscalar(mode) else tuple(int(m) for m in mode)] = value
-        width = max(map(len, table))
-        modes = np.zeros((len(table), width), dtype=np.int64)
-        lengths = np.zeros(len(table), dtype=np.int64)
-        wide = {}
-        for row, mode in enumerate(table):
-            if all(_INT64.min <= m <= _INT64.max for m in mode):
-                modes[row, : len(mode)] = mode
-                lengths[row] = len(mode)
-            else:
-                wide[row] = mode
-        return cls(modes, list(table.values()), lengths, wide)
-
-    def arrays(self, dim: int) -> tuple[np.ndarray, np.ndarray]:
-        """The int64 modes, one row each, and the values of the entries with ``dim`` components."""
-        rows = self._lengths == dim
-        if rows.all():
-            return self._modes, self._values
-        if self._modes.shape[1] < dim:
-            return np.empty((0, dim), dtype=np.int64), np.empty(0)
-        return self._modes[rows, :dim], self._values[rows]
-
-    def _mode(self, row: int) -> tuple:
-        """The mode of entry ``row`` as a tuple of ints."""
-        if row in self._wide:
-            return self._wide[row]
-        return tuple(self._modes[row, : self._lengths[row]].tolist())
-
-    def first_invalid(self):
-        """(mode, value) of the first entry that is not finite and >= 0, or None."""
-        bad = ~(np.isfinite(self._values) & (self._values >= 0.0))
-        if not bad.any():
-            return None
-        row = int(np.argmax(bad))
-        return self._mode(row), float(self._values[row])
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __iter__(self):
-        if not self._wide and (self._lengths == self._modes.shape[1]).all():
-            return map(tuple, self._modes.tolist())
-        return map(self._mode, range(len(self)))
-
-    def __getitem__(self, mode):
-        if self._index is None:
-            self._index = dict(zip(self, self._values.tolist()))
-        return self._index[mode]
-
-    def __repr__(self) -> str:
-        return f"SymbolTable({len(self)} entries)"
+            object.__setattr__(self, name, array)
 
 
 @dataclass(frozen=True)
@@ -160,8 +98,7 @@ class LongRangeOp:
     """Spectral-multiplier description of a long-range interaction operator.
 
     The description is bare: the coupling strength is ``ModelParams.gamma``.
-    A custom ``symbol`` given as another mapping is converted once into a
-    :class:`SymbolTable`.
+    A custom operator's ``symbol`` is its :class:`SymbolTable`.
     """
 
     kind: OpKind
@@ -174,17 +111,8 @@ class LongRangeOp:
             raise ConfigError("helmholtz operator needs a positive length")
         if self.kind is OpKind.GARNET_FILM and self.delta <= 0.0:
             raise ConfigError("garnet film operator needs a positive thickness")
-        if self.kind is OpKind.CUSTOM_SYMBOL:
-            if not self.symbol:
-                raise ConfigError("custom operator needs a non-empty symbol table")
-            if not isinstance(self.symbol, SymbolTable):
-                object.__setattr__(self, "symbol", SymbolTable.from_mapping(self.symbol))
-            invalid = self.symbol.first_invalid()
-            if invalid is not None:
-                mode, value = invalid
-                raise ConfigError(
-                    f"custom symbol must be finite and >= 0, got {value} at mode {mode}"
-                )
+        if self.kind is OpKind.CUSTOM_SYMBOL and not isinstance(self.symbol, SymbolTable):
+            raise ConfigError("custom operator needs a SymbolTable")
 
     @classmethod
     def inverse_laplacian(cls) -> "LongRangeOp":
@@ -199,11 +127,7 @@ class LongRangeOp:
         return cls(OpKind.GARNET_FILM, delta=delta)
 
     @classmethod
-    def custom(cls, symbol: Mapping) -> "LongRangeOp":
-        """Operator from a table ``{mode: value}``; a mode is an int or a tuple of ints.
-
-        A :class:`SymbolTable` is taken as it is.
-        """
+    def custom(cls, symbol: SymbolTable) -> "LongRangeOp":
         return cls(OpKind.CUSTOM_SYMBOL, symbol=symbol)
 
     @classmethod
@@ -252,15 +176,18 @@ def _wrap_mode(m: int, n: int) -> int:
 
 
 def _custom_multiplier(op: LongRangeOp, grid: PeriodicGrid) -> np.ndarray:
-    """Scatter a custom table's int64 arrays onto the DFT modes of ``grid`` and validate it.
+    """Scatter a custom table's arrays onto the DFT modes of ``grid`` and validate it.
 
-    Entries of another dimension, with a mode outside -n/2 <= m < n/2, or
-    beyond int64, are ignored.  Every mode of the grid needs an entry, and
-    the entry of m must equal that of its mirror -m (mod n); the first mode
-    in C order that breaks either rule is named in the ConfigError.
+    The table must have the grid's dimension.  Entries with a mode outside
+    -n/2 <= m < n/2 are ignored, so a table made for a larger grid serves.
+    Every mode of the grid needs an entry, and the entry of m must equal
+    that of its mirror -m (mod n); the first mode in C order that breaks
+    either rule is named in the ConfigError.
     """
     n = grid.sizes
-    modes, values = op.symbol.arrays(grid.dim)
+    modes, values = op.symbol.modes, op.symbol.values
+    if modes.shape[1] != grid.dim:
+        raise ConfigError(f"custom symbol table is {modes.shape[1]}D, the grid is {grid.dim}D")
     half = np.array(n) // 2
     inside = np.all((modes >= -half) & (modes < half), axis=1)
     index = modes[inside] % np.array(n)
@@ -339,36 +266,35 @@ def estimate_linf_norm(op: LongRangeOp, grid: PeriodicGrid) -> float:
 def load_symbol_csv(path) -> SymbolTable:
     """Read a custom symbol table from CSV lines ``k1[,k2],value``.
 
-    ``#`` lines and blank lines are skipped.  A file whose entries all have
-    the dimension of its first one and fit int64 is parsed in one
-    ``np.loadtxt`` pass straight into the table's arrays.  Other files go
-    through the line-by-line parser, which names the first bad line.
+    ``#`` lines and blank lines are skipped.  The entries are parsed in one
+    ``np.loadtxt`` pass straight into the table's arrays; every entry needs
+    the dimension of the first one and int64 mode components.  If that
+    pass fails, each line is parsed alone to name the first bad one.
     """
     with reading(path), open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    data = [line for line in map(str.strip, lines) if line and not line.startswith("#")]
+        lines = [line.strip() for line in fh.read().split("\n")]
+    entry = lambda line: line and not line.startswith("#")
+    data = list(filter(entry, lines))
     if not data:
         raise ConfigError(f"{path}: empty symbol table")
-    dim = data[0].count(",")
-    if dim in (1, 2):
-        row = np.dtype([("mode", np.int64, (dim,)), ("value", np.float64)])
-        try:
-            rows = np.loadtxt(data, dtype=row, delimiter=",", comments=None, ndmin=1)
-        except ValueError:
-            pass   # the line parser reports the error, or reads the table
-        else:
-            return SymbolTable.from_rows(rows["mode"], rows["value"])
-    table = {}
-    for lineno, line in enumerate(map(str.strip, lines), start=1):
-        if not line or line.startswith("#"):
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) not in (2, 3):
-            raise ConfigError(f"{path}:{lineno}: expected 'k1[,k2],value'")
-        try:
-            mode = tuple(int(p) for p in parts[:-1])
-            value = float(parts[-1])
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: malformed symbol entry") from exc
-        table[mode] = value
-    return SymbolTable.from_mapping(table)
+    first, dim = lines.index(data[0]) + 1, data[0].count(",")
+    if dim not in (1, 2):
+        raise ConfigError(f"{path}:{first}: expected 'k1[,k2],value'")
+    row = np.dtype([("mode", np.int64, (dim,)), ("value", np.float64)])
+    parse = lambda entries: np.loadtxt(entries, dtype=row, delimiter=",", comments=None, ndmin=1)
+    try:
+        rows = parse(data)
+    except ValueError:
+        for lineno, line in enumerate(lines, start=1):
+            if not entry(line):
+                continue
+            if line.count(",") != dim:
+                raise ConfigError(
+                    f"{path}:{lineno}: expected 'k1[,k2],value' with the {dim}D modes of line {first}"
+                ) from None
+            try:
+                parse([line])
+            except ValueError:
+                raise ConfigError(f"{path}:{lineno}: malformed symbol entry") from None
+        raise
+    return SymbolTable(rows["mode"], rows["value"])

@@ -210,6 +210,26 @@ def test_converge_prints_successive_rates_beside_the_benchmark_rates(tmp_path, c
         assert line.split()[2:] == [c[3] or "---", c[4] or "---"]
 
 
+def test_converge_prints_each_header_with_its_step_count_before_its_study_runs(
+    monkeypatch, capsys
+):
+    real, seen = experiments.rate_study, []
+
+    def spy(*args):
+        seen.append(capsys.readouterr().out)
+        return real(*args)
+
+    monkeypatch.setattr(experiments, "rate_study", spy)
+    argv = ["converge", "--eps-factors", "4,6", "--n", "16", "--levels", "2", "--base-tau", "1e-3",
+            "--bench-tau", "2.5e-4", "--t-end", "0.004"]
+    assert cli.main(argv) == 0
+    # 4 + 8 steps at tau = 1e-3 and 5e-4, 16 for the benchmark.
+    assert seen[0] == "eps = 4h (N = 16, T = 0.004, 28 steps)\n"
+    table, header = seen[1].rstrip("\n").rsplit("\n", 1)
+    assert table.split("\n")[0].split() == ["tau", "error", "rate", "successive"]
+    assert header == "eps = 6h (N = 16, T = 0.004, 28 steps)"
+
+
 def test_converge_with_a_benchmark_step_no_finer_than_the_steps_exits_2(capsys):
     argv = ["converge", "--eps-factors", "4", "--n", "16", "--levels", "2", "--base-tau", "1e-3",
             "--bench-tau", "5e-4", "--t-end", "0.004"]
@@ -292,3 +312,13 @@ def test_run_builds_the_multiplier_once(tmp_path, monkeypatch, operator, stencil
                                   f"op_symbol_file = {table}\n")
     assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 0
     assert calls == {"multiplier_array": 1, "stencil_symbol": stencils}
+
+
+def test_run_with_a_repeated_table_mode_exits_2_and_leaves_no_out_dir(tmp_path, capsys):
+    symbol = tmp_path / "symbol.csv"
+    symbol.write_text("0,1.0\n1,1.0\n0,2.0\n")
+    path = write_config(tmp_path, f"operator = custom\nop_symbol_file = {symbol}\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", path, "--out", str(out)]) == 2
+    assert "mode (0,) twice" in capsys.readouterr().err
+    assert not out.exists()

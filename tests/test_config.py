@@ -78,6 +78,11 @@ def test_every_coarsening_preset_is_a_valid_config_that_reads_back(name, scale):
     assert parse_config(format_config(preset)) == preset
 
 
+def test_format_writes_the_shortest_text_of_each_float():
+    lines = format_config(coarsening_preset("g500")).splitlines()
+    assert {"omega = 0.3", "hi = 0.8", "op_gamma_len = 0.1", "gamma = 500.0"} <= set(lines)
+
+
 @pytest.mark.parametrize(
     "key, value",
     [("out", "runs#1"), ("out", " spaced "), ("out", "runs\n"), ("initial_file", "a\nb"),

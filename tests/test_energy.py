@@ -10,7 +10,7 @@ from pacok.spectral import LongRangeOp, OpKind
 from pacok.stepping import SchemeState, step
 
 from oracles import apply_laplacian, apply_long_range
-from test_spectral import dense_laplacian, random_even_table
+from test_spectral import dense_laplacian, random_even_table, table_from_dict
 
 CUBIC = NonlinearSpec(FKind.CUBIC_HERMITE)
 
@@ -158,7 +158,7 @@ def operator(kind, sizes):
         "inverse_laplacian": LongRangeOp.inverse_laplacian(),
         "helmholtz": LongRangeOp.helmholtz(0.3),
         "garnet_film": LongRangeOp.garnet_film(0.2),
-        "custom": LongRangeOp.custom(random_even_table(sizes, 5)),
+        "custom": LongRangeOp.custom(table_from_dict(random_even_table(sizes, 5))),
         "none": LongRangeOp.none(),
     }[kind]
 

@@ -448,11 +448,11 @@ class TestRhsKernel:
         ids=["inverse_laplacian", "helmholtz", "garnet_film", "custom"],
     )
     def test_keeps_the_operator_norm_of_estimate_linf_norm_bit_for_bit(self, op):
-        from test_spectral import random_even_table
+        from test_spectral import random_even_table, table_from_dict
 
         g = PeriodicGrid((8, 12), (1.0, 1.5))
         if op == "custom":
-            op = LongRangeOp.custom(random_even_table(g.sizes, 5))
+            op = LongRangeOp.custom(table_from_dict(random_even_table(g.sizes, 5)))
         assert Problem(g, self.PARAMS, CUBIC, op).op_norm == estimate_linf_norm(op, g)
 
     def test_operator_norm_is_max_abs_potential_or_0_without_either(self):

@@ -1,5 +1,7 @@
 import math
+import re
 import tracemalloc
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -246,7 +248,7 @@ class TestCustomSymbol:
 
     def test_identity_symbol(self):
         g = PeriodicGrid((8,), (1.0,))
-        op = LongRangeOp.custom(self.full_mode_table(8, lambda m: 1.0))
+        op = LongRangeOp.custom(table_from_dict(self.full_mode_table(8, lambda m: 1.0)))
         a = random_field(g, 28)
         out = apply_long_range(op, a)
         assert np.max(np.abs(out.values - a.values)) <= 1e-14
@@ -256,24 +258,24 @@ class TestCustomSymbol:
         table = self.full_mode_table(8, lambda m: 1.0)
         del table[(3,)]
         with pytest.raises(ConfigError, match="mode"):
-            apply_long_range(LongRangeOp.custom(table), random_field(g, 29))
+            apply_long_range(LongRangeOp.custom(table_from_dict(table)), random_field(g, 29))
 
     def test_uneven_symbol_rejected(self):
         g = PeriodicGrid((8,), (1.0,))
         table = self.full_mode_table(8, lambda m: 1.0)
         table[(3,)] = 2.0
         with pytest.raises(ConfigError, match="even"):
-            apply_long_range(LongRangeOp.custom(table), random_field(g, 30))
+            apply_long_range(LongRangeOp.custom(table_from_dict(table)), random_field(g, 30))
 
     def test_negative_symbol_rejected(self):
         with pytest.raises(ConfigError):
-            LongRangeOp.custom({(0,): -1.0})
+            LongRangeOp.custom(table_from_dict({(0,): -1.0}))
 
     def test_csv_loader(self, tmp_path):
         path = tmp_path / "symbol.csv"
         path.write_text("# comment\n0,0,1.0\n1,-1,0.5\n")
         table = load_symbol_csv(path)
-        assert table == {(0, 0): 1.0, (1, -1): 0.5}
+        assert table.modes.tolist() == [[0, 0], [1, -1]] and table.values.tolist() == [1.0, 0.5]
 
     def test_csv_loader_rejects_garbage(self, tmp_path):
         path = tmp_path / "symbol.csv"
@@ -285,19 +287,19 @@ class TestCustomSymbol:
         "text, table",
         [
             ("0,1.0\n 1 , 0.5 \n# c\n\n-1,0.5\n", {(0,): 1.0, (1,): 0.5, (-1,): 0.5}),
-            ("0,0,1.0\n0,0,2.0\n", {(0, 0): 2.0}),
-            ("0,1.0\n1,-1,0.5\n", {(0,): 1.0, (1, -1): 0.5}),
-            ("1_000,1_0.5\n3,inf\n", {(1000,): 10.5, (3,): np.inf}),
-            ("99999999999999999999,1\n", {(99999999999999999999,): 1.0}),
+            ("+1,1e3\n-1,1E+3\n", {(1,): 1000.0, (-1,): 1000.0}),
+            ("0,0,.5\n0,1,5.\n", {(0, 0): 0.5, (0, 1): 5.0}),
+            ("9223372036854775807,1\n-9223372036854775808,2\n",
+             {(2**63 - 1,): 1.0, (-(2**63),): 2.0}),
         ],
     )
     def test_csv_loader_reads_like_python(self, tmp_path, text, table):
         path = tmp_path / "symbol.csv"
         path.write_text(text)
         loaded = load_symbol_csv(path)
-        assert loaded == table
-        assert all(type(m) is int for mode in loaded for m in mode)
-        assert all(type(v) is float for v in loaded.values())
+        assert loaded.modes.dtype == np.int64 and loaded.values.dtype == np.float64
+        assert table_as_dict(loaded) == table
+        assert list(table_as_dict(loaded)) == list(table)   # in file order
 
     @pytest.mark.parametrize(
         "text, message",
@@ -307,6 +309,13 @@ class TestCustomSymbol:
             ("0,1.0 # note\n", r":1: malformed"),
             ("0,0,1.0\n0,,1.0\n", r":2: malformed"),
             ("# only a comment\n\n", r"empty symbol table"),
+            ("0,1,2,3\n", r":1: expected"),
+            ("0,1.0\n1,-1,0.5\n", r":2: expected 'k1\[,k2\],value' with the 1D modes of line 1"),
+            ("1_000,1.0\n", r":1: malformed"),
+            ("0,1.0\n1,1_0.5\n", r":2: malformed"),
+            ("99999999999999999999,1\n", r":1: malformed"),
+            ("0,0,1.0\n1,0,1.0\n0,0,2.0\n", r"mode \(0, 0\) twice"),
+            ("3,inf\n", r"got inf at mode \(3,\)"),
         ],
     )
     def test_csv_loader_names_the_bad_line(self, tmp_path, text, message):
@@ -352,6 +361,16 @@ def loop_custom_multiplier(table, grid):
     return np.array([[lookup((m1, m2)) for m2 in m2s] for m1 in m1s])
 
 
+def table_from_dict(table):
+    """The SymbolTable of ``{mode: value}``, a mode a tuple of ints, in dict order."""
+    modes = np.array(list(table), dtype=np.int64).reshape(len(table), -1)
+    return SymbolTable(modes, np.array(list(table.values()), dtype=np.float64))
+
+
+def table_as_dict(table):
+    return dict(zip(map(tuple, table.modes.tolist()), table.values.tolist()))
+
+
 def random_even_table(sizes, seed):
     """Table over every mode -n/2 <= m < n/2 with value(m) == value(-m mod n)."""
     rng = np.random.default_rng(seed)
@@ -371,7 +390,7 @@ def build_error(builder, table, grid):
 
 
 def array_builder(table, grid):
-    return _custom_multiplier(LongRangeOp.custom(table), grid)
+    return _custom_multiplier(LongRangeOp.custom(table_from_dict(table)), grid)
 
 
 GRID_SIZES = [(8,), (16,), (8, 8), (6, 10)]
@@ -390,7 +409,7 @@ class TestCustomMultiplierBuilder:
         assert np.array_equal(mult, expected)
 
     @pytest.mark.parametrize("sizes", GRID_SIZES)
-    def test_out_of_range_and_other_dimension_entries_ignored(self, sizes):
+    def test_out_of_range_entries_ignored_other_dimension_refused(self, sizes):
         g = PeriodicGrid(sizes, (1.0,) * len(sizes))
         table = random_even_table(sizes, 3)
         expected = loop_custom_multiplier(table, g)
@@ -399,11 +418,12 @@ class TestCustomMultiplierBuilder:
         rest = (0,) * (len(sizes) - 1)
         extra[(n0 // 2,) + rest] = 7.0           # +n/2 wraps to -n/2: out of range
         extra[(-n0 // 2 - 1,) + rest] = 7.0
-        extra[(10**30,) + rest] = 7.0            # beyond int64
-        extra[(0,) * (len(sizes) % 2 + 1)] = 9.0  # the other dimension
-        extra[(1, 2, 3)] = 9.0
+        extra[(2**63 - 1,) + rest] = 7.0
         assert np.array_equal(array_builder(extra, g), expected)
         assert np.array_equal(loop_custom_multiplier(extra, g), expected)
+        other = 3 - len(sizes)
+        with pytest.raises(ConfigError, match=f"table is {other}D, the grid is {len(sizes)}D"):
+            array_builder({(0,) * other: 1.0}, g)
 
     @pytest.mark.parametrize("sizes", GRID_SIZES)
     def test_missing_mode_named_as_before(self, sizes):
@@ -436,7 +456,7 @@ class TestCustomMultiplierBuilder:
 
     def test_building_and_dropping_operators_keeps_no_memory(self):
         g = PeriodicGrid((64, 64), (1.0, 1.0))
-        table = random_even_table((64, 64), 6)
+        table = table_from_dict(random_even_table((64, 64), 6))
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -447,45 +467,35 @@ class TestCustomMultiplierBuilder:
             tracemalloc.stop()
         assert kept < 100_000   # each operator's table and multiplier take ~146 kB
 
-    def test_different_tables_never_share_a_cache_entry(self):
+    def test_each_custom_op_builds_its_own_table(self):
         # The op's hash leaves the table out, so these ops collide by design.
         g = PeriodicGrid((6, 10), (1.0, 1.0))
-        a = LongRangeOp.custom(random_even_table((6, 10), 7))
-        b = LongRangeOp.custom(random_even_table((6, 10), 8))
+        table_a, table_b = random_even_table((6, 10), 7), random_even_table((6, 10), 8)
+        a = LongRangeOp.custom(table_from_dict(table_a))
+        b = LongRangeOp.custom(table_from_dict(table_b))
         assert hash(a) == hash(b) and a != b
         mult_a = multiplier_array(a, g)
         mult_b = multiplier_array(b, g)
-        assert np.array_equal(mult_a, loop_custom_multiplier(a.symbol, g))
-        assert np.array_equal(mult_b, loop_custom_multiplier(b.symbol, g))
+        assert np.array_equal(mult_a, loop_custom_multiplier(table_a, g))
+        assert np.array_equal(mult_b, loop_custom_multiplier(table_b, g))
         assert not np.array_equal(mult_a, mult_b)
 
-    def test_invalid_table_is_not_cached(self):
+    def test_invalid_table_fails_on_every_build(self):
         g = PeriodicGrid((8,), (1.0,))
         table = {(m,): 1.0 for m in range(-4, 4)}
         table[(3,)] = 2.0
-        op = LongRangeOp.custom(table)
+        op = LongRangeOp.custom(table_from_dict(table))
         for _ in range(2):
             with pytest.raises(ConfigError, match="even"):
                 multiplier_array(op, g)
 
 
 class TestCustomTableNormalisation:
-    def test_scalar_and_numpy_modes(self):
-        op = LongRangeOp.custom({1: 2, np.int64(-1): 2.0, (0,): np.float64(1.5)})
-        assert op.symbol == {(1,): 2.0, (-1,): 2.0, (0,): 1.5}
-        assert all(type(m) is int for mode in op.symbol for m in mode)
-        assert all(type(v) is float for v in op.symbol.values())
-
-    def test_mixed_dimensions_and_float_modes(self):
-        op = LongRangeOp.custom({(1,): 1, (1, -2): 2, (2.7, 0): 3})
-        assert op.symbol == {(1,): 1.0, (1, -2): 2.0, (2, 0): 3.0}
-        assert all(type(m) is int for mode in op.symbol for m in mode)
-
     @pytest.mark.parametrize("bad", [-1.0, np.inf, np.nan])
     def test_first_bad_value_named(self, bad):
         table = {(0,): 1.0, (1,): bad, (2,): -5.0}
         with pytest.raises(ConfigError, match=r"got .* at mode \(1,\)"):
-            LongRangeOp.custom(table)
+            LongRangeOp.custom(table_from_dict(table))
 
 
 def write_table(path, lines):
@@ -497,9 +507,10 @@ def write_table(path, lines):
 @st.composite
 def table_files(draw):
     """Grid sizes, the lines of a CSV table in file order, and the dict they
-    stand for.  The table is even over every mode of the grid; some draws add
-    out-of-range, beyond-int64 and other-dimension lines, a repeated line
-    whose later value wins, or damage one entry (missing or uneven)."""
+    stand for or the pattern of the ConfigError the loader raises.  The table
+    is even over every mode of the grid; some draws add out-of-range lines,
+    which are ignored, beyond-int64 and other-dimension lines and a repeated
+    line, which are refused, or damage one entry (missing or uneven)."""
     sizes = tuple(draw(st.sampled_from([4, 6, 8, 10])) for _ in range(draw(st.sampled_from([1, 2]))))
     table = random_even_table(sizes, draw(st.integers(0, 2**32 - 1)))
     modes = sorted(table)
@@ -520,11 +531,19 @@ def table_files(draw):
         extra[(0,) * (3 - len(sizes))] = 9.0         # the other dimension
     lines = list(table.items()) + list(extra.items())
     lines = draw(st.permutations(lines))
+    repeated = None
     if draw(st.booleans()):
         index = draw(st.integers(0, len(lines) - 1))
-        lines.insert(index, (lines[index][0], 5.0))  # overwritten by the line after it
-    expected = dict(lines)
-    return sizes, lines, expected
+        repeated = lines[index][0]
+        lines.insert(index, (repeated, 5.0))
+    for lineno, (mode, _) in enumerate(lines, start=2):   # under the comment line
+        if len(mode) != len(lines[0][0]):
+            return sizes, lines, rf":{lineno}: expected"
+        if any(not -(2**63) <= m < 2**63 for m in mode):
+            return sizes, lines, rf":{lineno}: malformed"
+    if repeated is not None:
+        return sizes, lines, re.escape(f"mode {repeated} twice")
+    return sizes, lines, dict(lines)
 
 
 class TestTablePath:
@@ -537,9 +556,14 @@ class TestTablePath:
         path = tmp_path_factory.mktemp("table") / "symbol.csv"
         write_table(path, lines)
         g = PeriodicGrid(sizes, (1.0,) * len(sizes))
-        op = RunConfig(N=sizes, X=(1.0,) * len(sizes), operator="custom",
-                       op_symbol_file=str(path)).build_op()
-        assert op.symbol == table and table == op.symbol
+        cfg = RunConfig(N=sizes, X=(1.0,) * len(sizes), operator="custom",
+                        op_symbol_file=str(path))
+        if isinstance(table, str):
+            with pytest.raises(ConfigError, match=table):
+                cfg.build_op()
+            return
+        op = cfg.build_op()
+        assert table_as_dict(op.symbol) == table
         try:
             expected = loop_custom_multiplier(table, g)
         except ConfigError as exc:
@@ -571,61 +595,52 @@ class TestTablePath:
                        op_symbol_file=str(path)).build_op()
         assert np.array_equal(multiplier_array(op, g), half)
 
-    def test_uniform_table_goes_from_loadtxt_to_the_multiplier_as_arrays(self, tmp_path,
-                                                                         monkeypatch):
-        sizes = (8, 6)
-        table = random_even_table(sizes, 11)
-        path = tmp_path / "symbol.csv"
-        write_table(path, table.items())
-
-        def per_mode(*args):
-            raise AssertionError("a uniform int64 table went through the per-mode conversion")
-
-        monkeypatch.setattr(SymbolTable, "from_mapping", per_mode)
-        monkeypatch.setattr(SymbolTable, "__iter__", per_mode)
-        loaded = load_symbol_csv(path)
-        op = LongRangeOp.custom(loaded)
-        assert op.symbol is loaded
-        mult = multiplier_array(op, PeriodicGrid(sizes, (1.0, 1.0)))
-        monkeypatch.undo()
-        assert np.array_equal(mult, loop_custom_multiplier(table, PeriodicGrid(sizes, (1.0, 1.0))))
-
 
 class TestSymbolTable:
     def test_arrays_are_int64_modes_and_float64_values_read_only(self):
-        table = LongRangeOp.custom({(1, -2): 2, (0, 0): 1.5}).symbol
-        modes, values = table.arrays(2)
-        assert modes.dtype == np.int64 and values.dtype == np.float64
-        assert modes.tolist() == [[1, -2], [0, 0]] and values.tolist() == [2.0, 1.5]
-        assert not modes.flags.writeable and not values.flags.writeable
-        with pytest.raises(TypeError):
-            table[(0, 0)] = 3.0
+        modes, values = np.array([[1, -2], [0, 0]]), np.array([2.0, 1.5])
+        table = SymbolTable(modes, values)
+        assert table.modes.dtype == np.int64 and table.values.dtype == np.float64
+        assert table.modes.tolist() == [[1, -2], [0, 0]] and table.values.tolist() == [2.0, 1.5]
+        assert not table.modes.flags.writeable and not table.values.flags.writeable
+        with pytest.raises(ValueError):
+            table.values[0] = 3.0
+        with pytest.raises(FrozenInstanceError):
+            table.values = np.zeros(2)
+        modes[0, 0] = values[0] = 7   # the table holds its own copies
+        assert table.modes.tolist() == [[1, -2], [0, 0]] and table.values.tolist() == [2.0, 1.5]
 
-    def test_mixed_table_keeps_order_and_splits_by_dimension(self):
-        source = {(1,): 1.0, (10**30,): 4.0, (1, -2): 2.0, (): 5.0, (1, 2, 3): 6.0, (-1,): 1.0}
-        table = LongRangeOp.custom(source).symbol
-        assert list(table.items()) == list(source.items())
-        assert table[(10**30,)] == 4.0 and (1, -2) in table and (2, 1) not in table
-        assert [a.tolist() for a in table.arrays(1)] == [[[1], [-1]], [1.0, 1.0]]
-        assert [a.tolist() for a in table.arrays(2)] == [[[1, -2]], [2.0]]
-        modes, values = SymbolTable.from_mapping({(1,): 1.0}).arrays(2)
-        assert modes.shape == (0, 2) and values.shape == (0,)
+    @pytest.mark.parametrize(
+        "modes, values, message",
+        [
+            (np.array([[0.0], [1.0]]), np.array([1.0, 1.0]), "int64 array, got float64"),
+            (np.array([0, 1]), np.array([1.0, 1.0]), r"got int64 of shape \(2,\)"),
+            (np.zeros((2, 3), dtype=np.int64), np.array([1.0, 1.0]), r"shape \(2, 3\)"),
+            (np.array([[0], [1]]), np.array([1, 1]), "float64 array of shape"),
+            (np.array([[0], [1]]), np.array([1.0]), r"got float64 of shape \(1,\)"),
+            (np.zeros((0, 2), dtype=np.int64), np.zeros(0), "non-empty"),
+        ],
+    )
+    def test_dtypes_and_shapes_checked(self, modes, values, message):
+        with pytest.raises(ConfigError, match=message):
+            SymbolTable(modes, values)
 
-    def test_repeated_rows_keep_the_first_place_and_the_last_value(self):
-        modes = np.array([[0, 1], [2, 3], [0, 1], [4, 5], [2, 3], [0, 1]])
-        values = np.arange(6.0)
-        table = SymbolTable.from_rows(modes, values)
-        expected = {}
-        for mode, value in zip(map(tuple, modes.tolist()), values.tolist()):
-            expected[mode] = value
-        assert list(table.items()) == list(expected.items())
+    @pytest.mark.parametrize(
+        "modes, named",
+        [([[0], [2], [4], [2]], r"\(2,\)"), ([[0, 1], [2, 3], [4, 5], [2, 3]], r"\(2, 3\)")],
+    )
+    def test_repeated_mode_named(self, modes, named):
+        with pytest.raises(ConfigError, match=rf"mode {named} twice"):
+            SymbolTable(np.array(modes), np.ones(4))
 
-    def test_equality(self):
-        a = LongRangeOp.custom({(0,): 1.0, (1,): 2.0}).symbol
-        assert a == SymbolTable.from_mapping({(0,): 1.0, (1,): 2.0})
-        assert a == SymbolTable.from_mapping({(1,): 2.0, (0,): 1.0})   # order does not count
-        assert a != SymbolTable.from_mapping({(0,): 1.0, (1,): 3.0})
-        assert a != {(0,): 1.0} and a != [(0,), (1,)]
+    def test_equality_is_identity(self):
+        table = table_from_dict({(0,): 1.0, (1,): 2.0})
+        assert table == table and table != table_from_dict({(0,): 1.0, (1,): 2.0})
+        assert LongRangeOp.custom(table) == LongRangeOp.custom(table)
+
+    def test_custom_op_needs_a_table(self):
+        with pytest.raises(ConfigError, match="SymbolTable"):
+            LongRangeOp.custom({(0,): 1.0})
 
 
 class TestOperatorNorm:
@@ -635,7 +650,8 @@ class TestOperatorNorm:
         for m1 in range(-4, 4):
             for m2 in range(-4, 4):
                 table[(m1, m2)] = 1.0
-        assert estimate_linf_norm(LongRangeOp.custom(table), g) == pytest.approx(1.0, abs=1e-12)
+        op = LongRangeOp.custom(table_from_dict(table))
+        assert estimate_linf_norm(op, g) == pytest.approx(1.0, abs=1e-12)
 
     def test_inverse_laplacian_matches_dense_row_sums(self):
         g = PeriodicGrid((8, 8), (1.0, 1.0))

@@ -30,7 +30,7 @@ from pacok.stepping import (
     step,
 )
 
-from test_spectral import dense_laplacian, random_even_table
+from test_spectral import dense_laplacian, random_even_table, table_from_dict
 
 CUBIC = NonlinearSpec(FKind.CUBIC_HERMITE)
 LINEAR = NonlinearSpec(FKind.LINEAR)
@@ -661,7 +661,7 @@ def kernel_case(name, scale=1):
     if kind == "potential":
         op, potential = LongRangeOp.none(), GridField(g, rng.standard_normal(sizes))
     elif kind == "custom":
-        op = LongRangeOp.custom(random_even_table(sizes, 3))
+        op = LongRangeOp.custom(table_from_dict(random_even_table(sizes, 3)))
     else:
         op = {"inverse_laplacian": LongRangeOp.inverse_laplacian(),
               "helmholtz": LongRangeOp.helmholtz(0.3), "none": LongRangeOp.none()}[kind]
