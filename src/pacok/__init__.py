@@ -19,26 +19,17 @@ from .grid import (
     norm_l2_h,
     save_snapshot,
 )
-from .spectral import (
-    LongRangeOp,
-    OpKind,
-    estimate_linf_norm,
-)
+from .spectral import LongRangeOp, OpKind
 from .physics import (
     FKind,
     LipschitzConstants,
     ModelParams,
     NonlinearSpec,
     Problem,
-    W_eval,
-    W_prime,
-    f_eval,
-    f_pprime,
-    f_prime,
     lipschitz_constants,
     pvism_potential,
 )
-from .energy import EnergyBreakdown, discrete_energy
+from .energy import EnergyBreakdown
 from .stepping import (
     ConditionReport,
     SchemeState,

@@ -28,12 +28,6 @@ def _load_config(args):
     return cfg
 
 
-def _ensure_out_dir(path: str) -> str:
-    out = path or "."
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 def cmd_run(args) -> int:
     from .experiments import run_config
 
@@ -69,21 +63,20 @@ def cmd_check(args) -> int:
 
 
 def cmd_norm(args) -> int:
-    from .spectral import estimate_linf_norm
-
     cfg = _load_config(args)
-    print(f"{estimate_linf_norm(cfg.build_op(), cfg.build_grid()):.17g}")
+    print(f"{cfg.build_problem(cfg.build_grid()).op_norm:.17g}")
     return 0
 
 
 def cmd_energy(args) -> int:
-    from .energy import discrete_energy
+    from .energy import problem_energy
     from .grid import load_snapshot
 
     cfg = _load_config(args)
     phi, _t = load_snapshot(args.snapshot)
-    potential = cfg.build_potential(phi.grid)
-    e = discrete_energy(phi, cfg.build_params(), cfg.build_spec(), cfg.build_op(), potential)
+    problem = cfg.build_problem(phi.grid)
+    problem.start(phi.values)
+    e = problem_energy(problem, phi.values)
     print("interfacial,well,longrange,penalty,total")
     print(f"{e.interfacial:.17g},{e.well:.17g},{e.longrange:.17g},{e.penalty:.17g},{e.total:.17g}")
     return 0
@@ -131,8 +124,8 @@ def cmd_converge(args) -> int:
             print(f"  {tau:>12.3e}  {err:>12.3e}  {rate or '---':>6}  {successive or '---':>10}")
             lines.append(f"{label},{tau:.17g},{err:.17g},{rate},{successive}")
     if args.out:
-        out = _ensure_out_dir(args.out)
-        path = os.path.join(out, "rates.csv")
+        os.makedirs(args.out, exist_ok=True)
+        path = os.path.join(args.out, "rates.csv")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
         print(f"table: {path}")
@@ -166,8 +159,7 @@ def cmd_coarsen(args) -> int:
 def cmd_pvism(args) -> int:
     from .experiments import pvism_compare
 
-    out = _ensure_out_dir(args.out) if args.out else None
-    result = pvism_compare(tau=args.tau, t_max=args.t_max, out_dir=out)
+    result = pvism_compare(tau=args.tau, t_max=args.t_max, out_dir=args.out or None)
     c_lo, c_hi = result.cubic_bounds
     l_lo, l_hi = result.linear_bounds
     print(f"cubic  indicator: min={c_lo:.6e} max={c_hi:.6e} "
@@ -203,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_check.set_defaults(func=cmd_check)
 
-    p_norm = sub.add_parser("norm", help="print the long-range operator max-norm")
+    p_norm = sub.add_parser("norm", help="print the operator max-norm the conditions use")
     add_config(p_norm)
     p_norm.set_defaults(func=cmd_norm)
 

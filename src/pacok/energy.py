@@ -13,13 +13,13 @@ penalty is absent.
 Both quadratic forms are diagonal in the DFT, so they are taken by
 Parseval's identity from two half spectra: the field's, rfftn(P), and the
 mismatch's, rfftn(f(P) - omega), whose zero mode also gives the volume
-term.  A time step computes both, and q = P^2 - P, which gives the well
-part.  :func:`spectral_energy` takes the energy from these with no
-grid-sized temporary.  :func:`problem_energy` calls it on the arrays a run's
-:class:`pacok.physics.Problem` holds, and :func:`discrete_energy`, the
-reference energy of a field, on spectra it computes, so there is one energy
-formula.  Without a long-range operator there is no mismatch spectrum, and
-the interaction and volume parts are real-space sums.
+term.  A run's :class:`pacok.physics.Problem` holds both for its current
+field, with q = P^2 - P, which gives the well part: a time step leaves them
+there and :meth:`pacok.physics.Problem.start` computes them for a given
+field.  :func:`problem_energy`, the one energy formula, takes the energy
+from these with no grid-sized temporary.  Without a long-range operator
+there is no mismatch spectrum, and the interaction and volume parts are
+real-space sums.
 """
 
 from __future__ import annotations
@@ -28,9 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridField, PeriodicGrid
-from .physics import ModelParams, NonlinearSpec, Problem, mismatch_values
-from .spectral import LongRangeOp, OpKind, mirror_weights, multiplier_array, stencil_symbol
+from .physics import Problem, mismatch_values
 
 
 @dataclass(frozen=True)
@@ -61,85 +59,22 @@ def _mode_sum(weights: np.ndarray, half: np.ndarray) -> float:
     )
 
 
-def spectral_energy(
-    params: ModelParams,
-    grid: PeriodicGrid,
-    q_squares: float,
-    phi_hat: np.ndarray,
-    weights: np.ndarray,
-    mismatch_hat: np.ndarray | None = None,
-    op_weights: np.ndarray | None = None,
-    volume: float = 0.0,
-    interaction: float | None = None,
-) -> EnergyBreakdown:
-    """The energy from sum(q^2), q = P^2 - P, and the field's half spectrum.
-
-    ``weights`` and ``op_weights`` are the mirror weights of the stencil and
-    operator symbols.  Without an operator, ``volume`` is the volume term;
-    in solvation mode ``interaction`` is <f(P) U, 1>_h.
-    """
+def problem_energy(problem: Problem, s: np.ndarray) -> EnergyBreakdown:
+    """The energy of a problem's current field ``s``, from the spectra and q the problem holds."""
+    params, grid = problem.params, problem.grid
     dx = grid.cell_measure
     parseval = dx / grid.num_cells
-    interfacial = 0.5 * params.epsilon * parseval * _mode_sum(weights, phi_hat)
-    well = 18.0 * dx * q_squares / params.epsilon   # W = 18 q^2
-    if interaction is not None:
-        longrange, penalty = interaction, 0.0
+    interfacial = 0.5 * params.epsilon * parseval * _mode_sum(problem.symbol_weights, problem.phi_hat)
+    well = 18.0 * dx * _dot(problem.q, problem.q) / params.epsilon   # W = 18 q^2
+    if problem.potential_values is not None:
+        f_values = mismatch_values(problem.spec, s, 0.0, problem.work, problem.clamped)
+        longrange, penalty = dx * _dot(f_values, problem.potential_values), 0.0
     else:
-        longrange = 0.0
-        if mismatch_hat is not None:
-            longrange = 0.5 * params.gamma * parseval * _mode_sum(op_weights, mismatch_hat)
-            volume = dx * float(mismatch_hat[(0,) * grid.dim].real)
+        longrange, volume = 0.0, problem.volume
+        spectrum = problem.mismatch_hat
+        if spectrum is not None:
+            longrange = 0.5 * params.gamma * parseval * _mode_sum(problem.op_weights, spectrum)
+            volume = dx * float(spectrum[(0,) * grid.dim].real)
         penalty = 0.5 * params.M * volume * volume   # float ** 2 raises on overflow
     total = interfacial + well + longrange + penalty
     return EnergyBreakdown(interfacial, well, longrange, penalty, total)
-
-
-def discrete_energy(
-    phi: GridField,
-    params: ModelParams,
-    spec: NonlinearSpec,
-    op: LongRangeOp,
-    potential: GridField | None = None,
-) -> EnergyBreakdown:
-    """Evaluate the discrete energy of ``phi`` term by term.
-
-    It computes rfftn(phi) and, with a long-range operator,
-    rfftn(f(phi) - omega); q = phi^2 - phi takes a grid field, whose array
-    then takes f(phi) or f(phi) - omega, and goes before the symbols'
-    mirror weights are built.
-    """
-    grid = phi.grid
-    v = phi.values
-    phi_hat = np.fft.rfftn(v)
-    work = v * v
-    work -= v
-    q_squares = _dot(work, work)
-    volume, interaction, mismatch_hat, op_weights = 0.0, None, None, None
-    if potential is not None:
-        mismatch_values(spec, v, 0.0, work)   # f(phi)
-        interaction = grid.cell_measure * _dot(work, potential.values)
-    elif op.kind is OpKind.NONE:
-        volume = grid.cell_measure * float(np.sum(mismatch_values(spec, v, params.omega, work)))
-    else:
-        mismatch_hat = np.fft.rfftn(mismatch_values(spec, v, params.omega, work))
-    del work   # the weights below take its place
-    if op.kind is not OpKind.NONE:
-        op_weights = mirror_weights(multiplier_array(op, grid))
-    return spectral_energy(
-        params, grid, q_squares, phi_hat, mirror_weights(stencil_symbol(grid)), mismatch_hat,
-        op_weights, volume, interaction,
-    )
-
-
-def problem_energy(problem: Problem, s: np.ndarray) -> EnergyBreakdown:
-    """The energy of a problem's current field ``s`` from the spectra the
-    problem holds: :func:`discrete_energy`'s sums, bit for bit."""
-    pot, interaction = problem.potential_values, None
-    if pot is not None:
-        f_values = mismatch_values(problem.spec, s, 0.0, problem.work, problem.clamped)
-        interaction = problem.grid.cell_measure * _dot(f_values, pot)
-    return spectral_energy(
-        problem.params, problem.grid, _dot(problem.q, problem.q), problem.phi_hat,
-        problem.symbol_weights, problem.mismatch_hat, problem.op_weights, problem.volume,
-        interaction,
-    )

@@ -397,6 +397,8 @@ def pvism_compare(
     each has its own :class:`pacok.physics.Problem` and enforces what that
     problem certifies.  The cubic equilibrium stays inside [0, 1]; the
     linear one undershoots inside the interface and overshoots outside it.
+    ``out_dir`` is created and given both equilibria once both runs have
+    ended, so a comparison that fails leaves no directory.
     """
     cfg = RunConfig(
         epsilon=50.0 * (2.0 * half_extent / n), gamma=0.0, M=0.0, omega=0.5, kappa=kappa,
@@ -409,13 +411,14 @@ def pvism_compare(
     finals = {}
     for f in ("cubic", "linear"):
         problem = replace(cfg, f=f).build_problem(grid)
-        state, _ = run(
+        finals[f], _ = run(
             SchemeState.initial(phi0), problem, t_max=cfg.T, tol=cfg.tol,
             record_every=cfg.monitor_every,
         )
-        if out_dir is not None:
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+        for f, state in finals.items():
             save_snapshot(f"{out_dir}/equilibrium_{f}.csv", state.phi, t=state.time)
-        finals[f] = state
     bounds = lambda s: (float(np.min(s.phi.values)), float(np.max(s.phi.values)))
     cubic, linear = finals["cubic"], finals["linear"]
     return SolvationComparison(cubic, linear, bounds(cubic), bounds(linear))

@@ -15,10 +15,9 @@ The traditional linear choice f(s) = s is provided for comparison runs; it
 loses the bound-preservation guarantee.
 
 Bound constants L_W'' = max |W''|, L_f' = max |f'|, L_f'' = max |f''| over
-[0, 1] enter every stability condition.  They are computed on each call,
-with no cache, by maximization over a dyadic grid that holds the extremal
-points exactly, and cross-checked against the closed forms (36, 3/2, 6 for
-the cubic; 36, 1, 0 for the linear choice) so future f variants stay honest.
+[0, 1] enter every stability condition.  They are the closed forms 36,
+3/2 and 6 for the cubic and 36, 1 and 0 for the linear choice; a clamped
+extension agrees with f on [0, 1] and has the constants of its f.
 
 The explicit right-hand side of one stabilized semi-implicit step is
 
@@ -67,17 +66,6 @@ class NonlinearSpec:
     f_kind: FKind = FKind.CUBIC_HERMITE
     use_extension: bool = False
 
-    def __post_init__(self):
-        if self.f_kind is FKind.CUBIC_HERMITE:
-            checks = (
-                abs(f_eval(self, 0.0)),
-                abs(f_eval(self, 1.0) - 1.0),
-                abs(f_prime(self, 0.0)),
-                abs(f_prime(self, 1.0)),
-            )
-            if max(checks) > 1e-14:
-                raise ConfigError("cubic indicator fails its endpoint conditions")
-
     @property
     def endpoint_compatible(self) -> bool:
         """True when f(0)=0, f(1)=1, f'(0)=f'(1)=0 hold.
@@ -125,66 +113,6 @@ class ModelParams:
         return max(self.omega, 1.0 - self.omega)
 
 
-def W_eval(s):
-    """Double-well potential 18 (s^2 - s)^2."""
-    s = np.asarray(s, dtype=np.float64)
-    q = s * s - s
-    out = 18.0 * q * q
-    return float(out) if out.ndim == 0 else out
-
-
-def W_prime(s):
-    """W'(s) = 36 (s^2 - s)(2s - 1)."""
-    s = np.asarray(s, dtype=np.float64)
-    out = 36.0 * (s * s - s) * (2.0 * s - 1.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def W_pprime(s):
-    """W''(s) = 36 (6 s^2 - 6 s + 1)."""
-    s = np.asarray(s, dtype=np.float64)
-    out = 36.0 * (6.0 * s * s - 6.0 * s + 1.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def _clamp01(s):
-    return np.clip(s, 0.0, 1.0)
-
-
-def f_eval(spec: NonlinearSpec, s):
-    s = np.asarray(s, dtype=np.float64)
-    arg = _clamp01(s) if spec.use_extension else s
-    if spec.f_kind is FKind.CUBIC_HERMITE:
-        out = (3.0 - 2.0 * arg) * arg * arg
-    else:
-        out = np.array(arg, dtype=np.float64)
-    return float(out) if out.ndim == 0 else out
-
-
-def f_prime(spec: NonlinearSpec, s):
-    s = np.asarray(s, dtype=np.float64)
-    if spec.f_kind is FKind.CUBIC_HERMITE:
-        arg = _clamp01(s) if spec.use_extension else s
-        # f'(0) = f'(1) = 0, so clamping alone zeroes the slope outside.
-        out = 6.0 * arg * (1.0 - arg)
-    else:
-        out = np.ones_like(s)
-        if spec.use_extension:
-            out = np.where((s < 0.0) | (s > 1.0), 0.0, out)
-    return float(out) if out.ndim == 0 else out
-
-
-def f_pprime(spec: NonlinearSpec, s):
-    s = np.asarray(s, dtype=np.float64)
-    if spec.f_kind is FKind.CUBIC_HERMITE:
-        out = 6.0 - 12.0 * s
-        if spec.use_extension:
-            out = np.where((s < 0.0) | (s > 1.0), 0.0, out)
-    else:
-        out = np.zeros_like(s)
-    return float(out) if out.ndim == 0 else out
-
-
 @dataclass(frozen=True)
 class LipschitzConstants:
     """Max-norm bounds of W'', f', f'' over [0, 1]."""
@@ -201,38 +129,15 @@ _CLOSED_FORM = {
 
 
 def lipschitz_constants(spec: NonlinearSpec) -> LipschitzConstants:
-    """Bound constants computed by grid maximization over [0, 1].
-
-    The 1025 nodes k/1024 are dyadic, so the extremal points 0, 1/2 and 1
-    of the polynomials are sampled exactly and the maxima come out exact;
-    the result is cross-checked against the closed-form values to 1e-9 on
-    every call (about 80 us).  The constants depend on ``spec.f_kind``
-    only: the clamped extension agrees with f on [0, 1].
-    """
-    s = np.linspace(0.0, 1.0, 1025)
-    inner = NonlinearSpec(spec.f_kind, use_extension=False)
-    computed = LipschitzConstants(
-        L_Wpp=float(np.max(np.abs(W_pprime(s)))),
-        L_fp=float(np.max(np.abs(f_prime(inner, s)))),
-        L_fpp=float(np.max(np.abs(f_pprime(inner, s)))),
-    )
-    expected = _CLOSED_FORM[spec.f_kind]
-    deviation = max(
-        abs(computed.L_Wpp - expected[0]),
-        abs(computed.L_fp - expected[1]),
-        abs(computed.L_fpp - expected[2]),
-    )
-    if deviation > 1e-9:
-        raise ConfigError(
-            f"computed bound constants {computed} deviate from closed form {expected}"
-        )
-    return computed
+    """The closed-form bound constants of ``spec.f_kind``; the clamped
+    extension agrees with f on [0, 1], so it has the same ones."""
+    return LipschitzConstants(*_CLOSED_FORM[spec.f_kind])
 
 
 def mismatch_values(
     spec: NonlinearSpec, s: np.ndarray, omega: float, out: np.ndarray, clamped=None
 ) -> np.ndarray:
-    """f(s) - omega into ``out``, with the operations of :func:`f_eval`; 0 gives f(s).
+    """f(s) - omega into ``out``, f(s) = (3 - 2s) s s for the cubic; 0 gives f(s).
 
     The clamped extensions clip ``s`` into ``clamped`` first (a new array
     when it is None).
@@ -287,7 +192,8 @@ class Problem:
     ``q``, the mismatch spectrum ``mismatch_hat`` (None without a long-range
     operator) and, without an operator or potential, ``volume`` belong to the
     field last passed to :meth:`load` or produced by :meth:`advance`;
-    ``phi_hat`` is the solve spectrum of the field :meth:`advance` produced.
+    ``phi_hat`` is the solve spectrum of the field :meth:`advance` produced,
+    or rfftn of the one passed to :meth:`start`.
     The run loop ping-pongs its fields through ``fields``
     (:meth:`allocate_run_buffers`).  ``work``, ``product``, and for the clamped
     extensions ``clamped`` and ``outside``, are scratch.  The transforms act
@@ -374,6 +280,11 @@ class Problem:
         np.multiply(s, s, out=self.q)
         self.q -= s
 
+    def start(self, s: np.ndarray) -> None:
+        """:meth:`load` ``s`` and put rfftn(s) in ``phi_hat``: the state a run starts from."""
+        self.load(s)
+        self.forward(s, self.phi_hat)
+
     def force(self):
         """k g plus ``offset`` for the current field: an array, or a scalar without one.
 
@@ -406,8 +317,9 @@ class Problem:
         return out
 
     def _times_slope(self, s: np.ndarray, g, scratch: np.ndarray) -> np.ndarray:
-        """g f'(s) of a clamped extension into ``clamped``, with the operations of
-        :func:`f_prime`; ``scratch`` is overwritten."""
+        """g f'(s) of a clamped extension into ``clamped``: f'(s) = 6 c (1 - c) for the
+        cubic and 1 for the linear f, c = s clipped to [0, 1], and 0 outside [0, 1];
+        ``scratch`` is overwritten."""
         slope = np.clip(s, 0.0, 1.0, out=self.clamped)
         if self.spec.f_kind is FKind.CUBIC_HERMITE:
             np.subtract(1.0, slope, out=scratch)

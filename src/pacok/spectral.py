@@ -258,11 +258,6 @@ def impulse_response_norm(mult: np.ndarray, grid: PeriodicGrid) -> float:
     return float(np.sum(np.abs(response)))
 
 
-def estimate_linf_norm(op: LongRangeOp, grid: PeriodicGrid) -> float:
-    """Max-norm of the operator, from one impulse response (:func:`impulse_response_norm`)."""
-    return impulse_response_norm(multiplier_array(op, grid), grid)
-
-
 def load_symbol_csv(path) -> SymbolTable:
     """Read a custom symbol table from CSV lines ``k1[,k2],value``.
 

@@ -18,7 +18,7 @@ mismatch spectrum rfftn(f(P_old) - omega), which the previous step computed;
 the step multiplies it by the operator's symbol and transforms back.  The
 solve is the second.  The energy comes from the solve spectrum, the new
 mismatch spectrum and q = P^2 - P by Parseval's identity
-(:func:`pacok.energy.spectral_energy`), so a recorded step needs no
+(:func:`pacok.energy.problem_energy`), so a recorded step needs no
 further transform.
 
 A step is the array kernel of :class:`pacok.physics.Problem`, the run's
@@ -245,8 +245,8 @@ def run(
     :class:`SchemeState` that owns a copy of the field.
 
     Every energy comes from :func:`pacok.energy.problem_energy`, on the
-    field and spectra the problem holds; the start's two spectra are
-    computed here.  The first step is a call of :func:`step`, the kernel
+    field and spectra the problem holds; the start's two spectra come from
+    :meth:`pacok.physics.Problem.start`.  The first step is a call of :func:`step`, the kernel
     makes the others, and the returned state takes the field buffer the
     kernel wrote last (``state0`` itself when there is nothing to step).
     """
@@ -272,8 +272,7 @@ def run(
     n_steps, snapshot_steps = ends[-1], set(ends[1:-1]) - {ends[-1]}
     report = check_conditions(problem)
     with np.errstate(over="ignore", invalid="ignore"):
-        problem.load(s)
-    problem.forward(s, problem.phi_hat)
+        problem.start(s)
     last_energy = _checked_energy(n, problem, s)
     lo, hi = float(s.min()), float(s.max())
     if report.mpp_ok and _outside_bounds(lo, hi):

@@ -1,16 +1,79 @@
 """Reference operations the tests check the program against.
 
 They were public helpers of the package that only the tests used: the
+pointwise double well W, the indicator f and their derivatives, the
 stencil Laplacian, spectral operator application, the max norm and mean of
 a field, the volume mismatch and its spectrum as new arrays, and the
-right-hand side of one step as a function of a field.
+right-hand side of one step as a function of a field.  :func:`field_energy`
+is the energy of a field as ``pacok energy`` computes it.
 """
 
 import numpy as np
 
+from pacok.energy import problem_energy
 from pacok.grid import GridField, inner_product_h
-from pacok.physics import Problem, f_eval
+from pacok.physics import FKind, NonlinearSpec, Problem
 from pacok.spectral import LongRangeOp, multiplier_array
+
+
+def W_eval(s):
+    """Double-well potential 18 (s^2 - s)^2."""
+    s = np.asarray(s, dtype=np.float64)
+    q = s * s - s
+    out = 18.0 * q * q
+    return float(out) if out.ndim == 0 else out
+
+
+def W_prime(s):
+    """W'(s) = 36 (s^2 - s)(2s - 1)."""
+    s = np.asarray(s, dtype=np.float64)
+    out = 36.0 * (s * s - s) * (2.0 * s - 1.0)
+    return float(out) if out.ndim == 0 else out
+
+
+def W_pprime(s):
+    """W''(s) = 36 (6 s^2 - 6 s + 1)."""
+    s = np.asarray(s, dtype=np.float64)
+    out = 36.0 * (6.0 * s * s - 6.0 * s + 1.0)
+    return float(out) if out.ndim == 0 else out
+
+
+def _clamp01(s):
+    return np.clip(s, 0.0, 1.0)
+
+
+def f_eval(spec: NonlinearSpec, s):
+    s = np.asarray(s, dtype=np.float64)
+    arg = _clamp01(s) if spec.use_extension else s
+    if spec.f_kind is FKind.CUBIC_HERMITE:
+        out = (3.0 - 2.0 * arg) * arg * arg
+    else:
+        out = np.array(arg, dtype=np.float64)
+    return float(out) if out.ndim == 0 else out
+
+
+def f_prime(spec: NonlinearSpec, s):
+    s = np.asarray(s, dtype=np.float64)
+    if spec.f_kind is FKind.CUBIC_HERMITE:
+        arg = _clamp01(s) if spec.use_extension else s
+        # f'(0) = f'(1) = 0, so clamping alone zeroes the slope outside.
+        out = 6.0 * arg * (1.0 - arg)
+    else:
+        out = np.ones_like(s)
+        if spec.use_extension:
+            out = np.where((s < 0.0) | (s > 1.0), 0.0, out)
+    return float(out) if out.ndim == 0 else out
+
+
+def f_pprime(spec: NonlinearSpec, s):
+    s = np.asarray(s, dtype=np.float64)
+    if spec.f_kind is FKind.CUBIC_HERMITE:
+        out = 6.0 - 12.0 * s
+        if spec.use_extension:
+            out = np.where((s < 0.0) | (s > 1.0), 0.0, out)
+    else:
+        out = np.zeros_like(s)
+    return float(out) if out.ndim == 0 else out
 
 
 def apply_laplacian(a: GridField) -> GridField:
@@ -68,3 +131,12 @@ def assemble_rhs(phi, params, spec, op, potential=None) -> GridField:
     """The right-hand side F(phi) of one step, as a field."""
     pot = potential.values if potential is not None else None
     return GridField(phi.grid, assemble_rhs_array(phi.values, phi.grid, params, spec, op, pot))
+
+
+def field_energy(phi, params, spec, op, potential=None):
+    """The energy of ``phi`` as a run computes it at its start: a new
+    problem on the field's grid, the field loaded with its solve spectrum."""
+    pot = potential.values if potential is not None else None
+    problem = Problem(phi.grid, params, spec, op, pot)
+    problem.start(phi.values)
+    return problem_energy(problem, phi.values)

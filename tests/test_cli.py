@@ -194,6 +194,18 @@ def test_snapshot_of_a_run_gives_its_recorded_energy(tmp_path, capsys):
     assert total == recorded
 
 
+def test_energy_of_a_solvation_snapshot_gives_its_recorded_energy(tmp_path, capsys):
+    path = write_config(tmp_path, "N = 64\nX = 5.0\npvism_solutes = 0.0\ngamma = 0.0\nM = 0.0\n"
+                                  "omega = 0.5\nT = 0.005\nsnapshot_times = 0.005\nf = linear\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", path, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert cli.main(["energy", "--config", path, "--snapshot", str(out / "snap_000.csv")]) == 0
+    total = float(capsys.readouterr().out.splitlines()[1].split(",")[-1])
+    recorded = float((out / "series.csv").read_text().splitlines()[-1].split(",")[4])
+    assert total == recorded
+
+
 def test_converge_prints_successive_rates_beside_the_benchmark_rates(tmp_path, capsys):
     argv = ["converge", "--eps-factors", "4", "--n", "16", "--levels", "4", "--base-tau", "1e-3",
             "--bench-tau", "6.25e-5", "--t-end", "0.004", "--out", str(tmp_path)]
@@ -322,3 +334,32 @@ def test_run_with_a_repeated_table_mode_exits_2_and_leaves_no_out_dir(tmp_path, 
     assert cli.main(["run", "--config", path, "--out", str(out)]) == 2
     assert "mode (0,) twice" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv", [["--t-max", "inf"], ["--tau", "0"], ["--tau", "1e-320", "--t-max", "0.5"]]
+)
+def test_pvism_that_exits_2_leaves_no_out_dir(tmp_path, capsys, argv):
+    out = tmp_path / "pv"
+    assert cli.main(["pvism", *argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: config: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "lines",
+    ["operator = inverse_laplacian\n", "operator = custom\nop_symbol_file = {table}\n",
+     "operator = none\n", "pvism_solutes = 0.0,2.0\nX = 5.0\n"],
+    ids=["inverse_laplacian", "custom", "none", "pvism"],
+)
+def test_norm_prints_the_operator_norm_the_conditions_use(tmp_path, capsys, lines):
+    from pacok.config import load_config
+    from pacok.stepping import check_conditions
+
+    table = tmp_path / "symbol.csv"
+    table.write_text("".join(f"{m},{1.0 / (1.0 + m * m)!r}\n" for m in range(-16, 16)))
+    path = write_config(tmp_path, "N = 32\n" + lines.format(table=table))
+    assert cli.main(["norm", "--config", path]) == 0
+    cfg = load_config(path)
+    expected = check_conditions(cfg.build_problem(cfg.build_grid())).op_norm
+    assert float(capsys.readouterr().out) == expected

@@ -1,15 +1,13 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
-from pacok.energy import EnergyBreakdown, discrete_energy, problem_energy
+from pacok.energy import EnergyBreakdown, problem_energy
 from pacok.grid import GridField, PeriodicGrid
-from pacok.physics import FKind, ModelParams, NonlinearSpec, Problem, W_eval, f_eval
+from pacok.physics import FKind, ModelParams, NonlinearSpec, Problem
 from pacok.spectral import LongRangeOp, OpKind
 from pacok.stepping import SchemeState, step
 
-from oracles import apply_laplacian, apply_long_range
+from oracles import W_eval, apply_laplacian, apply_long_range, f_eval, field_energy
 from test_spectral import dense_laplacian, random_even_table, table_from_dict
 
 CUBIC = NonlinearSpec(FKind.CUBIC_HERMITE)
@@ -39,7 +37,7 @@ class TestDiscreteEnergy:
         p = params(omega=0.3)
         w_star = solve_f_equals(p.omega)
         assert f_eval(CUBIC, w_star) == pytest.approx(p.omega, abs=1e-14)
-        e = discrete_energy(GridField.constant(g, w_star), p, CUBIC, LongRangeOp.inverse_laplacian())
+        e = field_energy(GridField.constant(g, w_star), p, CUBIC, LongRangeOp.inverse_laplacian())
         assert e.interfacial == pytest.approx(0.0, abs=1e-12)
         assert e.longrange == pytest.approx(0.0, abs=1e-12)
         assert e.penalty == pytest.approx(0.0, abs=1e-12)
@@ -49,7 +47,7 @@ class TestDiscreteEnergy:
         # Phi = 0, omega = 0.3, M = 2000 on |T| = 2: penalty = (M/2)(0.3*2)^2 = 360.
         g = PeriodicGrid((64,), (1.0,))
         p = params(omega=0.3, M=2000.0)
-        e = discrete_energy(GridField.constant(g, 0.0), p, CUBIC, LongRangeOp.inverse_laplacian())
+        e = field_energy(GridField.constant(g, 0.0), p, CUBIC, LongRangeOp.inverse_laplacian())
         assert e.penalty == pytest.approx(360.0, rel=1e-12)
         assert e.well == 0.0
         assert e.interfacial == pytest.approx(0.0, abs=1e-13)
@@ -71,7 +69,7 @@ class TestDiscreteEnergy:
             + 0.5 * p.gamma * dx * mismatch @ (G @ mismatch)
             + 0.5 * p.M * (dx * np.sum(mismatch)) ** 2
         )
-        e = discrete_energy(phi, p, CUBIC, LongRangeOp.inverse_laplacian())
+        e = field_energy(phi, p, CUBIC, LongRangeOp.inverse_laplacian())
         assert e.total == pytest.approx(expected, abs=1e-10 * max(1.0, abs(expected)))
 
     def test_translation_invariance(self):
@@ -79,9 +77,9 @@ class TestDiscreteEnergy:
         p = params()
         rng = np.random.default_rng(32)
         phi = GridField(g, rng.uniform(0.0, 1.0, size=g.shape))
-        e0 = discrete_energy(phi, p, CUBIC, LongRangeOp.inverse_laplacian())
+        e0 = field_energy(phi, p, CUBIC, LongRangeOp.inverse_laplacian())
         shifted = GridField(g, np.roll(phi.values, (5, -9), axis=(0, 1)))
-        e1 = discrete_energy(shifted, p, CUBIC, LongRangeOp.inverse_laplacian())
+        e1 = field_energy(shifted, p, CUBIC, LongRangeOp.inverse_laplacian())
         assert e1.total == pytest.approx(e0.total, rel=1e-10)
         assert e1.interfacial == pytest.approx(e0.interfacial, rel=1e-10)
         assert e1.longrange == pytest.approx(e0.longrange, rel=1e-10)
@@ -93,7 +91,7 @@ class TestDiscreteEnergy:
         for op in [LongRangeOp.inverse_laplacian(), LongRangeOp.helmholtz(0.3)]:
             for _ in range(10):
                 phi = GridField(g, rng.uniform(0.0, 1.0, size=g.shape))
-                e = discrete_energy(phi, p, CUBIC, op)
+                e = field_energy(phi, p, CUBIC, op)
                 assert e.interfacial >= -1e-12
                 assert e.well >= 0.0
                 assert e.penalty >= 0.0
@@ -106,7 +104,7 @@ class TestDiscreteEnergy:
         rng = np.random.default_rng(34)
         phi = GridField(g, rng.uniform(0.0, 1.0, size=g.shape))
         pot = GridField(g, rng.standard_normal(g.shape))
-        e = discrete_energy(phi, p, CUBIC, LongRangeOp.none(), potential=pot)
+        e = field_energy(phi, p, CUBIC, LongRangeOp.none(), potential=pot)
         expected = g.cell_measure * np.sum(f_eval(CUBIC, phi.values) * pot.values)
         assert e.longrange == pytest.approx(expected, rel=1e-12)
         assert e.penalty == 0.0
@@ -116,7 +114,7 @@ class TestDiscreteEnergy:
         p = params()
         rng = np.random.default_rng(35)
         phi = GridField(g, rng.uniform(0.0, 1.0, size=g.shape))
-        e = discrete_energy(phi, p, CUBIC, LongRangeOp.none())
+        e = field_energy(phi, p, CUBIC, LongRangeOp.none())
         assert e.longrange == 0.0
         assert e.penalty > 0.0
 
@@ -185,7 +183,7 @@ class TestParsevalEnergy:
         op = operator(kind, g.sizes)
         rng = np.random.default_rng(36)
         phi = GridField(g, rng.uniform(-0.1, 1.1, size=g.shape))
-        assert_parts_close(discrete_energy(phi, p, spec, op), stencil_energy(phi, p, spec, op))
+        assert_parts_close(field_energy(phi, p, spec, op), stencil_energy(phi, p, spec, op))
 
     @pytest.mark.parametrize("dim", sorted(GRIDS))
     @pytest.mark.parametrize("spec_name", sorted(SPECS))
@@ -198,7 +196,7 @@ class TestParsevalEnergy:
         pot = GridField(g, rng.standard_normal(g.shape))
         op = LongRangeOp.none()
         assert_parts_close(
-            discrete_energy(phi, p, spec, op, pot), stencil_energy(phi, p, spec, op, pot)
+            field_energy(phi, p, spec, op, pot), stencil_energy(phi, p, spec, op, pot)
         )
 
     @pytest.mark.parametrize("dim", sorted(GRIDS))
@@ -216,30 +214,3 @@ class TestParsevalEnergy:
         assert (problem.mismatch_hat is None) == (kind == "none")
         carried = problem_energy(problem, state.phi.values)
         assert_parts_close(carried, stencil_energy(state.phi, p, CUBIC, op))
-
-
-@pytest.mark.parametrize("sizes", [(128, 128), (16384,)])
-@pytest.mark.parametrize("kind", ["inverse_laplacian", "helmholtz", "none", "potential"])
-def test_energy_of_a_field_peaks_at_q_and_its_spectra(sizes, kind):
-    # q takes a field, rfftn(phi) and, with an operator, rfftn(f(phi) - omega)
-    # a little over one each.  numpy's 2D rfftn holds a second spectrum on
-    # the way, which for the mismatch's comes on top of q and rfftn(phi).
-    g = PeriodicGrid(sizes, (1.0,) * len(sizes))
-    rng = np.random.default_rng(39)
-    potential = None
-    if kind == "potential":
-        p, op = params(gamma=0.0, M=0.0, omega=0.5), LongRangeOp.none()
-        potential = GridField(g, rng.standard_normal(sizes))
-    else:
-        p, op = params(), operator(kind, sizes)
-    phi = GridField(g, rng.uniform(0.0, 1.0, sizes))
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        discrete_energy(phi, p, CUBIC, op, potential)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    spectra = 1 if op.kind is OpKind.NONE else 2
-    on_top = len(sizes) == 2 and spectra == 2
-    assert peak <= (1.05 + 1.02 * spectra + 1.02 * on_top) * 8 * g.num_cells

@@ -10,19 +10,26 @@ from pacok.physics import (
     ModelParams,
     NonlinearSpec,
     Problem,
-    W_eval,
-    W_pprime,
-    W_prime,
-    f_eval,
-    f_pprime,
-    f_prime,
     lipschitz_constants,
     mismatch_values,
     pvism_potential,
 )
-from pacok.spectral import LongRangeOp, OpKind, estimate_linf_norm, multiplier_array, stencil_symbol
+from pacok.spectral import (
+    LongRangeOp, OpKind, impulse_response_norm, multiplier_array, stencil_symbol,
+)
 
-from oracles import assemble_rhs, assemble_rhs_array, mismatch_spectrum, volume_term
+from oracles import (
+    W_eval,
+    W_pprime,
+    W_prime,
+    assemble_rhs,
+    assemble_rhs_array,
+    f_eval,
+    f_pprime,
+    f_prime,
+    mismatch_spectrum,
+    volume_term,
+)
 
 CUBIC = NonlinearSpec(FKind.CUBIC_HERMITE)
 CUBIC_EXT = NonlinearSpec(FKind.CUBIC_HERMITE, use_extension=True)
@@ -170,7 +177,9 @@ class TestModelParams:
 def mpp_satisfying_params(grid, spec, op, gamma, M, omega, epsilon, tau, margin=1.0):
     """Smallest stabilizer satisfying the bound-preservation condition, plus margin."""
     lc = lipschitz_constants(spec)
-    op_norm = estimate_linf_norm(op, grid) if op.kind.value != "none" else 0.0
+    op_norm = 0.0
+    if op.kind is not OpKind.NONE:
+        op_norm = impulse_response_norm(multiplier_array(op, grid), grid)
     rhs = lc.L_Wpp / epsilon + max(omega, 1 - omega) * lc.L_fpp * (
         gamma * op_norm + M * grid.measure
     )
@@ -398,6 +407,18 @@ class TestRhsKernel:
             assert np.array_equal(problem.mismatch_hat,
                                   mismatch_spectrum(phi, spec, self.PARAMS.omega))
 
+    @pytest.mark.parametrize("sizes", [(24,), (8, 12)])
+    def test_start_loads_the_field_and_its_transform(self, sizes):
+        g = PeriodicGrid(sizes, (1.0,) * len(sizes))
+        phi = np.random.default_rng(9).uniform(-0.3, 1.3, size=g.shape)
+        started = Problem(g, self.PARAMS, CUBIC, LongRangeOp.inverse_laplacian())
+        started.start(phi)
+        loaded = Problem(g, self.PARAMS, CUBIC, LongRangeOp.inverse_laplacian())
+        loaded.load(phi)
+        assert np.array_equal(started.phi_hat, np.fft.rfftn(phi))
+        assert np.array_equal(started.q, loaded.q)
+        assert np.array_equal(started.mismatch_hat, loaded.mismatch_hat)
+
     @pytest.mark.parametrize("spec", ALL_SPECS)
     @pytest.mark.parametrize("omega", [0.0, 0.3])
     def test_mismatch_values_is_f_eval_bit_for_bit(self, spec, omega):
@@ -447,13 +468,14 @@ class TestRhsKernel:
          "custom"],
         ids=["inverse_laplacian", "helmholtz", "garnet_film", "custom"],
     )
-    def test_keeps_the_operator_norm_of_estimate_linf_norm_bit_for_bit(self, op):
+    def test_operator_norm_is_the_impulse_response_norm_of_its_multiplier_bit_for_bit(self, op):
         from test_spectral import random_even_table, table_from_dict
 
         g = PeriodicGrid((8, 12), (1.0, 1.5))
         if op == "custom":
             op = LongRangeOp.custom(table_from_dict(random_even_table(g.sizes, 5)))
-        assert Problem(g, self.PARAMS, CUBIC, op).op_norm == estimate_linf_norm(op, g)
+        expected = impulse_response_norm(multiplier_array(op, g), g)
+        assert Problem(g, self.PARAMS, CUBIC, op).op_norm == expected
 
     def test_operator_norm_is_max_abs_potential_or_0_without_either(self):
         g = PeriodicGrid((16,), (1.0,))

@@ -11,16 +11,8 @@ from pacok.errors import (
 )
 from pacok.experiments import coarsening_preset, initial_random_piecewise, run_with_snapshots
 from pacok.grid import GridField, PeriodicGrid
-from pacok.physics import (
-    FKind,
-    ModelParams,
-    NonlinearSpec,
-    Problem,
-    W_prime,
-    f_eval,
-    f_prime,
-)
-from pacok.spectral import LongRangeOp, estimate_linf_norm
+from pacok.physics import FKind, ModelParams, NonlinearSpec, Problem
+from pacok.spectral import LongRangeOp, impulse_response_norm, multiplier_array
 from pacok.stepping import (
     ConditionReport,
     SchemeState,
@@ -30,6 +22,7 @@ from pacok.stepping import (
     step,
 )
 
+from oracles import W_prime, f_eval, f_prime
 from test_spectral import dense_laplacian, random_even_table, table_from_dict
 
 CUBIC = NonlinearSpec(FKind.CUBIC_HERMITE)
@@ -288,7 +281,7 @@ class TestRun:
     def test_mpp_battery_small(self):
         g = PeriodicGrid((32, 32), (1.0, 1.0))
         op = LongRangeOp.inverse_laplacian()
-        op_norm = estimate_linf_norm(op, g)
+        op_norm = impulse_response_norm(multiplier_array(op, g), g)
         eps, tau, gamma, M, omega = 0.1, 1e-3, 100.0, 100.0, 0.3
         rhs = 36.0 / eps + max(omega, 1 - omega) * 6.0 * (gamma * op_norm + M * g.measure)
         kappa = max(0.0, eps * (rhs - 1.0 / tau)) + 1.0
