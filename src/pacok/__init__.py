@@ -40,6 +40,7 @@ from .stepping import (
 )
 from .experiments import (
     RATE_STUDY,
+    SOLVATION,
     CoarseningResult,
     RateStudyResult,
     SolvationComparison,
@@ -53,7 +54,6 @@ from .experiments import (
     rate_study,
     rate_study_steps,
     run_config,
-    run_with_snapshots,
 )
 from .config import (
     RunConfig,

@@ -96,21 +96,15 @@ def _eps_factors(text: str) -> list[float]:
 
 
 def cmd_converge(args) -> int:
-    from dataclasses import replace
-
-    from .experiments import RATE_STUDY, convergence_setups, rate_study, rate_study_steps
+    from .experiments import RATE_STUDY_SCALES, convergence_setups, rate_study, rate_study_steps
 
     if args.eps_factors:
-        factors = _eps_factors(args.eps_factors)
-        base = replace(RATE_STUDY, N=(args.n, args.n), T=args.t_end)
-        h = base.build_grid().spacings[0]   # refuses a bad --n first
-        rows = [
-            (f"{factor:g}h", replace(base, epsilon=factor * h),
-             args.base_tau, args.levels, args.bench_tau)
-            for factor in factors
-        ]
+        rows = convergence_setups(
+            args.n, _eps_factors(args.eps_factors), args.bench_tau, args.t_end, args.base_tau,
+            args.levels,
+        )
     else:
-        rows = convergence_setups(args.scale)
+        rows = convergence_setups(*RATE_STUDY_SCALES[args.scale])
     lines = ["eps,tau,error,rate,successive_rate"]
     for label, setup, base_tau, levels, bench_tau in rows:
         steps = rate_study_steps(base_tau, levels, bench_tau, setup)

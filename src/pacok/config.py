@@ -3,21 +3,24 @@
 The config format is deliberately plain: one ``key = value`` per line,
 ``#`` starts a comment, lists are comma-separated.  Unknown keys are
 errors, every key has a documented default, and parse/format round-trips
-are lossless.  Series files are CSV with the fixed header
+are lossless.  A :class:`RunConfig` checks itself when it is made, so one
+built in Python (directly or by ``dataclasses.replace``) passes the same
+checks as one read from a file.  Series files are CSV with the fixed header
 ``n,t,min,max,energy,increment`` and 17-significant-digit decimals, which
 reproduce float64 exactly on read-back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ConfigError, reading
 from .grid import GridField, PeriodicGrid, load_snapshot
 from .physics import FKind, ModelParams, NonlinearSpec, Problem, pvism_potential
-from .spectral import LongRangeOp, load_symbol_csv
+from .spectral import LongRangeOp, OpKind, load_symbol_csv
 from .stepping import StepRecord
 
 SERIES_HEADER = "n,t,min,max,energy,increment"
@@ -29,7 +32,10 @@ class RunConfig:
 
     Numeric defaults are the 1D coarsening setup (omega = 0.3, gamma = 500,
     M = 2000, kappa = 2000, tau = 1e-3 on [-1, 1) with 256 points and
-    interface width 10h).
+    interface width 10h).  Making one checks the physics, the grid, the
+    horizon, the run settings and the choices.  The builders check what
+    needs a file or the start: ``initial_file``, ``op_symbol_file``, the
+    seed, and ``blocks`` dividing N.
     """
 
     epsilon: float = 0.078125
@@ -60,6 +66,25 @@ class RunConfig:
     monitor_every: int = 1
     out: str = ""
 
+    def __post_init__(self):
+        # ModelParams and PeriodicGrid check the physics and the grid.
+        self.build_params()
+        self.build_grid()
+        if not 0.0 < self.T < math.inf:
+            raise ConfigError(f"T must be positive and finite, got {self.T}")
+        if self.tol < 0.0:
+            raise ConfigError(f"tol must be >= 0, got {self.tol}")
+        if self.monitor_every < 1:
+            raise ConfigError(f"monitor_every must be >= 1, got {self.monitor_every}")
+        if self.blocks < 1:
+            raise ConfigError(f"blocks must be >= 1, got {self.blocks}")
+        for t in self.snapshot_times:
+            if not 0.0 <= t <= self.T:
+                raise ConfigError(f"snapshot_times must lie in [0, T = {self.T!r}], got {t!r}")
+        for key, choices in _CHOICES.items():
+            if getattr(self, key) not in choices:
+                raise ConfigError(f"{key} must be one of {choices}, got '{getattr(self, key)}'")
+
     # --- builders -------------------------------------------------------
 
     def build_grid(self) -> PeriodicGrid:
@@ -76,8 +101,7 @@ class RunConfig:
         )
 
     def build_spec(self) -> NonlinearSpec:
-        kind = FKind.CUBIC_HERMITE if self.f == "cubic" else FKind.LINEAR
-        return NonlinearSpec(kind, use_extension=self.extension)
+        return NonlinearSpec(FKind(self.f), self.extension)
 
     def build_op(self) -> LongRangeOp:
         if self.pvism_solutes:
@@ -94,18 +118,10 @@ class RunConfig:
             return LongRangeOp.custom(load_symbol_csv(self.op_symbol_file))
         return LongRangeOp.none()
 
-    def build_potential(self, grid: PeriodicGrid) -> GridField | None:
-        if not self.pvism_solutes:
-            return None
-        return pvism_potential(grid, self.pvism_solutes)
-
     def build_problem(self, grid: PeriodicGrid) -> Problem:
         """The run's model on ``grid``: parameters, indicator, operator and potential."""
-        potential = self.build_potential(grid)
-        return Problem(
-            grid, self.build_params(), self.build_spec(), self.build_op(),
-            None if potential is None else potential.values,
-        )
+        potential = pvism_potential(grid, self.pvism_solutes).values if self.pvism_solutes else None
+        return Problem(grid, self.build_params(), self.build_spec(), self.build_op(), potential)
 
     def build_initial(self, grid: PeriodicGrid) -> GridField:
         from .experiments import initial_random_piecewise, initial_tanh_disk
@@ -121,14 +137,15 @@ class RunConfig:
         phi, _ = load_snapshot(self.initial_file)
         if phi.grid != grid:
             raise ConfigError(
-                f"initial_file grid {phi.grid.sizes} does not match config N = {self.N}"
+                f"initial_file grid N = {phi.grid.sizes}, X = {phi.grid.half_extents} does not "
+                f"match the config's N = {grid.sizes}, X = {grid.half_extents}"
             )
         return phi
 
 
 _CHOICES = {
-    "f": ("cubic", "linear"),
-    "operator": ("inverse_laplacian", "helmholtz", "garnet_film", "custom", "none"),
+    "f": tuple(kind.value for kind in FKind),
+    "operator": tuple(kind.value for kind in OpKind),
     "initial": ("random", "disk", "constant", "file"),
 }
 
@@ -172,29 +189,8 @@ def _parse_list(key, text, item_type, lineno):
 _LIST_ITEM_TYPES = {"N": int, "X": float, "pvism_solutes": float, "snapshot_times": float}
 
 
-def _validate(cfg: RunConfig) -> RunConfig:
-    # ModelParams and PeriodicGrid check the physics and the grid.
-    cfg.build_params()
-    cfg.build_grid()
-    if cfg.T <= 0.0:
-        raise ConfigError(f"T must be positive, got {cfg.T}")
-    if cfg.tol < 0.0:
-        raise ConfigError(f"tol must be >= 0, got {cfg.tol}")
-    if cfg.monitor_every < 1:
-        raise ConfigError(f"monitor_every must be >= 1, got {cfg.monitor_every}")
-    if cfg.blocks < 1:
-        raise ConfigError(f"blocks must be >= 1, got {cfg.blocks}")
-    for t in cfg.snapshot_times:
-        if not 0.0 <= t <= cfg.T:
-            raise ConfigError(f"snapshot_times must lie in [0, T = {cfg.T!r}], got {t!r}")
-    for key, choices in _CHOICES.items():
-        if getattr(cfg, key) not in choices:
-            raise ConfigError(f"{key} must be one of {choices}, got '{getattr(cfg, key)}'")
-    return cfg
-
-
 def parse_config(text: str) -> RunConfig:
-    """Parse ``key = value`` text into a validated :class:`RunConfig`."""
+    """Parse ``key = value`` text into a :class:`RunConfig`; keys not given keep their defaults."""
     field_types = {f.name: f for f in fields(RunConfig)}
     updates = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -214,7 +210,7 @@ def parse_config(text: str) -> RunConfig:
         else:
             default = getattr(RunConfig, name)
             updates[name] = _parse_scalar(key, value, type(default), lineno)
-    return _validate(replace(RunConfig(), **updates))
+    return RunConfig(**updates)
 
 
 def load_config(path) -> RunConfig:

@@ -19,6 +19,7 @@ block, so no run imports numpy's random module.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import os
@@ -210,21 +211,20 @@ def rate_study(
     return RateStudyResult(tuple(taus), tuple(errors), log2_ratios(errors), log2_ratios(changes))
 
 
-def convergence_setups(scale: str) -> list[tuple[str, RunConfig, float, int, float]]:
-    """(label, setup, base_tau, levels, bench_tau) rows for the rate study CLI."""
-    if scale == "desk":
-        n = 128
-        factors = (10, 20)
-        bench_tau = 4e-6
-    elif scale == "paper":
-        n = 256
-        factors = (5, 10, 20)
-        bench_tau = 1e-6
-    else:
-        raise ConfigError(f"unknown scale '{scale}' (expected desk or paper)")
-    h = 2.0 / n
+# (n, epsilon / h factors, bench_tau) of the rate study at each scale.
+RATE_STUDY_SCALES = {"desk": (128, (10, 20), 4e-6), "paper": (256, (5, 10, 20), 1e-6)}
+
+
+def convergence_setups(
+    n: int, factors, bench_tau: float, T: float = RATE_STUDY.T, base_tau: float = 1e-4,
+    levels: int = 5,
+) -> list[tuple[str, RunConfig, float, int, float]]:
+    """(label, setup, base_tau, levels, bench_tau) rows of the rate study on
+    n^2 points to T, one per interface width epsilon = factor * h."""
+    base = replace(RATE_STUDY, N=(n, n), T=T)
+    h = base.build_grid().spacings[0]
     return [
-        (f"{factor}h", replace(RATE_STUDY, N=(n, n), epsilon=factor * h), 1e-4, 5, bench_tau)
+        (f"{factor:g}h", replace(base, epsilon=factor * h), base_tau, levels, bench_tau)
         for factor in factors
     ]
 
@@ -282,60 +282,40 @@ class CoarseningResult:
     bump_count: int
 
 
-def run_with_snapshots(
-    state: SchemeState,
-    problem: Problem,
-    t_end: float,
-    tol: float,
-    snapshot_times=(),
-    out_dir=None,
-    record_every: int = 100,
-) -> tuple[SchemeState, list[StepRecord]]:
-    """Run :func:`pacok.stepping.run` once on ``problem``, writing a snapshot
-    file at each requested time in [0, t_end] (others, as in a shortened
-    preset, are skipped) and at the end; writes series.csv when given an
-    output directory."""
-    times = sorted(t for t in snapshot_times if 0.0 <= t <= t_end)
-    snap_index = 0
-
-    def emit_snapshot(s: SchemeState):
-        nonlocal snap_index
-        if out_dir is not None:
-            save_snapshot(f"{out_dir}/snap_{snap_index:03d}.csv", s.phi, t=s.time)
-            snap_index += 1
-
-    if times and times[0] == 0.0:
-        emit_snapshot(state)
-    state, records = run(
-        state, problem, t_max=t_end, tol=tol, record_every=record_every,
-        snapshot_times=times, on_snapshot=emit_snapshot,
-    )
-    emit_snapshot(state)
-    if out_dir is not None:
-        from .config import write_series
-
-        write_series(f"{out_dir}/series.csv", records)
-    return state, records
-
-
 def run_config(cfg: RunConfig, out_dir=None) -> tuple[Problem, SchemeState, list[StepRecord]]:
     """Run one configuration from its start to ``cfg.T`` or its ``tol`` stop.
 
-    Builds the grid, the problem and the initial state, then creates
-    ``out_dir`` and calls :func:`run_with_snapshots` with the config's
-    snapshot times and its record cadence ``monitor_every``, so a config
-    that fails to build leaves no directory.  Returns the problem with the
-    final state and the records.
+    Builds the grid, the problem and the initial state, so a config that
+    fails to build leaves no directory, then creates ``out_dir`` and makes
+    one :func:`pacok.stepping.run` call with the config's snapshot times and
+    its record cadence ``monitor_every``.  With ``out_dir`` it writes
+    ``snap_000.csv``, ``snap_001.csv``, ... at t = 0 when that is a snapshot
+    time, at each later snapshot time and at the end, then ``series.csv``.
+    Returns the problem with the final state and the records.
     """
     grid = cfg.build_grid()
     problem = cfg.build_problem(grid)
     state = SchemeState.initial(cfg.build_initial(grid))
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-    state, records = run_with_snapshots(
-        state, problem, t_end=cfg.T, tol=cfg.tol, snapshot_times=cfg.snapshot_times,
-        out_dir=out_dir, record_every=cfg.monitor_every,
+    paths = (f"{out_dir}/snap_{i:03d}.csv" for i in itertools.count())
+
+    def emit_snapshot(s: SchemeState):
+        if out_dir is not None:
+            save_snapshot(next(paths), s.phi, t=s.time)
+
+    if 0.0 in cfg.snapshot_times:
+        emit_snapshot(state)
+    state, records = run(
+        state, problem, t_max=cfg.T, tol=cfg.tol, record_every=cfg.monitor_every,
+        snapshot_times=cfg.snapshot_times, on_snapshot=emit_snapshot,
     )
+    emit_snapshot(state)
+    if out_dir is not None:
+        # Looked up at call time, as run and save_snapshot are here: a profiler wraps them.
+        from .config import write_series
+
+        write_series(f"{out_dir}/series.csv", records)
     return problem, state, records
 
 
@@ -351,16 +331,19 @@ def coarsening_run(
 ) -> CoarseningResult:
     """Run one coarsening preset; optionally write series.csv and snapshots.
 
-    ``t_end``, when given, replaces the preset's horizon; snapshot times
-    beyond it are skipped.  The result's config is the one that ran, and
+    The preset runs through :func:`run_config`.  ``t_end``, when given,
+    replaces its horizon, and its snapshot times beyond ``t_end`` are
+    dropped from the config.  The result's config is the one that ran, and
     its report is :func:`pacok.stepping.check_conditions` of the run's
     problem, which the run enforces.
     """
     cfg = coarsening_preset(preset, scale)
     if len(cfg.N) != dimension:
         raise ConfigError(f"preset '{preset}' is {len(cfg.N)}D, not {dimension}D")
+    T = cfg.T if t_end is None else t_end
     cfg = replace(
-        cfg, seed=seed, monitor_every=record_every, tol=tol, T=cfg.T if t_end is None else t_end
+        cfg, seed=seed, monitor_every=record_every, tol=tol, T=T,
+        snapshot_times=tuple(t for t in cfg.snapshot_times if t <= T),
     )
     problem, state, records = run_config(cfg, out_dir)
     return CoarseningResult(
@@ -380,31 +363,29 @@ class SolvationComparison:
     linear_bounds: tuple[float, float]
 
 
-def pvism_compare(
-    n: int = 1024,
-    half_extent: float = 5.0,
-    kappa: float = 2000.0,
-    tau: float = 1e-4,
-    tol: float = 1e-3,
-    t_max: float = 100.0,
-    out_dir=None,
-) -> SolvationComparison:
+# The solvation comparison: one solute at the origin of [-5, 5) on 1024
+# points, epsilon = 50h, no long-range coupling and no volume penalty, run
+# to T or the increment stop.  pvism_compare sets tau and T, and f per run.
+SOLVATION = RunConfig(
+    epsilon=50.0 * (2.0 * 5.0 / 1024), gamma=0.0, M=0.0, omega=0.5, kappa=2000.0, tau=1e-4,
+    N=(1024,), X=(5.0,), T=100.0, tol=1e-3, pvism_solutes=(0.0,), monitor_every=1000,
+)
+
+
+def pvism_compare(tau: float = 1e-4, t_max: float = 100.0, out_dir=None) -> SolvationComparison:
     """Solvation equilibrium with cubic versus linear indicator nonlinearity.
 
-    A single solute sits at the origin; the initial interface is the tanh
-    profile through the potential's cutoff radius.  Both runs use the
-    increment stopping criterion and differ only in the config's ``f``;
-    each has its own :class:`pacok.physics.Problem` and enforces what that
-    problem certifies.  The cubic equilibrium stays inside [0, 1]; the
-    linear one undershoots inside the interface and overshoots outside it.
-    ``out_dir`` is created and given both equilibria once both runs have
-    ended, so a comparison that fails leaves no directory.
+    Both runs are ``replace(SOLVATION, tau=tau, T=t_max)`` and differ only
+    in the config's ``f``; each has its own :class:`pacok.physics.Problem`
+    and enforces what that problem certifies.  The initial interface is
+    the tanh profile through the potential's cutoff radius, which no config
+    start gives, so the runs call :func:`pacok.stepping.run` directly.  The
+    cubic equilibrium stays inside [0, 1]; the linear one undershoots
+    inside the interface and overshoots outside it.  ``out_dir`` is created
+    and given both equilibria once both runs have ended, so a comparison
+    that fails leaves no directory.
     """
-    cfg = RunConfig(
-        epsilon=50.0 * (2.0 * half_extent / n), gamma=0.0, M=0.0, omega=0.5, kappa=kappa,
-        tau=tau, N=(n,), X=(half_extent,), T=t_max, tol=tol, pvism_solutes=(0.0,),
-        monitor_every=1000,
-    )
+    cfg = replace(SOLVATION, tau=tau, T=t_max)
     grid = cfg.build_grid()
     (x,) = grid.coordinates()
     phi0 = GridField(grid, 0.5 + 0.5 * np.tanh((np.abs(x) - 2.5) / (cfg.epsilon / 3.0)))

@@ -66,6 +66,10 @@ class NonlinearSpec:
     f_kind: FKind = FKind.CUBIC_HERMITE
     use_extension: bool = False
 
+    def __post_init__(self):
+        if not isinstance(self.f_kind, FKind):
+            raise ConfigError(f"f_kind must be an FKind, got {self.f_kind!r}")
+
     @property
     def endpoint_compatible(self) -> bool:
         """True when f(0)=0, f(1)=1, f'(0)=f'(1)=0 hold.

@@ -107,6 +107,8 @@ class LongRangeOp:
     symbol: SymbolTable | None = field(default=None, hash=False)
 
     def __post_init__(self):
+        if not isinstance(self.kind, OpKind):
+            raise ConfigError(f"kind must be an OpKind, got {self.kind!r}")
         if self.kind is OpKind.HELMHOLTZ and self.gamma_len <= 0.0:
             raise ConfigError("helmholtz operator needs a positive length")
         if self.kind is OpKind.GARNET_FILM and self.delta <= 0.0:

@@ -1,5 +1,6 @@
 """Config text and series files: round trips, and the inputs they refuse."""
 
+import math
 import struct
 from dataclasses import replace
 
@@ -16,7 +17,15 @@ from pacok.config import (
     write_series,
 )
 from pacok.errors import ConfigError
-from pacok.experiments import PRESET_GAMMAS, coarsening_preset
+from pacok.experiments import (
+    PRESET_GAMMAS,
+    RATE_STUDY_SCALES,
+    SOLVATION,
+    coarsening_preset,
+    convergence_setups,
+    rate_study_steps,
+)
+from pacok.grid import GridField, PeriodicGrid, save_snapshot
 from pacok.stepping import StepRecord
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -81,6 +90,53 @@ def test_every_coarsening_preset_is_a_valid_config_that_reads_back(name, scale):
 def test_format_writes_the_shortest_text_of_each_float():
     lines = format_config(coarsening_preset("g500")).splitlines()
     assert {"omega = 0.3", "hi = 0.8", "op_gamma_len = 0.1", "gamma = 500.0"} <= set(lines)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [(lambda: RunConfig(f="Cubic"), "f must be one of ('cubic', 'linear'), got 'Cubic'"),
+     (lambda: RunConfig(operator="helmholz"), "operator must be one of ('inverse_laplacian', "
+      "'helmholtz', 'garnet_film', 'custom', 'none'), got 'helmholz'"),
+     (lambda: RunConfig(initial="Random"), "initial must be one of ('random', 'disk', "
+      "'constant', 'file'), got 'Random'"),
+     (lambda: RunConfig(T=math.inf), "T must be positive and finite, got inf"),
+     (lambda: RunConfig(tol=-1.0), "tol must be >= 0, got -1.0"),
+     (lambda: replace(RunConfig(), snapshot_times=(20.0,)),
+      "snapshot_times must lie in [0, T = 10.0], got 20.0")],
+    ids=["f", "operator", "initial", "T", "tol", "replace"],
+)
+def test_a_config_made_in_python_is_checked_as_a_file_is(make, message):
+    with pytest.raises(ConfigError) as exc_info:
+        make()
+    assert str(exc_info.value) == message
+
+
+def test_the_solvation_comparison_is_a_config_that_reads_back():
+    assert parse_config(format_config(SOLVATION)) == SOLVATION
+
+
+@pytest.mark.parametrize("scale, rows", [
+    ("desk", [("10h", 128, 0.15625, 11200), ("20h", 128, 0.3125, 11200)]),
+    ("paper", [("5h", 256, 0.0390625, 26200), ("10h", 256, 0.078125, 26200),
+               ("20h", 256, 0.15625, 26200)]),
+])
+def test_rate_study_scales_keep_their_rows(scale, rows):
+    got = [(label, setup.N, setup.epsilon, rate_study_steps(base_tau, levels, bench_tau, setup))
+           for label, setup, base_tau, levels, bench_tau in
+           convergence_setups(*RATE_STUDY_SCALES[scale])]
+    assert got == [(label, (n, n), eps, steps) for label, n, eps, steps in rows]
+
+
+def test_initial_file_on_another_box_is_refused_naming_both_grids(tmp_path):
+    path = str(tmp_path / "start.csv")
+    save_snapshot(path, GridField.constant(PeriodicGrid((16,), (2.0,)), 0.5), t=0.0)
+    cfg = RunConfig(N=(16,), initial="file", initial_file=path)
+    with pytest.raises(ConfigError) as exc_info:
+        cfg.build_initial(cfg.build_grid())
+    assert str(exc_info.value) == (
+        "initial_file grid N = (16,), X = (2.0,) does not match the config's "
+        "N = (16,), X = (1.0,)"
+    )
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ from pacok.experiments import (
     pvism_compare,
     rate_study,
 )
-from pacok.grid import GridField, PeriodicGrid
+from pacok.grid import GridField, PeriodicGrid, load_snapshot
 from pacok.stepping import MPP_TOL
 
 
@@ -184,6 +184,16 @@ def test_successive_difference_rate_is_first_order():
     result = rate_study(1e-4, 5, 4e-6, setup)
     assert len(result.rates) == 4 and len(result.successive_rates) == 3
     assert 0.9 <= result.successive_rates[-1] <= 1.1
+
+
+def test_a_shortened_preset_drops_the_snapshot_times_beyond_its_horizon(tmp_path):
+    # g500 snapshots at 0, 10, 50 and 100; cut to t = 0.01 only t = 0 is left,
+    # and the final state is the second file.
+    result = coarsening_run(1, "g500", t_end=0.01, out_dir=str(tmp_path))
+    assert (result.config.T, result.config.snapshot_times) == (0.01, (0.0,))
+    assert sorted(f.name for f in tmp_path.glob("snap_*.csv")) == ["snap_000.csv", "snap_001.csv"]
+    assert load_snapshot(tmp_path / "snap_000.csv")[1] == 0.0
+    assert load_snapshot(tmp_path / "snap_001.csv")[1] == result.final.time
 
 
 @pytest.mark.slow

@@ -95,6 +95,12 @@ class TestIndicator:
         assert f_pprime(CUBIC, 0.0) == 6.0
         assert f_pprime(CUBIC, 1.0) == -6.0
 
+    def test_a_kind_that_is_not_an_fkind_is_refused(self):
+        # A string would otherwise step with the linear f and make the
+        # condition check fail on a missing table entry.
+        with pytest.raises(ConfigError, match="f_kind must be an FKind, got 'cubic'"):
+            NonlinearSpec("cubic")
+
 
 class TestLipschitzConstants:
     def test_cubic_values(self):

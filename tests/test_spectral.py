@@ -161,6 +161,10 @@ class TestLongRangeOps:
         with pytest.raises(ConfigError):
             apply_long_range(LongRangeOp.none(), GridField.constant(g, 1.0))
 
+    def test_a_kind_that_is_not_an_opkind_is_refused(self):
+        with pytest.raises(ConfigError, match="kind must be an OpKind, got 'helmholtz'"):
+            LongRangeOp("helmholtz", gamma_len=0.1)
+
     def test_helmholtz_preserves_constants(self):
         g = PeriodicGrid((16, 16), (1.0, 1.0))
         op = LongRangeOp.helmholtz(0.3)

@@ -9,7 +9,8 @@ from pacok.energy import problem_energy
 from pacok.errors import (
     BlowupError, ConfigError, EnergyIncreaseError, GridMismatchError, MppViolationError,
 )
-from pacok.experiments import coarsening_preset, initial_random_piecewise, run_with_snapshots
+from pacok.config import RunConfig
+from pacok.experiments import coarsening_preset, initial_random_piecewise, run_config
 from pacok.grid import GridField, PeriodicGrid
 from pacok.physics import FKind, ModelParams, NonlinearSpec, Problem
 from pacok.spectral import LongRangeOp, impulse_response_norm, multiplier_array
@@ -394,8 +395,19 @@ class TestRun:
         assert exc_info.value.step_index == 0
 
 
+def certified_config(**changes):
+    """A 1D config to T = 10 tau whose run certifies both bounds and energy decay."""
+    cfg = RunConfig(epsilon=0.1, gamma=100.0, M=100.0, omega=0.3, kappa=0.0, tau=1e-3,
+                    N=(32,), T=0.01, tol=0.0, **changes)
+    kappa = check_conditions(cfg.build_problem(cfg.build_grid())).kappa_min_es + 1.0
+    cfg = dataclasses.replace(cfg, kappa=kappa)
+    report = check_conditions(cfg.build_problem(cfg.build_grid()))
+    assert report.mpp_ok and report.es_ok
+    return cfg
+
+
 class TestResumedRun:
-    """run_with_snapshots makes one run call; a snapshot time does not break the run."""
+    """A run makes one pass; a snapshot time does not break it."""
 
     @staticmethod
     def certified_setup():
@@ -411,10 +423,8 @@ class TestResumedRun:
         return state, p, op, problem
 
     def run_segments(self, state, p, problem):
-        return run_with_snapshots(
-            state, problem, t_end=10 * p.tau, tol=0.0,
-            snapshot_times=(5 * p.tau,), record_every=1,
-        )
+        return run(state, problem, t_max=10 * p.tau, tol=0.0, snapshot_times=(5 * p.tau,),
+                   on_snapshot=lambda snap: None)
 
     def test_segments_record_like_one_run(self):
         state, p, op, problem = self.certified_setup()
@@ -448,7 +458,8 @@ class TestResumedRun:
         assert len(calls) == 6
 
     def test_one_problem_and_one_run_call(self, monkeypatch, tmp_path):
-        state, p, op, _ = self.certified_setup()
+        tau = 1e-3
+        cfg = certified_config(snapshot_times=(0.0, 3 * tau, 5 * tau, 7 * tau), monitor_every=4)
         built, runs = [], []
         real_init, real_run = Problem.__init__, experiments.run
 
@@ -462,14 +473,10 @@ class TestResumedRun:
 
         monkeypatch.setattr(Problem, "__init__", counting_init)
         monkeypatch.setattr(experiments, "run", counting_run)
-        final, _ = run_with_snapshots(
-            state, Problem(state.phi.grid, p, CUBIC, op), t_end=10 * p.tau, tol=0.0,
-            snapshot_times=(0.0, 3 * p.tau, 5 * p.tau, 7 * p.tau, 1.0, -1.0),
-            out_dir=str(tmp_path), record_every=4,
-        )
+        _, final, _ = run_config(cfg, str(tmp_path))
         assert final.step_index == 10
         assert len(built) == 1 and len(runs) == 1
-        assert runs[0] == [0.0, 3 * p.tau, 5 * p.tau, 7 * p.tau]
+        assert runs[0] == (0.0, 3 * tau, 5 * tau, 7 * tau)
         assert sorted(f.name for f in tmp_path.glob("snap_*.csv")) == [
             f"snap_{i:03d}.csv" for i in range(5)]
 
@@ -478,10 +485,8 @@ class TestResumedRun:
         state, p, op, problem = self.certified_setup()
         rows = {}
         for times in ((), (5 * p.tau,)):
-            _, records = run_with_snapshots(
-                state, problem, t_end=20 * p.tau, tol=0.0, snapshot_times=times,
-                record_every=3,
-            )
+            _, records = run(state, problem, t_max=20 * p.tau, tol=0.0, record_every=3,
+                             snapshot_times=times, on_snapshot=lambda snap: None)
             rows[times] = records
         whole, snapped = rows.values()
         assert [r.n for r in whole] == [0, 3, 6, 9, 12, 15, 18, 20]
@@ -566,15 +571,11 @@ class TestCarriedSpectra:
                           "irfftn": 0, "irfft": 2 * n_steps, "ifft": 2 * n_steps}
 
     def test_segments_write_the_series_of_one_run(self, tmp_path):
-        state, p, op, problem = self.certified_2d()
+        cfg = certified_config()
         out = {}
-        for label, times in (("whole", ()), ("segments", (0.0, 3 * p.tau, 7 * p.tau))):
+        for label, times in (("whole", ()), ("segments", (0.0, 3 * cfg.tau, 7 * cfg.tau))):
             out_dir = tmp_path / label
-            out_dir.mkdir()
-            final, _ = run_with_snapshots(
-                state, problem, t_end=10 * p.tau, tol=0.0, snapshot_times=times,
-                out_dir=str(out_dir), record_every=1,
-            )
+            _, final, _ = run_config(dataclasses.replace(cfg, snapshot_times=times), str(out_dir))
             out[label] = (final.phi.values, (out_dir / "series.csv").read_bytes())
         assert np.array_equal(out["whole"][0], out["segments"][0])
         assert out["whole"][1] == out["segments"][1]
