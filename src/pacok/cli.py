@@ -98,18 +98,16 @@ def _eps_factors(text: str) -> list[float]:
 def cmd_converge(args) -> int:
     from .experiments import RATE_STUDY_SCALES, convergence_setups, rate_study, rate_study_steps
 
-    if args.eps_factors:
-        rows = convergence_setups(
-            args.n, _eps_factors(args.eps_factors), args.bench_tau, args.t_end, args.base_tau,
-            args.levels,
-        )
-    else:
-        rows = convergence_setups(*RATE_STUDY_SCALES[args.scale])
+    # The scale's values, each replaced by its flag when given (0 too, which exits 2).
+    n, factors, bench_tau = RATE_STUDY_SCALES[args.scale]
+    n = n if args.n is None else args.n
+    factors = factors if args.eps_factors is None else _eps_factors(args.eps_factors)
+    bench_tau = bench_tau if args.bench_tau is None else args.bench_tau
     lines = ["eps,tau,error,rate,successive_rate"]
-    for label, setup, base_tau, levels, bench_tau in rows:
-        steps = rate_study_steps(base_tau, levels, bench_tau, setup)
+    for label, setup in convergence_setups(n, factors, args.t_end):
+        steps = rate_study_steps(args.base_tau, args.levels, bench_tau, setup)
         print(f"eps = {label} (N = {setup.N[0]}, T = {setup.T}, {steps} steps)", flush=True)
-        result = rate_study(base_tau, levels, bench_tau, setup)
+        result = rate_study(args.base_tau, args.levels, bench_tau, setup)
         print(f"  {'tau':>12}  {'error':>12}  {'rate':>6}  {'successive':>10}")
         for i, (tau, err) in enumerate(zip(result.taus, result.errors)):
             # Each rate sits on the row of the smallest step it uses.
@@ -199,17 +197,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_energy.set_defaults(func=cmd_energy)
 
     p_conv = sub.add_parser("converge", help="temporal convergence-rate study")
-    p_conv.add_argument("--scale", choices=("desk", "paper"), default="desk")
+    p_conv.add_argument("--scale", choices=("desk", "paper"), default="desk",
+                        help="gives the grid size, the widths and the benchmark step")
     p_conv.add_argument("--out", help="directory for rates.csv")
-    p_conv.add_argument("--n", type=int, default=128, help="grid size per axis (with --eps-factors)")
-    p_conv.add_argument("--levels", type=int, default=5, help="number of halved steps (with --eps-factors)")
-    p_conv.add_argument("--base-tau", type=float, default=1e-4, help="largest step (with --eps-factors)")
-    p_conv.add_argument("--bench-tau", type=float, default=4e-6, help="benchmark step (with --eps-factors)")
-    p_conv.add_argument("--t-end", type=float, default=0.02, help="horizon (with --eps-factors)")
-    p_conv.add_argument(
-        "--eps-factors",
-        help="comma list of interface widths in grid spacings; overrides --scale",
-    )
+    p_conv.add_argument("--n", type=int, help="grid size per axis (default: the scale's)")
+    p_conv.add_argument("--levels", type=int, default=5, help="number of halved steps")
+    p_conv.add_argument("--base-tau", type=float, default=1e-4, help="largest step")
+    p_conv.add_argument("--bench-tau", type=float, help="benchmark step (default: the scale's)")
+    p_conv.add_argument("--t-end", type=float, default=0.02, help="horizon")
+    p_conv.add_argument("--eps-factors", help="comma list of interface widths in grid spacings "
+                        "(default: the scale's)")
     p_conv.set_defaults(func=cmd_converge)
 
     p_coarsen = sub.add_parser("coarsen", help="coarsening run from random initial data")

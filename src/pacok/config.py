@@ -84,6 +84,8 @@ class RunConfig:
         for key, choices in _CHOICES.items():
             if getattr(self, key) not in choices:
                 raise ConfigError(f"{key} must be one of {choices}, got '{getattr(self, key)}'")
+        if self.pvism_solutes and self.operator != "none":
+            raise ConfigError(f"pvism.solutes needs operator = none, not {self.operator}")
 
     # --- builders -------------------------------------------------------
 
@@ -104,8 +106,6 @@ class RunConfig:
         return NonlinearSpec(FKind(self.f), self.extension)
 
     def build_op(self) -> LongRangeOp:
-        if self.pvism_solutes:
-            return LongRangeOp.none()
         if self.operator == "inverse_laplacian":
             return LongRangeOp.inverse_laplacian()
         if self.operator == "helmholtz":

@@ -31,7 +31,8 @@ from .config import RunConfig
 from .errors import ConfigError
 from .grid import GridField, PeriodicGrid, norm_l2_h, save_snapshot
 from .physics import Problem
-from .stepping import ConditionReport, SchemeState, StepRecord, check_conditions, run
+from .stepping import STEP_RTOL, ConditionReport, SchemeState, StepRecord, check_conditions, run
+from .stepping import steps_to
 
 
 def disk_radius(omega: float, measure: float) -> float:
@@ -157,16 +158,6 @@ class RateStudyResult:
     successive_rates: tuple[float, ...]
 
 
-def _steps_to(t_end: float, tau: float) -> int:
-    if not 0.0 < tau < math.inf:
-        raise ConfigError(f"the time step must be positive and finite, got tau={tau!r}")
-    steps = t_end / tau
-    rounded = round(steps) if math.isfinite(steps) else 0
-    if rounded < 1 or abs(steps - rounded) > 1e-9 * max(1.0, abs(steps)):
-        raise ConfigError(f"tau={tau} does not divide the horizon T={t_end}")
-    return rounded
-
-
 # The temporal rate study: a tanh disk on [-1, 1)^2 run to T without the
 # increment stop, recording only its start and end.  A study sets N and
 # epsilon; rate_study sets tau.
@@ -176,9 +167,8 @@ RATE_STUDY = RunConfig(
 )
 
 
-def rate_study_steps(base_tau: float, levels: int, bench_tau: float, setup: RunConfig) -> int:
-    """Total step count of a rate study's runs: tau = base_tau / 2^i for
-    i < levels, and the benchmark step.  Each step must divide the horizon."""
+def _rate_study_taus(base_tau: float, levels: int, bench_tau: float, T: float) -> dict[float, int]:
+    """Each step of a rate study with its :func:`steps_to` count to T, which it must divide."""
     if levels < 1:
         raise ConfigError(f"levels must be >= 1, got {levels}")
     # ldexp, as base_tau / 2**i overflows converting 2**i once i > 1023; the
@@ -186,22 +176,32 @@ def rate_study_steps(base_tau: float, levels: int, bench_tau: float, setup: RunC
     finest = math.ldexp(base_tau, 1 - levels)
     if not bench_tau < finest:
         raise ConfigError(f"the benchmark step must be below {finest!r}, got {bench_tau!r}")
-    taus = [math.ldexp(base_tau, -i) for i in range(levels)] + [bench_tau]
-    return sum(_steps_to(setup.T, tau) for tau in taus)
+    counts = {}
+    for tau in [math.ldexp(base_tau, -i) for i in range(levels)] + [bench_tau]:
+        if not 0.0 < tau < math.inf:
+            raise ConfigError(f"the time step must be positive and finite, got tau={tau!r}")
+        counts[tau] = steps_to(T, tau)
+        if not math.isclose(counts[tau] * tau, T, rel_tol=STEP_RTOL):
+            raise ConfigError(f"tau={tau} does not divide the horizon T={T}")
+    return counts
+
+
+def rate_study_steps(base_tau: float, levels: int, bench_tau: float, setup: RunConfig) -> int:
+    """Total step count of the runs of :func:`rate_study`."""
+    return sum(_rate_study_taus(base_tau, levels, bench_tau, setup.T).values())
 
 
 def rate_study(
     base_tau: float, levels: int, bench_tau: float, setup: RunConfig
 ) -> RateStudyResult:
-    """Errors against a fine-step benchmark for tau = base_tau / 2^i, and the
-    successive-difference rates of the same runs.
+    """Errors against a fine-step benchmark for tau = base_tau / 2^i (i < levels),
+    and the successive-difference rates of the same runs.
 
-    Every run is :func:`run_config` of ``setup`` with its own tau.  All
-    runs share the grid and the initial state, so the measured error is
-    purely temporal; the steps are checked by :func:`rate_study_steps`.
+    Every run is :func:`run_config` of ``setup`` with its own tau, which must
+    divide ``setup.T``, so every run, the benchmark's too, ends at T.  All
+    runs share the grid and the initial state: the error is purely temporal.
     """
-    rate_study_steps(base_tau, levels, bench_tau, setup)
-    taus = [math.ldexp(base_tau, -i) for i in range(levels)]
+    *taus, bench_tau = _rate_study_taus(base_tau, levels, bench_tau, setup.T)
     fields = [run_config(replace(setup, tau=tau))[1].phi for tau in taus + [bench_tau]]
     bench = fields.pop()
     distance = lambda a, b: norm_l2_h(GridField(a.grid, a.values - b.values))
@@ -215,18 +215,13 @@ def rate_study(
 RATE_STUDY_SCALES = {"desk": (128, (10, 20), 4e-6), "paper": (256, (5, 10, 20), 1e-6)}
 
 
-def convergence_setups(
-    n: int, factors, bench_tau: float, T: float = RATE_STUDY.T, base_tau: float = 1e-4,
-    levels: int = 5,
-) -> list[tuple[str, RunConfig, float, int, float]]:
-    """(label, setup, base_tau, levels, bench_tau) rows of the rate study on
-    n^2 points to T, one per interface width epsilon = factor * h."""
+def convergence_setups(n: int, factors, T: float = RATE_STUDY.T) -> list[tuple[str, RunConfig]]:
+    """(label, setup) rows of the rate study on n^2 points to T, one per
+    interface width epsilon = factor * h.  ``pacok converge`` takes n, the
+    factors and the benchmark step from a scale, each replaced by its flag."""
     base = replace(RATE_STUDY, N=(n, n), T=T)
     h = base.build_grid().spacings[0]
-    return [
-        (f"{factor:g}h", replace(base, epsilon=factor * h), base_tau, levels, bench_tau)
-        for factor in factors
-    ]
+    return [(f"{factor:g}h", replace(base, epsilon=factor * h)) for factor in factors]
 
 
 PRESET_GAMMAS = {"g500": 500.0, "g2000": 2000.0, "g1000_2d": 1000.0, "g2000_2d": 2000.0}
@@ -368,7 +363,8 @@ class SolvationComparison:
 # to T or the increment stop.  pvism_compare sets tau and T, and f per run.
 SOLVATION = RunConfig(
     epsilon=50.0 * (2.0 * 5.0 / 1024), gamma=0.0, M=0.0, omega=0.5, kappa=2000.0, tau=1e-4,
-    N=(1024,), X=(5.0,), T=100.0, tol=1e-3, pvism_solutes=(0.0,), monitor_every=1000,
+    N=(1024,), X=(5.0,), T=100.0, tol=1e-3, operator="none", pvism_solutes=(0.0,),
+    monitor_every=1000,
 )
 
 

@@ -56,9 +56,12 @@ class PeriodicGrid:
         for n in sizes:
             if n < 4 or n % 2 != 0:
                 raise ConfigError(f"grid size must be an even integer >= 4, got {n}")
-        for x in extents:
+        for x, n in zip(extents, sizes):
             if not np.isfinite(x) or x <= 0.0:
                 raise ConfigError(f"half extent must be positive and finite, got {x}")
+            h = 2.0 * x / n   # the stencil symbol scales by 4/h^2
+            if not 0.0 < h * h < math.inf or math.isinf(4.0 / (h * h)):
+                raise ConfigError(f"half extent {x!r} on {n} points makes 4/h^2 zero or not finite")
 
     @property
     def dim(self) -> int:

@@ -68,6 +68,18 @@ from .physics import Problem, lipschitz_constants
 
 MPP_TOL = 1e-10
 ENERGY_TOL = 1e-9
+STEP_RTOL = 1e-9
+
+
+def steps_to(t: float, tau: float) -> int:
+    """The steps of size ``tau`` that reach time ``t``: the first step at or after it,
+    where a time within a relative ``STEP_RTOL`` of a step counts as that step.
+    A count that is not finite is a :class:`ConfigError`."""
+    steps = t / tau
+    if not math.isfinite(steps):
+        raise ConfigError(f"the step count to t = {t!r} with tau = {tau!r} is not finite")
+    nearest = round(steps)
+    return max(0, nearest if math.isclose(steps, nearest, rel_tol=STEP_RTOL) else math.ceil(steps))
 
 
 @dataclass(frozen=True)
@@ -224,7 +236,7 @@ def run(
     snapshot_times=(),
     on_snapshot=None,
 ) -> tuple[SchemeState, list[StepRecord]]:
-    """Iterate the time step of ``problem`` until ``t >= t_max`` or the increment criterion.
+    """Step ``problem`` up to the step that reaches ``t_max``, or to the increment stop.
 
     The iteration stops early once ||P_new - P_old||_inf / tau <= tol
     (pass ``tol <= 0`` to always integrate to ``t_max``).  Records are
@@ -239,10 +251,10 @@ def run(
     :class:`GridMismatchError`.  A non-finite increment or energy raises
     :class:`BlowupError`.
 
-    Each of ``snapshot_times`` (none beyond ``t_max``) is reached at the
-    first step at or after it, counted from the step of the time before it.
-    At such a step before the last, ``on_snapshot`` gets a bare
-    :class:`SchemeState` that owns a copy of the field.
+    ``t_max`` and each of ``snapshot_times`` (none beyond it) are reached at
+    :func:`steps_to` of their distance from ``state0.time``, so snapshot times
+    never move the run's end.  At a snapshot step before the last,
+    ``on_snapshot`` gets a bare :class:`SchemeState` owning a copy of the field.
 
     Every energy comes from :func:`pacok.energy.problem_energy`, on the
     field and spectra the problem holds; the start's two spectra come from
@@ -261,15 +273,8 @@ def run(
     if state0.phi.grid != grid:
         raise GridMismatchError(f"the state lives on {state0.phi.grid}, the problem on {grid}")
     n, s = state0.step_index, state0.phi.values
-    # The steps that reach each time, counted as separate runs would count them.
-    ends, t = [0], state0.time
-    for target in sorted(snapshot_times) + [t_max]:
-        steps = (target - t) / tau - 1e-12
-        if not math.isfinite(steps):
-            raise ConfigError(f"the step count to t = {target!r} with tau = {tau!r} is not finite")
-        ends.append(ends[-1] + max(0, math.ceil(steps)))
-        t = (n + ends[-1]) * tau
-    n_steps, snapshot_steps = ends[-1], set(ends[1:-1]) - {ends[-1]}
+    n_steps = steps_to(t_max - state0.time, tau)
+    snapshot_steps = {steps_to(t - state0.time, tau) for t in snapshot_times} - {n_steps}
     report = check_conditions(problem)
     with np.errstate(over="ignore", invalid="ignore"):
         problem.start(s)

@@ -195,8 +195,9 @@ def test_snapshot_of_a_run_gives_its_recorded_energy(tmp_path, capsys):
 
 
 def test_energy_of_a_solvation_snapshot_gives_its_recorded_energy(tmp_path, capsys):
-    path = write_config(tmp_path, "N = 64\nX = 5.0\npvism_solutes = 0.0\ngamma = 0.0\nM = 0.0\n"
-                                  "omega = 0.5\nT = 0.005\nsnapshot_times = 0.005\nf = linear\n")
+    path = write_config(tmp_path, "N = 64\nX = 5.0\noperator = none\npvism_solutes = 0.0\n"
+                                  "gamma = 0.0\nM = 0.0\nomega = 0.5\nT = 0.005\n"
+                                  "snapshot_times = 0.005\nf = linear\n")
     out = tmp_path / "out"
     assert cli.main(["run", "--config", path, "--out", str(out)]) == 0
     capsys.readouterr()
@@ -240,6 +241,31 @@ def test_converge_prints_each_header_with_its_step_count_before_its_study_runs(
     table, header = seen[1].rstrip("\n").rsplit("\n", 1)
     assert table.split("\n")[0].split() == ["tau", "error", "rate", "successive"]
     assert header == "eps = 6h (N = 16, T = 0.004, 28 steps)"
+
+
+def test_converge_flags_replace_the_values_of_the_scale(monkeypatch, capsys):
+    real, seen = experiments.rate_study, []
+
+    def spy(base_tau, levels, bench_tau, setup):
+        seen.append((base_tau, levels, bench_tau, setup.N, setup.T, setup.epsilon))
+        return real(base_tau, levels, bench_tau, setup)
+
+    monkeypatch.setattr(experiments, "rate_study", spy)
+    argv = ["converge", "--scale", "desk", "--levels", "2", "--n", "16", "--base-tau", "1e-3",
+            "--t-end", "0.004", "--bench-tau", "1e-4"]
+    assert cli.main(argv) == 0
+    # The desk widths, 10h and 20h, on the 16-point grid.
+    assert seen == [(1e-3, 2, 1e-4, (16, 16), 0.004, 1.25), (1e-3, 2, 1e-4, (16, 16), 0.004, 2.5)]
+    assert "eps = 10h (N = 16, T = 0.004, 52 steps)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--n", "grid size must be an even integer >= 4, got 0"),
+    ("--bench-tau", "the time step must be positive and finite, got tau=0.0"),
+])
+def test_converge_with_a_scale_and_a_zero_flag_exits_2(flag, message, capsys):
+    assert cli.main(["converge", "--scale", "desk", flag, "0"]) == 2
+    assert capsys.readouterr().err == f"error: config: {message}\n"
 
 
 def test_converge_with_a_benchmark_step_no_finer_than_the_steps_exits_2(capsys):
@@ -349,7 +375,7 @@ def test_pvism_that_exits_2_leaves_no_out_dir(tmp_path, capsys, argv):
 @pytest.mark.parametrize(
     "lines",
     ["operator = inverse_laplacian\n", "operator = custom\nop_symbol_file = {table}\n",
-     "operator = none\n", "pvism_solutes = 0.0,2.0\nX = 5.0\n"],
+     "operator = none\n", "operator = none\npvism_solutes = 0.0,2.0\nX = 5.0\n"],
     ids=["inverse_laplacian", "custom", "none", "pvism"],
 )
 def test_norm_prints_the_operator_norm_the_conditions_use(tmp_path, capsys, lines):
@@ -363,3 +389,28 @@ def test_norm_prints_the_operator_norm_the_conditions_use(tmp_path, capsys, line
     cfg = load_config(path)
     expected = check_conditions(cfg.build_problem(cfg.build_grid())).op_norm
     assert float(capsys.readouterr().out) == expected
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("X = 1e-170\n", "half extent 1e-170 on 256 points makes 4/h^2 zero or not finite"),
+    ("X = 1e160\n", "half extent 1e+160 on 256 points makes 4/h^2 zero or not finite"),
+    ("operator = helmholtz\nop_gamma_len = 1e160\n", "helmholtz length 1e+160 has no finite square"),
+], ids=["tiny-extent", "huge-extent", "huge-helmholtz-length"])
+def test_check_with_an_extreme_length_exits_2(tmp_path, capsys, lines, message):
+    path = write_config(tmp_path, lines)
+    assert cli.main(["check", "--config", path]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_energy_of_a_snapshot_on_a_tiny_box_exits_2(tmp_path, capsys):
+    snap = tmp_path / "snap.csv"
+    snap.write_text("# pacok-grid v1 dim=1 N=4 X=1e-300 t=0\n" + "0.5\n" * 4)
+    assert cli.main(["energy", "--snapshot", str(snap)]) == 2
+    assert "half extent 1e-300 on 4 points" in capsys.readouterr().err
+
+
+def test_solutes_with_an_operator_exit_2_naming_both_keys(tmp_path, capsys):
+    path = write_config(tmp_path, format_config(experiments.SOLVATION) + "operator = helmholtz\n")
+    assert cli.main(["check", "--config", path]) == 2
+    assert capsys.readouterr().err.endswith(
+        ": pvism.solutes needs operator = none, not helmholtz\n")

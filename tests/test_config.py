@@ -31,6 +31,8 @@ from pacok.stepping import StepRecord
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 nonnegative = st.floats(min_value=0.0, allow_infinity=False)
+# Half extents whose spacing keeps 4/h^2 finite and positive at every drawn N.
+extents = st.floats(1e-140, 1e150)
 # Strings a config file can hold: no '#', no line break, no whitespace at either end.
 writable = st.text(st.characters(exclude_characters="#", exclude_categories=("Cs",))).filter(
     lambda s: s == s.strip() and len(s.splitlines()) <= 1
@@ -41,6 +43,8 @@ writable = st.text(st.characters(exclude_characters="#", exclude_categories=("Cs
 def configs(draw):
     dim = draw(st.sampled_from((1, 2)))
     T = draw(positive)
+    operator = draw(st.sampled_from(
+        ("inverse_laplacian", "helmholtz", "garnet_film", "custom", "none")))
     return RunConfig(
         epsilon=draw(positive),
         gamma=draw(nonnegative),
@@ -49,17 +53,17 @@ def configs(draw):
         kappa=draw(nonnegative),
         tau=draw(positive),
         N=tuple(2 * n for n in draw(st.lists(st.integers(2, 2**20), min_size=dim, max_size=dim))),
-        X=tuple(draw(st.lists(positive, min_size=dim, max_size=dim))),
+        X=tuple(draw(st.lists(extents, min_size=dim, max_size=dim))),
         T=T,
         tol=draw(nonnegative),
         f=draw(st.sampled_from(("cubic", "linear"))),
         extension=draw(st.booleans()),
-        operator=draw(st.sampled_from(
-            ("inverse_laplacian", "helmholtz", "garnet_film", "custom", "none"))),
+        operator=operator,
         op_gamma_len=draw(finite),
         op_delta=draw(finite),
         op_symbol_file=draw(writable),
-        pvism_solutes=tuple(draw(st.lists(finite, max_size=3))),
+        # Solutes come only without an operator.
+        pvism_solutes=tuple(draw(st.lists(finite, max_size=3 if operator == "none" else 0))),
         seed=draw(st.integers(-2**70, 2**70)),
         initial=draw(st.sampled_from(("random", "disk", "constant", "file"))),
         initial_value=draw(finite),
@@ -102,8 +106,10 @@ def test_format_writes_the_shortest_text_of_each_float():
      (lambda: RunConfig(T=math.inf), "T must be positive and finite, got inf"),
      (lambda: RunConfig(tol=-1.0), "tol must be >= 0, got -1.0"),
      (lambda: replace(RunConfig(), snapshot_times=(20.0,)),
-      "snapshot_times must lie in [0, T = 10.0], got 20.0")],
-    ids=["f", "operator", "initial", "T", "tol", "replace"],
+      "snapshot_times must lie in [0, T = 10.0], got 20.0"),
+     (lambda: RunConfig(pvism_solutes=(0.0,)),
+      "pvism.solutes needs operator = none, not inverse_laplacian")],
+    ids=["f", "operator", "initial", "T", "tol", "replace", "solutes"],
 )
 def test_a_config_made_in_python_is_checked_as_a_file_is(make, message):
     with pytest.raises(ConfigError) as exc_info:
@@ -113,6 +119,7 @@ def test_a_config_made_in_python_is_checked_as_a_file_is(make, message):
 
 def test_the_solvation_comparison_is_a_config_that_reads_back():
     assert parse_config(format_config(SOLVATION)) == SOLVATION
+    assert "operator = none" in format_config(SOLVATION).splitlines()
 
 
 @pytest.mark.parametrize("scale, rows", [
@@ -121,9 +128,10 @@ def test_the_solvation_comparison_is_a_config_that_reads_back():
                ("20h", 256, 0.15625, 26200)]),
 ])
 def test_rate_study_scales_keep_their_rows(scale, rows):
-    got = [(label, setup.N, setup.epsilon, rate_study_steps(base_tau, levels, bench_tau, setup))
-           for label, setup, base_tau, levels, bench_tau in
-           convergence_setups(*RATE_STUDY_SCALES[scale])]
+    # pacok converge's defaults: 5 levels from tau = 1e-4.
+    n, factors, bench_tau = RATE_STUDY_SCALES[scale]
+    got = [(label, setup.N, setup.epsilon, rate_study_steps(1e-4, 5, bench_tau, setup))
+           for label, setup in convergence_setups(n, factors)]
     assert got == [(label, (n, n), eps, steps) for label, n, eps, steps in rows]
 
 

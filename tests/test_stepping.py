@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pacok import experiments, stepping
 from pacok.energy import problem_energy
@@ -21,6 +23,7 @@ from pacok.stepping import (
     check_conditions,
     run,
     step,
+    steps_to,
 )
 
 from oracles import W_prime, f_eval, f_prime
@@ -743,3 +746,59 @@ class TestKernel:
             tracemalloc.stop()
         assert final.step_index == 20 and len(records) == 21
         assert growth < 0.25 * 8 * state.phi.grid.num_cells   # records and spectrum edges
+
+
+@st.composite
+def horizons(draw):
+    """(t_max, tau, snapshot times) of at most 300 steps; the times are step
+    multiples, as a config gives them, or any time up to t_max."""
+    tau = draw(st.floats(1e-4, 1e-1))
+    count = draw(st.integers(1, 300))
+    t_max = draw(st.one_of(st.just(count * tau), st.floats(tau, count * tau)))
+    time = st.one_of(st.integers(0, count).map(lambda j: j * tau), st.floats(0.0, t_max))
+    times = draw(st.lists(time.filter(lambda t: t <= t_max), max_size=4))
+    return t_max, tau, tuple(times)
+
+
+class TestStepCount:
+    """One rule turns a time into a step count: the first step at or after it,
+    counted from the run's start, with a time within a relative 1e-9 of a step
+    counting as that step."""
+
+    @pytest.mark.parametrize("t, tau, steps", [
+        (8.021, 1e-3, 8021), (0.1, 4e-6, 25000), (0.0105, 1e-3, 11), (0.01 * (1 + 2e-9), 1e-3, 11),
+        (1e-20, 1e-3, 1), (0.0, 1e-3, 0), (-1.0, 1e-3, 0)])
+    def test_a_time_takes_the_first_step_at_or_after_it(self, t, tau, steps):
+        assert steps_to(t, tau) == steps
+
+    def test_a_snapshot_time_does_not_move_the_end_of_a_run(self):
+        # 8.021 / 1e-3 and (8.021 - 6.539) / 1e-3 both land just above a step.
+        cfg = RunConfig(N=(16,), T=8.021, tol=0.0, monitor_every=10**9)
+        for times in ((), (6.539,)):
+            _, final, records = run_config(dataclasses.replace(cfg, snapshot_times=times))
+            assert (final.step_index, records[-1].n) == (8021, 8021)
+
+    def test_the_rate_study_benchmark_run_makes_the_steps_it_counts(self):
+        # 0.1 / 4e-6 is 25000.000000000004.
+        setup = dataclasses.replace(experiments.RATE_STUDY, N=(8, 8), T=0.1)
+        counted = experiments.rate_study_steps(1e-4, 1, 4e-6, setup) - steps_to(0.1, 1e-4)
+        _, final, _ = run_config(dataclasses.replace(setup, tau=4e-6))
+        assert counted == final.step_index == 25000
+
+    @settings(max_examples=60, deadline=None)
+    @given(horizons())
+    @example((8.021, 1e-3, (6.539,)))
+    def test_snapshot_times_never_change_the_step_a_run_ends_on(self, horizon):
+        t_max, tau, times = horizon
+        # A constant field at the wells' midpoint stays there, so any tau runs.
+        grid = PeriodicGrid((4,), (1.0,))
+        params = ModelParams(epsilon=0.1, gamma=0.0, M=0.0, omega=0.5, kappa=0.0, tau=tau)
+        problem = Problem(grid, params, CUBIC, LongRangeOp.none())
+        state = SchemeState.initial(GridField.constant(grid, 0.5))
+        ends = []
+        for snapshots in ((), times):
+            final, records = run(state, problem, t_max=t_max, tol=0.0, record_every=10**9,
+                                 snapshot_times=snapshots, on_snapshot=lambda snap: None)
+            ends.append((final.step_index, records[-1].n))
+        assert ends == [(steps_to(t_max, tau),) * 2] * 2
+
