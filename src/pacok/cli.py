@@ -69,14 +69,12 @@ def cmd_norm(args) -> int:
 
 
 def cmd_energy(args) -> int:
-    from .energy import problem_energy
     from .grid import load_snapshot
+    from .stepping import start_energy
 
     cfg = _load_config(args)
     phi, _t = load_snapshot(args.snapshot)
-    problem = cfg.build_problem(phi.grid)
-    problem.start(phi.values)
-    e = problem_energy(problem, phi.values)
+    e = start_energy(cfg.build_problem(phi.grid), phi.values)
     print("interfacial,well,longrange,penalty,total")
     print(f"{e.interfacial:.17g},{e.well:.17g},{e.longrange:.17g},{e.penalty:.17g},{e.total:.17g}")
     return 0

@@ -12,14 +12,14 @@ penalty is absent.
 
 Both quadratic forms are diagonal in the DFT, so they are taken by
 Parseval's identity from two half spectra: the field's, rfftn(P), and the
-mismatch's, rfftn(f(P) - omega), whose zero mode also gives the volume
-term.  A run's :class:`pacok.physics.Problem` holds both for its current
-field, with q = P^2 - P, which gives the well part: a time step leaves them
-there and :meth:`pacok.physics.Problem.start` computes them for a given
-field.  :func:`problem_energy`, the one energy formula, takes the energy
-from these with no grid-sized temporary.  Without a long-range operator
-there is no mismatch spectrum, and the interaction and volume parts are
-real-space sums.
+mismatch's, rfftn(f(P) - omega).  A run's :class:`pacok.physics.Problem`
+holds both for its current field, with q = P^2 - P, which gives the well
+part, and the volume <f(P) - omega, 1>_h, which gives the penalty: a time
+step leaves them there and :meth:`pacok.physics.Problem.start` computes
+them for a given field.  :func:`problem_energy`, the one energy formula,
+takes the energy from these with no grid-sized temporary.  Without a
+long-range operator there is no mismatch spectrum, and in solvation mode
+the interaction part is a real-space sum.
 """
 
 from __future__ import annotations
@@ -66,15 +66,12 @@ def problem_energy(problem: Problem, s: np.ndarray) -> EnergyBreakdown:
     parseval = dx / grid.num_cells
     interfacial = 0.5 * params.epsilon * parseval * _mode_sum(problem.symbol_weights, problem.phi_hat)
     well = 18.0 * dx * _dot(problem.q, problem.q) / params.epsilon   # W = 18 q^2
+    longrange = 0.0
     if problem.potential_values is not None:
         f_values = mismatch_values(problem.spec, s, 0.0, problem.work, problem.clamped)
-        longrange, penalty = dx * _dot(f_values, problem.potential_values), 0.0
-    else:
-        longrange, volume = 0.0, problem.volume
-        spectrum = problem.mismatch_hat
-        if spectrum is not None:
-            longrange = 0.5 * params.gamma * parseval * _mode_sum(problem.op_weights, spectrum)
-            volume = dx * float(spectrum[(0,) * grid.dim].real)
-        penalty = 0.5 * params.M * volume * volume   # float ** 2 raises on overflow
+        longrange = dx * _dot(f_values, problem.potential_values)
+    elif problem.mismatch_hat is not None:
+        longrange = 0.5 * params.gamma * parseval * _mode_sum(problem.op_weights, problem.mismatch_hat)
+    penalty = 0.5 * params.M * problem.volume * problem.volume   # float ** 2 raises on overflow
     total = interfacial + well + longrange + penalty
     return EnergyBreakdown(interfacial, well, longrange, penalty, total)

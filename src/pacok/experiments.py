@@ -30,7 +30,7 @@ import numpy as np
 from .config import RunConfig
 from .errors import ConfigError
 from .grid import GridField, PeriodicGrid, norm_l2_h, save_snapshot
-from .physics import Problem
+from .physics import POTENTIAL_CUTOFF, Problem, solute_distance
 from .stepping import STEP_RTOL, ConditionReport, SchemeState, StepRecord, check_conditions, run
 from .stepping import steps_to
 
@@ -374,17 +374,17 @@ def pvism_compare(tau: float = 1e-4, t_max: float = 100.0, out_dir=None) -> Solv
     Both runs are ``replace(SOLVATION, tau=tau, T=t_max)`` and differ only
     in the config's ``f``; each has its own :class:`pacok.physics.Problem`
     and enforces what that problem certifies.  The initial interface is
-    the tanh profile through the potential's cutoff radius, which no config
-    start gives, so the runs call :func:`pacok.stepping.run` directly.  The
-    cubic equilibrium stays inside [0, 1]; the linear one undershoots
-    inside the interface and overshoots outside it.  ``out_dir`` is created
-    and given both equilibria once both runs have ended, so a comparison
-    that fails leaves no directory.
+    the tanh profile through the potential's cutoff radius around the
+    config's solutes, which no config start gives, so the runs call
+    :func:`pacok.stepping.run` directly.  The cubic equilibrium stays inside
+    [0, 1]; the linear one undershoots inside the interface and overshoots
+    outside it.  ``out_dir`` is created and given both equilibria once both
+    runs have ended, so a comparison that fails leaves no directory.
     """
     cfg = replace(SOLVATION, tau=tau, T=t_max)
     grid = cfg.build_grid()
-    (x,) = grid.coordinates()
-    phi0 = GridField(grid, 0.5 + 0.5 * np.tanh((np.abs(x) - 2.5) / (cfg.epsilon / 3.0)))
+    dist = solute_distance(grid, cfg.pvism_solutes)
+    phi0 = GridField(grid, 0.5 + 0.5 * np.tanh((dist - POTENTIAL_CUTOFF) / (cfg.epsilon / 3.0)))
     finals = {}
     for f in ("cubic", "linear"):
         problem = replace(cfg, f=f).build_problem(grid)

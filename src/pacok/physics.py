@@ -31,13 +31,11 @@ an external potential U attached) the interaction terms are replaced by
 
 W' and f' share q = p^2 - p: W'(p) = 36 q (2p - 1), and for the cubic
 f'(p) = -6 q.  A :class:`Problem`, built once per run, is the run's model:
-its parameters, its indicator, the max-norm of its interaction operator,
-the operator arrays, each built once from its symbol with no second copy
-kept, and every grid-sized buffer of a time step.  Its methods are the
-array kernel of the step: the right-hand side, the solve, and the spectra
-and q the next step and the energy start from.  The problem owns those
-spectra; the kernel writes into its buffers and into the field its caller
-passes.
+its parameters, its indicator, the bounds of its force, the operator arrays,
+each built once from its symbol with no second copy kept, and every
+grid-sized buffer of a time step.  Its methods are the array kernel of the
+step; the kernel writes into the problem's buffers and into the field its
+caller passes.
 """
 
 from __future__ import annotations
@@ -188,20 +186,26 @@ class Problem:
 
     The multiplier and the reciprocal of the denominator are interleaved
     (see :func:`_interleaved`); the energy takes the symbols' mirror
-    weights, ``symbol_weights`` and ``op_weights``.  ``op_norm``, which the
-    stability conditions read, is the max-norm of the operator
+    weights, ``symbol_weights`` and ``op_weights``.
+
+    ``op_norm`` is ||L||, the operator's max-norm
     (:func:`pacok.spectral.impulse_response_norm` of its multiplier), max|U|
-    in solvation mode, and 0 with neither.
+    in solvation mode and 0 with neither.  The stability conditions read two
+    numbers the constructor sets for the interaction mode.  ``force_bound``
+    B = omega_t (gamma ||L|| + M |T|), omega_t = max(omega, 1 - omega), or
+    max|U| in solvation mode, bounds max|g|/tau a priori over all fields in
+    [0, 1]; each step's actual max|g| can replace it.  ``interaction_norm``
+    is gamma ||L|| + M |T|, or 0 in solvation mode.
 
     ``q``, the mismatch spectrum ``mismatch_hat`` (None without a long-range
-    operator) and, without an operator or potential, ``volume`` belong to the
-    field last passed to :meth:`load` or produced by :meth:`advance`;
-    ``phi_hat`` is the solve spectrum of the field :meth:`advance` produced,
-    or rfftn of the one passed to :meth:`start`.
+    operator) and ``volume``, <f(s) - omega, 1>_h (0 in solvation mode),
+    belong to the field last passed to :meth:`load` or produced by
+    :meth:`advance`; ``phi_hat`` is the solve spectrum of the field
+    :meth:`advance` produced, or rfftn of the one passed to :meth:`start`.
     The run loop ping-pongs its fields through ``fields``
-    (:meth:`allocate_run_buffers`).  ``work``, ``product``, and for the clamped
-    extensions ``clamped`` and ``outside``, are scratch.  The transforms act
-    on the trailing ``grid.dim`` axes.
+    (:meth:`allocate_run_buffers`).  ``work``, ``product`` and, for the
+    clamped extensions, ``clamped`` are scratch.  The transforms act on the
+    trailing ``grid.dim`` axes.
     """
 
     def __init__(
@@ -241,15 +245,17 @@ class Problem:
             self.op_norm = impulse_response_norm(op_symbol, grid)
             self.multiplier = _interleaved(k * tau * params.gamma * op_symbol)
             self.op_weights = mirror_weights(op_symbol)
-        elif potential_values is not None:
-            self.op_norm = float(np.max(np.abs(potential_values)))
+        if potential_values is None:
+            self.interaction_norm = params.gamma * self.op_norm + params.M * grid.measure
+            self.force_bound = params.omega_tilde * self.interaction_norm
+        else:
+            self.op_norm = self.force_bound = float(np.max(np.abs(potential_values)))
+            self.interaction_norm = 0.0
             self.potential_force = k * tau * potential_values + self.offset
             self.potential_force.setflags(write=False)
         self.q = np.empty(grid.shape)
         self.work = np.empty(grid.shape)
         self.clamped = np.empty(grid.shape) if spec.use_extension else None
-        linear_extension = spec.use_extension and spec.f_kind is FKind.LINEAR
-        self.outside = np.empty(grid.shape, dtype=bool) if linear_extension else None
         self.phi_hat = np.empty(self.half_shape, complex)
         self.mismatch_hat = None if self.multiplier is None else np.empty(self.half_shape, complex)
         # The inverse transforms' scratch spectrum is the mismatch spectrum, if there is one.
@@ -274,13 +280,15 @@ class Problem:
         return np.fft.irfft(spectrum, self.grid.shape[-1], axis=-1, out=out)
 
     def load(self, s: np.ndarray) -> None:
-        """Make ``s`` the current field: set q, and its mismatch spectrum or volume term."""
-        if self.multiplier is not None:
+        """Make ``s`` the current field: set q and, outside solvation mode, its
+        volume and mismatch spectrum."""
+        if self.potential_values is None:
             f = mismatch_values(self.spec, s, self.params.omega, self.work, self.clamped)
-            self.forward(f, self.mismatch_hat)
-        elif self.potential_values is None:
-            f = mismatch_values(self.spec, s, self.params.omega, self.work, self.clamped)
-            self.volume = self.grid.cell_measure * float(np.sum(f))
+            if self.multiplier is None:
+                self.volume = self.grid.cell_measure * float(np.sum(f))
+            else:
+                spectrum = self.forward(f, self.mismatch_hat)
+                self.volume = self.grid.cell_measure * float(spectrum[(0,) * self.grid.dim].real)
         np.multiply(s, s, out=self.q)
         self.q -= s
 
@@ -294,15 +302,13 @@ class Problem:
 
         The multiplied spectrum overwrites ``mismatch_hat``.
         """
-        if self.multiplier is None:
-            if self.potential_force is not None:
-                return self.potential_force
-            return self.volume_force * self.volume + self.offset
-        spectrum = self.mismatch_hat
-        volume = self.grid.cell_measure * float(spectrum[(0,) * self.grid.dim].real)
-        np.multiply(spectrum.view(np.float64), self.multiplier, out=spectrum.view(np.float64))
-        g = self.inverse(spectrum, self.work, spectrum)
-        g += self.volume_force * volume + self.offset
+        if self.potential_force is not None:
+            return self.potential_force
+        g = self.volume_force * self.volume + self.offset
+        if self.multiplier is not None:
+            spectrum = self.mismatch_hat
+            np.multiply(spectrum.view(np.float64), self.multiplier, out=spectrum.view(np.float64))
+            g = np.add(self.inverse(spectrum, self.work, spectrum), g, out=self.work)
         return g
 
     def rhs(self, s: np.ndarray, g, out: np.ndarray) -> np.ndarray:
@@ -330,10 +336,8 @@ class Problem:
             slope *= 6.0
             slope *= scratch
         else:
-            # s < 0 or s > 1; also NaN, where the right-hand side is NaN either way
-            np.not_equal(slope, s, out=self.outside)
-            slope.fill(1.0)
-            np.copyto(slope, 0.0, where=self.outside)
+            # 0 for s < 0 or s > 1, and for NaN, where the right-hand side is NaN either way
+            np.equal(slope, s, out=slope)
         slope *= g
         return slope
 
@@ -369,6 +373,17 @@ SOLVENT_PERMITTIVITY = 80.0
 POTENTIAL_CUTOFF = 2.5
 
 
+def solute_distance(grid: PeriodicGrid, solute_positions) -> np.ndarray:
+    """The distance from each point of a 1D grid to its nearest solute."""
+    if grid.dim != 1:
+        raise ConfigError("the solvation potential is defined for 1D grids")
+    positions = [float(p) for p in np.atleast_1d(solute_positions)]
+    if not positions:
+        raise ConfigError("at least one solute position is required")
+    (x,) = grid.coordinates()
+    return np.min(np.abs(x[:, None] - np.array(positions)[None, :]), axis=1)
+
+
 def pvism_potential(grid: PeriodicGrid, solute_positions) -> GridField:
     """Solute-solvent potential U(x) for the 1D implicit-solvation model.
 
@@ -383,14 +398,7 @@ def pvism_potential(grid: PeriodicGrid, solute_positions) -> GridField:
     repulsive inside x ~ 2.75 and attractive beyond, which is what pins
     the solvation interface just outside the cutoff radius.
     """
-    if grid.dim != 1:
-        raise ConfigError("the solvation potential is defined for 1D grids")
-    positions = [float(p) for p in np.atleast_1d(solute_positions)]
-    if not positions:
-        raise ConfigError("at least one solute position is required")
-    (x,) = grid.coordinates()
-    dist = np.min(np.abs(x[:, None] - np.array(positions)[None, :]), axis=1)
-    x_cut = np.maximum(dist, POTENTIAL_CUTOFF)
+    x_cut = np.maximum(solute_distance(grid, solute_positions), POTENTIAL_CUTOFF)
     ratio6 = (LJ_SIGMA / x_cut) ** 6
     lj = SOLVENT_DENSITY / (4.0 * LJ_WELL_DEPTH) * (ratio6 * ratio6 - ratio6)
     born = (

@@ -36,20 +36,22 @@ rest in the kernel alone, on the problem's buffers (two fields in turn),
 allocating no grid-sized array but a copy of the field at each snapshot
 time.
 
-Two parameter conditions certify qualitative guarantees, both checked with
-the max-norm of the long-range operator that the problem keeps:
+Two parameter conditions certify qualitative guarantees.  Both read the
+problem's force bound B = omega_t (gamma ||L|| + M |T|), omega_t =
+max(omega, 1-omega), ||L|| the operator's max-norm, and its interaction
+norm I = gamma ||L|| + M |T|; in solvation mode, whose interaction energy
+is linear in f, B = max|U| and I = 0.
 
-  bounds:  1/tau + kappa/eps >= L_W''/eps
-             + omega_t * L_f'' * (gamma*||L|| + M*|T|),
-  energy:  kappa/eps >= L_W''/eps
-             + (L_f'^2 + omega_t * L_f'') * (gamma*||L|| + M*|T|),
+  bounds:  1/tau + kappa/eps >= L_W''/eps + L_f'' B,
+  energy:  kappa/eps >= L_W''/eps + L_f'' B + L_f'^2 I.
 
-with omega_t = max(omega, 1-omega).  The energy condition implies the
-bounds condition.  Both proofs also require f'(0) = f'(1) = 0, so with the
-linear indicator the guarantees are reported as unsatisfied no matter the
-arithmetic.  When the run's problem certifies a guarantee, :func:`run`
-enforces it at run time and raises on violation; outside the conditions
-violations are possible and are only reported, not raised.
+The energy condition implies the bounds condition, and the continuous-level
+bounds condition is eps B / 6 <= 1.  Both proofs also require
+f'(0) = f'(1) = 0, so with the linear indicator the guarantees are
+reported as unsatisfied no matter the arithmetic.  When the run's problem
+certifies a guarantee, :func:`run` enforces it at run time and raises on
+violation; outside the conditions violations are possible and are only
+reported, not raised.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import problem_energy
+from .energy import EnergyBreakdown, problem_energy
 from .errors import (
     BlowupError, ConfigError, EnergyIncreaseError, GridMismatchError, MppViolationError,
 )
@@ -135,31 +137,19 @@ class ConditionReport:
 
 
 def check_conditions(problem: Problem) -> ConditionReport:
-    """Evaluate the bounds and energy-decay conditions of ``problem``.
-
-    The conditions read the problem's parameters, indicator, grid and
-    ``op_norm``.  With an external potential (solvation mode) the
-    interaction load gamma*||L|| + M*|T| is replaced by ||U||_inf, and the
-    energy condition loses its L_f'^2 part because that energy term is
-    linear in f.
-    """
-    params, spec, op_norm = problem.params, problem.spec, problem.op_norm
+    """Evaluate the bounds and energy-decay conditions of ``problem``, which read its
+    parameters, indicator, ``force_bound`` and ``interaction_norm``."""
+    params, spec = problem.params, problem.spec
     lc = lipschitz_constants(spec)
     eps = params.epsilon
-    if problem.potential_values is not None:
-        mpp_rhs = lc.L_Wpp / eps + lc.L_fpp * op_norm
-        es_rhs = mpp_rhs
-        continuous_lhs = eps / 6.0 * op_norm
-    else:
-        load = params.gamma * op_norm + params.M * problem.grid.measure
-        mpp_rhs = lc.L_Wpp / eps + params.omega_tilde * lc.L_fpp * load
-        es_rhs = lc.L_Wpp / eps + (lc.L_fp**2 + params.omega_tilde * lc.L_fpp) * load
-        continuous_lhs = eps * params.omega_tilde / 6.0 * load
+    mpp_rhs = lc.L_Wpp / eps + lc.L_fpp * problem.force_bound
+    es_rhs = mpp_rhs + lc.L_fp**2 * problem.interaction_norm
+    continuous_lhs = eps / 6.0 * problem.force_bound
     mpp_lhs = 1.0 / params.tau + params.kappa / eps
     es_lhs = params.kappa / eps
     compatible = spec.endpoint_compatible
     return ConditionReport(
-        op_norm=op_norm,
+        op_norm=problem.op_norm,
         mpp_lhs=mpp_lhs,
         mpp_rhs=mpp_rhs,
         mpp_ok=compatible and mpp_lhs >= mpp_rhs,
@@ -211,15 +201,15 @@ class StepRecord:
     increment: float
 
 
-def _checked_energy(n: int, problem: Problem, s) -> float:
-    """Total energy of the problem's current field ``s``, at step ``n``; a non-finite one is a blowup."""
-    # The overflow warnings on the way to a non-finite energy are suppressed
-    # because the result is checked and reported as BlowupError.
+def start_energy(problem: Problem, s: np.ndarray) -> EnergyBreakdown:
+    """Start ``problem`` from ``s`` (:meth:`pacok.physics.Problem.start`); the energy of ``s``.
+    One that is not finite is bad input, a :class:`ConfigError`; its overflow warnings are muted."""
     with np.errstate(over="ignore", invalid="ignore"):
-        total = problem_energy(problem, s).total
-    if not math.isfinite(total):
-        raise BlowupError(n, f"non-finite energy at step {n}")
-    return total
+        problem.start(s)
+        energy = problem_energy(problem, s)
+    if not math.isfinite(energy.total):
+        raise ConfigError(f"the starting field's energy is not finite: total = {energy.total!r}")
+    return energy
 
 
 def _outside_bounds(lo: float, hi: float) -> bool:
@@ -246,10 +236,11 @@ def run(
     enforced on every step: bounds, and energy decay from the starting
     field's energy on; a violation raises instead of returning.  Certified
     bounds also need a starting field in [0, 1]; one outside is a
-    :class:`ConfigError`, as is a step count that is not finite.  A
+    :class:`ConfigError`, as are a step count that is not finite and a
+    starting field whose energy is not finite (:func:`start_energy`).  A
     ``state0`` on another grid than the problem's raises
-    :class:`GridMismatchError`.  A non-finite increment or energy raises
-    :class:`BlowupError`.
+    :class:`GridMismatchError`.  A non-finite increment, or energy after
+    the start, raises :class:`BlowupError`.
 
     ``t_max`` and each of ``snapshot_times`` (none beyond it) are reached at
     :func:`steps_to` of their distance from ``state0.time``, so snapshot times
@@ -257,8 +248,8 @@ def run(
     ``on_snapshot`` gets a bare :class:`SchemeState` owning a copy of the field.
 
     Every energy comes from :func:`pacok.energy.problem_energy`, on the
-    field and spectra the problem holds; the start's two spectra come from
-    :meth:`pacok.physics.Problem.start`.  The first step is a call of :func:`step`, the kernel
+    field and spectra the problem holds; the start's come from
+    :func:`start_energy`.  The first step is a call of :func:`step`, the kernel
     makes the others, and the returned state takes the field buffer the
     kernel wrote last (``state0`` itself when there is nothing to step).
     """
@@ -276,9 +267,7 @@ def run(
     n_steps = steps_to(t_max - state0.time, tau)
     snapshot_steps = {steps_to(t - state0.time, tau) for t in snapshot_times} - {n_steps}
     report = check_conditions(problem)
-    with np.errstate(over="ignore", invalid="ignore"):
-        problem.start(s)
-    last_energy = _checked_energy(n, problem, s)
+    last_energy = start_energy(problem, s).total
     lo, hi = float(s.min()), float(s.max())
     if report.mpp_ok and _outside_bounds(lo, hi):
         raise ConfigError(
@@ -312,7 +301,10 @@ def run(
                 )
         energy = None
         if report.es_ok or recording:
-            energy = _checked_energy(n, problem, s)
+            with np.errstate(over="ignore", invalid="ignore"):
+                energy = problem_energy(problem, s).total
+            if not math.isfinite(energy):
+                raise BlowupError(n, f"non-finite energy at step {n}")
         if report.es_ok:
             if energy > last_energy + ENERGY_TOL * (1.0 + abs(last_energy)):
                 raise EnergyIncreaseError(

@@ -71,13 +71,38 @@ monitor_every = 100
 """
 
 
-def test_run_blowup_exits_4_with_its_step(tmp_path, capsys):
+@pytest.mark.parametrize("text, n", [
     # Seed 1 leaves [0, 1] and overflows at step 8, inside the run's kernel.
-    path = write_config(tmp_path, G1000_128 + "seed = 1\n")
+    (G1000_128 + "seed = 1\n", 8),
+    # The starting energy is finite; the first step's is not.
+    ("N = 16\nX = 1e60\n", 1),
+], ids=["kernel", "first-step"])
+def test_run_blowup_exits_4_with_its_step(tmp_path, capsys, text, n):
+    path = write_config(tmp_path, text)
     assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: blowup: ")
-    assert "step 8" in err
+    assert f"step {n}" in err
+
+
+@pytest.mark.parametrize("box", ["N = 16\nX = 1e150\n", "N = 16,16\nX = 1e150,1e150\n"],
+                         ids=["1d", "2d"])
+def test_run_from_a_start_whose_energy_is_not_finite_exits_2(tmp_path, capsys, box):
+    # The operator's max-norm on such a box overflows the starting energy.
+    path = write_config(tmp_path, box)
+    assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "error: config: the starting field's energy is not finite: total = inf\n")
+
+
+def test_energy_of_a_snapshot_whose_energy_is_not_finite_exits_2(tmp_path, capsys):
+    snap = tmp_path / "snap.csv"
+    snap.write_text("# pacok-grid v1 dim=1 N=16 X=1e150 t=0\n" + "0\n1\n" * 8)
+    path = write_config(tmp_path, "N = 16\nX = 1e150\n")
+    assert cli.main(["energy", "--config", path, "--snapshot", str(snap)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: config: the starting field's energy is not finite: total = inf\n"
 
 
 @pytest.mark.parametrize("line", ["scale = desk", "resolution = 64"])

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pacok.errors import ConfigError
 from pacok.grid import GridField, PeriodicGrid
@@ -488,3 +490,40 @@ class TestRhsKernel:
         potential = np.linspace(-3.0, 2.0, 16)
         assert Problem(g, self.PARAMS, CUBIC, LongRangeOp.none(), potential).op_norm == 3.0
         assert Problem(g, self.PARAMS, CUBIC, LongRangeOp.none()).op_norm == 0.0
+
+
+BOUND_OPERATORS = {
+    "inverse_laplacian": LongRangeOp.inverse_laplacian(),
+    "helmholtz": LongRangeOp.helmholtz(0.3),
+    "garnet_film": LongRangeOp.garnet_film(0.5),
+    "none": LongRangeOp.none(),
+    "solvation": LongRangeOp.none(),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    mode=st.sampled_from(sorted(BOUND_OPERATORS)),
+    spec=st.sampled_from(ALL_SPECS),
+    dim=st.sampled_from([1, 2]),
+    gamma=st.floats(0.0, 1e4),
+    M=st.floats(0.0, 1e5),
+    omega=st.floats(0.01, 0.99),
+    start=st.sampled_from(["random", "zeros", "ones"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_force_bound_bounds_the_force_the_kernel_applies(
+    mode, spec, dim, gamma, M, omega, start, seed
+):
+    # The solvation potential is defined in 1D; on [-5, 5) it is not constant.
+    dim = 1 if mode == "solvation" else dim
+    g = PeriodicGrid((16,) * dim, (5.0,) * dim)
+    params = ModelParams(epsilon=0.1, gamma=gamma, M=M, omega=omega, kappa=0.0, tau=1e-3)
+    potential = pvism_potential(g, [0.0]).values if mode == "solvation" else None
+    problem = Problem(g, params, spec, BOUND_OPERATORS[mode], potential)
+    phi = {"random": np.random.default_rng(seed).uniform(0.0, 1.0, g.shape),
+           "zeros": np.zeros(g.shape), "ones": np.ones(g.shape)}[start]
+    problem.load(phi)
+    k = 6.0 if problem.fused else -1.0
+    force = (problem.force() - problem.offset) / (k * params.tau)
+    assert np.max(np.abs(force)) <= problem.force_bound * (1.0 + 1e-9) + 1e-12
