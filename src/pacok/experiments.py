@@ -280,30 +280,28 @@ class CoarseningResult:
 def run_config(cfg: RunConfig, out_dir=None) -> tuple[Problem, SchemeState, list[StepRecord]]:
     """Run one configuration from its start to ``cfg.T`` or its ``tol`` stop.
 
-    Builds the grid, the problem and the initial state, so a config that
-    fails to build leaves no directory, then creates ``out_dir`` and makes
-    one :func:`pacok.stepping.run` call with the config's snapshot times and
-    its record cadence ``monitor_every``.  With ``out_dir`` it writes
-    ``snap_000.csv``, ``snap_001.csv``, ... at t = 0 when that is a snapshot
-    time, at each later snapshot time and at the end, then ``series.csv``.
-    Returns the problem with the final state and the records.
+    Builds the grid, the problem and the initial state and makes one
+    :func:`pacok.stepping.run` call with the config's snapshot times and its
+    record cadence ``monitor_every``.  With ``out_dir`` it writes
+    ``snap_000.csv``, ``snap_001.csv``, ... at each snapshot time, t = 0
+    included, and at the end, then ``series.csv``.  ``out_dir`` is created
+    by the first write, so a config that fails to build or a start that
+    ``run`` rejects leaves no directory.  Returns the problem with the final
+    state and the records.
     """
     grid = cfg.build_grid()
     problem = cfg.build_problem(grid)
-    state = SchemeState.initial(cfg.build_initial(grid))
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
     paths = (f"{out_dir}/snap_{i:03d}.csv" for i in itertools.count())
 
     def emit_snapshot(s: SchemeState):
         if out_dir is not None:
+            os.makedirs(out_dir, exist_ok=True)
             save_snapshot(next(paths), s.phi, t=s.time)
 
-    if 0.0 in cfg.snapshot_times:
-        emit_snapshot(state)
     state, records = run(
-        state, problem, t_max=cfg.T, tol=cfg.tol, record_every=cfg.monitor_every,
-        snapshot_times=cfg.snapshot_times, on_snapshot=emit_snapshot,
+        SchemeState(cfg.build_initial(grid)), problem, t_max=cfg.T, tol=cfg.tol,
+        record_every=cfg.monitor_every, snapshot_times=cfg.snapshot_times,
+        on_snapshot=emit_snapshot,
     )
     emit_snapshot(state)
     if out_dir is not None:
@@ -389,7 +387,7 @@ def pvism_compare(tau: float = 1e-4, t_max: float = 100.0, out_dir=None) -> Solv
     for f in ("cubic", "linear"):
         problem = replace(cfg, f=f).build_problem(grid)
         finals[f], _ = run(
-            SchemeState.initial(phi0), problem, t_max=cfg.T, tol=cfg.tol,
+            SchemeState(phi0), problem, t_max=cfg.T, tol=cfg.tol,
             record_every=cfg.monitor_every,
         )
     if out_dir is not None:

@@ -112,8 +112,11 @@ class GridField:
 
     Values are stored row-major in a read-only float64 array of the grid's
     shape.  Indexing wraps periodically, so ``field[k + m * N] == field[k]``
-    for any integer shift m.  Construction rejects non-finite values; all
-    public operations therefore start and end with finite fields.
+    for any integer shift m.  The constructor is the only way to make a
+    field: it rejects non-finite values, so all public operations start and
+    end with finite fields.  A C-contiguous float64 array of the grid's
+    shape is wrapped without a copy and becomes read-only; the scan for
+    non-finite values allocates nothing grid-sized.
     """
 
     __slots__ = ("grid", "_values")
@@ -126,23 +129,13 @@ class GridField:
             raise GridMismatchError(
                 f"values shape {arr.shape} does not match grid shape {grid.shape}"
             )
-        if not np.all(np.isfinite(arr)):
+        # min and max carry a NaN and show an infinity, without a temporary array.
+        if not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
             raise FieldValueError("grid field contains non-finite values")
         arr = np.ascontiguousarray(arr)
         arr.setflags(write=False)
         self.grid = grid
         self._values = arr
-
-    @classmethod
-    def _checked(cls, grid: PeriodicGrid, values: np.ndarray) -> "GridField":
-        """Wrap, without a copy or a second scan, a C-contiguous float64 array
-        of the grid's shape that the caller has already found finite; the
-        array becomes read-only."""
-        values.setflags(write=False)
-        field = cls.__new__(cls)
-        field.grid = grid
-        field._values = values
-        return field
 
     @property
     def values(self) -> np.ndarray:

@@ -97,10 +97,6 @@ class SchemeState:
     time: float = 0.0
     last_increment_linf: float = math.inf
 
-    @classmethod
-    def initial(cls, phi: GridField) -> "SchemeState":
-        return cls(phi=phi, step_index=0, time=0.0)
-
 
 @dataclass(frozen=True)
 class ConditionReport:
@@ -184,9 +180,7 @@ def step(state: SchemeState, problem: Problem) -> SchemeState:
         increment = problem.advance(state.phi.values, phi_new)
     if not math.isfinite(increment):
         raise BlowupError(n_new)
-    return SchemeState(
-        GridField._checked(grid, phi_new), n_new, n_new * problem.params.tau, increment
-    )
+    return SchemeState(GridField(grid, phi_new), n_new, n_new * problem.params.tau, increment)
 
 
 @dataclass(frozen=True)
@@ -245,7 +239,9 @@ def run(
     ``t_max`` and each of ``snapshot_times`` (none beyond it) are reached at
     :func:`steps_to` of their distance from ``state0.time``, so snapshot times
     never move the run's end.  At a snapshot step before the last,
-    ``on_snapshot`` gets a bare :class:`SchemeState` owning a copy of the field.
+    ``on_snapshot`` gets a bare :class:`SchemeState` owning a copy of the field;
+    at step 0 it gets ``state0`` itself, once the start has passed its checks
+    and before the first step, so a rejected start calls it never.
 
     Every energy comes from :func:`pacok.energy.problem_energy`, on the
     field and spectra the problem holds; the start's come from
@@ -276,6 +272,8 @@ def run(
     records = [StepRecord(n, state0.time, lo, hi, last_energy, 0.0)]
     if n_steps == 0:
         return state0, records
+    if 0 in snapshot_steps and on_snapshot is not None:
+        on_snapshot(state0)
     state = step(state0, problem)
     problem.allocate_run_buffers()
     # step left q, the spectra and the volume term for its field in the problem.
@@ -315,8 +313,7 @@ def run(
         if recording:
             records.append(StepRecord(n, n * tau, lo, hi, energy, increment))
         if snapshot and on_snapshot is not None:
-            field = GridField._checked(grid, s.copy())
-            on_snapshot(SchemeState(field, n, n * tau, increment))
+            on_snapshot(SchemeState(GridField(grid, s.copy()), n, n * tau, increment))
         if stopping:
             break
-    return SchemeState(GridField._checked(grid, s), n, n * tau, increment), records
+    return SchemeState(GridField(grid, s), n, n * tau, increment), records

@@ -85,14 +85,20 @@ def test_run_blowup_exits_4_with_its_step(tmp_path, capsys, text, n):
     assert f"step {n}" in err
 
 
-@pytest.mark.parametrize("box", ["N = 16\nX = 1e150\n", "N = 16,16\nX = 1e150,1e150\n"],
-                         ids=["1d", "2d"])
-def test_run_from_a_start_whose_energy_is_not_finite_exits_2(tmp_path, capsys, box):
+HUGE_1D, HUGE_2D = "N = 16\nX = 1e150\n", "N = 16,16\nX = 1e150,1e150\n"
+AT_T0 = "snapshot_times = 0.0\n"
+
+
+@pytest.mark.parametrize("text", [HUGE_1D, HUGE_2D, HUGE_1D + AT_T0, HUGE_2D + AT_T0],
+                         ids=["1d", "2d", "1d-t0", "2d-t0"])
+def test_run_from_a_start_whose_energy_is_not_finite_exits_2(tmp_path, capsys, text):
     # The operator's max-norm on such a box overflows the starting energy.
-    path = write_config(tmp_path, box)
-    assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    path = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", path, "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
         "error: config: the starting field's energy is not finite: total = inf\n")
+    assert not out.exists()
 
 
 def test_energy_of_a_snapshot_whose_energy_is_not_finite_exits_2(tmp_path, capsys):
@@ -206,6 +212,30 @@ def test_certified_run_from_outside_the_bounds_exits_2(tmp_path, capsys):
     path = write_config(tmp_path, "initial = constant\ninitial_value = 1.2\nT = 0.01\n"
                                   "f = linear\n")
     assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 0
+
+
+# The certified 32^2 physics of the CI record.cfg: bounds and decay hold.
+RECORD_32 = """\
+epsilon = 0.15625
+gamma = 200.0
+M = 1000.0
+omega = 0.3
+kappa = 4500.0
+tau = 1e-3
+N = 32,32
+X = 1.0,1.0
+T = 0.02
+tol = 0.0
+"""
+
+
+def test_certified_run_from_a_start_outside_the_bounds_writes_nothing(tmp_path, capsys):
+    text = RECORD_32 + "initial = constant\ninitial_value = 1.5\n" + AT_T0
+    path = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", path, "--out", str(out)]) == 2
+    assert "certified bounds need an initial field in [0, 1]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_snapshot_of_a_run_gives_its_recorded_energy(tmp_path, capsys):

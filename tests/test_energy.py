@@ -210,7 +210,7 @@ class TestParsevalEnergy:
         rng = np.random.default_rng(38)
         problem = Problem(g, p, CUBIC, op)
         phi = GridField(g, rng.uniform(0.0, 1.0, size=g.shape))
-        state = step(SchemeState.initial(phi), problem)
+        state = step(SchemeState(phi), problem)
         assert (problem.mismatch_hat is None) == (kind == "none")
         carried = problem_energy(problem, state.phi.values)
         assert_parts_close(carried, stencil_energy(state.phi, p, CUBIC, op))

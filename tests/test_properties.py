@@ -44,7 +44,7 @@ def test_certified_step_keeps_bounds_and_decays_energy(case):
     problem = Problem(grid, params, CUBIC, op)
     report = check_conditions(problem)
     assert report.mpp_ok and report.es_ok
-    new = step(SchemeState.initial(phi), problem)
+    new = step(SchemeState(phi), problem)
     assert float(np.min(new.phi.values)) >= -MPP_TOL
     assert float(np.max(new.phi.values)) <= 1.0 + MPP_TOL
     before = field_energy(phi, params, CUBIC, op).total

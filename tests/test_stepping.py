@@ -129,7 +129,7 @@ class TestStep:
         p = self.make_params()
         op = LongRangeOp.inverse_laplacian()
         for c in (0.0, 1.0):
-            s0 = SchemeState.initial(GridField.constant(g, c))
+            s0 = SchemeState(GridField.constant(g, c))
             s1 = step(s0, Problem(g, p, CUBIC, op))
             assert np.max(np.abs(s1.phi.values - c)) <= 1e-13
             assert s1.step_index == 1
@@ -138,7 +138,7 @@ class TestStep:
     def test_half_is_fixed_without_interactions(self):
         g = PeriodicGrid((32,), (1.0,))
         p = self.make_params(gamma=0.0, M=0.0)
-        s0 = SchemeState.initial(GridField.constant(g, 0.5))
+        s0 = SchemeState(GridField.constant(g, 0.5))
         s1 = step(s0, Problem(g, p, CUBIC, LongRangeOp.inverse_laplacian()))
         assert np.max(np.abs(s1.phi.values - 0.5)) <= 1e-14
 
@@ -150,7 +150,7 @@ class TestStep:
         for _ in range(5):
             phi = GridField(g, rng.uniform(0.0, 1.0, size=g.shape))
             expected = dense_step_oracle(phi, p, CUBIC)
-            got = step(SchemeState.initial(phi), Problem(g, p, CUBIC, op))
+            got = step(SchemeState(phi), Problem(g, p, CUBIC, op))
             assert np.max(np.abs(got.phi.values - expected)) <= 1e-10
 
     def test_deterministic(self):
@@ -159,15 +159,15 @@ class TestStep:
         rng = np.random.default_rng(56)
         phi = GridField(g, rng.uniform(0.0, 1.0, size=g.shape))
         op = LongRangeOp.inverse_laplacian()
-        a = step(SchemeState.initial(phi), Problem(g, p, CUBIC, op))
-        b = step(SchemeState.initial(phi), Problem(g, p, CUBIC, op))
+        a = step(SchemeState(phi), Problem(g, p, CUBIC, op))
+        b = step(SchemeState(phi), Problem(g, p, CUBIC, op))
         assert np.array_equal(a.phi.values, b.phi.values)
 
     def test_blowup_names_step_index(self):
         g = PeriodicGrid((16,), (1.0,))
         p = self.make_params(epsilon=1e-8, tau=10.0, kappa=0.0, gamma=0.0, M=0.0)
         rng = np.random.default_rng(57)
-        state = SchemeState.initial(GridField(g, rng.uniform(0.4, 0.6, size=g.shape)))
+        state = SchemeState(GridField(g, rng.uniform(0.4, 0.6, size=g.shape)))
         problem = Problem(g, p, CUBIC, LongRangeOp.inverse_laplacian())
         with pytest.raises(BlowupError) as exc_info:
             for _ in range(10_000):
@@ -177,7 +177,7 @@ class TestStep:
     def test_rejects_a_state_on_another_grid_than_the_problem(self):
         p = self.make_params()
         op = LongRangeOp.inverse_laplacian()
-        state = SchemeState.initial(GridField.constant(PeriodicGrid((16,), (1.0,)), 0.3))
+        state = SchemeState(GridField.constant(PeriodicGrid((16,), (1.0,)), 0.3))
         for other in (PeriodicGrid((32,), (1.0,)), PeriodicGrid((16,), (2.0,))):
             with pytest.raises(GridMismatchError):
                 step(state, Problem(other, p, CUBIC, op))
@@ -190,7 +190,7 @@ class TestStep:
         p = self.make_params()
         rng = np.random.default_rng(58)
         problem = Problem(g, p, CUBIC, op)
-        first = step(SchemeState.initial(GridField(g, rng.uniform(0.0, 1.0, g.shape))), problem)
+        first = step(SchemeState(GridField(g, rng.uniform(0.0, 1.0, g.shape))), problem)
         saved = first.phi.values.copy()
         state = first
         for _ in range(3):
@@ -213,7 +213,7 @@ class TestStepMemory:
             g = PeriodicGrid((n, n), (1.0, 1.0))
             p = ModelParams(epsilon=0.15625, gamma=200.0, M=1000.0, omega=0.3,
                             kappa=4500.0, tau=1e-3)
-        return SchemeState.initial(initial_random_piecewise(g, 0.0, 0.8, 8, seed=3)), p
+        return SchemeState(initial_random_piecewise(g, 0.0, 0.8, 8, seed=3)), p
 
     @pytest.mark.parametrize("n", [128, 256])
     def test_step_after_the_first_peaks_below_1_05_fields(self, n, monkeypatch):
@@ -252,7 +252,7 @@ class TestRun:
         # criterion fires at the first check.
         g = PeriodicGrid((32,), (1.0,))
         p = ModelParams(epsilon=0.1, gamma=100.0, M=100.0, omega=0.5, kappa=100.0, tau=1e-3)
-        s0 = SchemeState.initial(GridField.constant(g, 0.5))
+        s0 = SchemeState(GridField.constant(g, 0.5))
         final, records = run(s0, Problem(g, p, CUBIC, LongRangeOp.inverse_laplacian()), t_max=1.0,
                              tol=1e-3)
         assert final.step_index == 1
@@ -263,7 +263,7 @@ class TestRun:
         g = PeriodicGrid((16,), (1.0,))
         p = ModelParams(epsilon=0.2, gamma=10.0, M=10.0, omega=0.3, kappa=50.0, tau=1e-2)
         rng = np.random.default_rng(58)
-        s0 = SchemeState.initial(GridField(g, rng.uniform(0.0, 1.0, size=g.shape)))
+        s0 = SchemeState(GridField(g, rng.uniform(0.0, 1.0, size=g.shape)))
         final, records = run(s0, Problem(g, p, CUBIC, LongRangeOp.inverse_laplacian()), t_max=0.1,
                              tol=0.0)
         assert final.step_index == 10
@@ -275,7 +275,7 @@ class TestRun:
         g = PeriodicGrid((16,), (1.0,))
         p = ModelParams(epsilon=0.2, gamma=10.0, M=10.0, omega=0.3, kappa=50.0, tau=1e-2)
         rng = np.random.default_rng(59)
-        s0 = SchemeState.initial(GridField(g, rng.uniform(0.0, 1.0, size=g.shape)))
+        s0 = SchemeState(GridField(g, rng.uniform(0.0, 1.0, size=g.shape)))
         _, records = run(
             s0, Problem(g, p, CUBIC, LongRangeOp.inverse_laplacian()), t_max=0.1, tol=0.0,
             record_every=4,
@@ -295,7 +295,7 @@ class TestRun:
         assert r.mpp_ok
         rng = np.random.default_rng(60)
         for trial in range(10):
-            state = SchemeState.initial(GridField(g, rng.uniform(0.0, 1.0, size=g.shape)))
+            state = SchemeState(GridField(g, rng.uniform(0.0, 1.0, size=g.shape)))
             final, records = run(state, problem, t_max=20 * tau, tol=0.0)
             assert all(-1e-10 <= rec.phi_min and rec.phi_max <= 1 + 1e-10 for rec in records)
 
@@ -312,7 +312,7 @@ class TestRun:
         assert r.es_ok
         rng = np.random.default_rng(61)
         for trial in range(5):
-            state = SchemeState.initial(GridField(g, rng.uniform(0.0, 1.0, size=g.shape)))
+            state = SchemeState(GridField(g, rng.uniform(0.0, 1.0, size=g.shape)))
             final, records = run(state, problem, t_max=20 * p.tau, tol=0.0)
             energies = [rec.energy for rec in records]
             for a, b in zip(energies, energies[1:]):
@@ -331,7 +331,7 @@ class TestRun:
         rng = np.random.default_rng(62)
         worst = 0.0
         for trial in range(20):
-            state = SchemeState.initial(GridField(g, rng.uniform(0.0, 1.0, size=g.shape)))
+            state = SchemeState(GridField(g, rng.uniform(0.0, 1.0, size=g.shape)))
             try:
                 state, records = run(state, problem, t_max=50 * p.tau, tol=0.0)
                 lo = min(rec.phi_min for rec in records)
@@ -365,7 +365,7 @@ class TestRun:
             continuous_mpp_ok=False,
         )
         rng = np.random.default_rng(63)
-        state = SchemeState.initial(GridField(g, rng.uniform(0.0, 1.0, size=g.shape)))
+        state = SchemeState(GridField(g, rng.uniform(0.0, 1.0, size=g.shape)))
         monkeypatch.setattr(stepping, "check_conditions", lambda _: forged)
         with pytest.raises(MppViolationError):
             run(state, problem, t_max=100 * p.tau, tol=0.0)
@@ -373,7 +373,7 @@ class TestRun:
     def test_rejects_bad_arguments(self):
         g = PeriodicGrid((16,), (1.0,))
         p = ModelParams(epsilon=0.1, gamma=0.0, M=0.0, omega=0.3, kappa=0.0, tau=1e-3)
-        s0 = SchemeState.initial(GridField.constant(g, 0.5))
+        s0 = SchemeState(GridField.constant(g, 0.5))
         with pytest.raises(ConfigError):
             run(s0, Problem(g, p, CUBIC, LongRangeOp.none()), t_max=0.0)
         with pytest.raises(ConfigError):
@@ -383,7 +383,7 @@ class TestRun:
         # The grids are compared before row 0, so no energy is taken.
         monkeypatch.setattr(stepping, "problem_energy", None)
         p = ModelParams(epsilon=0.1, gamma=0.0, M=0.0, omega=0.3, kappa=0.0, tau=1e-3)
-        s0 = SchemeState.initial(GridField.constant(PeriodicGrid((16,), (1.0,)), 0.5))
+        s0 = SchemeState(GridField.constant(PeriodicGrid((16,), (1.0,)), 0.5))
         for other in (PeriodicGrid((32,), (1.0,)), PeriodicGrid((16,), (2.0,))):
             with pytest.raises(GridMismatchError):
                 run(s0, Problem(other, p, CUBIC, LongRangeOp.inverse_laplacian()), t_max=0.01)
@@ -392,7 +392,7 @@ class TestRun:
         # A finite field whose energy overflows: W(P) ~ P^4 is inf at 1e90.
         g = PeriodicGrid((16,), (1.0,))
         p = ModelParams(epsilon=0.1, gamma=10.0, M=10.0, omega=0.3, kappa=50.0, tau=1e-2)
-        s0 = SchemeState.initial(GridField.constant(g, 1e90))
+        s0 = SchemeState(GridField.constant(g, 1e90))
         with pytest.raises(ConfigError, match="starting field's energy is not finite"):
             run(s0, Problem(g, p, CUBIC, LongRangeOp.inverse_laplacian()), t_max=0.1, tol=0.0)
 
@@ -421,7 +421,7 @@ class TestResumedRun:
         problem = Problem(g, p, CUBIC, op)
         assert check_conditions(problem).es_ok
         rng = np.random.default_rng(64)
-        state = SchemeState.initial(GridField(g, rng.uniform(0.0, 1.0, size=g.shape)))
+        state = SchemeState(GridField(g, rng.uniform(0.0, 1.0, size=g.shape)))
         return state, p, op, problem
 
     def run_segments(self, state, p, problem):
@@ -515,6 +515,21 @@ class TestResumedRun:
             assert np.array_equal(snap.phi.values, copy)   # later steps left it alone
             assert not snap.phi.values.flags.writeable
 
+    def test_the_start_goes_to_on_snapshot_once_it_is_accepted(self):
+        state, p, op, problem = self.certified_setup()
+        times = (0.0, 5 * p.tau)
+        got = []
+        run(state, problem, t_max=10 * p.tau, tol=0.0, snapshot_times=times, on_snapshot=got.append)
+        assert got[0] is state
+        assert [snap.step_index for snap in got] == [0, 5]
+        # A start whose energy start_energy rejects is handed to nobody.
+        huge = SchemeState(GridField.constant(state.phi.grid, 1e90))
+        got.clear()
+        with pytest.raises(ConfigError, match="starting field's energy is not finite"):
+            run(huge, problem, t_max=10 * p.tau, tol=0.0, snapshot_times=times,
+                on_snapshot=got.append)
+        assert got == []
+
     def test_snapshot_time_beyond_the_run_is_refused(self):
         state, p, op, problem = self.certified_setup()
         with pytest.raises(ConfigError, match="snapshot time 0.02 lies beyond t_max = 0.01"):
@@ -535,7 +550,7 @@ class TestCarriedSpectra:
         report = check_conditions(problem)
         assert report.mpp_ok and report.es_ok
         rng = np.random.default_rng(65)
-        state = SchemeState.initial(GridField(g, rng.uniform(0.0, 1.0, size=g.shape)))
+        state = SchemeState(GridField(g, rng.uniform(0.0, 1.0, size=g.shape)))
         return state, p, op, problem
 
     def test_a_state_holds_only_its_field(self):
@@ -662,7 +677,7 @@ def kernel_case(name, scale=1):
         op = {"inverse_laplacian": LongRangeOp.inverse_laplacian(),
               "helmholtz": LongRangeOp.helmholtz(0.3), "none": LongRangeOp.none()}[kind]
     p = ModelParams(epsilon=0.2, gamma=50.0, M=20.0, omega=0.3, kappa=100.0, tau=1e-3)
-    state = SchemeState.initial(GridField(g, rng.uniform(0.1, 0.9, sizes)))
+    state = SchemeState(GridField(g, rng.uniform(0.1, 0.9, sizes)))
     return state, p, spec, op, potential
 
 
@@ -793,7 +808,7 @@ class TestStepCount:
         grid = PeriodicGrid((4,), (1.0,))
         params = ModelParams(epsilon=0.1, gamma=0.0, M=0.0, omega=0.5, kappa=0.0, tau=tau)
         problem = Problem(grid, params, CUBIC, LongRangeOp.none())
-        state = SchemeState.initial(GridField.constant(grid, 0.5))
+        state = SchemeState(GridField.constant(grid, 0.5))
         ends = []
         for snapshots in ((), times):
             final, records = run(state, problem, t_max=t_max, tol=0.0, record_every=10**9,
