@@ -22,11 +22,8 @@ from .grid import (
 from .spectral import LongRangeOp, OpKind
 from .physics import (
     FKind,
-    LipschitzConstants,
     ModelParams,
-    NonlinearSpec,
     Problem,
-    lipschitz_constants,
     pvism_potential,
 )
 from .energy import EnergyBreakdown

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, reading
 from .grid import GridField, PeriodicGrid, load_snapshot
-from .physics import FKind, ModelParams, NonlinearSpec, Problem, pvism_potential
+from .physics import FKind, ModelParams, Problem, pvism_potential
 from .spectral import LongRangeOp, OpKind, load_symbol_csv
 from .stepping import StepRecord
 
@@ -67,6 +67,10 @@ class RunConfig:
     out: str = ""
 
     def __post_init__(self):
+        # The choices come first: build_params reads f as an FKind.
+        for key, choices in _CHOICES.items():
+            if getattr(self, key) not in choices:
+                raise ConfigError(f"{key} must be one of {choices}, got '{getattr(self, key)}'")
         # ModelParams and PeriodicGrid check the physics and the grid.
         self.build_params()
         self.build_grid()
@@ -81,9 +85,6 @@ class RunConfig:
         for t in self.snapshot_times:
             if not 0.0 <= t <= self.T:
                 raise ConfigError(f"snapshot_times must lie in [0, T = {self.T!r}], got {t!r}")
-        for key, choices in _CHOICES.items():
-            if getattr(self, key) not in choices:
-                raise ConfigError(f"{key} must be one of {choices}, got '{getattr(self, key)}'")
         if self.pvism_solutes and self.operator != "none":
             raise ConfigError(f"pvism.solutes needs operator = none, not {self.operator}")
 
@@ -100,10 +101,9 @@ class RunConfig:
             omega=self.omega,
             kappa=self.kappa,
             tau=self.tau,
+            f=FKind(self.f),
+            extension=self.extension,
         )
-
-    def build_spec(self) -> NonlinearSpec:
-        return NonlinearSpec(FKind(self.f), self.extension)
 
     def build_op(self) -> LongRangeOp:
         if self.operator == "inverse_laplacian":
@@ -119,9 +119,9 @@ class RunConfig:
         return LongRangeOp.none()
 
     def build_problem(self, grid: PeriodicGrid) -> Problem:
-        """The run's model on ``grid``: parameters, indicator, operator and potential."""
+        """The run's model on ``grid``: parameters, operator and potential."""
         potential = pvism_potential(grid, self.pvism_solutes).values if self.pvism_solutes else None
-        return Problem(grid, self.build_params(), self.build_spec(), self.build_op(), potential)
+        return Problem(grid, self.build_params(), self.build_op(), potential)
 
     def build_initial(self, grid: PeriodicGrid) -> GridField:
         from .experiments import initial_random_piecewise, initial_tanh_disk

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .physics import Problem, mismatch_values
+from .physics import Problem
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ def problem_energy(problem: Problem, s: np.ndarray) -> EnergyBreakdown:
     well = 18.0 * dx * _dot(problem.q, problem.q) / params.epsilon   # W = 18 q^2
     longrange = 0.0
     if problem.potential_values is not None:
-        f_values = mismatch_values(problem.spec, s, 0.0, problem.work, problem.clamped)
+        f_values = problem.mismatch(s, 0.0)
         longrange = dx * _dot(f_values, problem.potential_values)
     elif problem.mismatch_hat is not None:
         longrange = 0.5 * params.gamma * parseval * _mode_sum(problem.op_weights, problem.mismatch_hat)

@@ -171,6 +171,8 @@ def _rate_study_taus(base_tau: float, levels: int, bench_tau: float, T: float) -
     """Each step of a rate study with its :func:`steps_to` count to T, which it must divide."""
     if levels < 1:
         raise ConfigError(f"levels must be >= 1, got {levels}")
+    if not 0.0 < base_tau < math.inf:
+        raise ConfigError(f"the base step must be positive and finite, got base_tau={base_tau!r}")
     # ldexp, as base_tau / 2**i overflows converting 2**i once i > 1023; the
     # finest step is checked before the steps are counted.
     finest = math.ldexp(base_tau, 1 - levels)

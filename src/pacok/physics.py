@@ -17,7 +17,9 @@ loses the bound-preservation guarantee.
 Bound constants L_W'' = max |W''|, L_f' = max |f'|, L_f'' = max |f''| over
 [0, 1] enter every stability condition.  They are the closed forms 36,
 3/2 and 6 for the cubic and 36, 1 and 0 for the linear choice; a clamped
-extension agrees with f on [0, 1] and has the constants of its f.
+extension agrees with f on [0, 1] and has the constants of its f.  The
+model is one value, :class:`ModelParams`: its scalars, the choice of f and
+of its extension, and the constants and endpoint property that choice has.
 
 The explicit right-hand side of one stabilized semi-implicit step is
 
@@ -31,8 +33,8 @@ an external potential U attached) the interaction terms are replaced by
 
 W' and f' share q = p^2 - p: W'(p) = 36 q (2p - 1), and for the cubic
 f'(p) = -6 q.  A :class:`Problem`, built once per run, is the run's model:
-its parameters, its indicator, the bounds of its force, the operator arrays,
-each built once from its symbol with no second copy kept, and every
+its parameters with their indicator, the bounds of its force, the operator
+arrays, each built once from its symbol with no second copy kept, and every
 grid-sized buffer of a time step.  Its methods are the array kernel of the
 step; the kernel writes into the problem's buffers and into the field its
 caller passes.
@@ -57,37 +59,25 @@ class FKind(enum.Enum):
     LINEAR = "linear"
 
 
-@dataclass(frozen=True)
-class NonlinearSpec:
-    """Choice of indicator nonlinearity f and whether to clamp it outside [0, 1]."""
-
-    f_kind: FKind = FKind.CUBIC_HERMITE
-    use_extension: bool = False
-
-    def __post_init__(self):
-        if not isinstance(self.f_kind, FKind):
-            raise ConfigError(f"f_kind must be an FKind, got {self.f_kind!r}")
-
-    @property
-    def endpoint_compatible(self) -> bool:
-        """True when f(0)=0, f(1)=1, f'(0)=f'(1)=0 hold.
-
-        The discrete bound-preservation and energy-decay guarantees are
-        proved only for such f; the linear choice is not covered.
-        """
-        return self.f_kind is FKind.CUBIC_HERMITE
+# (L_W'', L_f', L_f'') of each indicator, in closed form.
+_BOUND_CONSTANTS = {
+    FKind.CUBIC_HERMITE: (36.0, 1.5, 6.0),
+    FKind.LINEAR: (36.0, 1.0, 0.0),
+}
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Scalar physics and scheme parameters.
+    """The model: scalar physics and scheme parameters and the indicator f.
 
-    epsilon : interface width (> 0)
-    gamma   : long-range coupling strength (finite, >= 0)
-    M       : volume penalty constant (finite, >= 0)
-    omega   : relative volume in (0, 1)
-    kappa   : stabilizing splitting constant (finite, >= 0)
-    tau     : time step (> 0)
+    epsilon   : interface width (> 0)
+    gamma     : long-range coupling strength (finite, >= 0)
+    M         : volume penalty constant (finite, >= 0)
+    omega     : relative volume in (0, 1)
+    kappa     : stabilizing splitting constant (finite, >= 0)
+    tau       : time step (> 0)
+    f         : the indicator, an :class:`FKind`
+    extension : whether f is clamped outside [0, 1]
     """
 
     epsilon: float
@@ -96,8 +86,13 @@ class ModelParams:
     omega: float
     kappa: float
     tau: float
+    f: FKind = FKind.CUBIC_HERMITE
+    extension: bool = False
 
     def __post_init__(self):
+        # A string would otherwise step with the linear f and miss the constants' table.
+        if not isinstance(self.f, FKind):
+            raise ConfigError(f"f must be an FKind, got {self.f!r}")
         if not (np.isfinite(self.epsilon) and self.epsilon > 0.0):
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
         for name in ("gamma", "M", "kappa"):
@@ -114,47 +109,20 @@ class ModelParams:
         """max(omega, 1 - omega), the worst-case magnitude of f - omega."""
         return max(self.omega, 1.0 - self.omega)
 
+    @property
+    def endpoint_compatible(self) -> bool:
+        """True when f(0)=0, f(1)=1, f'(0)=f'(1)=0 hold.
 
-@dataclass(frozen=True)
-class LipschitzConstants:
-    """Max-norm bounds of W'', f', f'' over [0, 1]."""
+        The discrete bound-preservation and energy-decay guarantees are
+        proved only for such f; the linear choice is not covered.
+        """
+        return self.f is FKind.CUBIC_HERMITE
 
-    L_Wpp: float
-    L_fp: float
-    L_fpp: float
-
-
-_CLOSED_FORM = {
-    FKind.CUBIC_HERMITE: (36.0, 1.5, 6.0),
-    FKind.LINEAR: (36.0, 1.0, 0.0),
-}
-
-
-def lipschitz_constants(spec: NonlinearSpec) -> LipschitzConstants:
-    """The closed-form bound constants of ``spec.f_kind``; the clamped
-    extension agrees with f on [0, 1], so it has the same ones."""
-    return LipschitzConstants(*_CLOSED_FORM[spec.f_kind])
-
-
-def mismatch_values(
-    spec: NonlinearSpec, s: np.ndarray, omega: float, out: np.ndarray, clamped=None
-) -> np.ndarray:
-    """f(s) - omega into ``out``, f(s) = (3 - 2s) s s for the cubic; 0 gives f(s).
-
-    The clamped extensions clip ``s`` into ``clamped`` first (a new array
-    when it is None).
-    """
-    if spec.use_extension:
-        s = np.clip(s, 0.0, 1.0, out=clamped)
-    if spec.f_kind is FKind.CUBIC_HERMITE:
-        np.multiply(2.0, s, out=out)
-        np.subtract(3.0, out, out=out)
-        out *= s
-        out *= s
-        out -= omega
-    else:
-        np.subtract(s, omega, out=out)
-    return out
+    @property
+    def bound_constants(self) -> tuple[float, float, float]:
+        """(L_W'', L_f', L_f''), the max-norms of W'', f', f'' over [0, 1]; the
+        clamped extension agrees with f on [0, 1], so it has the same ones."""
+        return _BOUND_CONSTANTS[self.f]
 
 
 def _interleaved(a: np.ndarray) -> np.ndarray:
@@ -184,6 +152,7 @@ class Problem:
     cubic f, f' = -6 q, so k = 6 and rhs = A s + q (k g + c - 2c s); for the
     other indicators k = -1 and rhs = A s + q (c - 2c s) + k g f'(s).
 
+    f is the one ``params`` names; :meth:`mismatch` evaluates f(s) - omega.
     The multiplier and the reciprocal of the denominator are interleaved
     (see :func:`_interleaved`); the energy takes the symbols' mirror
     weights, ``symbol_weights`` and ``op_weights``.
@@ -212,18 +181,17 @@ class Problem:
         self,
         grid: PeriodicGrid,
         params: ModelParams,
-        spec: NonlinearSpec,
         op: LongRangeOp,
         potential_values: np.ndarray | None = None,
     ):
         if potential_values is not None and op.kind is not OpKind.NONE:
             raise ConfigError("an external potential requires operator kind 'none'")
-        self.grid, self.params, self.spec = grid, params, spec
+        self.grid, self.params = grid, params
         self.potential_values = potential_values
         self.axes = tuple(range(-grid.dim, 0))
         self.half_shape = grid.shape[:-1] + (grid.shape[-1] // 2 + 1,)
         tau, eps = params.tau, params.epsilon
-        self.fused = spec.f_kind is FKind.CUBIC_HERMITE and not spec.use_extension
+        self.fused = params.f is FKind.CUBIC_HERMITE and not params.extension
         k = 6.0 if self.fused else -1.0
         self.A = 1.0 + tau * params.kappa / eps
         self.c = 36.0 * tau / eps
@@ -255,7 +223,7 @@ class Problem:
             self.potential_force.setflags(write=False)
         self.q = np.empty(grid.shape)
         self.work = np.empty(grid.shape)
-        self.clamped = np.empty(grid.shape) if spec.use_extension else None
+        self.clamped = np.empty(grid.shape) if params.extension else None
         self.phi_hat = np.empty(self.half_shape, complex)
         self.mismatch_hat = None if self.multiplier is None else np.empty(self.half_shape, complex)
         # The inverse transforms' scratch spectrum is the mismatch spectrum, if there is one.
@@ -283,7 +251,7 @@ class Problem:
         """Make ``s`` the current field: set q and, outside solvation mode, its
         volume and mismatch spectrum."""
         if self.potential_values is None:
-            f = mismatch_values(self.spec, s, self.params.omega, self.work, self.clamped)
+            f = self.mismatch(s, self.params.omega)
             if self.multiplier is None:
                 self.volume = self.grid.cell_measure * float(np.sum(f))
             else:
@@ -291,6 +259,24 @@ class Problem:
                 self.volume = self.grid.cell_measure * float(spectrum[(0,) * self.grid.dim].real)
         np.multiply(s, s, out=self.q)
         self.q -= s
+
+    def mismatch(self, s: np.ndarray, omega: float) -> np.ndarray:
+        """f(s) - omega into ``work``, f(s) = (3 - 2s) s s for the cubic; 0 gives f(s).
+
+        The clamped extensions clip ``s`` into ``clamped`` first.
+        """
+        if self.params.extension:
+            s = np.clip(s, 0.0, 1.0, out=self.clamped)
+        out = self.work
+        if self.params.f is FKind.CUBIC_HERMITE:
+            np.multiply(2.0, s, out=out)
+            np.subtract(3.0, out, out=out)
+            out *= s
+            out *= s
+            out -= omega
+        else:
+            np.subtract(s, omega, out=out)
+        return out
 
     def start(self, s: np.ndarray) -> None:
         """:meth:`load` ``s`` and put rfftn(s) in ``phi_hat``: the state a run starts from."""
@@ -313,7 +299,7 @@ class Problem:
 
     def rhs(self, s: np.ndarray, g, out: np.ndarray) -> np.ndarray:
         """The right-hand side for the current field ``s`` and its :meth:`force`, into ``out``."""
-        if self.spec.use_extension:
+        if self.params.extension:
             g = self._times_slope(s, g, out)
         np.multiply(s, -2.0 * self.c, out=out)
         if self.fused:
@@ -331,7 +317,7 @@ class Problem:
         cubic and 1 for the linear f, c = s clipped to [0, 1], and 0 outside [0, 1];
         ``scratch`` is overwritten."""
         slope = np.clip(s, 0.0, 1.0, out=self.clamped)
-        if self.spec.f_kind is FKind.CUBIC_HERMITE:
+        if self.params.f is FKind.CUBIC_HERMITE:
             np.subtract(1.0, slope, out=scratch)
             slope *= 6.0
             slope *= scratch

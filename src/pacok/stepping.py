@@ -45,9 +45,11 @@ is linear in f, B = max|U| and I = 0.
   bounds:  1/tau + kappa/eps >= L_W''/eps + L_f'' B,
   energy:  kappa/eps >= L_W''/eps + L_f'' B + L_f'^2 I.
 
-The energy condition implies the bounds condition, and the continuous-level
-bounds condition is eps B / 6 <= 1.  Both proofs also require
-f'(0) = f'(1) = 0, so with the linear indicator the guarantees are
+L_W'', L_f' and L_f'' are the bound constants of the problem's
+:class:`pacok.physics.ModelParams`, which names f.  The energy condition
+implies the bounds condition, and the continuous-level bounds condition is
+eps B / 6 <= 1.  Both proofs also require f'(0) = f'(1) = 0
+(``endpoint_compatible``), so with the linear indicator the guarantees are
 reported as unsatisfied no matter the arithmetic.  When the run's problem
 certifies a guarantee, :func:`run` enforces it at run time and raises on
 violation; outside the conditions violations are possible and are only
@@ -66,7 +68,7 @@ from .errors import (
     BlowupError, ConfigError, EnergyIncreaseError, GridMismatchError, MppViolationError,
 )
 from .grid import GridField
-from .physics import Problem, lipschitz_constants
+from .physics import Problem
 
 MPP_TOL = 1e-10
 ENERGY_TOL = 1e-9
@@ -134,16 +136,17 @@ class ConditionReport:
 
 def check_conditions(problem: Problem) -> ConditionReport:
     """Evaluate the bounds and energy-decay conditions of ``problem``, which read its
-    parameters, indicator, ``force_bound`` and ``interaction_norm``."""
-    params, spec = problem.params, problem.spec
-    lc = lipschitz_constants(spec)
+    parameters (with their indicator's bound constants), ``force_bound`` and
+    ``interaction_norm``."""
+    params = problem.params
+    L_Wpp, L_fp, L_fpp = params.bound_constants
     eps = params.epsilon
-    mpp_rhs = lc.L_Wpp / eps + lc.L_fpp * problem.force_bound
-    es_rhs = mpp_rhs + lc.L_fp**2 * problem.interaction_norm
+    mpp_rhs = L_Wpp / eps + L_fpp * problem.force_bound
+    es_rhs = mpp_rhs + L_fp**2 * problem.interaction_norm
     continuous_lhs = eps / 6.0 * problem.force_bound
     mpp_lhs = 1.0 / params.tau + params.kappa / eps
     es_lhs = params.kappa / eps
-    compatible = spec.endpoint_compatible
+    compatible = params.endpoint_compatible
     return ConditionReport(
         op_norm=problem.op_norm,
         mpp_lhs=mpp_lhs,

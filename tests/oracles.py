@@ -12,7 +12,7 @@ import numpy as np
 
 from pacok.energy import problem_energy
 from pacok.grid import GridField, inner_product_h
-from pacok.physics import FKind, NonlinearSpec, Problem
+from pacok.physics import FKind, ModelParams, Problem
 from pacok.spectral import LongRangeOp, multiplier_array
 
 
@@ -42,34 +42,35 @@ def _clamp01(s):
     return np.clip(s, 0.0, 1.0)
 
 
-def f_eval(spec: NonlinearSpec, s):
+def f_eval(params: ModelParams, s):
+    """The indicator that ``params`` names, at ``s``."""
     s = np.asarray(s, dtype=np.float64)
-    arg = _clamp01(s) if spec.use_extension else s
-    if spec.f_kind is FKind.CUBIC_HERMITE:
+    arg = _clamp01(s) if params.extension else s
+    if params.f is FKind.CUBIC_HERMITE:
         out = (3.0 - 2.0 * arg) * arg * arg
     else:
         out = np.array(arg, dtype=np.float64)
     return float(out) if out.ndim == 0 else out
 
 
-def f_prime(spec: NonlinearSpec, s):
+def f_prime(params: ModelParams, s):
     s = np.asarray(s, dtype=np.float64)
-    if spec.f_kind is FKind.CUBIC_HERMITE:
-        arg = _clamp01(s) if spec.use_extension else s
+    if params.f is FKind.CUBIC_HERMITE:
+        arg = _clamp01(s) if params.extension else s
         # f'(0) = f'(1) = 0, so clamping alone zeroes the slope outside.
         out = 6.0 * arg * (1.0 - arg)
     else:
         out = np.ones_like(s)
-        if spec.use_extension:
+        if params.extension:
             out = np.where((s < 0.0) | (s > 1.0), 0.0, out)
     return float(out) if out.ndim == 0 else out
 
 
-def f_pprime(spec: NonlinearSpec, s):
+def f_pprime(params: ModelParams, s):
     s = np.asarray(s, dtype=np.float64)
-    if spec.f_kind is FKind.CUBIC_HERMITE:
+    if params.f is FKind.CUBIC_HERMITE:
         out = 6.0 - 12.0 * s
-        if spec.use_extension:
+        if params.extension:
             out = np.where((s < 0.0) | (s > 1.0), 0.0, out)
     else:
         out = np.zeros_like(s)
@@ -109,34 +110,34 @@ def mean_h(a: GridField) -> float:
     return inner_product_h(a, GridField.constant(a.grid, 1.0)) / a.grid.measure
 
 
-def volume_term(phi_values, grid, spec, omega) -> float:
+def volume_term(phi_values, grid, params) -> float:
     """Riemann sum <f(phi) - omega, 1>_h of the volume mismatch."""
-    return grid.cell_measure * float(np.sum(f_eval(spec, phi_values) - omega))
+    return grid.cell_measure * float(np.sum(f_eval(params, phi_values) - params.omega))
 
 
-def mismatch_spectrum(phi_values, spec, omega) -> np.ndarray:
+def mismatch_spectrum(phi_values, params) -> np.ndarray:
     """Half spectrum ``rfftn(f(phi) - omega)``; its zero mode is the volume sum."""
-    return np.fft.rfftn(f_eval(spec, phi_values) - omega)
+    return np.fft.rfftn(f_eval(params, phi_values) - params.omega)
 
 
-def assemble_rhs_array(phi_values, grid, params, spec, op, potential_values=None, *, problem=None):
+def assemble_rhs_array(phi_values, grid, params, op, potential_values=None, *, problem=None):
     """A new array holding the kernel's right-hand side of one step from ``phi_values``."""
     if problem is None:
-        problem = Problem(grid, params, spec, op, potential_values)
+        problem = Problem(grid, params, op, potential_values)
     problem.load(phi_values)
     return problem.rhs(phi_values, problem.force(), np.empty(grid.shape))
 
 
-def assemble_rhs(phi, params, spec, op, potential=None) -> GridField:
+def assemble_rhs(phi, params, op, potential=None) -> GridField:
     """The right-hand side F(phi) of one step, as a field."""
     pot = potential.values if potential is not None else None
-    return GridField(phi.grid, assemble_rhs_array(phi.values, phi.grid, params, spec, op, pot))
+    return GridField(phi.grid, assemble_rhs_array(phi.values, phi.grid, params, op, pot))
 
 
-def field_energy(phi, params, spec, op, potential=None):
+def field_energy(phi, params, op, potential=None):
     """The energy of ``phi`` as a run computes it at its start: a new
     problem on the field's grid, the field loaded with its solve spectrum."""
     pot = potential.values if potential is not None else None
-    problem = Problem(phi.grid, params, spec, op, pot)
+    problem = Problem(phi.grid, params, op, pot)
     problem.start(phi.values)
     return problem_energy(problem, phi.values)

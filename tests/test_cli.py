@@ -383,6 +383,18 @@ def test_converge_with_a_step_that_is_not_positive_exits_2(bench_tau, capsys):
     )
 
 
+@pytest.mark.parametrize("base_tau", ["0", "-5e-4", "nan"])
+def test_converge_with_a_base_step_that_is_not_positive_and_finite_names_it(base_tau, capsys):
+    argv = ["converge", "--eps-factors", "4", "--n", "8", "--levels", "2", "--t-end", "0.002",
+            f"--base-tau={base_tau}"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "error: config: the base step must be positive and finite, "
+        f"got base_tau={float(base_tau)!r}\n"
+    )
+
+
 @pytest.mark.parametrize("operator, stencils", [("inverse_laplacian", 2), ("custom", 1)])
 def test_run_builds_the_multiplier_once(tmp_path, monkeypatch, operator, stencils):
     # Each function is counted wherever a pacok module binds it.  The stencil

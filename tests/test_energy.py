@@ -3,14 +3,12 @@ import pytest
 
 from pacok.energy import EnergyBreakdown, problem_energy
 from pacok.grid import GridField, PeriodicGrid
-from pacok.physics import FKind, ModelParams, NonlinearSpec, Problem
+from pacok.physics import FKind, ModelParams, Problem
 from pacok.spectral import LongRangeOp, OpKind
 from pacok.stepping import SchemeState, step
 
 from oracles import W_eval, apply_laplacian, apply_long_range, f_eval, field_energy
 from test_spectral import dense_laplacian, random_even_table, table_from_dict
-
-CUBIC = NonlinearSpec(FKind.CUBIC_HERMITE)
 
 
 def params(**kwargs):
@@ -36,8 +34,8 @@ class TestDiscreteEnergy:
         g = PeriodicGrid((32, 32), (1.0, 1.0))
         p = params(omega=0.3)
         w_star = solve_f_equals(p.omega)
-        assert f_eval(CUBIC, w_star) == pytest.approx(p.omega, abs=1e-14)
-        e = field_energy(GridField.constant(g, w_star), p, CUBIC, LongRangeOp.inverse_laplacian())
+        assert f_eval(p, w_star) == pytest.approx(p.omega, abs=1e-14)
+        e = field_energy(GridField.constant(g, w_star), p, LongRangeOp.inverse_laplacian())
         assert e.interfacial == pytest.approx(0.0, abs=1e-12)
         assert e.longrange == pytest.approx(0.0, abs=1e-12)
         assert e.penalty == pytest.approx(0.0, abs=1e-12)
@@ -47,7 +45,7 @@ class TestDiscreteEnergy:
         # Phi = 0, omega = 0.3, M = 2000 on |T| = 2: penalty = (M/2)(0.3*2)^2 = 360.
         g = PeriodicGrid((64,), (1.0,))
         p = params(omega=0.3, M=2000.0)
-        e = field_energy(GridField.constant(g, 0.0), p, CUBIC, LongRangeOp.inverse_laplacian())
+        e = field_energy(GridField.constant(g, 0.0), p, LongRangeOp.inverse_laplacian())
         assert e.penalty == pytest.approx(360.0, rel=1e-12)
         assert e.well == 0.0
         assert e.interfacial == pytest.approx(0.0, abs=1e-13)
@@ -62,14 +60,14 @@ class TestDiscreteEnergy:
         G = np.linalg.pinv(-L)
         v = phi.values.ravel()
         dx = g.cell_measure
-        mismatch = f_eval(CUBIC, v) - p.omega
+        mismatch = f_eval(p, v) - p.omega
         expected = (
             -0.5 * p.epsilon * dx * v @ (L @ v)
             + dx * np.sum(W_eval(v)) / p.epsilon
             + 0.5 * p.gamma * dx * mismatch @ (G @ mismatch)
             + 0.5 * p.M * (dx * np.sum(mismatch)) ** 2
         )
-        e = field_energy(phi, p, CUBIC, LongRangeOp.inverse_laplacian())
+        e = field_energy(phi, p, LongRangeOp.inverse_laplacian())
         assert e.total == pytest.approx(expected, abs=1e-10 * max(1.0, abs(expected)))
 
     def test_translation_invariance(self):
@@ -77,9 +75,9 @@ class TestDiscreteEnergy:
         p = params()
         rng = np.random.default_rng(32)
         phi = GridField(g, rng.uniform(0.0, 1.0, size=g.shape))
-        e0 = field_energy(phi, p, CUBIC, LongRangeOp.inverse_laplacian())
+        e0 = field_energy(phi, p, LongRangeOp.inverse_laplacian())
         shifted = GridField(g, np.roll(phi.values, (5, -9), axis=(0, 1)))
-        e1 = field_energy(shifted, p, CUBIC, LongRangeOp.inverse_laplacian())
+        e1 = field_energy(shifted, p, LongRangeOp.inverse_laplacian())
         assert e1.total == pytest.approx(e0.total, rel=1e-10)
         assert e1.interfacial == pytest.approx(e0.interfacial, rel=1e-10)
         assert e1.longrange == pytest.approx(e0.longrange, rel=1e-10)
@@ -91,7 +89,7 @@ class TestDiscreteEnergy:
         for op in [LongRangeOp.inverse_laplacian(), LongRangeOp.helmholtz(0.3)]:
             for _ in range(10):
                 phi = GridField(g, rng.uniform(0.0, 1.0, size=g.shape))
-                e = field_energy(phi, p, CUBIC, op)
+                e = field_energy(phi, p, op)
                 assert e.interfacial >= -1e-12
                 assert e.well >= 0.0
                 assert e.penalty >= 0.0
@@ -104,8 +102,8 @@ class TestDiscreteEnergy:
         rng = np.random.default_rng(34)
         phi = GridField(g, rng.uniform(0.0, 1.0, size=g.shape))
         pot = GridField(g, rng.standard_normal(g.shape))
-        e = field_energy(phi, p, CUBIC, LongRangeOp.none(), potential=pot)
-        expected = g.cell_measure * np.sum(f_eval(CUBIC, phi.values) * pot.values)
+        e = field_energy(phi, p, LongRangeOp.none(), potential=pot)
+        expected = g.cell_measure * np.sum(f_eval(p, phi.values) * pot.values)
         assert e.longrange == pytest.approx(expected, rel=1e-12)
         assert e.penalty == 0.0
 
@@ -114,12 +112,12 @@ class TestDiscreteEnergy:
         p = params()
         rng = np.random.default_rng(35)
         phi = GridField(g, rng.uniform(0.0, 1.0, size=g.shape))
-        e = field_energy(phi, p, CUBIC, LongRangeOp.none())
+        e = field_energy(phi, p, LongRangeOp.none())
         assert e.longrange == 0.0
         assert e.penalty > 0.0
 
 
-def stencil_energy(phi, params, spec, op, potential=None):
+def stencil_energy(phi, params, op, potential=None):
     """The energy as real-space sums: the stencil form through apply_laplacian
     and the long-range form through apply_long_range (test oracle)."""
     g = phi.grid
@@ -128,10 +126,10 @@ def stencil_energy(phi, params, spec, op, potential=None):
     interfacial = -0.5 * params.epsilon * dx * np.sum(apply_laplacian(phi).values * v)
     well = dx * np.sum(W_eval(v)) / params.epsilon
     if potential is not None:
-        longrange = dx * np.sum(f_eval(spec, v) * potential.values)
+        longrange = dx * np.sum(f_eval(params, v) * potential.values)
         penalty = 0.0
     else:
-        mismatch = f_eval(spec, v) - params.omega
+        mismatch = f_eval(params, v) - params.omega
         longrange = 0.0
         if op.kind is not OpKind.NONE:
             lr = apply_long_range(op, GridField(g, mismatch)).values
@@ -161,10 +159,11 @@ def operator(kind, sizes):
     }[kind]
 
 
-SPECS = {
-    "cubic": CUBIC,
-    "linear": NonlinearSpec(FKind.LINEAR),
-    "extension": NonlinearSpec(FKind.CUBIC_HERMITE, use_extension=True),
+# Each indicator, as ModelParams fields.
+INDICATORS = {
+    "cubic": {},
+    "linear": {"f": FKind.LINEAR},
+    "extension": {"extension": True},
 }
 
 
@@ -172,31 +171,29 @@ class TestParsevalEnergy:
     """The energy from the half spectra equals the real-space stencil form."""
 
     @pytest.mark.parametrize("dim", sorted(GRIDS))
-    @pytest.mark.parametrize("spec_name", sorted(SPECS))
+    @pytest.mark.parametrize("indicator", sorted(INDICATORS))
     @pytest.mark.parametrize(
         "kind", ["inverse_laplacian", "helmholtz", "garnet_film", "custom", "none"]
     )
-    def test_matches_stencil_form(self, dim, spec_name, kind):
+    def test_matches_stencil_form(self, dim, indicator, kind):
         g = PeriodicGrid(*GRIDS[dim])
-        p = params()
-        spec = SPECS[spec_name]
+        p = params(**INDICATORS[indicator])
         op = operator(kind, g.sizes)
         rng = np.random.default_rng(36)
         phi = GridField(g, rng.uniform(-0.1, 1.1, size=g.shape))
-        assert_parts_close(field_energy(phi, p, spec, op), stencil_energy(phi, p, spec, op))
+        assert_parts_close(field_energy(phi, p, op), stencil_energy(phi, p, op))
 
     @pytest.mark.parametrize("dim", sorted(GRIDS))
-    @pytest.mark.parametrize("spec_name", sorted(SPECS))
-    def test_potential_mode_matches_stencil_form(self, dim, spec_name):
+    @pytest.mark.parametrize("indicator", sorted(INDICATORS))
+    def test_potential_mode_matches_stencil_form(self, dim, indicator):
         g = PeriodicGrid(*GRIDS[dim])
-        p = params(gamma=0.0, M=0.0, omega=0.5)
-        spec = SPECS[spec_name]
+        p = params(gamma=0.0, M=0.0, omega=0.5, **INDICATORS[indicator])
         rng = np.random.default_rng(37)
         phi = GridField(g, rng.uniform(-0.1, 1.1, size=g.shape))
         pot = GridField(g, rng.standard_normal(g.shape))
         op = LongRangeOp.none()
         assert_parts_close(
-            field_energy(phi, p, spec, op, pot), stencil_energy(phi, p, spec, op, pot)
+            field_energy(phi, p, op, pot), stencil_energy(phi, p, op, pot)
         )
 
     @pytest.mark.parametrize("dim", sorted(GRIDS))
@@ -208,9 +205,9 @@ class TestParsevalEnergy:
         p = params()
         op = operator(kind, g.sizes)
         rng = np.random.default_rng(38)
-        problem = Problem(g, p, CUBIC, op)
+        problem = Problem(g, p, op)
         phi = GridField(g, rng.uniform(0.0, 1.0, size=g.shape))
         state = step(SchemeState(phi), problem)
         assert (problem.mismatch_hat is None) == (kind == "none")
         carried = problem_energy(problem, state.phi.values)
-        assert_parts_close(carried, stencil_energy(state.phi, p, CUBIC, op))
+        assert_parts_close(carried, stencil_energy(state.phi, p, op))

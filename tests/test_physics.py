@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,15 +8,7 @@ from hypothesis import strategies as st
 
 from pacok.errors import ConfigError
 from pacok.grid import GridField, PeriodicGrid
-from pacok.physics import (
-    FKind,
-    ModelParams,
-    NonlinearSpec,
-    Problem,
-    lipschitz_constants,
-    mismatch_values,
-    pvism_potential,
-)
+from pacok.physics import FKind, ModelParams, Problem, pvism_potential
 from pacok.spectral import (
     LongRangeOp, OpKind, impulse_response_norm, multiplier_array, stencil_symbol,
 )
@@ -33,11 +26,13 @@ from oracles import (
     volume_term,
 )
 
-CUBIC = NonlinearSpec(FKind.CUBIC_HERMITE)
-CUBIC_EXT = NonlinearSpec(FKind.CUBIC_HERMITE, use_extension=True)
-LINEAR = NonlinearSpec(FKind.LINEAR)
-LINEAR_EXT = NonlinearSpec(FKind.LINEAR, use_extension=True)
-ALL_SPECS = (CUBIC, CUBIC_EXT, LINEAR, LINEAR_EXT)
+PARAMS = ModelParams(epsilon=0.1, gamma=150.0, M=80.0, omega=0.3, kappa=40.0, tau=1e-3)
+# The four indicators, each on PARAMS.
+CUBIC = PARAMS
+CUBIC_EXT = replace(PARAMS, extension=True)
+LINEAR = replace(PARAMS, f=FKind.LINEAR)
+LINEAR_EXT = replace(LINEAR, extension=True)
+ALL_INDICATORS = (CUBIC, CUBIC_EXT, LINEAR, LINEAR_EXT)
 
 
 class TestDoubleWell:
@@ -100,46 +95,45 @@ class TestIndicator:
     def test_a_kind_that_is_not_an_fkind_is_refused(self):
         # A string would otherwise step with the linear f and make the
         # condition check fail on a missing table entry.
-        with pytest.raises(ConfigError, match="f_kind must be an FKind, got 'cubic'"):
-            NonlinearSpec("cubic")
+        with pytest.raises(ConfigError, match="f must be an FKind, got 'cubic'"):
+            replace(PARAMS, f="cubic")
 
 
-class TestLipschitzConstants:
+class TestBoundConstants:
     def test_cubic_values(self):
-        lc = lipschitz_constants(CUBIC)
-        assert lc.L_Wpp == pytest.approx(36.0, abs=1e-9)
-        assert lc.L_fp == pytest.approx(1.5, abs=1e-9)
-        assert lc.L_fpp == pytest.approx(6.0, abs=1e-9)
+        L_Wpp, L_fp, L_fpp = CUBIC.bound_constants
+        assert L_Wpp == pytest.approx(36.0, abs=1e-9)
+        assert L_fp == pytest.approx(1.5, abs=1e-9)
+        assert L_fpp == pytest.approx(6.0, abs=1e-9)
 
     def test_linear_values(self):
-        lc = lipschitz_constants(LINEAR)
-        assert lc.L_Wpp == pytest.approx(36.0, abs=1e-9)
-        assert lc.L_fp == pytest.approx(1.0, abs=1e-9)
-        assert lc.L_fpp == 0.0
+        L_Wpp, L_fp, L_fpp = LINEAR.bound_constants
+        assert L_Wpp == pytest.approx(36.0, abs=1e-9)
+        assert L_fp == pytest.approx(1.0, abs=1e-9)
+        assert L_fpp == 0.0
 
     def test_grid_maximization_oracle(self):
         s = np.linspace(0.0, 1.0, 1_000_001)
         assert np.max(np.abs(f_prime(CUBIC, s))) == pytest.approx(1.5, abs=1e-9)
         assert np.max(np.abs(f_pprime(CUBIC, s))) == pytest.approx(6.0, abs=1e-9)
 
-    @pytest.mark.parametrize("spec", ALL_SPECS)
-    def test_dyadic_grid_gives_the_dense_grid_constants(self, spec):
+    @pytest.mark.parametrize("model", ALL_INDICATORS)
+    def test_dyadic_grid_gives_the_dense_grid_constants(self, model):
         # The constants of the former 10^6 + 1 point grid, bit for bit.
         s = np.linspace(0.0, 1.0, 1_000_001)
-        inner = NonlinearSpec(spec.f_kind)
+        inner = replace(model, extension=False)
         dense = (
             float(np.max(np.abs(W_pprime(s)))),
             float(np.max(np.abs(f_prime(inner, s)))),
             float(np.max(np.abs(f_pprime(inner, s)))),
         )
-        lc = lipschitz_constants(spec)
-        assert (lc.L_Wpp, lc.L_fp, lc.L_fpp) == dense
+        assert model.bound_constants == dense
 
-    @pytest.mark.parametrize("spec", ALL_SPECS)
-    def test_peak_memory_below_one_megabyte(self, spec):
+    @pytest.mark.parametrize("model", ALL_INDICATORS)
+    def test_peak_memory_below_one_megabyte(self, model):
         tracemalloc.start()
         try:
-            lipschitz_constants(spec)
+            model.bound_constants
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -182,13 +176,13 @@ class TestModelParams:
             ModelParams(**base)
 
 
-def mpp_satisfying_params(grid, spec, op, gamma, M, omega, epsilon, tau, margin=1.0):
-    """Smallest stabilizer satisfying the bound-preservation condition, plus margin."""
-    lc = lipschitz_constants(spec)
+def mpp_satisfying_params(grid, op, gamma, M, omega, epsilon, tau, margin=1.0):
+    """Smallest stabilizer satisfying the cubic's bound-preservation condition, plus margin."""
+    L_Wpp, _, L_fpp = CUBIC.bound_constants
     op_norm = 0.0
     if op.kind is not OpKind.NONE:
         op_norm = impulse_response_norm(multiplier_array(op, grid), grid)
-    rhs = lc.L_Wpp / epsilon + max(omega, 1 - omega) * lc.L_fpp * (
+    rhs = L_Wpp / epsilon + max(omega, 1 - omega) * L_fpp * (
         gamma * op_norm + M * grid.measure
     )
     kappa = max(0.0, epsilon * (rhs - 1.0 / tau)) + margin
@@ -199,13 +193,13 @@ class TestAssembleRhs:
     def test_zero_field_is_fixed(self):
         g = PeriodicGrid((16, 16), (1.0, 1.0))
         params = ModelParams(epsilon=0.1, gamma=100.0, M=50.0, omega=0.3, kappa=10.0, tau=1e-3)
-        out = assemble_rhs(GridField.constant(g, 0.0), params, CUBIC, LongRangeOp.inverse_laplacian())
+        out = assemble_rhs(GridField.constant(g, 0.0), params, LongRangeOp.inverse_laplacian())
         assert np.max(np.abs(out.values)) == 0.0
 
     def test_one_field_maps_to_scheme_constant(self):
         g = PeriodicGrid((16,), (1.0,))
         params = ModelParams(epsilon=0.1, gamma=100.0, M=50.0, omega=0.3, kappa=10.0, tau=1e-3)
-        out = assemble_rhs(GridField.constant(g, 1.0), params, CUBIC, LongRangeOp.inverse_laplacian())
+        out = assemble_rhs(GridField.constant(g, 1.0), params, LongRangeOp.inverse_laplacian())
         expected = 1.0 + params.tau * params.kappa / params.epsilon
         assert np.max(np.abs(out.values - expected)) <= 1e-14
 
@@ -213,13 +207,13 @@ class TestAssembleRhs:
         g = PeriodicGrid((16, 16), (1.0, 1.0))
         op = LongRangeOp.inverse_laplacian()
         params = mpp_satisfying_params(
-            g, CUBIC, op, gamma=50.0, M=100.0, omega=0.3, epsilon=0.1, tau=1e-3
+            g, op, gamma=50.0, M=100.0, omega=0.3, epsilon=0.1, tau=1e-3
         )
         upper = 1.0 + params.tau * params.kappa / params.epsilon
         rng = np.random.default_rng(42)
         for _ in range(100):
             phi = GridField(g, rng.uniform(0.0, 1.0, size=g.shape))
-            out = assemble_rhs(phi, params, CUBIC, op)
+            out = assemble_rhs(phi, params, op)
             assert np.min(out.values) >= -1e-12
             assert np.max(out.values) <= upper + 1e-12
 
@@ -229,13 +223,14 @@ class TestAssembleRhs:
         # with excess volume elsewhere is pushed negative.
         g = PeriodicGrid((16,), (1.0,))
         op = LongRangeOp.inverse_laplacian()
-        params = ModelParams(epsilon=0.1, gamma=50.0, M=100.0, omega=0.3, kappa=4000.0, tau=1e-3)
+        params = ModelParams(epsilon=0.1, gamma=50.0, M=100.0, omega=0.3, kappa=4000.0, tau=1e-3,
+                             f=FKind.LINEAR)
         rng = np.random.default_rng(7)
         upper = 1.0 + params.tau * params.kappa / params.epsilon
         breached = False
         for _ in range(200):
             phi = GridField(g, rng.uniform(0.0, 1.0, size=g.shape))
-            out = assemble_rhs(phi, params, LINEAR, op)
+            out = assemble_rhs(phi, params, op)
             if np.min(out.values) < -1e-12 or np.max(out.values) > upper + 1e-12:
                 breached = True
                 break
@@ -246,7 +241,7 @@ class TestAssembleRhs:
         params = ModelParams(epsilon=0.1, gamma=0.0, M=0.0, omega=0.5, kappa=1.0, tau=1e-3)
         u = GridField.constant(g, 1.0)
         with pytest.raises(ConfigError):
-            assemble_rhs(u, params, CUBIC, LongRangeOp.inverse_laplacian(), potential=u)
+            assemble_rhs(u, params, LongRangeOp.inverse_laplacian(), potential=u)
 
     def test_solvation_form(self):
         g = PeriodicGrid((16,), (1.0,))
@@ -254,11 +249,11 @@ class TestAssembleRhs:
         rng = np.random.default_rng(3)
         phi = GridField(g, rng.uniform(0.0, 1.0, size=g.shape))
         pot = GridField(g, rng.standard_normal(g.shape))
-        out = assemble_rhs(phi, params, CUBIC, LongRangeOp.none(), potential=pot)
+        out = assemble_rhs(phi, params, LongRangeOp.none(), potential=pot)
         expected = (
             (1.0 + params.tau * params.kappa / params.epsilon) * phi.values
             - (params.tau / params.epsilon) * W_prime(phi.values)
-            - params.tau * pot.values * f_prime(CUBIC, phi.values)
+            - params.tau * pot.values * f_prime(params, phi.values)
         )
         assert np.max(np.abs(out.values - expected)) <= 1e-14
 
@@ -267,12 +262,12 @@ class TestAssembleRhs:
         params = ModelParams(epsilon=0.5, gamma=7.0, M=11.0, omega=0.3, kappa=0.0, tau=1e-2)
         rng = np.random.default_rng(4)
         phi = GridField(g, rng.uniform(0.0, 1.0, size=g.shape))
-        out = assemble_rhs(phi, params, CUBIC, LongRangeOp.none())
-        vol = volume_term(phi.values, g, CUBIC, params.omega)
+        out = assemble_rhs(phi, params, LongRangeOp.none())
+        vol = volume_term(phi.values, g, params)
         expected = (
             phi.values
             - (params.tau / params.epsilon) * W_prime(phi.values)
-            - params.tau * params.M * vol * f_prime(CUBIC, phi.values)
+            - params.tau * params.M * vol * f_prime(params, phi.values)
         )
         assert np.max(np.abs(out.values - expected)) <= 1e-14
 
@@ -336,19 +331,19 @@ class TestSolvationPotential:
         assert u_two.values[i] == single.values[i]
 
 
-def rhs_oracle(phi_values, grid, params, spec, op, potential_values=None):
+def rhs_oracle(phi_values, grid, params, op, potential_values=None):
     """The right-hand side as written before it was evaluated from q = s^2 - s."""
     tau = params.tau
     rhs = (1.0 + tau * params.kappa / params.epsilon) * phi_values
     rhs -= (tau / params.epsilon) * W_prime(phi_values)
-    fp = f_prime(spec, phi_values)
+    fp = f_prime(params, phi_values)
     if potential_values is not None:
         rhs -= tau * potential_values * fp
         return rhs
     if op.kind is OpKind.NONE:
-        vol = volume_term(phi_values, grid, spec, params.omega)
+        vol = volume_term(phi_values, grid, params)
     else:
-        mismatch_hat = mismatch_spectrum(phi_values, spec, params.omega)
+        mismatch_hat = mismatch_spectrum(phi_values, params)
         lr = np.fft.irfftn(
             mismatch_hat * multiplier_array(op, grid), s=grid.shape, axes=tuple(range(grid.dim))
         )
@@ -359,14 +354,12 @@ def rhs_oracle(phi_values, grid, params, spec, op, potential_values=None):
 
 
 class TestRhsKernel:
-    PARAMS = ModelParams(epsilon=0.1, gamma=150.0, M=80.0, omega=0.3, kappa=40.0, tau=1e-3)
-
-    @pytest.mark.parametrize("spec", ALL_SPECS)
+    @pytest.mark.parametrize("model", ALL_INDICATORS)
     @pytest.mark.parametrize("sizes", [(16,), (8, 12)])
     @pytest.mark.parametrize(
         "mode", ["inverse_laplacian", "helmholtz", "none", "potential"]
     )
-    def test_matches_the_former_formula(self, spec, sizes, mode):
+    def test_matches_the_former_formula(self, model, sizes, mode):
         g = PeriodicGrid(sizes, (1.0,) * len(sizes))
         rng = np.random.default_rng(sum(sizes))
         # Values outside [0, 1] exercise the clamped extensions.
@@ -380,70 +373,69 @@ class TestRhsKernel:
             op = LongRangeOp.none()
         else:
             op = LongRangeOp.inverse_laplacian()
-        expected = rhs_oracle(phi, g, self.PARAMS, spec, op, pot)
+        expected = rhs_oracle(phi, g, model, op, pot)
         scale = max(1.0, float(np.max(np.abs(expected))))
-        problem = Problem(g, self.PARAMS, spec, op, pot)
+        problem = Problem(g, model, op, pot)
         for out in (
-            assemble_rhs_array(phi, g, self.PARAMS, spec, op, pot),
-            assemble_rhs_array(phi, g, self.PARAMS, spec, op, pot, problem=problem),
+            assemble_rhs_array(phi, g, model, op, pot),
+            assemble_rhs_array(phi, g, model, op, pot, problem=problem),
         ):
             assert np.max(np.abs(out - expected)) <= 1e-12 * scale
 
-    @pytest.mark.parametrize("spec", [CUBIC_EXT, LINEAR_EXT])
-    def test_extension_slope_in_buffers_is_the_former_expression_bit_for_bit(self, spec):
+    @pytest.mark.parametrize("model", [CUBIC_EXT, LINEAR_EXT])
+    def test_extension_slope_in_buffers_is_the_former_expression_bit_for_bit(self, model):
         g = PeriodicGrid((8, 12), (1.0, 1.0))
         rng = np.random.default_rng(3)
         phi = rng.uniform(-0.3, 1.3, size=g.shape)
         phi[0, :3] = (0.0, 1.0, 0.5)
-        problem = Problem(g, self.PARAMS, spec, LongRangeOp.inverse_laplacian())
+        problem = Problem(g, model, LongRangeOp.inverse_laplacian())
         problem.load(phi)
         for force in (rng.standard_normal(g.shape), -2.5):
             expected = phi * (-2.0 * problem.c)
             expected += problem.c
             expected *= problem.q
-            expected += force * f_prime(spec, phi)
+            expected += force * f_prime(model, phi)
             expected += phi * problem.A
             assert np.array_equal(problem.rhs(phi, force, np.empty(g.shape)), expected)
 
-    @pytest.mark.parametrize("spec", ALL_SPECS)
-    def test_problem_mismatch_spectrum_is_bit_identical(self, spec):
+    @pytest.mark.parametrize("model", ALL_INDICATORS)
+    def test_problem_mismatch_spectrum_is_bit_identical(self, model):
         # The spectrum a run and a step start from, loaded into the kernel.
         for g in (PeriodicGrid((8, 12), (1.0, 1.0)), PeriodicGrid((24,), (1.0,))):
             phi = np.random.default_rng(5).uniform(-0.3, 1.3, size=g.shape)
-            problem = Problem(g, self.PARAMS, spec, LongRangeOp.inverse_laplacian())
+            problem = Problem(g, model, LongRangeOp.inverse_laplacian())
             problem.load(phi)
-            assert np.array_equal(problem.mismatch_hat,
-                                  mismatch_spectrum(phi, spec, self.PARAMS.omega))
+            assert np.array_equal(problem.mismatch_hat, mismatch_spectrum(phi, model))
 
     @pytest.mark.parametrize("sizes", [(24,), (8, 12)])
     def test_start_loads_the_field_and_its_transform(self, sizes):
         g = PeriodicGrid(sizes, (1.0,) * len(sizes))
         phi = np.random.default_rng(9).uniform(-0.3, 1.3, size=g.shape)
-        started = Problem(g, self.PARAMS, CUBIC, LongRangeOp.inverse_laplacian())
+        started = Problem(g, PARAMS, LongRangeOp.inverse_laplacian())
         started.start(phi)
-        loaded = Problem(g, self.PARAMS, CUBIC, LongRangeOp.inverse_laplacian())
+        loaded = Problem(g, PARAMS, LongRangeOp.inverse_laplacian())
         loaded.load(phi)
         assert np.array_equal(started.phi_hat, np.fft.rfftn(phi))
         assert np.array_equal(started.q, loaded.q)
         assert np.array_equal(started.mismatch_hat, loaded.mismatch_hat)
 
-    @pytest.mark.parametrize("spec", ALL_SPECS)
+    @pytest.mark.parametrize("model", ALL_INDICATORS)
     @pytest.mark.parametrize("omega", [0.0, 0.3])
-    def test_mismatch_values_is_f_eval_bit_for_bit(self, spec, omega):
-        # In place, with or without a buffer for the clamped field; s is left alone.
-        s = np.random.default_rng(7).uniform(-0.3, 1.3, size=(8, 12))
+    def test_mismatch_is_f_eval_bit_for_bit(self, model, omega):
+        # Into the problem's buffer; s is left alone.
+        g = PeriodicGrid((8, 12), (1.0, 1.0))
+        problem = Problem(g, model, LongRangeOp.inverse_laplacian())
+        s = np.random.default_rng(7).uniform(-0.3, 1.3, size=g.shape)
         before = s.copy()
-        for clamped in (None, np.empty_like(s)):
-            out = np.empty_like(s)
-            assert mismatch_values(spec, s, omega, out, clamped) is out
-            assert np.array_equal(out, f_eval(spec, s) - omega)
+        assert problem.mismatch(s, omega) is problem.work
+        assert np.array_equal(problem.work, f_eval(model, s) - omega)
         assert np.array_equal(s, before)
 
     @pytest.mark.parametrize("sizes", [(16,), (8, 12)])
     def test_interleaved_arrays_scale_like_the_complex_arithmetic(self, sizes):
         g = PeriodicGrid(sizes, (1.0,) * len(sizes))
-        p = self.PARAMS
-        problem = Problem(g, p, CUBIC, LongRangeOp.inverse_laplacian())
+        p = PARAMS
+        problem = Problem(g, p, LongRangeOp.inverse_laplacian())
         spectrum = np.fft.rfftn(np.random.default_rng(6).standard_normal(g.shape))
         denom = 1.0 + p.tau * p.kappa / p.epsilon + p.tau * p.epsilon * stencil_symbol(g)
         solved = spectrum.view(np.float64) * problem.inverse_denominator
@@ -457,7 +449,7 @@ class TestRhsKernel:
     def test_transforms_act_on_the_trailing_axes(self, sizes):
         # A leading batch axis transforms member by member.
         g = PeriodicGrid(sizes, (1.0,) * len(sizes))
-        problem = Problem(g, self.PARAMS, CUBIC, LongRangeOp.inverse_laplacian())
+        problem = Problem(g, PARAMS, LongRangeOp.inverse_laplacian())
         batch = np.random.default_rng(8).standard_normal((3,) + g.shape)
         spectra = problem.forward(batch, None)
         back = problem.inverse(spectra, np.empty_like(batch), np.empty_like(spectra))
@@ -468,7 +460,7 @@ class TestRhsKernel:
     def test_potential_requires_none_operator(self):
         g = PeriodicGrid((16,), (1.0,))
         with pytest.raises(ConfigError):
-            Problem(g, self.PARAMS, CUBIC, LongRangeOp.inverse_laplacian(), np.ones(g.shape))
+            Problem(g, PARAMS, LongRangeOp.inverse_laplacian(), np.ones(g.shape))
 
     @pytest.mark.parametrize(
         "op",
@@ -483,13 +475,13 @@ class TestRhsKernel:
         if op == "custom":
             op = LongRangeOp.custom(table_from_dict(random_even_table(g.sizes, 5)))
         expected = impulse_response_norm(multiplier_array(op, g), g)
-        assert Problem(g, self.PARAMS, CUBIC, op).op_norm == expected
+        assert Problem(g, PARAMS, op).op_norm == expected
 
     def test_operator_norm_is_max_abs_potential_or_0_without_either(self):
         g = PeriodicGrid((16,), (1.0,))
         potential = np.linspace(-3.0, 2.0, 16)
-        assert Problem(g, self.PARAMS, CUBIC, LongRangeOp.none(), potential).op_norm == 3.0
-        assert Problem(g, self.PARAMS, CUBIC, LongRangeOp.none()).op_norm == 0.0
+        assert Problem(g, PARAMS, LongRangeOp.none(), potential).op_norm == 3.0
+        assert Problem(g, PARAMS, LongRangeOp.none()).op_norm == 0.0
 
 
 BOUND_OPERATORS = {
@@ -504,7 +496,7 @@ BOUND_OPERATORS = {
 @settings(max_examples=200, deadline=None)
 @given(
     mode=st.sampled_from(sorted(BOUND_OPERATORS)),
-    spec=st.sampled_from(ALL_SPECS),
+    model=st.sampled_from(ALL_INDICATORS),
     dim=st.sampled_from([1, 2]),
     gamma=st.floats(0.0, 1e4),
     M=st.floats(0.0, 1e5),
@@ -513,14 +505,14 @@ BOUND_OPERATORS = {
     seed=st.integers(0, 2**32 - 1),
 )
 def test_force_bound_bounds_the_force_the_kernel_applies(
-    mode, spec, dim, gamma, M, omega, start, seed
+    mode, model, dim, gamma, M, omega, start, seed
 ):
     # The solvation potential is defined in 1D; on [-5, 5) it is not constant.
     dim = 1 if mode == "solvation" else dim
     g = PeriodicGrid((16,) * dim, (5.0,) * dim)
-    params = ModelParams(epsilon=0.1, gamma=gamma, M=M, omega=omega, kappa=0.0, tau=1e-3)
+    params = replace(model, gamma=gamma, M=M, omega=omega, kappa=0.0)
     potential = pvism_potential(g, [0.0]).values if mode == "solvation" else None
-    problem = Problem(g, params, spec, BOUND_OPERATORS[mode], potential)
+    problem = Problem(g, params, BOUND_OPERATORS[mode], potential)
     phi = {"random": np.random.default_rng(seed).uniform(0.0, 1.0, g.shape),
            "zeros": np.zeros(g.shape), "ones": np.ones(g.shape)}[start]
     problem.load(phi)

@@ -14,7 +14,7 @@ from pacok.errors import (
 from pacok.config import RunConfig
 from pacok.experiments import coarsening_preset, initial_random_piecewise, run_config
 from pacok.grid import GridField, PeriodicGrid
-from pacok.physics import FKind, ModelParams, NonlinearSpec, Problem
+from pacok.physics import FKind, ModelParams, Problem
 from pacok.spectral import LongRangeOp, impulse_response_norm, multiplier_array
 from pacok.stepping import (
     ConditionReport,
@@ -29,11 +29,8 @@ from pacok.stepping import (
 from oracles import W_prime, f_eval, f_prime
 from test_spectral import dense_laplacian, random_even_table, table_from_dict
 
-CUBIC = NonlinearSpec(FKind.CUBIC_HERMITE)
-LINEAR = NonlinearSpec(FKind.LINEAR)
 
-
-def dense_step_oracle(phi, params, spec, op_is_inverse_laplacian=True):
+def dense_step_oracle(phi, params, op_is_inverse_laplacian=True):
     """Reference step: dense stencil matrix, dense pseudo-inverse, direct solve."""
     g = phi.grid
     L = dense_laplacian(g)
@@ -41,11 +38,11 @@ def dense_step_oracle(phi, params, spec, op_is_inverse_laplacian=True):
     v = phi.values.ravel()
     tau, eps = params.tau, params.epsilon
     rhs = (1 + tau * params.kappa / eps) * v - (tau / eps) * W_prime(v)
-    mismatch = f_eval(CUBIC, v) - params.omega
+    mismatch = f_eval(params, v) - params.omega
     if op_is_inverse_laplacian:
-        rhs -= tau * params.gamma * (G @ mismatch) * f_prime(CUBIC, v)
+        rhs -= tau * params.gamma * (G @ mismatch) * f_prime(params, v)
     vol = g.cell_measure * np.sum(mismatch)
-    rhs -= tau * params.M * vol * f_prime(CUBIC, v)
+    rhs -= tau * params.M * vol * f_prime(params, v)
     A = (1 + tau * params.kappa / eps) * np.eye(g.num_cells) - tau * eps * L
     return np.linalg.solve(A, rhs).reshape(g.shape)
 
@@ -56,7 +53,7 @@ class TestCheckConditions:
         # so kappa = 0 already certifies the bounds.
         g = PeriodicGrid((32,), (1.0,))
         p = ModelParams(epsilon=0.1, gamma=0.0, M=0.0, omega=0.3, kappa=0.0, tau=1e-3)
-        r = check_conditions(Problem(g, p, CUBIC, LongRangeOp.inverse_laplacian()))
+        r = check_conditions(Problem(g, p, LongRangeOp.inverse_laplacian()))
         assert r.mpp_rhs == pytest.approx(360.0)
         assert r.mpp_lhs == pytest.approx(1000.0)
         assert r.mpp_ok
@@ -66,11 +63,11 @@ class TestCheckConditions:
         # gamma = M = 0: energy condition reduces to kappa >= L_W'' = 36.
         g = PeriodicGrid((32,), (1.0,))
         p = ModelParams(epsilon=0.1, gamma=0.0, M=0.0, omega=0.3, kappa=0.0, tau=1e-3)
-        r = check_conditions(Problem(g, p, CUBIC, LongRangeOp.inverse_laplacian()))
+        r = check_conditions(Problem(g, p, LongRangeOp.inverse_laplacian()))
         assert r.kappa_min_es == pytest.approx(36.0)
         assert not r.es_ok
         p36 = ModelParams(epsilon=0.1, gamma=0.0, M=0.0, omega=0.3, kappa=36.0, tau=1e-3)
-        assert check_conditions(Problem(g, p36, CUBIC, LongRangeOp.inverse_laplacian())).es_ok
+        assert check_conditions(Problem(g, p36, LongRangeOp.inverse_laplacian())).es_ok
 
     def test_paper_2d_setup_reported_consistently(self):
         # omega = 0.15, gamma = 1000, M = 1e4, |T^2| = 4, kappa = 2000: the
@@ -78,7 +75,7 @@ class TestCheckConditions:
         # reports must be internally consistent.
         g = PeriodicGrid((64, 64), (1.0, 1.0))
         p = ModelParams(epsilon=0.078125, gamma=1000.0, M=1e4, omega=0.15, kappa=2000.0, tau=2e-4)
-        r = check_conditions(Problem(g, p, CUBIC, LongRangeOp.inverse_laplacian()))
+        r = check_conditions(Problem(g, p, LongRangeOp.inverse_laplacian()))
         assert p.omega_tilde == 0.85
         assert r.mpp_ok == (r.mpp_lhs >= r.mpp_rhs)
         assert r.es_ok == (r.es_lhs >= r.es_rhs)
@@ -97,14 +94,15 @@ class TestCheckConditions:
                 kappa=rng.uniform(0.0, 5000.0),
                 tau=10.0 ** rng.uniform(-4, -2),
             )
-            r = check_conditions(Problem(g, p, CUBIC, LongRangeOp.inverse_laplacian()))
+            r = check_conditions(Problem(g, p, LongRangeOp.inverse_laplacian()))
             if r.es_ok:
                 assert r.mpp_ok
 
     def test_linear_f_never_certified(self):
         g = PeriodicGrid((32,), (1.0,))
-        p = ModelParams(epsilon=0.1, gamma=0.0, M=0.0, omega=0.3, kappa=1e6, tau=1e-3)
-        r = check_conditions(Problem(g, p, LINEAR, LongRangeOp.inverse_laplacian()))
+        p = ModelParams(epsilon=0.1, gamma=0.0, M=0.0, omega=0.3, kappa=1e6, tau=1e-3,
+                        f=FKind.LINEAR)
+        r = check_conditions(Problem(g, p, LongRangeOp.inverse_laplacian()))
         assert not r.mpp_ok and not r.es_ok
         assert r.es_lhs >= r.es_rhs  # arithmetic alone would pass
 
@@ -112,7 +110,7 @@ class TestCheckConditions:
         g = PeriodicGrid((64,), (5.0,))
         p = ModelParams(epsilon=0.5, gamma=0.0, M=0.0, omega=0.5, kappa=2000.0, tau=1e-4)
         u = GridField.constant(g, -7.0)
-        r = check_conditions(Problem(g, p, CUBIC, LongRangeOp.none(), u.values))
+        r = check_conditions(Problem(g, p, LongRangeOp.none(), u.values))
         assert r.op_norm == 7.0
         assert r.mpp_rhs == pytest.approx(36.0 / 0.5 + 6.0 * 7.0)
         assert r.mpp_ok and r.es_ok
@@ -130,7 +128,7 @@ class TestStep:
         op = LongRangeOp.inverse_laplacian()
         for c in (0.0, 1.0):
             s0 = SchemeState(GridField.constant(g, c))
-            s1 = step(s0, Problem(g, p, CUBIC, op))
+            s1 = step(s0, Problem(g, p, op))
             assert np.max(np.abs(s1.phi.values - c)) <= 1e-13
             assert s1.step_index == 1
             assert s1.time == pytest.approx(p.tau)
@@ -139,7 +137,7 @@ class TestStep:
         g = PeriodicGrid((32,), (1.0,))
         p = self.make_params(gamma=0.0, M=0.0)
         s0 = SchemeState(GridField.constant(g, 0.5))
-        s1 = step(s0, Problem(g, p, CUBIC, LongRangeOp.inverse_laplacian()))
+        s1 = step(s0, Problem(g, p, LongRangeOp.inverse_laplacian()))
         assert np.max(np.abs(s1.phi.values - 0.5)) <= 1e-14
 
     def test_matches_dense_oracle_8x8(self):
@@ -149,8 +147,8 @@ class TestStep:
         rng = np.random.default_rng(55)
         for _ in range(5):
             phi = GridField(g, rng.uniform(0.0, 1.0, size=g.shape))
-            expected = dense_step_oracle(phi, p, CUBIC)
-            got = step(SchemeState(phi), Problem(g, p, CUBIC, op))
+            expected = dense_step_oracle(phi, p)
+            got = step(SchemeState(phi), Problem(g, p, op))
             assert np.max(np.abs(got.phi.values - expected)) <= 1e-10
 
     def test_deterministic(self):
@@ -159,8 +157,8 @@ class TestStep:
         rng = np.random.default_rng(56)
         phi = GridField(g, rng.uniform(0.0, 1.0, size=g.shape))
         op = LongRangeOp.inverse_laplacian()
-        a = step(SchemeState(phi), Problem(g, p, CUBIC, op))
-        b = step(SchemeState(phi), Problem(g, p, CUBIC, op))
+        a = step(SchemeState(phi), Problem(g, p, op))
+        b = step(SchemeState(phi), Problem(g, p, op))
         assert np.array_equal(a.phi.values, b.phi.values)
 
     def test_blowup_names_step_index(self):
@@ -168,7 +166,7 @@ class TestStep:
         p = self.make_params(epsilon=1e-8, tau=10.0, kappa=0.0, gamma=0.0, M=0.0)
         rng = np.random.default_rng(57)
         state = SchemeState(GridField(g, rng.uniform(0.4, 0.6, size=g.shape)))
-        problem = Problem(g, p, CUBIC, LongRangeOp.inverse_laplacian())
+        problem = Problem(g, p, LongRangeOp.inverse_laplacian())
         with pytest.raises(BlowupError) as exc_info:
             for _ in range(10_000):
                 state = step(state, problem)
@@ -180,7 +178,7 @@ class TestStep:
         state = SchemeState(GridField.constant(PeriodicGrid((16,), (1.0,)), 0.3))
         for other in (PeriodicGrid((32,), (1.0,)), PeriodicGrid((16,), (2.0,))):
             with pytest.raises(GridMismatchError):
-                step(state, Problem(other, p, CUBIC, op))
+                step(state, Problem(other, p, op))
 
     @pytest.mark.parametrize(
         "op", [LongRangeOp.inverse_laplacian(), LongRangeOp.none()]
@@ -189,7 +187,7 @@ class TestStep:
         g = PeriodicGrid((16, 16), (1.0, 1.0))
         p = self.make_params()
         rng = np.random.default_rng(58)
-        problem = Problem(g, p, CUBIC, op)
+        problem = Problem(g, p, op)
         first = step(SchemeState(GridField(g, rng.uniform(0.0, 1.0, g.shape))), problem)
         saved = first.phi.values.copy()
         state = first
@@ -197,7 +195,7 @@ class TestStep:
             state = step(state, problem)
         assert not first.phi.values.flags.writeable
         assert np.array_equal(first.phi.values, saved)
-        again = step(first, Problem(g, p, CUBIC, op))   # a fresh problem gives the same step
+        again = step(first, Problem(g, p, op))   # a fresh problem gives the same step
         assert np.array_equal(again.phi.values, step(first, problem).phi.values)
 
 
@@ -239,7 +237,7 @@ class TestStepMemory:
             return new
 
         monkeypatch.setattr(stepping, "step", measured_step)
-        run(state0, Problem(state0.phi.grid, p, CUBIC, op), t_max=2 * p.tau, tol=0.0)
+        run(state0, Problem(state0.phi.grid, p, op), t_max=2 * p.tau, tol=0.0)
         field_bytes = 8 * n * n
         assert len(growth) == 1
         assert growth[0] <= 1.05 * field_bytes
@@ -253,7 +251,7 @@ class TestRun:
         g = PeriodicGrid((32,), (1.0,))
         p = ModelParams(epsilon=0.1, gamma=100.0, M=100.0, omega=0.5, kappa=100.0, tau=1e-3)
         s0 = SchemeState(GridField.constant(g, 0.5))
-        final, records = run(s0, Problem(g, p, CUBIC, LongRangeOp.inverse_laplacian()), t_max=1.0,
+        final, records = run(s0, Problem(g, p, LongRangeOp.inverse_laplacian()), t_max=1.0,
                              tol=1e-3)
         assert final.step_index == 1
         assert final.last_increment_linf <= 1e-14
@@ -264,7 +262,7 @@ class TestRun:
         p = ModelParams(epsilon=0.2, gamma=10.0, M=10.0, omega=0.3, kappa=50.0, tau=1e-2)
         rng = np.random.default_rng(58)
         s0 = SchemeState(GridField(g, rng.uniform(0.0, 1.0, size=g.shape)))
-        final, records = run(s0, Problem(g, p, CUBIC, LongRangeOp.inverse_laplacian()), t_max=0.1,
+        final, records = run(s0, Problem(g, p, LongRangeOp.inverse_laplacian()), t_max=0.1,
                              tol=0.0)
         assert final.step_index == 10
         assert final.time == pytest.approx(0.1)
@@ -277,7 +275,7 @@ class TestRun:
         rng = np.random.default_rng(59)
         s0 = SchemeState(GridField(g, rng.uniform(0.0, 1.0, size=g.shape)))
         _, records = run(
-            s0, Problem(g, p, CUBIC, LongRangeOp.inverse_laplacian()), t_max=0.1, tol=0.0,
+            s0, Problem(g, p, LongRangeOp.inverse_laplacian()), t_max=0.1, tol=0.0,
             record_every=4,
         )
         assert [r.n for r in records] == [0, 4, 8, 10]
@@ -290,7 +288,7 @@ class TestRun:
         rhs = 36.0 / eps + max(omega, 1 - omega) * 6.0 * (gamma * op_norm + M * g.measure)
         kappa = max(0.0, eps * (rhs - 1.0 / tau)) + 1.0
         p = ModelParams(epsilon=eps, gamma=gamma, M=M, omega=omega, kappa=kappa, tau=tau)
-        problem = Problem(g, p, CUBIC, op)
+        problem = Problem(g, p, op)
         r = check_conditions(problem)
         assert r.mpp_ok
         rng = np.random.default_rng(60)
@@ -303,11 +301,11 @@ class TestRun:
         g = PeriodicGrid((32, 32), (1.0, 1.0))
         op = LongRangeOp.inverse_laplacian()
         p0 = ModelParams(epsilon=0.1, gamma=100.0, M=100.0, omega=0.3, kappa=0.0, tau=1e-3)
-        r0 = check_conditions(Problem(g, p0, CUBIC, op))
+        r0 = check_conditions(Problem(g, p0, op))
         p = ModelParams(
             epsilon=0.1, gamma=100.0, M=100.0, omega=0.3, kappa=r0.kappa_min_es + 1.0, tau=1e-3
         )
-        problem = Problem(g, p, CUBIC, op)
+        problem = Problem(g, p, op)
         r = check_conditions(problem)
         assert r.es_ok
         rng = np.random.default_rng(61)
@@ -323,9 +321,10 @@ class TestRun:
         # the linear indicator the volume penalty keeps pushing at the pure
         # phases and random initials leave [0, 1] by more than 1e-3.
         g = PeriodicGrid((32,), (1.0,))
-        p = ModelParams(epsilon=0.02, gamma=100.0, M=100.0, omega=0.3, kappa=0.0, tau=2e-2)
+        p = ModelParams(epsilon=0.02, gamma=100.0, M=100.0, omega=0.3, kappa=0.0, tau=2e-2,
+                        f=FKind.LINEAR)
         op = LongRangeOp.inverse_laplacian()
-        problem = Problem(g, p, LINEAR, op)
+        problem = Problem(g, p, op)
         r = check_conditions(problem)
         assert not r.mpp_ok
         rng = np.random.default_rng(62)
@@ -348,7 +347,7 @@ class TestRun:
         g = PeriodicGrid((32,), (1.0,))
         p = ModelParams(epsilon=0.02, gamma=100.0, M=100.0, omega=0.3, kappa=0.0, tau=2e-2)
         op = LongRangeOp.inverse_laplacian()
-        problem = Problem(g, p, CUBIC, op)
+        problem = Problem(g, p, op)
         honest = check_conditions(problem)
         assert not honest.mpp_ok
         forged = ConditionReport(
@@ -375,9 +374,9 @@ class TestRun:
         p = ModelParams(epsilon=0.1, gamma=0.0, M=0.0, omega=0.3, kappa=0.0, tau=1e-3)
         s0 = SchemeState(GridField.constant(g, 0.5))
         with pytest.raises(ConfigError):
-            run(s0, Problem(g, p, CUBIC, LongRangeOp.none()), t_max=0.0)
+            run(s0, Problem(g, p, LongRangeOp.none()), t_max=0.0)
         with pytest.raises(ConfigError):
-            run(s0, Problem(g, p, CUBIC, LongRangeOp.none()), t_max=1.0, record_every=0)
+            run(s0, Problem(g, p, LongRangeOp.none()), t_max=1.0, record_every=0)
 
     def test_rejects_a_start_on_another_grid_than_the_problem(self, monkeypatch):
         # The grids are compared before row 0, so no energy is taken.
@@ -386,7 +385,7 @@ class TestRun:
         s0 = SchemeState(GridField.constant(PeriodicGrid((16,), (1.0,)), 0.5))
         for other in (PeriodicGrid((32,), (1.0,)), PeriodicGrid((16,), (2.0,))):
             with pytest.raises(GridMismatchError):
-                run(s0, Problem(other, p, CUBIC, LongRangeOp.inverse_laplacian()), t_max=0.01)
+                run(s0, Problem(other, p, LongRangeOp.inverse_laplacian()), t_max=0.01)
 
     def test_start_whose_energy_is_not_finite_is_a_config_error(self):
         # A finite field whose energy overflows: W(P) ~ P^4 is inf at 1e90.
@@ -394,7 +393,7 @@ class TestRun:
         p = ModelParams(epsilon=0.1, gamma=10.0, M=10.0, omega=0.3, kappa=50.0, tau=1e-2)
         s0 = SchemeState(GridField.constant(g, 1e90))
         with pytest.raises(ConfigError, match="starting field's energy is not finite"):
-            run(s0, Problem(g, p, CUBIC, LongRangeOp.inverse_laplacian()), t_max=0.1, tol=0.0)
+            run(s0, Problem(g, p, LongRangeOp.inverse_laplacian()), t_max=0.1, tol=0.0)
 
 
 def certified_config(**changes):
@@ -416,9 +415,9 @@ class TestResumedRun:
         g = PeriodicGrid((32,), (1.0,))
         op = LongRangeOp.inverse_laplacian()
         p0 = ModelParams(epsilon=0.1, gamma=100.0, M=100.0, omega=0.3, kappa=0.0, tau=1e-3)
-        kappa = check_conditions(Problem(g, p0, CUBIC, op)).kappa_min_es + 1.0
+        kappa = check_conditions(Problem(g, p0, op)).kappa_min_es + 1.0
         p = ModelParams(epsilon=0.1, gamma=100.0, M=100.0, omega=0.3, kappa=kappa, tau=1e-3)
-        problem = Problem(g, p, CUBIC, op)
+        problem = Problem(g, p, op)
         assert check_conditions(problem).es_ok
         rng = np.random.default_rng(64)
         state = SchemeState(GridField(g, rng.uniform(0.0, 1.0, size=g.shape)))
@@ -434,30 +433,63 @@ class TestResumedRun:
         _, whole = run(state, problem, t_max=10 * p.tau, tol=0.0)
         assert segmented == whole
 
-    def test_energy_rise_after_a_snapshot_raises(self, monkeypatch):
-        # Replace the field that step 6, the first after the snapshot at
-        # step 5, produced by a grid-scale oscillation inside [0, 1]: the
-        # energy jumps while the bounds hold, so only the decay check sees
-        # it.  Step 6 is the kernel's sixth Problem.advance call (the first
-        # is step 1, made through step).
-        state, p, op, problem = self.certified_setup()
+    @staticmethod
+    def rise_on_advance(monkeypatch, grid, call):
+        """Make the ``call``-th Problem.advance replace its field by a
+        grid-scale oscillation inside [0, 1]: the energy jumps while the
+        bounds hold, so only the decay check sees it.  Returns the calls."""
         real_advance = Problem.advance
-        rough = np.where(np.arange(state.phi.grid.sizes[0]) % 2 == 0, 0.0, 1.0)
+        rough = np.where(np.arange(grid.sizes[0]) % 2 == 0, 0.0, 1.0)
         calls = []
 
         def advance_with_rise(problem, s, out):
             increment = real_advance(problem, s, out)
             calls.append(out)
-            if len(calls) == 6:
+            if len(calls) == call:
                 out[...] = rough
                 problem.forward(out, problem.phi_hat)
                 problem.load(out)
             return increment
 
         monkeypatch.setattr(Problem, "advance", advance_with_rise)
+        return calls
+
+    def test_energy_rise_after_a_snapshot_raises(self, monkeypatch):
+        # Step 6, the first after the snapshot at step 5, is the kernel's
+        # sixth Problem.advance call (the first is step 1, made through step).
+        state, p, op, problem = self.certified_setup()
+        calls = self.rise_on_advance(monkeypatch, state.phi.grid, 6)
         with pytest.raises(EnergyIncreaseError, match="step 6:"):
             self.run_segments(state, p, problem)
         assert len(calls) == 6
+
+    def snapshot_at_step_5(self, state, p, problem):
+        """The uninterrupted run to 10 tau and the state it hands ``on_snapshot`` at 5 tau."""
+        snapshots = []
+        final, records = run(state, problem, t_max=10 * p.tau, tol=0.0,
+                             snapshot_times=(5 * p.tau,), on_snapshot=snapshots.append)
+        (middle,) = snapshots
+        return middle, final, records
+
+    def test_a_run_resumed_from_a_snapshot_continues_the_uninterrupted_run(self):
+        state, p, op, problem = self.certified_setup()
+        middle, final, records = self.snapshot_at_step_5(state, p, problem)
+        resumed, resumed_records = run(middle, Problem(state.phi.grid, p, op), t_max=10 * p.tau,
+                                       tol=0.0)
+        assert np.array_equal(resumed.phi.values, final.phi.values)
+        assert (resumed.step_index, resumed.time, resumed.last_increment_linf) == (
+            final.step_index, final.time, final.last_increment_linf)
+        assert (resumed_records[0].n, resumed_records[0].t) == (5, 5 * p.tau)
+        assert resumed_records[1:] == records[6:]
+
+    def test_energy_rise_on_the_first_resumed_step_raises(self, monkeypatch):
+        # Step 6 is the resumed run's first step, its first Problem.advance call.
+        state, p, op, problem = self.certified_setup()
+        middle, _, _ = self.snapshot_at_step_5(state, p, problem)
+        calls = self.rise_on_advance(monkeypatch, state.phi.grid, 1)
+        with pytest.raises(EnergyIncreaseError, match="step 6:"):
+            run(middle, problem, t_max=10 * p.tau, tol=0.0)
+        assert len(calls) == 1
 
     def test_one_problem_and_one_run_call(self, monkeypatch, tmp_path):
         tau = 1e-3
@@ -544,9 +576,9 @@ class TestCarriedSpectra:
         g = PeriodicGrid((n, n), (1.0, 1.0))
         op = LongRangeOp.inverse_laplacian()
         p0 = ModelParams(epsilon=0.15, gamma=100.0, M=100.0, omega=0.3, kappa=0.0, tau=1e-3)
-        kappa = check_conditions(Problem(g, p0, CUBIC, op)).kappa_min_es + 1.0
+        kappa = check_conditions(Problem(g, p0, op)).kappa_min_es + 1.0
         p = ModelParams(epsilon=0.15, gamma=100.0, M=100.0, omega=0.3, kappa=kappa, tau=1e-3)
-        problem = Problem(g, p, CUBIC, op)
+        problem = Problem(g, p, op)
         report = check_conditions(problem)
         assert report.mpp_ok and report.es_ok
         rng = np.random.default_rng(65)
@@ -555,12 +587,12 @@ class TestCarriedSpectra:
 
     def test_a_state_holds_only_its_field(self):
         state, p, op, _ = self.certified_2d()
-        problem = Problem(state.phi.grid, p, CUBIC, op)
+        problem = Problem(state.phi.grid, p, op)
         stepped = step(state, problem)
         assert [f.name for f in dataclasses.fields(stepped)] == [
             "phi", "step_index", "time", "last_increment_linf"]
         v = stepped.phi.values
-        assert np.array_equal(problem.mismatch_hat, np.fft.rfftn(f_eval(CUBIC, v) - p.omega))
+        assert np.array_equal(problem.mismatch_hat, np.fft.rfftn(f_eval(p, v) - p.omega))
         assert np.array_equal(problem.q, v * v - v)
         # The solve spectrum is rfftn(phi) only up to round-off.
         assert np.allclose(problem.phi_hat, np.fft.rfftn(v), rtol=0.0, atol=1e-12)
@@ -622,10 +654,10 @@ class TestCarriedSpectra:
         assert len(calls) == 7
 
 
-def step_loop(state, params, spec, op, t_max, tol, record_every, potential=None):
+def step_loop(state, params, op, t_max, tol, record_every, potential=None):
     """What run returns, as a loop of step calls with problem_energy records (oracle)."""
     pot = None if potential is None else potential.values
-    problem = Problem(state.phi.grid, params, spec, op, pot)
+    problem = Problem(state.phi.grid, params, op, pot)
 
     def record(s):
         v = s.phi.values
@@ -648,8 +680,9 @@ def step_loop(state, params, spec, op, t_max, tol, record_every, potential=None)
     return state, records
 
 
-CUBIC_EXT = NonlinearSpec(FKind.CUBIC_HERMITE, use_extension=True)
-LINEAR_EXT = NonlinearSpec(FKind.LINEAR, use_extension=True)
+# Each case's indicator, as ModelParams fields.
+CUBIC, LINEAR = {}, {"f": FKind.LINEAR}
+CUBIC_EXT, LINEAR_EXT = {"extension": True}, {"f": FKind.LINEAR, "extension": True}
 KERNEL_CASES = {
     "cubic-inverse-laplacian-2d": ((16, 16), CUBIC, "inverse_laplacian"),
     "cubic-inverse-laplacian-1d": ((32,), CUBIC, "inverse_laplacian"),
@@ -664,7 +697,7 @@ KERNEL_CASES = {
 
 
 def kernel_case(name, scale=1):
-    sizes, spec, kind = KERNEL_CASES[name]
+    sizes, indicator, kind = KERNEL_CASES[name]
     sizes = tuple(scale * n for n in sizes)
     g = PeriodicGrid(sizes, (1.0,) * len(sizes))
     rng = np.random.default_rng(len(name))
@@ -676,15 +709,16 @@ def kernel_case(name, scale=1):
     else:
         op = {"inverse_laplacian": LongRangeOp.inverse_laplacian(),
               "helmholtz": LongRangeOp.helmholtz(0.3), "none": LongRangeOp.none()}[kind]
-    p = ModelParams(epsilon=0.2, gamma=50.0, M=20.0, omega=0.3, kappa=100.0, tau=1e-3)
+    p = ModelParams(epsilon=0.2, gamma=50.0, M=20.0, omega=0.3, kappa=100.0, tau=1e-3,
+                    **indicator)
     state = SchemeState(GridField(g, rng.uniform(0.1, 0.9, sizes)))
-    return state, p, spec, op, potential
+    return state, p, op, potential
 
 
-def kernel_problem(state, p, spec, op, potential=None):
+def kernel_problem(state, p, op, potential=None):
     """The problem of a kernel case, on the grid of its state."""
     pot = None if potential is None else potential.values
-    return Problem(state.phi.grid, p, spec, op, pot)
+    return Problem(state.phi.grid, p, op, pot)
 
 
 class TestKernel:
@@ -693,16 +727,16 @@ class TestKernel:
     @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
     @pytest.mark.parametrize("mode", ["every step", "every 3rd", "early stop"])
     def test_run_equals_a_loop_of_steps(self, name, mode):
-        state, p, spec, op, potential = kernel_case(name)
+        state, p, op, potential = kernel_case(name)
         t_max, tol, every = 12 * p.tau, 0.0, {"every step": 1, "every 3rd": 3}.get(mode, 7)
         if mode == "early stop":
             # Stop at the first step whose increment is at most the fifth's;
             # only the stop makes that step's record.
-            increments = [r.increment for r in step_loop(state, p, spec, op, t_max, 0.0, 1,
+            increments = [r.increment for r in step_loop(state, p, op, t_max, 0.0, 1,
                                                          potential)[1]]
             tol = increments[5] / p.tau
-        expected, expected_records = step_loop(state, p, spec, op, t_max, tol, every, potential)
-        got, records = run(state, kernel_problem(state, p, spec, op, potential), t_max=t_max,
+        expected, expected_records = step_loop(state, p, op, t_max, tol, every, potential)
+        got, records = run(state, kernel_problem(state, p, op, potential), t_max=t_max,
                            tol=tol, record_every=every)
         assert records == expected_records
         if mode == "early stop":
@@ -713,7 +747,7 @@ class TestKernel:
         assert not got.phi.values.flags.writeable
 
     def test_first_step_goes_through_step_and_keeps_its_arrays(self, monkeypatch):
-        state, p, spec, op, _ = kernel_case("cubic-inverse-laplacian-2d")
+        state, p, op, _ = kernel_case("cubic-inverse-laplacian-2d")
         real_step = stepping.step
         returned = []
 
@@ -723,7 +757,7 @@ class TestKernel:
             return new
 
         monkeypatch.setattr(stepping, "step", first_step)
-        final, _ = run(state, kernel_problem(state, p, spec, op), t_max=20 * p.tau, tol=0.0)
+        final, _ = run(state, kernel_problem(state, p, op), t_max=20 * p.tau, tol=0.0)
         assert final.step_index == 20
         assert len(returned) == 1
         first, copy = returned[0]
@@ -742,7 +776,7 @@ class TestKernel:
         # buffers; every later step, check and record is inside the trace.
         # Scaled to 128 rows in 2D and 2^14 points in 1D: a field takes ~128 kB.
         n = KERNEL_CASES[name][0]
-        state, p, spec, op, potential = kernel_case(name, 128 // n[0] if len(n) == 2 else 2**14 // n[0])
+        state, p, op, potential = kernel_case(name, 128 // n[0] if len(n) == 2 else 2**14 // n[0])
         real_allocate = Problem.allocate_run_buffers
         traced = []
 
@@ -752,7 +786,7 @@ class TestKernel:
             traced.append(tracemalloc.get_traced_memory()[0])
 
         monkeypatch.setattr(Problem, "allocate_run_buffers", allocate_then_trace)
-        problem = kernel_problem(state, p, spec, op, potential)
+        problem = kernel_problem(state, p, op, potential)
         try:
             final, records = run(state, problem, t_max=20 * p.tau, tol=0.0)
             growth = tracemalloc.get_traced_memory()[1] - traced[0]
@@ -807,7 +841,7 @@ class TestStepCount:
         # A constant field at the wells' midpoint stays there, so any tau runs.
         grid = PeriodicGrid((4,), (1.0,))
         params = ModelParams(epsilon=0.1, gamma=0.0, M=0.0, omega=0.5, kappa=0.0, tau=tau)
-        problem = Problem(grid, params, CUBIC, LongRangeOp.none())
+        problem = Problem(grid, params, LongRangeOp.none())
         state = SchemeState(GridField.constant(grid, 0.5))
         ends = []
         for snapshots in ((), times):
