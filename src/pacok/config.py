@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import ConfigError, reading
 from .grid import GridField, PeriodicGrid, load_snapshot
-from .physics import FKind, ModelParams, Problem, pvism_potential
+from .physics import POTENTIAL_CUTOFF, FKind, ModelParams, Problem, pvism_potential
+from .physics import solute_distance
 from .spectral import LongRangeOp, OpKind, load_symbol_csv
 from .stepping import StepRecord
 
@@ -35,7 +36,7 @@ class RunConfig:
     interface width 10h).  Making one checks the physics, the grid, the
     horizon, the run settings and the choices.  The builders check what
     needs a file or the start: ``initial_file``, ``op_symbol_file``, the
-    seed, and ``blocks`` dividing N.
+    seed, ``blocks`` dividing N, and the solutes of a ``cavity`` start.
     """
 
     epsilon: float = 0.078125
@@ -132,6 +133,10 @@ class RunConfig:
             return initial_tanh_disk(grid, self.omega, self.epsilon)
         if self.initial == "constant":
             return GridField.constant(grid, self.initial_value)
+        if self.initial == "cavity":
+            # A tanh interface through the potential's cutoff around the solutes.
+            d = solute_distance(grid, self.pvism_solutes) - POTENTIAL_CUTOFF
+            return GridField(grid, 0.5 + 0.5 * np.tanh(d / (self.epsilon / 3.0)))
         if not self.initial_file:
             raise ConfigError("initial = file needs initial_file")
         phi, _ = load_snapshot(self.initial_file)
@@ -146,7 +151,7 @@ class RunConfig:
 _CHOICES = {
     "f": tuple(kind.value for kind in FKind),
     "operator": tuple(kind.value for kind in OpKind),
-    "initial": ("random", "disk", "constant", "file"),
+    "initial": ("random", "disk", "constant", "file", "cavity"),
 }
 
 # Config-file key -> dataclass field (dots are not valid identifiers).

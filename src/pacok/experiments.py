@@ -1,15 +1,15 @@
 """Reproducible experiment drivers: convergence rates, coarsening, solvation.
 
-Three studies run as :class:`pacok.config.RunConfig` values, with their
-published parameter sets plus reduced "desk" variants that finish in
-minutes:
+Three studies run as :class:`pacok.config.RunConfig` values, every run
+through :func:`run_config`, with their published parameter sets plus
+reduced "desk" variants that finish in minutes:
 
 * a temporal convergence study on a shrinking-disk initial state, comparing
   halved time steps against a fine-step benchmark on the same grid;
 * 1D and 2D coarsening runs from random piecewise-constant initial data,
   tracking field bounds, energy decay, and the final bump/bubble count;
-* a 1D solvation equilibrium computed twice, with the cubic indicator
-  (bounds preserved) and the linear one (bounds visibly violated).
+* a 1D solvation equilibrium from a tanh cavity, computed with the cubic
+  indicator (bounds preserved) and the linear one (bounds violated).
 
 The random starts draw their block values from an in-package PCG64 stream
 seeded like numpy's ``default_rng(seed)`` (any integer seed >= 0, of any
@@ -30,7 +30,7 @@ import numpy as np
 from .config import RunConfig
 from .errors import ConfigError
 from .grid import GridField, PeriodicGrid, norm_l2_h, save_snapshot
-from .physics import POTENTIAL_CUTOFF, Problem, solute_distance
+from .physics import Problem
 from .stepping import STEP_RTOL, ConditionReport, SchemeState, StepRecord, check_conditions, run
 from .stepping import steps_to
 
@@ -359,39 +359,27 @@ class SolvationComparison:
 
 
 # The solvation comparison: one solute at the origin of [-5, 5) on 1024
-# points, epsilon = 50h, no long-range coupling and no volume penalty, run
-# to T or the increment stop.  pvism_compare sets tau and T, and f per run.
+# points, epsilon = 50h, no long-range coupling and no volume penalty, run from
+# the cavity start to T or the increment stop.  pvism_compare sets tau, T and f.
 SOLVATION = RunConfig(
     epsilon=50.0 * (2.0 * 5.0 / 1024), gamma=0.0, M=0.0, omega=0.5, kappa=2000.0, tau=1e-4,
     N=(1024,), X=(5.0,), T=100.0, tol=1e-3, operator="none", pvism_solutes=(0.0,),
-    monitor_every=1000,
+    initial="cavity", monitor_every=1000,
 )
 
 
 def pvism_compare(tau: float = 1e-4, t_max: float = 100.0, out_dir=None) -> SolvationComparison:
     """Solvation equilibrium with cubic versus linear indicator nonlinearity.
 
-    Both runs are ``replace(SOLVATION, tau=tau, T=t_max)`` and differ only
-    in the config's ``f``; each has its own :class:`pacok.physics.Problem`
-    and enforces what that problem certifies.  The initial interface is
-    the tanh profile through the potential's cutoff radius around the
-    config's solutes, which no config start gives, so the runs call
-    :func:`pacok.stepping.run` directly.  The cubic equilibrium stays inside
-    [0, 1]; the linear one undershoots inside the interface and overshoots
-    outside it.  ``out_dir`` is created and given both equilibria once both
-    runs have ended, so a comparison that fails leaves no directory.
+    Each run is :func:`run_config` of ``replace(SOLVATION, tau=tau, T=t_max,
+    f=f)``, so each enforces what its problem certifies.  The cubic
+    equilibrium stays inside [0, 1]; the linear one undershoots inside the
+    interface and overshoots outside it.  ``out_dir`` is created and given
+    both equilibria once both runs have ended, so a comparison that fails
+    leaves no directory.
     """
-    cfg = replace(SOLVATION, tau=tau, T=t_max)
-    grid = cfg.build_grid()
-    dist = solute_distance(grid, cfg.pvism_solutes)
-    phi0 = GridField(grid, 0.5 + 0.5 * np.tanh((dist - POTENTIAL_CUTOFF) / (cfg.epsilon / 3.0)))
-    finals = {}
-    for f in ("cubic", "linear"):
-        problem = replace(cfg, f=f).build_problem(grid)
-        finals[f], _ = run(
-            SchemeState(phi0), problem, t_max=cfg.T, tol=cfg.tol,
-            record_every=cfg.monitor_every,
-        )
+    finals = {f: run_config(replace(SOLVATION, tau=tau, T=t_max, f=f))[1]
+              for f in ("cubic", "linear")}
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         for f, state in finals.items():

@@ -360,25 +360,30 @@ POTENTIAL_CUTOFF = 2.5
 
 
 def solute_distance(grid: PeriodicGrid, solute_positions) -> np.ndarray:
-    """The distance from each point of a 1D grid to its nearest solute."""
+    """The distance on the torus from each point of a 1D grid to its nearest solute:
+    min(r, 2X - r) with r = |x - p| mod 2X, which is |x - p| itself where that is <= X."""
     if grid.dim != 1:
-        raise ConfigError("the solvation potential is defined for 1D grids")
+        raise ConfigError("solute distances are defined for 1D grids")
     positions = [float(p) for p in np.atleast_1d(solute_positions)]
     if not positions:
         raise ConfigError("at least one solute position is required")
+    if not np.all(np.isfinite(positions)):
+        raise ConfigError(f"solute positions must be finite, got {positions}")
     (x,) = grid.coordinates()
-    return np.min(np.abs(x[:, None] - np.array(positions)[None, :]), axis=1)
+    period = 2.0 * grid.half_extents[0]
+    r = np.abs(x[:, None] - np.array(positions)[None, :]) % period
+    return np.min(np.minimum(r, period - r), axis=1)
 
 
 def pvism_potential(grid: PeriodicGrid, solute_positions) -> GridField:
     """Solute-solvent potential U(x) for the 1D implicit-solvation model.
 
     U combines a Lennard-Jones-type repulsion and a Born electrostatic
-    attraction, both evaluated at the cutoff distance x_cut =
-    max(|x - nearest solute|, 2.5) so the potential plateaus near each
-    solute.  The electrostatic part uses the Coulomb-field-approximation
-    energy density Q^2/(32 pi^2 eps0) (1/eps_w - 1/eps_m) / x^4, the
-    pointwise form whose exterior integral gives the familiar Born energy
+    attraction, both evaluated at the cutoff distance x_cut = max(d, 2.5),
+    with d the periodic :func:`solute_distance`, so the potential plateaus
+    near each solute.  The electrostatic part uses the Coulomb-field-
+    approximation energy density Q^2/(32 pi^2 eps0) (1/eps_w - 1/eps_m) / x^4,
+    the pointwise form whose exterior integral gives the familiar Born energy
     Q^2/(8 pi eps0) (1/eps_w - 1/eps_m) / r; a density is what the energy
     functional integrates against f(phi).  The resulting potential is
     repulsive inside x ~ 2.75 and attractive beyond, which is what pins

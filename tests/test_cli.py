@@ -439,6 +439,22 @@ def test_pvism_that_exits_2_leaves_no_out_dir(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def test_run_of_the_printed_solvation_config_writes_the_cubic_equilibrium(tmp_path, capsys):
+    path = write_config(tmp_path, format_config(replace(experiments.SOLVATION, T=0.5)))
+    assert cli.main(["run", "--config", path, "--out", str(tmp_path / "run")]) == 0
+    assert cli.main(["pvism", "--t-max", "0.5", "--out", str(tmp_path / "pv")]) == 0
+    snapshots = sorted((tmp_path / "run").glob("snap_*.csv"))
+    assert snapshots[-1].read_text() == (tmp_path / "pv" / "equilibrium_cubic.csv").read_text()
+
+
+def test_run_from_a_cavity_without_solutes_exits_2_and_leaves_no_out_dir(tmp_path, capsys):
+    path = write_config(tmp_path, "initial = cavity\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.endswith(": at least one solute position is required\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "lines",
     ["operator = inverse_laplacian\n", "operator = custom\nop_symbol_file = {table}\n",

@@ -65,7 +65,7 @@ def configs(draw):
         # Solutes come only without an operator.
         pvism_solutes=tuple(draw(st.lists(finite, max_size=3 if operator == "none" else 0))),
         seed=draw(st.integers(-2**70, 2**70)),
-        initial=draw(st.sampled_from(("random", "disk", "constant", "file"))),
+        initial=draw(st.sampled_from(("random", "disk", "constant", "file", "cavity"))),
         initial_value=draw(finite),
         initial_file=draw(writable),
         blocks=draw(st.integers(1, 2**40)),
@@ -102,7 +102,7 @@ def test_format_writes_the_shortest_text_of_each_float():
      (lambda: RunConfig(operator="helmholz"), "operator must be one of ('inverse_laplacian', "
       "'helmholtz', 'garnet_film', 'custom', 'none'), got 'helmholz'"),
      (lambda: RunConfig(initial="Random"), "initial must be one of ('random', 'disk', "
-      "'constant', 'file'), got 'Random'"),
+      "'constant', 'file', 'cavity'), got 'Random'"),
      (lambda: RunConfig(T=math.inf), "T must be positive and finite, got inf"),
      (lambda: RunConfig(tol=-1.0), "tol must be >= 0, got -1.0"),
      (lambda: replace(RunConfig(), snapshot_times=(20.0,)),

@@ -13,11 +13,13 @@ import pacok
 from pacok.errors import ConfigError
 from pacok.experiments import (
     RATE_STUDY,
+    SOLVATION,
     coarsening_run,
     count_bumps,
     initial_random_piecewise,
     pvism_compare,
     rate_study,
+    run_config,
 )
 from pacok.grid import GridField, PeriodicGrid, load_snapshot
 from pacok.stepping import MPP_TOL
@@ -207,11 +209,23 @@ def test_desk_1d_coarsening_keeps_the_maximum_principle():
         assert -MPP_TOL <= record.phi_min and record.phi_max <= 1.0 + MPP_TOL
 
 
-def test_solvation_cubic_indicator_stays_in_bounds_and_linear_leaves_them():
+@pytest.fixture(scope="module")
+def solvation():
+    return pvism_compare(1e-4, 0.5)
+
+
+def test_solvation_cubic_indicator_stays_in_bounds_and_linear_leaves_them(solvation):
     # Paper claim: with the cubic f the solvation run stays in [0, 1]; with
     # the linear f = s it leaves [0, 1] on both sides (min -0.0106, max 1.0021).
-    result = pvism_compare(t_max=0.5)
-    lo, hi = result.cubic_bounds
+    lo, hi = solvation.cubic_bounds
     assert -MPP_TOL <= lo and hi <= 1.0 + MPP_TOL
-    lo, hi = result.linear_bounds
+    lo, hi = solvation.linear_bounds
     assert lo < -1e-3 and hi > 1.0 + 1e-3
+
+
+@pytest.mark.parametrize("f", ["cubic", "linear"])
+def test_each_half_of_the_solvation_comparison_is_a_run_of_its_config(solvation, f):
+    _, state, _ = run_config(replace(SOLVATION, tau=1e-4, T=0.5, f=f))
+    final = {"cubic": solvation.cubic_final, "linear": solvation.linear_final}[f]
+    assert np.array_equal(state.phi.values, final.phi.values)
+    assert (state.step_index, state.time) == (final.step_index, final.time)

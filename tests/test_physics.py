@@ -318,9 +318,28 @@ class TestSolvationPotential:
         with pytest.raises(ConfigError):
             pvism_potential(self.grid(), [])
 
+    @pytest.mark.parametrize("position", [np.inf, np.nan])
+    def test_a_position_that_is_not_finite_is_rejected(self, position):
+        with pytest.raises(ConfigError, match="solute positions must be finite"):
+            pvism_potential(self.grid(), [0.0, position])
+
     def test_2d_rejected(self):
         with pytest.raises(ConfigError):
             pvism_potential(PeriodicGrid((8, 8), (1.0, 1.0)), [0.0])
+
+    def test_a_solute_near_the_seam_acts_across_it(self):
+        # On [-5, 5) with h = 0.25, the solute at 4.5 is point 38; x = -4.5 is
+        # 1.0 from it across the seam, so U is symmetric about it through the seam.
+        g = PeriodicGrid((40,), (5.0,))
+        (x,) = g.coordinates()
+        assert x[38] == 4.5
+        u = pvism_potential(g, [4.5]).values
+        for k in range(21):
+            assert u[(38 + k) % 40] == u[38 - k]
+
+    def test_a_solute_outside_the_box_acts_as_its_periodic_image(self):
+        g = PeriodicGrid((40,), (5.0,))
+        assert np.array_equal(pvism_potential(g, [-5.5]).values, pvism_potential(g, [4.5]).values)
 
     def test_nearest_solute_of_several(self):
         g = self.grid()
