@@ -45,8 +45,6 @@ from .experiments import (
     coarsening_run,
     convergence_setups,
     count_bumps,
-    initial_random_piecewise,
-    initial_tanh_disk,
     pvism_compare,
     rate_study,
     rate_study_steps,
@@ -55,6 +53,7 @@ from .experiments import (
 from .config import (
     RunConfig,
     format_config,
+    initial_random_piecewise,
     load_config,
     parse_config,
     read_series,

@@ -3,8 +3,8 @@
 The computational domain is the torus prod_i [-X_i, X_i) sampled on a
 uniform grid of N_i points per direction (N_i even), with spacings
 h_i = 2 X_i / N_i and nodes x_k = -X_i + k h_i.  Grid functions carry
-one real value per node; periodicity is an indexing contract, not a
-storage layer.  The discrete L2 inner product is
+one real value per node; the operators that act on them carry the
+periodicity, not the storage.  The discrete L2 inner product is
 
     <f, g>_h = (prod_i h_i) * sum f_k g_k,
 
@@ -111,12 +111,11 @@ class GridField:
     """Real-valued grid function on a :class:`PeriodicGrid`.
 
     Values are stored row-major in a read-only float64 array of the grid's
-    shape.  Indexing wraps periodically, so ``field[k + m * N] == field[k]``
-    for any integer shift m.  The constructor is the only way to make a
-    field: it rejects non-finite values, so all public operations start and
-    end with finite fields.  A C-contiguous float64 array of the grid's
-    shape is wrapped without a copy and becomes read-only; the scan for
-    non-finite values allocates nothing grid-sized.
+    shape.  The constructor is the only way to make a field: it rejects
+    non-finite values, so all public operations start and end with finite
+    fields.  A C-contiguous float64 array of the grid's shape is wrapped
+    without a copy and becomes read-only; the scan for non-finite values
+    allocates nothing grid-sized.
     """
 
     __slots__ = ("grid", "_values")
@@ -141,18 +140,6 @@ class GridField:
     def values(self) -> np.ndarray:
         """Read-only value array of shape ``grid.shape``."""
         return self._values
-
-    @classmethod
-    def constant(cls, grid: PeriodicGrid, value: float) -> "GridField":
-        return cls(grid, np.full(grid.shape, float(value)))
-
-    def __getitem__(self, idx) -> float:
-        if np.isscalar(idx):
-            idx = (idx,)
-        if len(idx) != self.grid.dim:
-            raise IndexError(f"expected {self.grid.dim} indices, got {len(idx)}")
-        wrapped = tuple(int(i) % n for i, n in zip(idx, self.grid.sizes))
-        return float(self._values[wrapped])
 
     def __repr__(self):
         return f"GridField(dim={self.grid.dim}, shape={self.grid.shape})"

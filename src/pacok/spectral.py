@@ -227,12 +227,15 @@ def multiplier_array(op: LongRangeOp, grid: PeriodicGrid) -> np.ndarray:
         return np.divide(1.0, mult, out=mult, where=mult > 0.0)   # the zero mode stays 0
     if op.kind is OpKind.HELMHOLTZ:
         mult = stencil_symbol(grid)
-        mult *= op.gamma_len ** 2
+        # A mode whose product overflows gets 1/inf = 0, the limit.
+        with np.errstate(over="ignore"):
+            mult *= op.gamma_len ** 2
         mult += 1.0
         return np.divide(1.0, mult, out=mult)
     if op.kind is OpKind.GARNET_FILM:
-        dk = op.delta * _wavenumber_magnitude(grid)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # As for helmholtz, dk = inf gives the limit 0.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            dk = op.delta * _wavenumber_magnitude(grid)
             return np.where(dk > 0.0, -np.expm1(-dk) / np.where(dk > 0.0, dk, 1.0), 1.0)
     return _custom_multiplier(op, grid)
 

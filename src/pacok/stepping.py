@@ -162,6 +162,15 @@ def check_conditions(problem: Problem) -> ConditionReport:
     )
 
 
+def _check_clock(state: SchemeState, tau: float) -> None:
+    """A state's time must be its step count times tau, the time every step returns."""
+    if not math.isclose(state.time, state.step_index * tau, rel_tol=STEP_RTOL):
+        raise ConfigError(
+            f"the state's time {state.time!r} is not its step index {state.step_index} "
+            f"times tau = {tau!r}, which is {state.step_index * tau!r}"
+        )
+
+
 def step(state: SchemeState, problem: Problem) -> SchemeState:
     """Advance one step on ``problem``; deterministic for identical inputs on a fixed platform.
 
@@ -169,11 +178,14 @@ def step(state: SchemeState, problem: Problem) -> SchemeState:
     into it and leaves the new field's q and spectra there, which the next
     step and :func:`pacok.energy.problem_energy` of that field read, so a
     step made on it from elsewhere replaces them.  The returned state owns
-    its field, a new array.
+    its field, a new array, and its time is its step index times tau.  A
+    ``state`` whose time is not its step index times tau (within
+    ``STEP_RTOL``) is a :class:`ConfigError`.
     """
     grid = problem.grid
     if state.phi.grid != grid:
         raise GridMismatchError(f"the state lives on {state.phi.grid}, the problem on {grid}")
+    _check_clock(state, problem.params.tau)
     n_new = state.step_index + 1
     phi_new = np.empty(grid.shape)
     # A non-finite value anywhere makes the increment non-finite, reported
@@ -233,10 +245,11 @@ def run(
     enforced on every step: bounds, and energy decay from the starting
     field's energy on; a violation raises instead of returning.  Certified
     bounds also need a starting field in [0, 1]; one outside is a
-    :class:`ConfigError`, as are a step count that is not finite and a
-    starting field whose energy is not finite (:func:`start_energy`).  A
-    ``state0`` on another grid than the problem's raises
-    :class:`GridMismatchError`.  A non-finite increment, or energy after
+    :class:`ConfigError`, as are a step count that is not finite, a
+    ``state0`` whose time is not its step index times tau (within
+    ``STEP_RTOL``) and a starting field whose energy is not finite
+    (:func:`start_energy`).  A ``state0`` on another grid than the
+    problem's raises :class:`GridMismatchError`.  A non-finite increment, or energy after
     the start, raises :class:`BlowupError`.
 
     ``t_max`` and each of ``snapshot_times`` (none beyond it) are reached at
@@ -262,6 +275,7 @@ def run(
     grid, tau = problem.grid, problem.params.tau
     if state0.phi.grid != grid:
         raise GridMismatchError(f"the state lives on {state0.phi.grid}, the problem on {grid}")
+    _check_clock(state0, tau)
     n, s = state0.step_index, state0.phi.values
     n_steps = steps_to(t_max - state0.time, tau)
     snapshot_steps = {steps_to(t - state0.time, tau) for t in snapshot_times} - {n_steps}

@@ -107,7 +107,7 @@ def norm_linf_h(a: GridField) -> float:
 
 def mean_h(a: GridField) -> float:
     """Mean value <a, 1>_h / |T^d|."""
-    return inner_product_h(a, GridField.constant(a.grid, 1.0)) / a.grid.measure
+    return inner_product_h(a, GridField(a.grid, np.full(a.grid.shape, 1.0))) / a.grid.measure
 
 
 def volume_term(phi_values, grid, params) -> float:

@@ -130,6 +130,14 @@ def test_snapshot_time_outside_the_run_exits_2(tmp_path, capsys, times, named):
     assert not out.exists()
 
 
+def test_disk_start_on_a_1d_grid_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path, "N = 16\ninitial = disk\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.endswith("the disk initial state needs a 2D grid\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "text, named",
     [("seed = -1\n", "seed must be >= 0, got -1"),

@@ -4,6 +4,7 @@ import math
 import struct
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -135,9 +136,22 @@ def test_rate_study_scales_keep_their_rows(scale, rows):
     assert got == [(label, (n, n), eps, steps) for label, n, eps, steps in rows]
 
 
+def test_disk_start_is_the_tanh_disk_holding_omega():
+    # A disk at the origin of area omega |T| (|T| = 2 here), its radius padded
+    # by 0.1, with a tanh interface of width eps/3.
+    cfg = RunConfig(N=(32, 16), X=(1.0, 0.5), omega=0.2, epsilon=0.1, initial="disk")
+    x = -1.0 + (2.0 / 32) * np.arange(32)
+    y = -0.5 + (1.0 / 16) * np.arange(16)
+    r = np.sqrt(x[:, None] ** 2 + y[None, :] ** 2)
+    r0 = math.sqrt(0.2 * 2.0 / math.pi) + 0.1
+    expected = 0.5 + 0.5 * np.tanh((r0 - r) / (0.1 / 3.0))
+    np.testing.assert_allclose(cfg.build_initial(cfg.build_grid()).values, expected,
+                               rtol=0.0, atol=1e-15)
+
+
 def test_initial_file_on_another_box_is_refused_naming_both_grids(tmp_path):
     path = str(tmp_path / "start.csv")
-    save_snapshot(path, GridField.constant(PeriodicGrid((16,), (2.0,)), 0.5), t=0.0)
+    save_snapshot(path, GridField(PeriodicGrid((16,), (2.0,)), np.full(16, 0.5)), t=0.0)
     cfg = RunConfig(N=(16,), initial="file", initial_file=path)
     with pytest.raises(ConfigError) as exc_info:
         cfg.build_initial(cfg.build_grid())

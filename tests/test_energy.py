@@ -35,7 +35,7 @@ class TestDiscreteEnergy:
         p = params(omega=0.3)
         w_star = solve_f_equals(p.omega)
         assert f_eval(p, w_star) == pytest.approx(p.omega, abs=1e-14)
-        e = field_energy(GridField.constant(g, w_star), p, LongRangeOp.inverse_laplacian())
+        e = field_energy(GridField(g, np.full(g.shape, w_star)), p, LongRangeOp.inverse_laplacian())
         assert e.interfacial == pytest.approx(0.0, abs=1e-12)
         assert e.longrange == pytest.approx(0.0, abs=1e-12)
         assert e.penalty == pytest.approx(0.0, abs=1e-12)
@@ -45,7 +45,7 @@ class TestDiscreteEnergy:
         # Phi = 0, omega = 0.3, M = 2000 on |T| = 2: penalty = (M/2)(0.3*2)^2 = 360.
         g = PeriodicGrid((64,), (1.0,))
         p = params(omega=0.3, M=2000.0)
-        e = field_energy(GridField.constant(g, 0.0), p, LongRangeOp.inverse_laplacian())
+        e = field_energy(GridField(g, np.full(g.shape, 0.0)), p, LongRangeOp.inverse_laplacian())
         assert e.penalty == pytest.approx(360.0, rel=1e-12)
         assert e.well == 0.0
         assert e.interfacial == pytest.approx(0.0, abs=1e-13)

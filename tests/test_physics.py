@@ -193,13 +193,13 @@ class TestAssembleRhs:
     def test_zero_field_is_fixed(self):
         g = PeriodicGrid((16, 16), (1.0, 1.0))
         params = ModelParams(epsilon=0.1, gamma=100.0, M=50.0, omega=0.3, kappa=10.0, tau=1e-3)
-        out = assemble_rhs(GridField.constant(g, 0.0), params, LongRangeOp.inverse_laplacian())
+        out = assemble_rhs(GridField(g, np.full(g.shape, 0.0)), params, LongRangeOp.inverse_laplacian())
         assert np.max(np.abs(out.values)) == 0.0
 
     def test_one_field_maps_to_scheme_constant(self):
         g = PeriodicGrid((16,), (1.0,))
         params = ModelParams(epsilon=0.1, gamma=100.0, M=50.0, omega=0.3, kappa=10.0, tau=1e-3)
-        out = assemble_rhs(GridField.constant(g, 1.0), params, LongRangeOp.inverse_laplacian())
+        out = assemble_rhs(GridField(g, np.full(g.shape, 1.0)), params, LongRangeOp.inverse_laplacian())
         expected = 1.0 + params.tau * params.kappa / params.epsilon
         assert np.max(np.abs(out.values - expected)) <= 1e-14
 
@@ -239,7 +239,7 @@ class TestAssembleRhs:
     def test_potential_requires_none_operator(self):
         g = PeriodicGrid((16,), (1.0,))
         params = ModelParams(epsilon=0.1, gamma=0.0, M=0.0, omega=0.5, kappa=1.0, tau=1e-3)
-        u = GridField.constant(g, 1.0)
+        u = GridField(g, np.full(g.shape, 1.0))
         with pytest.raises(ConfigError):
             assemble_rhs(u, params, LongRangeOp.inverse_laplacian(), potential=u)
 

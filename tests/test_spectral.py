@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -68,7 +69,7 @@ def random_field(grid, seed, lo=-1.0, hi=1.0):
 class TestLaplacian:
     def test_annihilates_constants(self):
         g = PeriodicGrid((16, 16), (1.0, 1.0))
-        out = apply_laplacian(GridField.constant(g, 3.2))
+        out = apply_laplacian(GridField(g, np.full(g.shape, 3.2)))
         assert norm_linf_h(out) == 0.0
 
     @pytest.mark.parametrize("mode", [0, 1, 5, 16])
@@ -123,7 +124,7 @@ class TestLaplacian:
 class TestInverseLaplacian:
     def test_constants_map_to_zero(self):
         g = PeriodicGrid((16,), (1.0,))
-        out = apply_inv_neg_laplacian(GridField.constant(g, 5.0))
+        out = apply_inv_neg_laplacian(GridField(g, np.full(g.shape, 5.0)))
         assert norm_linf_h(out) <= 1e-14
 
     def test_eigenfield_scaling(self):
@@ -159,7 +160,7 @@ class TestLongRangeOps:
     def test_none_cannot_be_applied(self):
         g = PeriodicGrid((8,), (1.0,))
         with pytest.raises(ConfigError):
-            apply_long_range(LongRangeOp.none(), GridField.constant(g, 1.0))
+            apply_long_range(LongRangeOp.none(), GridField(g, np.full(g.shape, 1.0)))
 
     def test_a_kind_that_is_not_an_opkind_is_refused(self):
         with pytest.raises(ConfigError, match="kind must be an OpKind, got 'helmholtz'"):
@@ -168,7 +169,7 @@ class TestLongRangeOps:
     def test_helmholtz_preserves_constants(self):
         g = PeriodicGrid((16, 16), (1.0, 1.0))
         op = LongRangeOp.helmholtz(0.3)
-        out = apply_long_range(op, GridField.constant(g, 0.7))
+        out = apply_long_range(op, GridField(g, np.full(g.shape, 0.7)))
         assert np.max(np.abs(out.values - 0.7)) <= 1e-14
 
     def test_helmholtz_matches_dense_solve(self):
@@ -201,6 +202,16 @@ class TestLongRangeOps:
                 kmag = math.hypot(math.pi * (j if j < 4 else j - 8) / 1.0, math.pi * k / 2.0)
                 expected = (1.0 - math.exp(-delta * kmag)) / (delta * kmag) if kmag else 1.0
                 assert mult[j, k] == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("op", [LongRangeOp.helmholtz(1e150), LongRangeOp.garnet_film(1e308)])
+    def test_a_multiplier_that_overflows_is_its_limit_without_a_warning(self, op):
+        # gamma_len^2 times the stencil symbol, and delta |k|, overflow at every
+        # nonzero mode of this box; each multiplier tends to 0 there and is 1 at mode 0.
+        g = PeriodicGrid((16,), (1e-5,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mult = multiplier_array(op, g)
+        assert np.array_equal(mult, (stencil_symbol(g) == 0.0).astype(float))
 
     def test_garnet_acts_mode_by_mode(self):
         g = PeriodicGrid((16, 16), (1.0, 1.0))

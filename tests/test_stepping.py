@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,8 +12,8 @@ from pacok.energy import problem_energy
 from pacok.errors import (
     BlowupError, ConfigError, EnergyIncreaseError, GridMismatchError, MppViolationError,
 )
-from pacok.config import RunConfig
-from pacok.experiments import coarsening_preset, initial_random_piecewise, run_config
+from pacok.config import RunConfig, initial_random_piecewise
+from pacok.experiments import coarsening_preset, run_config
 from pacok.grid import GridField, PeriodicGrid
 from pacok.physics import FKind, ModelParams, Problem
 from pacok.spectral import LongRangeOp, impulse_response_norm, multiplier_array
@@ -109,7 +110,7 @@ class TestCheckConditions:
     def test_solvation_conditions_use_potential_norm(self):
         g = PeriodicGrid((64,), (5.0,))
         p = ModelParams(epsilon=0.5, gamma=0.0, M=0.0, omega=0.5, kappa=2000.0, tau=1e-4)
-        u = GridField.constant(g, -7.0)
+        u = GridField(g, np.full(g.shape, -7.0))
         r = check_conditions(Problem(g, p, LongRangeOp.none(), u.values))
         assert r.op_norm == 7.0
         assert r.mpp_rhs == pytest.approx(36.0 / 0.5 + 6.0 * 7.0)
@@ -127,7 +128,7 @@ class TestStep:
         p = self.make_params()
         op = LongRangeOp.inverse_laplacian()
         for c in (0.0, 1.0):
-            s0 = SchemeState(GridField.constant(g, c))
+            s0 = SchemeState(GridField(g, np.full(g.shape, c)))
             s1 = step(s0, Problem(g, p, op))
             assert np.max(np.abs(s1.phi.values - c)) <= 1e-13
             assert s1.step_index == 1
@@ -136,7 +137,7 @@ class TestStep:
     def test_half_is_fixed_without_interactions(self):
         g = PeriodicGrid((32,), (1.0,))
         p = self.make_params(gamma=0.0, M=0.0)
-        s0 = SchemeState(GridField.constant(g, 0.5))
+        s0 = SchemeState(GridField(g, np.full(g.shape, 0.5)))
         s1 = step(s0, Problem(g, p, LongRangeOp.inverse_laplacian()))
         assert np.max(np.abs(s1.phi.values - 0.5)) <= 1e-14
 
@@ -175,10 +176,18 @@ class TestStep:
     def test_rejects_a_state_on_another_grid_than_the_problem(self):
         p = self.make_params()
         op = LongRangeOp.inverse_laplacian()
-        state = SchemeState(GridField.constant(PeriodicGrid((16,), (1.0,)), 0.3))
+        state = SchemeState(GridField(PeriodicGrid((16,), (1.0,)), np.full(16, 0.3)))
         for other in (PeriodicGrid((32,), (1.0,)), PeriodicGrid((16,), (2.0,))):
             with pytest.raises(GridMismatchError):
                 step(state, Problem(other, p, op))
+
+    def test_rejects_a_state_whose_time_is_not_its_step_count_times_tau(self):
+        g = PeriodicGrid((16,), (1.0,))
+        state = SchemeState(GridField(g, np.full(16, 0.3)), 3, 5.0)
+        problem = Problem(g, self.make_params(), LongRangeOp.inverse_laplacian())
+        message = "the state's time 5.0 is not its step index 3 times tau = 0.001, which is 0.003"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            step(state, problem)
 
     @pytest.mark.parametrize(
         "op", [LongRangeOp.inverse_laplacian(), LongRangeOp.none()]
@@ -250,7 +259,7 @@ class TestRun:
         # criterion fires at the first check.
         g = PeriodicGrid((32,), (1.0,))
         p = ModelParams(epsilon=0.1, gamma=100.0, M=100.0, omega=0.5, kappa=100.0, tau=1e-3)
-        s0 = SchemeState(GridField.constant(g, 0.5))
+        s0 = SchemeState(GridField(g, np.full(g.shape, 0.5)))
         final, records = run(s0, Problem(g, p, LongRangeOp.inverse_laplacian()), t_max=1.0,
                              tol=1e-3)
         assert final.step_index == 1
@@ -372,7 +381,7 @@ class TestRun:
     def test_rejects_bad_arguments(self):
         g = PeriodicGrid((16,), (1.0,))
         p = ModelParams(epsilon=0.1, gamma=0.0, M=0.0, omega=0.3, kappa=0.0, tau=1e-3)
-        s0 = SchemeState(GridField.constant(g, 0.5))
+        s0 = SchemeState(GridField(g, np.full(g.shape, 0.5)))
         with pytest.raises(ConfigError):
             run(s0, Problem(g, p, LongRangeOp.none()), t_max=0.0)
         with pytest.raises(ConfigError):
@@ -382,16 +391,29 @@ class TestRun:
         # The grids are compared before row 0, so no energy is taken.
         monkeypatch.setattr(stepping, "problem_energy", None)
         p = ModelParams(epsilon=0.1, gamma=0.0, M=0.0, omega=0.3, kappa=0.0, tau=1e-3)
-        s0 = SchemeState(GridField.constant(PeriodicGrid((16,), (1.0,)), 0.5))
+        s0 = SchemeState(GridField(PeriodicGrid((16,), (1.0,)), np.full(16, 0.5)))
         for other in (PeriodicGrid((32,), (1.0,)), PeriodicGrid((16,), (2.0,))):
             with pytest.raises(GridMismatchError):
                 run(s0, Problem(other, p, LongRangeOp.inverse_laplacian()), t_max=0.01)
+
+    def test_start_whose_time_is_not_its_step_count_times_tau_is_a_config_error(self):
+        # Counted from t = 5.0, the run would step 10 times and return t = 0.01.
+        # It is refused before anything is handed to on_snapshot.
+        cfg = RunConfig(N=(16,))
+        grid = cfg.build_grid()
+        start = SchemeState(cfg.build_initial(grid), 0, 5.0)
+        message = "the state's time 5.0 is not its step index 0 times tau = 0.001, which is 0.0"
+        snapshots = []
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            run(start, cfg.build_problem(grid), t_max=5.01, tol=0.0, snapshot_times=(5.0,),
+                on_snapshot=snapshots.append)
+        assert snapshots == []
 
     def test_start_whose_energy_is_not_finite_is_a_config_error(self):
         # A finite field whose energy overflows: W(P) ~ P^4 is inf at 1e90.
         g = PeriodicGrid((16,), (1.0,))
         p = ModelParams(epsilon=0.1, gamma=10.0, M=10.0, omega=0.3, kappa=50.0, tau=1e-2)
-        s0 = SchemeState(GridField.constant(g, 1e90))
+        s0 = SchemeState(GridField(g, np.full(g.shape, 1e90)))
         with pytest.raises(ConfigError, match="starting field's energy is not finite"):
             run(s0, Problem(g, p, LongRangeOp.inverse_laplacian()), t_max=0.1, tol=0.0)
 
@@ -555,7 +577,7 @@ class TestResumedRun:
         assert got[0] is state
         assert [snap.step_index for snap in got] == [0, 5]
         # A start whose energy start_energy rejects is handed to nobody.
-        huge = SchemeState(GridField.constant(state.phi.grid, 1e90))
+        huge = SchemeState(GridField(state.phi.grid, np.full(state.phi.grid.shape, 1e90)))
         got.clear()
         with pytest.raises(ConfigError, match="starting field's energy is not finite"):
             run(huge, problem, t_max=10 * p.tau, tol=0.0, snapshot_times=times,
@@ -842,7 +864,7 @@ class TestStepCount:
         grid = PeriodicGrid((4,), (1.0,))
         params = ModelParams(epsilon=0.1, gamma=0.0, M=0.0, omega=0.5, kappa=0.0, tau=tau)
         problem = Problem(grid, params, LongRangeOp.none())
-        state = SchemeState(GridField.constant(grid, 0.5))
+        state = SchemeState(GridField(grid, np.full(grid.shape, 0.5)))
         ends = []
         for snapshots in ((), times):
             final, records = run(state, problem, t_max=t_max, tol=0.0, record_every=10**9,
