@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: run, check, norm, energy, converge, coarsen, pvism.
+Subcommands: run, check, energy, converge, coarsen, pvism.
 Exit codes: 0 success, 2 configuration error, 3 violated certified
 invariant, 4 numerical blowup.  Each command handler imports what it uses
 when it runs, not when this module loads, so it calls the names its modules
@@ -59,12 +59,6 @@ def cmd_check(args) -> int:
         print(f"error: invariant: requested guarantee '{args.require}' is not satisfied",
               file=sys.stderr)
         return 3
-    return 0
-
-
-def cmd_norm(args) -> int:
-    cfg = _load_config(args)
-    print(f"{cfg.build_problem(cfg.build_grid()).op_norm:.17g}")
     return 0
 
 
@@ -160,6 +154,8 @@ def cmd_pvism(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .experiments import PRESET_GAMMAS, RATE_STUDY_SCALES
+
     parser = argparse.ArgumentParser(
         prog="pacok",
         description="Bound-preserving semi-implicit solver for penalized "
@@ -185,17 +181,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_check.set_defaults(func=cmd_check)
 
-    p_norm = sub.add_parser("norm", help="print the operator max-norm the conditions use")
-    add_config(p_norm)
-    p_norm.set_defaults(func=cmd_norm)
-
     p_energy = sub.add_parser("energy", help="print the energy breakdown of a snapshot")
     add_config(p_energy)
     p_energy.add_argument("--snapshot", required=True, help="snapshot file to evaluate")
     p_energy.set_defaults(func=cmd_energy)
 
     p_conv = sub.add_parser("converge", help="temporal convergence-rate study")
-    p_conv.add_argument("--scale", choices=("desk", "paper"), default="desk",
+    p_conv.add_argument("--scale", choices=tuple(RATE_STUDY_SCALES), default="desk",
                         help="gives the grid size, the widths and the benchmark step")
     p_conv.add_argument("--out", help="directory for rates.csv")
     p_conv.add_argument("--n", type=int, help="grid size per axis (default: the scale's)")
@@ -209,9 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_coarsen = sub.add_parser("coarsen", help="coarsening run from random initial data")
     p_coarsen.add_argument("--dim", type=int, choices=(1, 2), required=True)
-    p_coarsen.add_argument(
-        "--preset", choices=("g500", "g2000", "g1000_2d", "g2000_2d"), required=True
-    )
+    p_coarsen.add_argument("--preset", choices=tuple(PRESET_GAMMAS), required=True)
     p_coarsen.add_argument("--scale", choices=("desk", "paper"), default="desk")
     p_coarsen.add_argument("--seed", type=int, default=0)
     p_coarsen.add_argument("--out", help="output directory for series + snapshots")

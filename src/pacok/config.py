@@ -283,14 +283,11 @@ def _parse_scalar(key, text, py_type, lineno):
 
 
 def _parse_list(key, text, item_type, lineno):
-    body = text.strip()
-    if body.startswith("[") and body.endswith("]"):
-        body = body[1:-1]
-    if not body.strip():
+    if not text:
         return ()
     return tuple(
         _parse_scalar(key, piece.strip(), item_type, lineno)
-        for piece in body.split(",")
+        for piece in text.split(",")
     )
 
 

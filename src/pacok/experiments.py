@@ -275,15 +275,13 @@ def pvism_compare(tau: float = 1e-4, t_max: float = 100.0, out_dir=None) -> Solv
     return SolvationComparison(cubic, linear, bounds(cubic), bounds(linear))
 
 
-def count_bumps(phi: GridField, threshold: float = 0.5) -> int:
-    """Connected components of {phi > threshold} with periodic adjacency.
+def count_bumps(phi: GridField) -> int:
+    """Connected components of {phi > 1/2} with periodic adjacency.
 
     1D components are circular runs; 2D uses 4-adjacency, wrapping across
     both seams.
     """
-    if not (0.0 < threshold < 1.0):
-        raise ConfigError(f"threshold must lie in (0, 1), got {threshold}")
-    return _periodic_components(phi.values > threshold)
+    return _periodic_components(phi.values > 0.5)
 
 
 def _periodic_components(mask: np.ndarray) -> int:

@@ -469,17 +469,29 @@ def test_run_from_a_cavity_without_solutes_exits_2_and_leaves_no_out_dir(tmp_pat
      "operator = none\n", "operator = none\npvism_solutes = 0.0,2.0\nX = 5.0\n"],
     ids=["inverse_laplacian", "custom", "none", "pvism"],
 )
-def test_norm_prints_the_operator_norm_the_conditions_use(tmp_path, capsys, lines):
+def test_check_prints_the_operator_norm_the_conditions_use(tmp_path, capsys, lines):
     from pacok.config import load_config
-    from pacok.stepping import check_conditions
 
     table = tmp_path / "symbol.csv"
     table.write_text("".join(f"{m},{1.0 / (1.0 + m * m)!r}\n" for m in range(-16, 16)))
     path = write_config(tmp_path, "N = 32\n" + lines.format(table=table))
-    assert cli.main(["norm", "--config", path]) == 0
+    assert cli.main(["check", "--config", path, "--require", "none"]) == 0
     cfg = load_config(path)
-    expected = check_conditions(cfg.build_problem(cfg.build_grid())).op_norm
-    assert float(capsys.readouterr().out) == expected
+    expected = cfg.build_problem(cfg.build_grid()).op_norm
+    assert capsys.readouterr().out.splitlines()[0].split() == ["operator", "max-norm",
+                                                                f"{expected:.6e}"]
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["norm"], ("run", "check", "energy", "converge", "coarsen", "pvism")),
+    (["coarsen", "--dim", "1", "--preset", "g750"], tuple(experiments.PRESET_GAMMAS)),
+    (["converge", "--scale", "laptop"], tuple(experiments.RATE_STUDY_SCALES)),
+], ids=["command", "preset", "scale"])
+def test_an_unknown_choice_exits_2_listing_the_choices(argv, names, capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        cli.main(argv)
+    assert exc_info.value.code == 2
+    assert f"(choose from {', '.join(map(repr, names))})" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("lines, message", [

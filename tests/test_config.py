@@ -92,6 +92,13 @@ def test_every_coarsening_preset_is_a_valid_config_that_reads_back(name, scale):
     assert parse_config(format_config(preset)) == preset
 
 
+def test_a_bracketed_list_is_refused_naming_its_key():
+    # A list is what format_config writes: items separated by commas, nothing around them.
+    with pytest.raises(ConfigError) as exc_info:
+        parse_config("N = [8,8]\n")
+    assert str(exc_info.value) == "line 1: key 'N' expects int, got '[8'"
+
+
 def test_format_writes_the_shortest_text_of_each_float():
     lines = format_config(coarsening_preset("g500")).splitlines()
     assert {"omega = 0.3", "hi = 0.8", "op_gamma_len = 0.1", "gamma = 500.0"} <= set(lines)

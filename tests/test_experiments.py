@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 import pacok
 from pacok.config import initial_random_piecewise
-from pacok.errors import ConfigError
 from pacok.experiments import (
     RATE_STUDY,
     SOLVATION,
@@ -144,11 +143,6 @@ class TestCountBumps:
         g = PeriodicGrid((8, 8), (1.0, 1.0))
         assert count_bumps(GridField(g, np.full(g.shape, 0.0))) == 0
         assert count_bumps(GridField(g, np.full(g.shape, 1.0))) == 1
-
-    def test_threshold_checked(self):
-        g = PeriodicGrid((8,), (1.0,))
-        with pytest.raises(ConfigError):
-            count_bumps(GridField(g, np.full(g.shape, 0.5)), threshold=1.0)
 
     @pytest.mark.parametrize("sizes", [(4,), (16,), (50,), (4, 4), (8, 8), (6, 10), (32, 32)])
     def test_matches_scipy_oracle_on_random_masks(self, sizes):

@@ -693,6 +693,26 @@ class TestOperatorNorm:
             norms.append(np.sum(np.abs(out.values)))
         assert max(norms) - min(norms) <= 1e-12 * max(norms)
 
+    # The norm the conditions read does not depend on the mesh. The inverse
+    # Laplacian's creeps to its limit (N = 64 and 128 in 1D differ by 1.05e-3,
+    # 32^2 and 64^2 by 1.43e-3), so it is compared from N = 128 in 1D and 64^2 in 2D.
+    @pytest.mark.parametrize("dim, n", [(1, 128), (2, 64)])
+    def test_inverse_laplacian_norm_is_mesh_independent(self, dim, n):
+        norms = []
+        for size in (n, 2 * n):
+            g = PeriodicGrid((size,) * dim, (1.0,) * dim)
+            norms.append(impulse_response_norm(
+                multiplier_array(LongRangeOp.inverse_laplacian(), g), g))
+        assert norms[0] == pytest.approx(norms[1], rel=1e-3)
+
+    @pytest.mark.parametrize("op", [LongRangeOp.helmholtz(0.1), LongRangeOp.garnet_film(1.0)],
+                             ids=["helmholtz", "garnet_film"])
+    @pytest.mark.parametrize("dim, n", [(1, 128), (2, 64)])
+    def test_smoothing_operator_norm_is_one_at_every_mesh(self, op, dim, n):
+        for size in (n, 2 * n):
+            g = PeriodicGrid((size,) * dim, (1.0,) * dim)
+            assert impulse_response_norm(multiplier_array(op, g), g) == pytest.approx(1.0, abs=1e-12)
+
     def test_none_kind_rejected(self):
         g = PeriodicGrid((8,), (1.0,))
         with pytest.raises(ConfigError):
