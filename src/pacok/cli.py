@@ -20,20 +20,14 @@ from .errors import ConfigError, PacokError
 def _load_config(args):
     from .config import RunConfig, load_config
 
-    cfg = load_config(args.config) if args.config else RunConfig()
-    if getattr(args, "out", None):
-        from dataclasses import replace
-
-        cfg = replace(cfg, out=args.out)
-    return cfg
+    return load_config(args.config) if args.config else RunConfig()
 
 
 def cmd_run(args) -> int:
     from .experiments import run_config
 
-    cfg = _load_config(args)
-    out = cfg.out or "."
-    _, state, records = run_config(cfg, out)
+    out = args.out or "."
+    _, state, records = run_config(_load_config(args), out)
     print(
         f"run finished: n={state.step_index} t={state.time:.6g} "
         f"min={records[-1].phi_min:.6g} max={records[-1].phi_max:.6g} "
@@ -154,7 +148,7 @@ def cmd_pvism(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .experiments import PRESET_GAMMAS, RATE_STUDY_SCALES
+    from .experiments import PRESET_GAMMAS, RATE_STUDY, RATE_STUDY_SCALES, SOLVATION
 
     parser = argparse.ArgumentParser(
         prog="pacok",
@@ -168,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="integrate one configuration, write series + snapshots")
     add_config(p_run)
-    p_run.add_argument("--out", help="output directory (default from config, else '.')")
+    p_run.add_argument("--out", help="output directory (default '.')")
     p_run.set_defaults(func=cmd_run)
 
     p_check = sub.add_parser("check", help="evaluate the stability conditions")
@@ -194,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--levels", type=int, default=5, help="number of halved steps")
     p_conv.add_argument("--base-tau", type=float, default=1e-4, help="largest step")
     p_conv.add_argument("--bench-tau", type=float, help="benchmark step (default: the scale's)")
-    p_conv.add_argument("--t-end", type=float, default=0.02, help="horizon")
+    p_conv.add_argument("--t-end", type=float, default=RATE_STUDY.T, help="horizon")
     p_conv.add_argument("--eps-factors", help="comma list of interface widths in grid spacings "
                         "(default: the scale's)")
     p_conv.set_defaults(func=cmd_converge)
@@ -208,8 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_coarsen.set_defaults(func=cmd_coarsen)
 
     p_pvism = sub.add_parser("pvism", help="solvation equilibrium, cubic vs linear indicator")
-    p_pvism.add_argument("--tau", type=float, default=1e-4)
-    p_pvism.add_argument("--t-max", type=float, default=100.0)
+    p_pvism.add_argument("--tau", type=float, default=SOLVATION.tau)
+    p_pvism.add_argument("--t-max", type=float, default=SOLVATION.T)
     p_pvism.add_argument("--out", help="output directory for equilibria")
     p_pvism.set_defaults(func=cmd_pvism)
 

@@ -72,7 +72,6 @@ class RunConfig:
     hi: float = 0.8
     snapshot_times: tuple[float, ...] = ()
     monitor_every: int = 1
-    out: str = ""
 
     def __post_init__(self):
         # The choices come first: build_params reads f as an FKind.
@@ -94,7 +93,7 @@ class RunConfig:
             if not 0.0 <= t <= self.T:
                 raise ConfigError(f"snapshot_times must lie in [0, T = {self.T!r}], got {t!r}")
         if self.pvism_solutes and self.operator != "none":
-            raise ConfigError(f"pvism.solutes needs operator = none, not {self.operator}")
+            raise ConfigError(f"pvism_solutes needs operator = none, not {self.operator}")
 
     # --- builders -------------------------------------------------------
 
@@ -257,11 +256,6 @@ _CHOICES = {
     "initial": ("random", "disk", "constant", "file", "cavity"),
 }
 
-# Config-file key -> dataclass field (dots are not valid identifiers).
-_KEY_TO_FIELD = {"pvism.solutes": "pvism_solutes"}
-_FIELD_TO_KEY = {v: k for k, v in _KEY_TO_FIELD.items()}
-
-
 def _parse_scalar(key, text, py_type, lineno):
     try:
         if py_type is bool:
@@ -296,7 +290,7 @@ _LIST_ITEM_TYPES = {"N": int, "X": float, "pvism_solutes": float, "snapshot_time
 
 def parse_config(text: str) -> RunConfig:
     """Parse ``key = value`` text into a :class:`RunConfig`; keys not given keep their defaults."""
-    field_types = {f.name: f for f in fields(RunConfig)}
+    names = {f.name for f in fields(RunConfig)}
     updates = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -307,14 +301,12 @@ def parse_config(text: str) -> RunConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        name = _KEY_TO_FIELD.get(key, key)
-        if name not in field_types:
+        if key not in names:
             raise ConfigError(f"line {lineno}: unknown key '{key}'")
-        if name in _LIST_ITEM_TYPES:
-            updates[name] = _parse_list(key, value, _LIST_ITEM_TYPES[name], lineno)
+        if key in _LIST_ITEM_TYPES:
+            updates[key] = _parse_list(key, value, _LIST_ITEM_TYPES[key], lineno)
         else:
-            default = getattr(RunConfig, name)
-            updates[name] = _parse_scalar(key, value, type(default), lineno)
+            updates[key] = _parse_scalar(key, value, type(getattr(RunConfig, key)), lineno)
     return RunConfig(**updates)
 
 
@@ -345,13 +337,12 @@ def format_config(cfg: RunConfig) -> str:
     """
     lines = []
     for f in fields(RunConfig):
-        key = _FIELD_TO_KEY.get(f.name, f.name)
         value = getattr(cfg, f.name)
         if isinstance(value, str) and (
             "#" in value or value != value.strip() or len(value.splitlines()) > 1
         ):
-            raise ConfigError(f"{key} = {value!r} cannot be written to a config file")
-        lines.append(f"{key} = {_format_value(value)}")
+            raise ConfigError(f"{f.name} = {value!r} cannot be written to a config file")
+        lines.append(f"{f.name} = {_format_value(value)}")
     return "\n".join(lines) + "\n"
 
 

@@ -254,7 +254,9 @@ SOLVATION = RunConfig(
 )
 
 
-def pvism_compare(tau: float = 1e-4, t_max: float = 100.0, out_dir=None) -> SolvationComparison:
+def pvism_compare(
+    tau: float = SOLVATION.tau, t_max: float = SOLVATION.T, out_dir=None
+) -> SolvationComparison:
     """Solvation equilibrium with cubic versus linear indicator nonlinearity.
 
     Each run is :func:`run_config` of ``replace(SOLVATION, tau=tau, T=t_max,

@@ -36,7 +36,8 @@ class PeriodicGrid:
     Parameters
     ----------
     sizes : tuple of int
-        Points per direction, each even and >= 4.
+        Points per direction, each an even integer >= 4, and few enough
+        that 16 bytes a point fit in one array.
     half_extents : tuple of float
         Half lengths X_i of the box.
     """
@@ -45,7 +46,7 @@ class PeriodicGrid:
     half_extents: tuple[float, ...]
 
     def __post_init__(self):
-        sizes = tuple(int(n) for n in np.atleast_1d(self.sizes))
+        sizes = tuple(np.atleast_1d(self.sizes).tolist())
         extents = tuple(float(x) for x in np.atleast_1d(self.half_extents))
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "half_extents", extents)
@@ -54,8 +55,11 @@ class PeriodicGrid:
         if len(sizes) not in (1, 2):
             raise ConfigError(f"only 1D and 2D grids are supported, got dim={len(sizes)}")
         for n in sizes:
-            if n < 4 or n % 2 != 0:
+            if not isinstance(n, int) or n < 4 or n % 2 != 0:
                 raise ConfigError(f"grid size must be an even integer >= 4, got {n}")
+        # 16 bytes a point bounds every array a run allocates, spectra included.
+        if 16 * math.prod(sizes) > np.iinfo(np.intp).max:
+            raise ConfigError(f"grid size {sizes} has more points than an array can hold")
         for x, n in zip(extents, sizes):
             if not np.isfinite(x) or x <= 0.0:
                 raise ConfigError(f"half extent must be positive and finite, got {x}")

@@ -103,6 +103,15 @@ class ModelParams:
             raise ConfigError(f"omega must lie in (0, 1), got {self.omega}")
         if not (np.isfinite(self.tau) and self.tau > 0.0):
             raise ConfigError(f"tau must be positive, got {self.tau}")
+        # The scheme's terms in epsilon, kappa and tau, as Problem and the conditions form them.
+        eps, kappa, tau = float(self.epsilon), float(self.kappa), float(self.tau)
+        for term, value in (("36/epsilon", 36.0 / eps), ("kappa/epsilon", kappa / eps),
+                            ("1 + tau*kappa/epsilon", 1.0 + tau * kappa / eps),
+                            ("36*tau/epsilon", 36.0 * tau / eps)):
+            if not np.isfinite(value):
+                raise ConfigError(
+                    f"{term} is not finite for epsilon={eps!r}, kappa={kappa!r}, tau={tau!r}"
+                )
 
     @property
     def omega_tilde(self) -> float:
@@ -202,8 +211,6 @@ class Problem:
         # Each symbol is built once; its mirror weights overwrite it last.
         symbol = stencil_symbol(grid)
         denom = self.A + tau * eps * symbol
-        if float(np.min(denom)) < 1.0 - 1e-15:
-            raise AssertionError("implicit solve lost unconditional solvability")
         self.inverse_denominator = _interleaved(np.divide(1.0, denom, out=denom))
         self.symbol_weights = mirror_weights(symbol)
         self.op_weights = self.multiplier = self.potential_force = None

@@ -119,6 +119,45 @@ def test_unknown_config_key_exits_2(tmp_path, capsys, line):
     assert f"unknown key '{key}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["out = somewhere", "pvism.solutes = 0.0"])
+def test_a_key_that_is_not_a_field_name_exits_2_and_writes_nothing(
+    tmp_path, capsys, monkeypatch, line
+):
+    # A config describes a run, not where it goes: the output directory is --out.
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, "operator = none\n" + line + "\n")
+    assert cli.main(["run", "--config", path, "--out", "out"]) == 2
+    key = line.split(" = ")[0]
+    assert capsys.readouterr().err == f"error: config: {path}: line 2: unknown key '{key}'\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
+# Configs whose scheme terms or grid overflow, with what the error names.
+OVERFLOWS = {
+    "kappa": ("N = 16\nkappa = 1e308\ntau = 10.0\nT = 20.0\n", "kappa/epsilon is not finite"),
+    "epsilon": ("epsilon = 1e-310\ninitial = constant\ninitial_value = 0.0\n",
+                "36/epsilon is not finite"),
+    "tau": ("tau = 1e308\nT = 1e308\n", "1 + tau*kappa/epsilon is not finite"),
+    "cells": ("N = 4611686018427387904\n", "has more points than an array can hold"),
+}
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+@pytest.mark.parametrize("text, named", OVERFLOWS.values(), ids=OVERFLOWS)
+def test_a_config_that_overflows_exits_2_and_writes_nothing(
+    tmp_path, capsys, monkeypatch, command, text, named
+):
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, text)
+    argv = [command, "--config", path] + (["--out", "out"] if command == "run" else [])
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: config: {path}: ")
+    assert named in captured.err and captured.err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
 @pytest.mark.parametrize("times, named", [("0.5,-1", "0.5"), ("0.005,-1", "-1.0")])
 def test_snapshot_time_outside_the_run_exits_2(tmp_path, capsys, times, named):
     path = write_config(tmp_path, f"T = 0.01\nsnapshot_times = {times}\n")
@@ -482,6 +521,19 @@ def test_check_prints_the_operator_norm_the_conditions_use(tmp_path, capsys, lin
                                                                 f"{expected:.6e}"]
 
 
+@pytest.mark.parametrize("argv, config, flags", [
+    (["pvism"], "SOLVATION", {"tau": "tau", "t_max": "T"}),
+    (["converge"], "RATE_STUDY", {"t_end": "T"}),
+], ids=["pvism", "converge"])
+def test_study_flags_default_to_the_values_of_their_config(monkeypatch, argv, config, flags):
+    # Each study default lives in its config: changing the config changes the flag.
+    moved = replace(getattr(experiments, config), tau=3e-5, T=0.25)
+    monkeypatch.setattr(experiments, config, moved)
+    args = cli.build_parser().parse_args(argv)
+    assert {flag: getattr(args, flag) for flag in flags} == {
+        flag: getattr(moved, field) for flag, field in flags.items()}
+
+
 @pytest.mark.parametrize("argv, names", [
     (["norm"], ("run", "check", "energy", "converge", "coarsen", "pvism")),
     (["coarsen", "--dim", "1", "--preset", "g750"], tuple(experiments.PRESET_GAMMAS)),
@@ -516,4 +568,4 @@ def test_solutes_with_an_operator_exit_2_naming_both_keys(tmp_path, capsys):
     path = write_config(tmp_path, format_config(experiments.SOLVATION) + "operator = helmholtz\n")
     assert cli.main(["check", "--config", path]) == 2
     assert capsys.readouterr().err.endswith(
-        ": pvism.solutes needs operator = none, not helmholtz\n")
+        ": pvism_solutes needs operator = none, not helmholtz\n")

@@ -2,7 +2,7 @@
 
 import math
 import struct
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -20,6 +20,7 @@ from pacok.config import (
 from pacok.errors import ConfigError
 from pacok.experiments import (
     PRESET_GAMMAS,
+    RATE_STUDY,
     RATE_STUDY_SCALES,
     SOLVATION,
     coarsening_preset,
@@ -34,6 +35,11 @@ positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 nonnegative = st.floats(min_value=0.0, allow_infinity=False)
 # Half extents whose spacing keeps 4/h^2 finite and positive at every drawn N.
 extents = st.floats(1e-140, 1e150)
+# Widths, stabilizers and steps that keep 36/eps, kappa/eps, 1 + tau*kappa/eps
+# and 36*tau/eps finite.
+widths = st.floats(1e-100, 1e100)
+stabilizers = st.floats(0.0, 1e100)
+steps = st.floats(0.0, 1e100, exclude_min=True)
 # Strings a config file can hold: no '#', no line break, no whitespace at either end.
 writable = st.text(st.characters(exclude_characters="#", exclude_categories=("Cs",))).filter(
     lambda s: s == s.strip() and len(s.splitlines()) <= 1
@@ -47,12 +53,12 @@ def configs(draw):
     operator = draw(st.sampled_from(
         ("inverse_laplacian", "helmholtz", "garnet_film", "custom", "none")))
     return RunConfig(
-        epsilon=draw(positive),
+        epsilon=draw(widths),
         gamma=draw(nonnegative),
         M=draw(nonnegative),
         omega=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
-        kappa=draw(nonnegative),
-        tau=draw(positive),
+        kappa=draw(stabilizers),
+        tau=draw(steps),
         N=tuple(2 * n for n in draw(st.lists(st.integers(2, 2**20), min_size=dim, max_size=dim))),
         X=tuple(draw(st.lists(extents, min_size=dim, max_size=dim))),
         T=T,
@@ -74,7 +80,6 @@ def configs(draw):
         hi=draw(finite),
         snapshot_times=tuple(draw(st.lists(st.floats(0.0, T), max_size=4))),
         monitor_every=draw(st.integers(1, 2**40)),
-        out=draw(writable),
     )
 
 
@@ -116,13 +121,20 @@ def test_format_writes_the_shortest_text_of_each_float():
      (lambda: replace(RunConfig(), snapshot_times=(20.0,)),
       "snapshot_times must lie in [0, T = 10.0], got 20.0"),
      (lambda: RunConfig(pvism_solutes=(0.0,)),
-      "pvism.solutes needs operator = none, not inverse_laplacian")],
+      "pvism_solutes needs operator = none, not inverse_laplacian")],
     ids=["f", "operator", "initial", "T", "tol", "replace", "solutes"],
 )
 def test_a_config_made_in_python_is_checked_as_a_file_is(make, message):
     with pytest.raises(ConfigError) as exc_info:
         make()
     assert str(exc_info.value) == message
+
+
+def test_every_key_is_its_field_name():
+    names = [f.name for f in fields(RunConfig)]
+    for cfg in (RATE_STUDY, SOLVATION):
+        assert [line.split(" = ")[0] for line in format_config(cfg).splitlines()] == names
+    assert parse_config("operator = none\npvism_solutes = 0.0\n").pvism_solutes == (0.0,)
 
 
 def test_the_solvation_comparison_is_a_config_that_reads_back():
@@ -170,8 +182,8 @@ def test_initial_file_on_another_box_is_refused_naming_both_grids(tmp_path):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("out", "runs#1"), ("out", " spaced "), ("out", "runs\n"), ("initial_file", "a\nb"),
-     ("op_symbol_file", "a\rb"), ("out", "tab\t")],
+    [("initial_file", "runs#1"), ("op_symbol_file", " spaced "), ("initial_file", "runs\n"),
+     ("initial_file", "a\nb"), ("op_symbol_file", "a\rb"), ("op_symbol_file", "tab\t")],
 )
 def test_format_refuses_a_string_it_cannot_write_back(key, value):
     with pytest.raises(ConfigError, match=f"{key} = "):

@@ -52,6 +52,20 @@ class TestPeriodicGrid:
         with pytest.raises(ConfigError):
             PeriodicGrid(sizes, (1.0,) * len(sizes))
 
+    @pytest.mark.parametrize("sizes, message", [
+        ((16.7,), "grid size must be an even integer >= 4, got 16.7"),
+        ((2**62,), "grid size (4611686018427387904,) has more points than an array can hold"),
+        ((10**23,), "grid size (100000000000000000000000,) has more points than an array can hold"),
+        ((2**31, 2**31), "grid size (2147483648, 2147483648) has more points than an array can hold"),
+    ], ids=["fraction", "huge", "beyond-int64", "huge-2d"])
+    def test_rejects_a_size_that_is_not_an_integer_or_does_not_fit_an_array(self, sizes, message):
+        with pytest.raises(ConfigError) as exc_info:
+            PeriodicGrid(sizes, (1.0,) * len(sizes))
+        assert str(exc_info.value) == message
+
+    def test_a_size_whose_arrays_fit_is_kept(self):
+        assert PeriodicGrid((2**58,), (1.0,)).sizes == (2**58,)
+
     def test_rejects_3d(self):
         with pytest.raises(ConfigError):
             PeriodicGrid((8, 8, 8), (1.0, 1.0, 1.0))

@@ -175,6 +175,20 @@ class TestModelParams:
         with pytest.raises(ConfigError, match=f"^{name} must be finite and >= 0, got {value}$"):
             ModelParams(**base)
 
+    @pytest.mark.parametrize("kwargs, term", [
+        ({"kappa": 1e308, "tau": 10.0}, "kappa/epsilon"),
+        ({"epsilon": 1e-310}, "36/epsilon"),
+        ({"tau": 1e308}, "1 + tau*kappa/epsilon"),
+        ({"kappa": 0.0, "tau": 1e308}, "36*tau/epsilon"),
+    ], ids=["kappa", "epsilon", "tau", "tau-without-kappa"])
+    def test_rejects_a_scheme_term_that_is_not_finite(self, kwargs, term):
+        # Each would otherwise reach the solve's denominator or the conditions as inf.
+        base = dict(epsilon=0.1, gamma=1.0, M=1.0, omega=0.3, kappa=1.0, tau=1e-3)
+        base.update(kwargs)
+        with pytest.raises(ConfigError) as exc_info:
+            ModelParams(**base)
+        assert str(exc_info.value).startswith(f"{term} is not finite for epsilon=")
+
 
 def mpp_satisfying_params(grid, op, gamma, M, omega, epsilon, tau, margin=1.0):
     """Smallest stabilizer satisfying the cubic's bound-preservation condition, plus margin."""
