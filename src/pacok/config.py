@@ -57,7 +57,6 @@ class RunConfig:
     T: float = 10.0
     tol: float = 1e-3
     f: str = "cubic"
-    extension: bool = False
     operator: str = "inverse_laplacian"
     op_gamma_len: float = 0.1
     op_delta: float = 1.0
@@ -109,7 +108,6 @@ class RunConfig:
             kappa=self.kappa,
             tau=self.tau,
             f=FKind(self.f),
-            extension=self.extension,
         )
 
     def build_op(self) -> LongRangeOp:

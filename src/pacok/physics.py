@@ -8,18 +8,15 @@ The double-well potential and the indicator nonlinearity are
 f is the smallest-degree polynomial with f(0) = 0, f(1) = 1 and
 f'(0) = f'(1) = 0; the vanishing endpoint slopes switch the long-range and
 volume-penalty forces off in the pure phases, which is what makes the
-stabilized explicit treatment preserve the [0, 1] bounds.  A clamped
-extension (0 below 0, 1 above 1, derivatives zero outside [0, 1]) is
-available for the continuous-level analysis; discrete runs do not need it.
-The traditional linear choice f(s) = s is provided for comparison runs; it
-loses the bound-preservation guarantee.
+stabilized explicit treatment preserve the [0, 1] bounds.  The traditional
+linear choice f(s) = s is provided for comparison runs; it loses the
+bound-preservation guarantee.
 
 Bound constants L_W'' = max |W''|, L_f' = max |f'|, L_f'' = max |f''| over
 [0, 1] enter every stability condition.  They are the closed forms 36,
-3/2 and 6 for the cubic and 36, 1 and 0 for the linear choice; a clamped
-extension agrees with f on [0, 1] and has the constants of its f.  The
-model is one value, :class:`ModelParams`: its scalars, the choice of f and
-of its extension, and the constants and endpoint property that choice has.
+3/2 and 6 for the cubic and 36, 1 and 0 for the linear choice.  The model
+is one value, :class:`ModelParams`: its scalars, the choice of f, and the
+constants and endpoint property that choice has.
 
 The explicit right-hand side of one stabilized semi-implicit step is
 
@@ -43,6 +40,7 @@ caller passes.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +75,6 @@ class ModelParams:
     kappa     : stabilizing splitting constant (finite, >= 0)
     tau       : time step (> 0)
     f         : the indicator, an :class:`FKind`
-    extension : whether f is clamped outside [0, 1]
     """
 
     epsilon: float
@@ -87,7 +84,6 @@ class ModelParams:
     kappa: float
     tau: float
     f: FKind = FKind.CUBIC_HERMITE
-    extension: bool = False
 
     def __post_init__(self):
         # A string would otherwise step with the linear f and miss the constants' table.
@@ -107,7 +103,7 @@ class ModelParams:
         eps, kappa, tau = float(self.epsilon), float(self.kappa), float(self.tau)
         for term, value in (("36/epsilon", 36.0 / eps), ("kappa/epsilon", kappa / eps),
                             ("1 + tau*kappa/epsilon", 1.0 + tau * kappa / eps),
-                            ("36*tau/epsilon", 36.0 * tau / eps)):
+                            ("36*tau/epsilon", 36.0 * tau / eps), ("1/tau", 1.0 / tau)):
             if not np.isfinite(value):
                 raise ConfigError(
                     f"{term} is not finite for epsilon={eps!r}, kappa={kappa!r}, tau={tau!r}"
@@ -129,9 +125,15 @@ class ModelParams:
 
     @property
     def bound_constants(self) -> tuple[float, float, float]:
-        """(L_W'', L_f', L_f''), the max-norms of W'', f', f'' over [0, 1]; the
-        clamped extension agrees with f on [0, 1], so it has the same ones."""
+        """(L_W'', L_f', L_f''), the max-norms of W'', f', f'' over [0, 1]."""
         return _BOUND_CONSTANTS[self.f]
+
+
+def _finite(term: str, value: float, given: str) -> float:
+    """``value``, the largest magnitude of the scheme term ``term``, when it is finite."""
+    if not math.isfinite(value):
+        raise ConfigError(f"{term} is not finite for {given}")
+    return value
 
 
 def _interleaved(a: np.ndarray) -> np.ndarray:
@@ -159,12 +161,14 @@ class Problem:
     (g = tau*U in solvation mode).  Every denominator entry is >= 1.  The
     problem stores the force's coefficients already scaled by k: for the
     cubic f, f' = -6 q, so k = 6 and rhs = A s + q (k g + c - 2c s); for the
-    other indicators k = -1 and rhs = A s + q (c - 2c s) + k g f'(s).
+    linear f, f' = 1, so k = -1 and rhs = A s + q (c - 2c s) + k g.
 
     f is the one ``params`` names; :meth:`mismatch` evaluates f(s) - omega.
     The multiplier and the reciprocal of the denominator are interleaved
     (see :func:`_interleaved`); the energy takes the symbols' mirror
-    weights, ``symbol_weights`` and ``op_weights``.
+    weights, ``symbol_weights`` and ``op_weights``.  Each scaled term is
+    checked finite at its largest magnitude before it is formed: an
+    overflow on the run's grid is a ConfigError naming the term.
 
     ``op_norm`` is ||L||, the operator's max-norm
     (:func:`pacok.spectral.impulse_response_norm` of its multiplier), max|U|
@@ -181,9 +185,8 @@ class Problem:
     :meth:`advance`; ``phi_hat`` is the solve spectrum of the field
     :meth:`advance` produced, or rfftn of the one passed to :meth:`start`.
     The run loop ping-pongs its fields through ``fields``
-    (:meth:`allocate_run_buffers`).  ``work``, ``product`` and, for the
-    clamped extensions, ``clamped`` are scratch.  The transforms act on the
-    trailing ``grid.dim`` axes.
+    (:meth:`allocate_run_buffers`).  ``work`` and ``product`` are scratch.
+    The transforms act on the trailing ``grid.dim`` axes.
     """
 
     def __init__(
@@ -199,14 +202,19 @@ class Problem:
         self.potential_values = potential_values
         self.axes = tuple(range(-grid.dim, 0))
         self.half_shape = grid.shape[:-1] + (grid.shape[-1] // 2 + 1,)
-        tau, eps = params.tau, params.epsilon
-        self.fused = params.f is FKind.CUBIC_HERMITE and not params.extension
+        tau, eps = float(params.tau), float(params.epsilon)
+        self.fused = params.f is FKind.CUBIC_HERMITE
         k = 6.0 if self.fused else -1.0
         self.A = 1.0 + tau * params.kappa / eps
         self.c = 36.0 * tau / eps
         # Added to the scaled force: in the fused form it takes c along.
         self.offset = self.c if self.fused else 0.0
-        self.volume_force = k * tau * params.M
+        # The stencil's largest eigenvalue, at the Nyquist mode, bounds the denominator.
+        lambda_max = sum(4.0 / h ** 2 for h in grid.spacings)
+        _finite("1 + tau*kappa/epsilon + tau*epsilon*lambda_max", self.A + tau * eps * lambda_max,
+                f"tau={tau!r}, epsilon={eps!r}, kappa={params.kappa!r}, lambda_max={lambda_max!r}")
+        self.volume_force = _finite(f"{k:g}*tau*M", k * tau * float(params.M),
+                                    f"tau={tau!r}, M={params.M!r}")
         self.volume = 0.0
         # Each symbol is built once; its mirror weights overwrite it last.
         symbol = stencil_symbol(grid)
@@ -218,6 +226,9 @@ class Problem:
         if op.kind is not OpKind.NONE:
             op_symbol = multiplier_array(op, grid)
             self.op_norm = impulse_response_norm(op_symbol, grid)
+            largest = float(np.max(np.abs(op_symbol)))
+            _finite(f"{k:g}*tau*gamma*max|L|", k * tau * float(params.gamma) * largest,
+                    f"tau={tau!r}, gamma={params.gamma!r}, max|L|={largest!r}")
             self.multiplier = _interleaved(k * tau * params.gamma * op_symbol)
             self.op_weights = mirror_weights(op_symbol)
         if potential_values is None:
@@ -226,11 +237,12 @@ class Problem:
         else:
             self.op_norm = self.force_bound = float(np.max(np.abs(potential_values)))
             self.interaction_norm = 0.0
+            _finite(f"{k:g}*tau*U", abs(k) * tau * self.force_bound + self.offset,
+                    f"tau={tau!r}, max|U|={self.force_bound!r}")
             self.potential_force = k * tau * potential_values + self.offset
             self.potential_force.setflags(write=False)
         self.q = np.empty(grid.shape)
         self.work = np.empty(grid.shape)
-        self.clamped = np.empty(grid.shape) if params.extension else None
         self.phi_hat = np.empty(self.half_shape, complex)
         self.mismatch_hat = None if self.multiplier is None else np.empty(self.half_shape, complex)
         # The inverse transforms' scratch spectrum is the mismatch spectrum, if there is one.
@@ -268,12 +280,7 @@ class Problem:
         self.q -= s
 
     def mismatch(self, s: np.ndarray, omega: float) -> np.ndarray:
-        """f(s) - omega into ``work``, f(s) = (3 - 2s) s s for the cubic; 0 gives f(s).
-
-        The clamped extensions clip ``s`` into ``clamped`` first.
-        """
-        if self.params.extension:
-            s = np.clip(s, 0.0, 1.0, out=self.clamped)
+        """f(s) - omega into ``work``, f(s) = (3 - 2s) s s for the cubic; 0 gives f(s)."""
         out = self.work
         if self.params.f is FKind.CUBIC_HERMITE:
             np.multiply(2.0, s, out=out)
@@ -306,8 +313,6 @@ class Problem:
 
     def rhs(self, s: np.ndarray, g, out: np.ndarray) -> np.ndarray:
         """The right-hand side for the current field ``s`` and its :meth:`force`, into ``out``."""
-        if self.params.extension:
-            g = self._times_slope(s, g, out)
         np.multiply(s, -2.0 * self.c, out=out)
         if self.fused:
             out += g
@@ -315,24 +320,9 @@ class Problem:
         else:
             out += self.c
             out *= self.q
-            out += g   # linear f' = 1; an extension's g already holds g f'(s)
+            out += g   # linear f' = 1
         out += np.multiply(s, self.A, out=self.work)
         return out
-
-    def _times_slope(self, s: np.ndarray, g, scratch: np.ndarray) -> np.ndarray:
-        """g f'(s) of a clamped extension into ``clamped``: f'(s) = 6 c (1 - c) for the
-        cubic and 1 for the linear f, c = s clipped to [0, 1], and 0 outside [0, 1];
-        ``scratch`` is overwritten."""
-        slope = np.clip(s, 0.0, 1.0, out=self.clamped)
-        if self.params.f is FKind.CUBIC_HERMITE:
-            np.subtract(1.0, slope, out=scratch)
-            slope *= 6.0
-            slope *= scratch
-        else:
-            # 0 for s < 0 or s > 1, and for NaN, where the right-hand side is NaN either way
-            np.equal(slope, s, out=slope)
-        slope *= g
-        return slope
 
     def advance(self, s: np.ndarray, out: np.ndarray) -> float:
         """One step from the current field ``s``; returns ||P_new - s||_inf.

@@ -38,31 +38,22 @@ def W_pprime(s):
     return float(out) if out.ndim == 0 else out
 
 
-def _clamp01(s):
-    return np.clip(s, 0.0, 1.0)
-
-
 def f_eval(params: ModelParams, s):
     """The indicator that ``params`` names, at ``s``."""
     s = np.asarray(s, dtype=np.float64)
-    arg = _clamp01(s) if params.extension else s
     if params.f is FKind.CUBIC_HERMITE:
-        out = (3.0 - 2.0 * arg) * arg * arg
+        out = (3.0 - 2.0 * s) * s * s
     else:
-        out = np.array(arg, dtype=np.float64)
+        out = np.array(s, dtype=np.float64)
     return float(out) if out.ndim == 0 else out
 
 
 def f_prime(params: ModelParams, s):
     s = np.asarray(s, dtype=np.float64)
     if params.f is FKind.CUBIC_HERMITE:
-        arg = _clamp01(s) if params.extension else s
-        # f'(0) = f'(1) = 0, so clamping alone zeroes the slope outside.
-        out = 6.0 * arg * (1.0 - arg)
+        out = 6.0 * s * (1.0 - s)
     else:
         out = np.ones_like(s)
-        if params.extension:
-            out = np.where((s < 0.0) | (s > 1.0), 0.0, out)
     return float(out) if out.ndim == 0 else out
 
 
@@ -70,8 +61,6 @@ def f_pprime(params: ModelParams, s):
     s = np.asarray(s, dtype=np.float64)
     if params.f is FKind.CUBIC_HERMITE:
         out = 6.0 - 12.0 * s
-        if params.extension:
-            out = np.where((s < 0.0) | (s > 1.0), 0.0, out)
     else:
         out = np.zeros_like(s)
     return float(out) if out.ndim == 0 else out

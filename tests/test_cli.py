@@ -1,5 +1,6 @@
 import re
 import sys
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -139,6 +140,7 @@ OVERFLOWS = {
                 "36/epsilon is not finite"),
     "tau": ("tau = 1e308\nT = 1e308\n", "1 + tau*kappa/epsilon is not finite"),
     "cells": ("N = 4611686018427387904\n", "has more points than an array can hold"),
+    "subnormal-tau": ("tau = 1e-310\nT = 1e-300\n", "1/tau is not finite"),
 }
 
 
@@ -150,11 +152,52 @@ def test_a_config_that_overflows_exits_2_and_writes_nothing(
     monkeypatch.chdir(tmp_path)
     path = write_config(tmp_path, text)
     argv = [command, "--config", path] + (["--out", "out"] if command == "run" else [])
-    assert cli.main(argv) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: config: {path}: ")
     assert named in captured.err and captured.err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
+# Configs whose scheme terms overflow only on their grid, which Problem refuses.
+GRID_OVERFLOWS = {
+    "denominator": ("tau = 1e305\nepsilon = 1.0\nkappa = 0.0\nT = 1e306\n",
+                    "1 + tau*kappa/epsilon + tau*epsilon*lambda_max is not finite for tau=1e+305, "
+                    "epsilon=1.0, kappa=0.0, lambda_max=65536.0"),
+    "volume": ("tau = 1e300\nM = 1e10\ngamma = 0.0\nT = 1e301\n",
+               "6*tau*M is not finite for tau=1e+300, M=10000000000.0"),
+    "long-range": ("tau = 1e300\nM = 0.0\ngamma = 1e10\nT = 1e301\n",
+                   "6*tau*gamma*max|L| is not finite for tau=1e+300, gamma=10000000000.0, max|L|="),
+}
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+@pytest.mark.parametrize("text, named", GRID_OVERFLOWS.values(), ids=GRID_OVERFLOWS)
+def test_a_scheme_term_that_overflows_on_its_grid_exits_2_with_no_warning(
+    tmp_path, capsys, monkeypatch, command, text, named
+):
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, text)
+    argv = [command, "--config", path] + (["--out", "out"] if command == "run" else [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: config: {named}")
+    assert captured.err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
+def test_an_extension_key_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    # The clamped extension is retired; the key is unknown like any other.
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, "extension = true\n")
+    assert cli.main(["run", "--config", path, "--out", "out"]) == 2
+    assert capsys.readouterr().err == f"error: config: {path}: line 1: unknown key 'extension'\n"
     assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
@@ -415,9 +458,17 @@ def test_converge_with_a_grid_size_that_is_not_an_even_integer_of_at_least_4_exi
 
 
 def test_pvism_with_a_step_count_that_is_not_finite_exits_2(capsys):
+    assert cli.main(["pvism", "--tau", "1e-10", "--t-max", "1e300"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: config: the step count to t = 1e+300 with tau = 1e-10 is not finite\n"
+
+
+def test_pvism_with_a_subnormal_step_exits_2_naming_its_reciprocal(capsys):
     assert cli.main(["pvism", "--tau", "1e-320", "--t-max", "0.5"]) == 2
     err = capsys.readouterr().err
-    assert err == "error: config: the step count to t = 0.5 with tau = 1e-320 is not finite\n"
+    assert err == (
+        "error: config: 1/tau is not finite for epsilon=0.48828125, kappa=2000.0, tau=1e-320\n"
+    )
 
 
 @pytest.mark.parametrize("bench_tau", ["0", "-1e-4"])

@@ -35,11 +35,11 @@ positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 nonnegative = st.floats(min_value=0.0, allow_infinity=False)
 # Half extents whose spacing keeps 4/h^2 finite and positive at every drawn N.
 extents = st.floats(1e-140, 1e150)
-# Widths, stabilizers and steps that keep 36/eps, kappa/eps, 1 + tau*kappa/eps
-# and 36*tau/eps finite.
+# Widths, stabilizers and steps that keep 36/eps, kappa/eps, 1 + tau*kappa/eps,
+# 36*tau/eps and 1/tau finite.
 widths = st.floats(1e-100, 1e100)
 stabilizers = st.floats(0.0, 1e100)
-steps = st.floats(0.0, 1e100, exclude_min=True)
+steps = st.floats(1e-300, 1e100)
 # Strings a config file can hold: no '#', no line break, no whitespace at either end.
 writable = st.text(st.characters(exclude_characters="#", exclude_categories=("Cs",))).filter(
     lambda s: s == s.strip() and len(s.splitlines()) <= 1
@@ -64,7 +64,6 @@ def configs(draw):
         T=T,
         tol=draw(nonnegative),
         f=draw(st.sampled_from(("cubic", "linear"))),
-        extension=draw(st.booleans()),
         operator=operator,
         op_gamma_len=draw(finite),
         op_delta=draw(finite),

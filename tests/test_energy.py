@@ -163,7 +163,6 @@ def operator(kind, sizes):
 INDICATORS = {
     "cubic": {},
     "linear": {"f": FKind.LINEAR},
-    "extension": {"extension": True},
 }
 
 

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -27,12 +28,10 @@ from oracles import (
 )
 
 PARAMS = ModelParams(epsilon=0.1, gamma=150.0, M=80.0, omega=0.3, kappa=40.0, tau=1e-3)
-# The four indicators, each on PARAMS.
+# The two indicators, each on PARAMS.
 CUBIC = PARAMS
-CUBIC_EXT = replace(PARAMS, extension=True)
 LINEAR = replace(PARAMS, f=FKind.LINEAR)
-LINEAR_EXT = replace(LINEAR, extension=True)
-ALL_INDICATORS = (CUBIC, CUBIC_EXT, LINEAR, LINEAR_EXT)
+ALL_INDICATORS = (CUBIC, LINEAR)
 
 
 class TestDoubleWell:
@@ -69,13 +68,6 @@ class TestIndicator:
     def test_midpoint(self):
         assert f_eval(CUBIC, 0.5) == pytest.approx(0.5)
         assert f_prime(CUBIC, 0.5) == pytest.approx(1.5)
-
-    def test_extension_clamps(self):
-        assert f_eval(CUBIC_EXT, -2.0) == 0.0
-        assert f_eval(CUBIC_EXT, 3.0) == 1.0
-        assert f_prime(CUBIC_EXT, -2.0) == 0.0
-        assert f_pprime(CUBIC_EXT, -2.0) == 0.0
-        assert f_pprime(CUBIC_EXT, 3.0) == 0.0
 
     def test_unextended_grows_outside(self):
         assert f_eval(CUBIC, -1.0) == pytest.approx(5.0)
@@ -121,11 +113,10 @@ class TestBoundConstants:
     def test_dyadic_grid_gives_the_dense_grid_constants(self, model):
         # The constants of the former 10^6 + 1 point grid, bit for bit.
         s = np.linspace(0.0, 1.0, 1_000_001)
-        inner = replace(model, extension=False)
         dense = (
             float(np.max(np.abs(W_pprime(s)))),
-            float(np.max(np.abs(f_prime(inner, s)))),
-            float(np.max(np.abs(f_pprime(inner, s)))),
+            float(np.max(np.abs(f_prime(model, s)))),
+            float(np.max(np.abs(f_pprime(model, s)))),
         )
         assert model.bound_constants == dense
 
@@ -180,7 +171,8 @@ class TestModelParams:
         ({"epsilon": 1e-310}, "36/epsilon"),
         ({"tau": 1e308}, "1 + tau*kappa/epsilon"),
         ({"kappa": 0.0, "tau": 1e308}, "36*tau/epsilon"),
-    ], ids=["kappa", "epsilon", "tau", "tau-without-kappa"])
+        ({"tau": 1e-310}, "1/tau"),
+    ], ids=["kappa", "epsilon", "tau", "tau-without-kappa", "subnormal-tau"])
     def test_rejects_a_scheme_term_that_is_not_finite(self, kwargs, term):
         # Each would otherwise reach the solve's denominator or the conditions as inf.
         base = dict(epsilon=0.1, gamma=1.0, M=1.0, omega=0.3, kappa=1.0, tau=1e-3)
@@ -188,6 +180,32 @@ class TestModelParams:
         with pytest.raises(ConfigError) as exc_info:
             ModelParams(**base)
         assert str(exc_info.value).startswith(f"{term} is not finite for epsilon=")
+
+
+# Terms finite in ModelParams that overflow on a 16-point grid, lambda_max = 256.
+GRID_OVERFLOWS = {
+    "denominator": ({"epsilon": 1.0, "kappa": 0.0, "tau": 1e306}, "inverse_laplacian",
+                    "1 + tau*kappa/epsilon + tau*epsilon*lambda_max"),
+    "volume": ({"M": 1e10, "tau": 1e300}, "none", "6*tau*M"),
+    "linear-volume": ({"M": 1e10, "tau": 1e300, "f": FKind.LINEAR}, "none", "-1*tau*M"),
+    "long-range": ({"gamma": 1e10, "M": 0.0, "tau": 1e300}, "inverse_laplacian",
+                   "6*tau*gamma*max|L|"),
+    "potential": ({"tau": 1e300, "M": 0.0}, "potential", "6*tau*U"),
+}
+
+
+@pytest.mark.parametrize("kwargs, mode, term", GRID_OVERFLOWS.values(), ids=GRID_OVERFLOWS)
+def test_problem_refuses_a_scheme_term_that_overflows_on_its_grid(kwargs, mode, term):
+    base = dict(epsilon=0.1, gamma=1.0, M=1.0, omega=0.3, kappa=1.0, tau=1e-3)
+    base.update(kwargs)
+    grid = PeriodicGrid((16,), (1.0,))
+    op = LongRangeOp.none() if mode in ("none", "potential") else LongRangeOp.inverse_laplacian()
+    potential = np.full(grid.shape, 1e10) if mode == "potential" else None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError) as exc_info:
+            Problem(grid, ModelParams(**base), op, potential)
+    assert str(exc_info.value).startswith(f"{term} is not finite for tau=")
 
 
 def mpp_satisfying_params(grid, op, gamma, M, omega, epsilon, tau, margin=1.0):
@@ -395,7 +413,7 @@ class TestRhsKernel:
     def test_matches_the_former_formula(self, model, sizes, mode):
         g = PeriodicGrid(sizes, (1.0,) * len(sizes))
         rng = np.random.default_rng(sum(sizes))
-        # Values outside [0, 1] exercise the clamped extensions.
+        # Values outside [0, 1] too, where the cubic's slope does not vanish.
         phi = rng.uniform(-0.3, 1.3, size=g.shape)
         pot = None
         if mode == "potential":
@@ -414,22 +432,6 @@ class TestRhsKernel:
             assemble_rhs_array(phi, g, model, op, pot, problem=problem),
         ):
             assert np.max(np.abs(out - expected)) <= 1e-12 * scale
-
-    @pytest.mark.parametrize("model", [CUBIC_EXT, LINEAR_EXT])
-    def test_extension_slope_in_buffers_is_the_former_expression_bit_for_bit(self, model):
-        g = PeriodicGrid((8, 12), (1.0, 1.0))
-        rng = np.random.default_rng(3)
-        phi = rng.uniform(-0.3, 1.3, size=g.shape)
-        phi[0, :3] = (0.0, 1.0, 0.5)
-        problem = Problem(g, model, LongRangeOp.inverse_laplacian())
-        problem.load(phi)
-        for force in (rng.standard_normal(g.shape), -2.5):
-            expected = phi * (-2.0 * problem.c)
-            expected += problem.c
-            expected *= problem.q
-            expected += force * f_prime(model, phi)
-            expected += phi * problem.A
-            assert np.array_equal(problem.rhs(phi, force, np.empty(g.shape)), expected)
 
     @pytest.mark.parametrize("model", ALL_INDICATORS)
     def test_problem_mismatch_spectrum_is_bit_identical(self, model):

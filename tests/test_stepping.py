@@ -704,13 +704,11 @@ def step_loop(state, params, op, t_max, tol, record_every, potential=None):
 
 # Each case's indicator, as ModelParams fields.
 CUBIC, LINEAR = {}, {"f": FKind.LINEAR}
-CUBIC_EXT, LINEAR_EXT = {"extension": True}, {"f": FKind.LINEAR, "extension": True}
 KERNEL_CASES = {
     "cubic-inverse-laplacian-2d": ((16, 16), CUBIC, "inverse_laplacian"),
     "cubic-inverse-laplacian-1d": ((32,), CUBIC, "inverse_laplacian"),
     "linear-helmholtz-2d": ((16, 12), LINEAR, "helmholtz"),
-    "extension-inverse-laplacian-1d": ((32,), CUBIC_EXT, "inverse_laplacian"),
-    "linear-extension-none-2d": ((8, 8), LINEAR_EXT, "none"),
+    "linear-none-2d": ((8, 8), LINEAR, "none"),
     "cubic-custom-2d": ((8, 12), CUBIC, "custom"),
     "cubic-none-1d": ((32,), CUBIC, "none"),
     "cubic-potential-1d": ((32,), CUBIC, "potential"),
@@ -791,7 +789,7 @@ class TestKernel:
     @pytest.mark.parametrize(
         "name", ["cubic-inverse-laplacian-2d", "cubic-inverse-laplacian-1d", "cubic-none-1d",
                  "cubic-potential-1d", "linear-helmholtz-2d", "cubic-custom-2d",
-                 "extension-inverse-laplacian-1d", "linear-extension-none-2d"]
+                 "linear-none-2d"]
     )
     def test_no_grid_sized_allocation_after_the_first_step(self, name, monkeypatch):
         # Tracing starts once the run has made its first step and its
