@@ -103,7 +103,8 @@ class ModelParams:
         eps, kappa, tau = float(self.epsilon), float(self.kappa), float(self.tau)
         for term, value in (("36/epsilon", 36.0 / eps), ("kappa/epsilon", kappa / eps),
                             ("1 + tau*kappa/epsilon", 1.0 + tau * kappa / eps),
-                            ("36*tau/epsilon", 36.0 * tau / eps), ("1/tau", 1.0 / tau)):
+                            ("36*tau/epsilon", 36.0 * tau / eps), ("1/tau", 1.0 / tau),
+                            ("1/tau + kappa/epsilon", 1.0 / tau + kappa / eps)):
             if not np.isfinite(value):
                 raise ConfigError(
                     f"{term} is not finite for epsilon={eps!r}, kappa={kappa!r}, tau={tau!r}"

@@ -141,6 +141,8 @@ OVERFLOWS = {
     "tau": ("tau = 1e308\nT = 1e308\n", "1 + tau*kappa/epsilon is not finite"),
     "cells": ("N = 4611686018427387904\n", "has more points than an array can hold"),
     "subnormal-tau": ("tau = 1e-310\nT = 1e-300\n", "1/tau is not finite"),
+    "bounds-lhs": ("N = 16\nepsilon = 0.1\nkappa = 1e307\ntau = 5.57e-309\nT = 1e-307\n",
+                   "1/tau + kappa/epsilon is not finite"),
 }
 
 

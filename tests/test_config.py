@@ -36,7 +36,7 @@ nonnegative = st.floats(min_value=0.0, allow_infinity=False)
 # Half extents whose spacing keeps 4/h^2 finite and positive at every drawn N.
 extents = st.floats(1e-140, 1e150)
 # Widths, stabilizers and steps that keep 36/eps, kappa/eps, 1 + tau*kappa/eps,
-# 36*tau/eps and 1/tau finite.
+# 36*tau/eps, 1/tau and 1/tau + kappa/eps finite.
 widths = st.floats(1e-100, 1e100)
 stabilizers = st.floats(0.0, 1e100)
 steps = st.floats(1e-300, 1e100)
@@ -101,6 +101,17 @@ def test_a_bracketed_list_is_refused_naming_its_key():
     with pytest.raises(ConfigError) as exc_info:
         parse_config("N = [8,8]\n")
     assert str(exc_info.value) == "line 1: key 'N' expects int, got '[8'"
+
+
+@pytest.mark.parametrize("value", ["true", "false"])
+def test_the_retired_extension_is_an_unknown_key_whatever_its_value(value):
+    # Not a field either, so RunConfig cannot be given it in Python.
+    with pytest.raises(ConfigError) as exc_info:
+        parse_config(f"N = 16\nextension = {value}\n")
+    assert str(exc_info.value) == "line 2: unknown key 'extension'"
+    assert "extension" not in {f.name for f in fields(RunConfig)}
+    with pytest.raises(TypeError):
+        RunConfig(extension=value == "true")
 
 
 def test_format_writes_the_shortest_text_of_each_float():

@@ -198,15 +198,24 @@ class TestParsevalEnergy:
     @pytest.mark.parametrize("dim", sorted(GRIDS))
     @pytest.mark.parametrize("kind", ["inverse_laplacian", "custom", "none"])
     def test_carried_spectra_match_stencil_form(self, dim, kind):
-        # The spectra a step leaves in its problem: the solve spectrum, which
-        # is rfftn(phi) only up to round-off, and rfftn(f(phi) - omega).
-        g = PeriodicGrid(*GRIDS[dim])
-        p = params()
-        op = operator(kind, g.sizes)
-        rng = np.random.default_rng(38)
-        problem = Problem(g, p, op)
-        phi = GridField(g, rng.uniform(0.0, 1.0, size=g.shape))
-        state = step(SchemeState(phi), problem)
-        assert (problem.mismatch_hat is None) == (kind == "none")
-        carried = problem_energy(problem, state.phi.values)
-        assert_parts_close(carried, stencil_energy(state.phi, p, op))
+        assert_carried_spectra_match(dim, kind, "cubic")
+
+    @pytest.mark.parametrize("dim", sorted(GRIDS))
+    @pytest.mark.parametrize("kind", ["inverse_laplacian", "custom", "none"])
+    def test_carried_spectra_of_the_linear_f_match_stencil_form(self, dim, kind):
+        assert_carried_spectra_match(dim, kind, "linear")
+
+
+def assert_carried_spectra_match(dim, kind, indicator):
+    # The spectra a step leaves in its problem: the solve spectrum, which
+    # is rfftn(phi) only up to round-off, and rfftn(f(phi) - omega).
+    g = PeriodicGrid(*GRIDS[dim])
+    p = params(**INDICATORS[indicator])
+    op = operator(kind, g.sizes)
+    rng = np.random.default_rng(38)
+    problem = Problem(g, p, op)
+    phi = GridField(g, rng.uniform(0.0, 1.0, size=g.shape))
+    state = step(SchemeState(phi), problem)
+    assert (problem.mismatch_hat is None) == (kind == "none")
+    carried = problem_energy(problem, state.phi.values)
+    assert_parts_close(carried, stencil_energy(state.phi, p, op))

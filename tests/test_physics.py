@@ -1,6 +1,6 @@
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from pacok.physics import FKind, ModelParams, Problem, pvism_potential
 from pacok.spectral import (
     LongRangeOp, OpKind, impulse_response_norm, multiplier_array, stencil_symbol,
 )
+from pacok.stepping import check_conditions
 
 from oracles import (
     W_eval,
@@ -132,6 +133,14 @@ class TestBoundConstants:
 
 
 class TestModelParams:
+    def test_takes_no_extension(self):
+        # The clamped extension is retired: the indicator is the only choice of f.
+        with pytest.raises(TypeError):
+            ModelParams(epsilon=0.1, gamma=1.0, M=1.0, omega=0.3, kappa=0.0, tau=1e-3,
+                        extension=True)
+        assert [f.name for f in fields(ModelParams)] == [
+            "epsilon", "gamma", "M", "omega", "kappa", "tau", "f"]
+
     def test_omega_tilde(self):
         p = ModelParams(epsilon=0.1, gamma=1.0, M=1.0, omega=0.15, kappa=0.0, tau=1e-3)
         assert p.omega_tilde == 0.85
@@ -172,7 +181,8 @@ class TestModelParams:
         ({"tau": 1e308}, "1 + tau*kappa/epsilon"),
         ({"kappa": 0.0, "tau": 1e308}, "36*tau/epsilon"),
         ({"tau": 1e-310}, "1/tau"),
-    ], ids=["kappa", "epsilon", "tau", "tau-without-kappa", "subnormal-tau"])
+        ({"kappa": 1e307, "tau": 5.57e-309}, "1/tau + kappa/epsilon"),
+    ], ids=["kappa", "epsilon", "tau", "tau-without-kappa", "subnormal-tau", "bounds-lhs"])
     def test_rejects_a_scheme_term_that_is_not_finite(self, kwargs, term):
         # Each would otherwise reach the solve's denominator or the conditions as inf.
         base = dict(epsilon=0.1, gamma=1.0, M=1.0, omega=0.3, kappa=1.0, tau=1e-3)
@@ -206,6 +216,72 @@ def test_problem_refuses_a_scheme_term_that_overflows_on_its_grid(kwargs, mode, 
         with pytest.raises(ConfigError) as exc_info:
             Problem(grid, ModelParams(**base), op, potential)
     assert str(exc_info.value).startswith(f"{term} is not finite for tau=")
+
+
+@pytest.mark.parametrize("kwargs, mode, term", GRID_OVERFLOWS.values(), ids=GRID_OVERFLOWS)
+def test_problem_builds_each_term_ten_thousand_times_below_its_overflow(kwargs, mode, term):
+    # The checks refuse no run that fits: every array they guard is built finite.
+    base = dict(epsilon=0.1, gamma=1.0, M=1.0, omega=0.3, kappa=1.0, tau=1e-3)
+    base.update(kwargs, tau=kwargs["tau"] * 1e-4)
+    grid = PeriodicGrid((16,), (1.0,))
+    op = LongRangeOp.none() if mode in ("none", "potential") else LongRangeOp.inverse_laplacian()
+    potential = np.full(grid.shape, 1e10) if mode == "potential" else None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        problem = Problem(grid, ModelParams(**base), op, potential)
+    assert np.isfinite(problem.volume_force)
+    for built in (problem.inverse_denominator, problem.multiplier, problem.potential_force):
+        assert built is None or np.all(np.isfinite(built))
+    assert (problem.multiplier is None) == (mode in ("none", "potential"))
+    assert (problem.potential_force is None) == (mode != "potential")
+
+
+@pytest.mark.parametrize("sizes, lengths", [
+    ((4,), (0.1,)), ((16,), (1.0,)), ((2**14,), (3.0,)),
+    ((8, 12), (1.0, 3.0)), ((16, 24), (1.0, 1.5)), ((6, 10), (1e-3, 2.0)),
+])
+def test_the_denominator_check_refuses_exactly_the_steps_whose_solve_overflows(sizes, lengths):
+    # Every size is even, so the stencil's largest eigenvalue, sum 4/h_i^2 at
+    # the Nyquist mode, is an entry of the built symbol, bit for bit.
+    grid = PeriodicGrid(sizes, lengths)
+    lambda_max = sum(4.0 / h ** 2 for h in grid.spacings)
+    assert float(np.max(stencil_symbol(grid))) == lambda_max
+    # The largest step whose denominator 1 + tau*lambda_max is finite (epsilon = 1, kappa = 0).
+    with np.errstate(over="ignore"):
+        tau = np.finfo(float).max / lambda_max
+        while np.isfinite(1.0 + tau * lambda_max):
+            tau = np.nextafter(tau, np.inf)
+        tau = float(np.nextafter(tau, 0.0))
+    base = dict(epsilon=1.0, gamma=0.0, M=0.0, omega=0.3, kappa=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        problem = Problem(grid, ModelParams(tau=tau, **base), LongRangeOp.none())
+        assert np.all(np.isfinite(problem.inverse_denominator))
+        with pytest.raises(ConfigError, match=r"^1 \+ tau\*kappa/epsilon \+ tau\*epsilon"):
+            Problem(grid, ModelParams(tau=float(np.nextafter(tau, np.inf)), **base),
+                    LongRangeOp.none())
+
+
+@pytest.mark.parametrize("tau, accepted", [
+    (1e-300, True),
+    (2.2250738585072014e-308, True),  # the smallest normal float
+    (5.56268464626801e-309, True),  # the smallest step whose reciprocal is finite
+    (5.562684646268003e-309, False),
+    (1e-310, False),
+    (5e-324, False),  # the smallest subnormal float
+])
+def test_model_params_accepts_a_step_exactly_when_the_bounds_lhs_is_finite(tau, accepted):
+    kwargs = dict(epsilon=0.1, gamma=1.0, M=1.0, omega=0.3, kappa=1.0, tau=tau)
+    if not accepted:
+        with pytest.raises(ConfigError, match=r"^1/tau is not finite"):
+            ModelParams(**kwargs)
+        return
+    grid = PeriodicGrid((16,), (1.0,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = check_conditions(Problem(grid, ModelParams(**kwargs),
+                                          LongRangeOp.inverse_laplacian()))
+    assert np.isfinite(report.mpp_lhs) and report.mpp_ok
 
 
 def mpp_satisfying_params(grid, op, gamma, M, omega, epsilon, tau, margin=1.0):

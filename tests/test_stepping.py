@@ -707,9 +707,11 @@ CUBIC, LINEAR = {}, {"f": FKind.LINEAR}
 KERNEL_CASES = {
     "cubic-inverse-laplacian-2d": ((16, 16), CUBIC, "inverse_laplacian"),
     "cubic-inverse-laplacian-1d": ((32,), CUBIC, "inverse_laplacian"),
+    "linear-inverse-laplacian-1d": ((32,), LINEAR, "inverse_laplacian"),
     "linear-helmholtz-2d": ((16, 12), LINEAR, "helmholtz"),
     "linear-none-2d": ((8, 8), LINEAR, "none"),
     "cubic-custom-2d": ((8, 12), CUBIC, "custom"),
+    "linear-custom-2d": ((8, 12), LINEAR, "custom"),
     "cubic-none-1d": ((32,), CUBIC, "none"),
     "cubic-potential-1d": ((32,), CUBIC, "potential"),
     "linear-potential-1d": ((32,), LINEAR, "potential"),
@@ -789,7 +791,7 @@ class TestKernel:
     @pytest.mark.parametrize(
         "name", ["cubic-inverse-laplacian-2d", "cubic-inverse-laplacian-1d", "cubic-none-1d",
                  "cubic-potential-1d", "linear-helmholtz-2d", "cubic-custom-2d",
-                 "linear-none-2d"]
+                 "linear-none-2d", "linear-inverse-laplacian-1d"]
     )
     def test_no_grid_sized_allocation_after_the_first_step(self, name, monkeypatch):
         # Tracing starts once the run has made its first step and its
