@@ -41,7 +41,8 @@ class RunConfig:
     Numeric defaults are the 1D coarsening setup (omega = 0.3, gamma = 500,
     M = 2000, kappa = 2000, tau = 1e-3 on [-1, 1) with 256 points and
     interface width 10h).  Making one checks the physics, the grid, the
-    horizon, the run settings and the choices.  The builders check what
+    horizon, the run settings and the choices; any float in it, alone or in
+    a list, must be finite, as in a config file.  The builders check what
     needs a file or the start: ``initial_file``, ``op_symbol_file``, the
     seed, ``blocks`` dividing N, and the solutes of a ``cavity`` start.
     """
@@ -93,6 +94,11 @@ class RunConfig:
                 raise ConfigError(f"snapshot_times must lie in [0, T = {self.T!r}], got {t!r}")
         if self.pvism_solutes and self.operator != "none":
             raise ConfigError(f"pvism_solutes needs operator = none, not {self.operator}")
+        # As a config file would have it; the fields checked above keep their messages.
+        for name, value in vars(self).items():
+            for item in value if isinstance(value, tuple) else (value,):
+                if isinstance(item, float) and not math.isfinite(item):
+                    raise ConfigError(f"{name} must be finite, got {item!r}")
 
     # --- builders -------------------------------------------------------
 
@@ -256,10 +262,6 @@ _CHOICES = {
 
 def _parse_scalar(key, text, py_type, lineno):
     try:
-        if py_type is bool:
-            if text not in ("true", "false"):
-                raise ValueError
-            return text == "true"
         if py_type is int:
             return int(text)
         if py_type is float:
@@ -318,8 +320,6 @@ def load_config(path) -> RunConfig:
 
 
 def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)   # the shortest text that reads back to the same float
     if isinstance(value, tuple):

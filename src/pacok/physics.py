@@ -31,10 +31,10 @@ an external potential U attached) the interaction terms are replaced by
 W' and f' share q = p^2 - p: W'(p) = 36 q (2p - 1), and for the cubic
 f'(p) = -6 q.  A :class:`Problem`, built once per run, is the run's model:
 its parameters with their indicator, the bounds of its force, the operator
-arrays, each built once from its symbol with no second copy kept, and every
-grid-sized buffer of a time step.  Its methods are the array kernel of the
-step; the kernel writes into the problem's buffers and into the field its
-caller passes.
+arrays, each built once from its symbol with no second copy kept, and the
+scratch buffers and spectra of a time step.  Its methods are the array
+kernel of the step; the kernel writes into the problem's buffers and into
+the field its caller passes.
 """
 
 from __future__ import annotations
@@ -167,9 +167,10 @@ class Problem:
     f is the one ``params`` names; :meth:`mismatch` evaluates f(s) - omega.
     The multiplier and the reciprocal of the denominator are interleaved
     (see :func:`_interleaved`); the energy takes the symbols' mirror
-    weights, ``symbol_weights`` and ``op_weights``.  Each scaled term is
-    checked finite at its largest magnitude before it is formed: an
-    overflow on the run's grid is a ConfigError naming the term.
+    weights, ``symbol_weights`` and ``op_weights``.  Each scaled term, and
+    each sum the mirror weights and the max-norm form, is checked finite at
+    its largest magnitude before it is formed: an overflow on the run's grid
+    is a ConfigError naming the term.
 
     ``op_norm`` is ||L||, the operator's max-norm
     (:func:`pacok.spectral.impulse_response_norm` of its multiplier), max|U|
@@ -185,9 +186,8 @@ class Problem:
     belong to the field last passed to :meth:`load` or produced by
     :meth:`advance`; ``phi_hat`` is the solve spectrum of the field
     :meth:`advance` produced, or rfftn of the one passed to :meth:`start`.
-    The run loop ping-pongs its fields through ``fields``
-    (:meth:`allocate_run_buffers`).  ``work`` and ``product`` are scratch.
-    The transforms act on the trailing ``grid.dim`` axes.
+    ``work`` and ``product`` are scratch.  The transforms act on the
+    trailing ``grid.dim`` axes.
     """
 
     def __init__(
@@ -214,6 +214,8 @@ class Problem:
         lambda_max = sum(4.0 / h ** 2 for h in grid.spacings)
         _finite("1 + tau*kappa/epsilon + tau*epsilon*lambda_max", self.A + tau * eps * lambda_max,
                 f"tau={tau!r}, epsilon={eps!r}, kappa={params.kappa!r}, lambda_max={lambda_max!r}")
+        # mirror_weights doubles a symbol.
+        _finite("2*lambda_max", 2.0 * lambda_max, f"lambda_max={lambda_max!r}")
         self.volume_force = _finite(f"{k:g}*tau*M", k * tau * float(params.M),
                                     f"tau={tau!r}, M={params.M!r}")
         self.volume = 0.0
@@ -226,8 +228,12 @@ class Problem:
         self.op_norm = 0.0
         if op.kind is not OpKind.NONE:
             op_symbol = multiplier_array(op, grid)
-            self.op_norm = impulse_response_norm(op_symbol, grid)
             largest = float(np.max(np.abs(op_symbol)))
+            # The inverse transform and the max-norm sum up to one max|L| a cell,
+            # which also bounds the doubled mirror weights.
+            _finite("cells*max|L|", grid.num_cells * largest,
+                    f"cells={grid.num_cells}, max|L|={largest!r}")
+            self.op_norm = impulse_response_norm(op_symbol, grid)
             _finite(f"{k:g}*tau*gamma*max|L|", k * tau * float(params.gamma) * largest,
                     f"tau={tau!r}, gamma={params.gamma!r}, max|L|={largest!r}")
             self.multiplier = _interleaved(k * tau * params.gamma * op_symbol)
@@ -249,11 +255,6 @@ class Problem:
         # The inverse transforms' scratch spectrum is the mismatch spectrum, if there is one.
         needs_scratch = grid.dim > 1 and self.mismatch_hat is None
         self.product = np.empty(self.half_shape, complex) if needs_scratch else self.mismatch_hat
-        self.fields = None
-
-    def allocate_run_buffers(self) -> None:
-        """The two fields the run loop writes its steps into, in turn."""
-        self.fields = (np.empty(self.grid.shape), np.empty(self.grid.shape))
 
     def forward(self, x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
         """rfftn(x) into ``out``, or into a new array when it is None."""
@@ -283,7 +284,7 @@ class Problem:
     def mismatch(self, s: np.ndarray, omega: float) -> np.ndarray:
         """f(s) - omega into ``work``, f(s) = (3 - 2s) s s for the cubic; 0 gives f(s)."""
         out = self.work
-        if self.params.f is FKind.CUBIC_HERMITE:
+        if self.fused:
             np.multiply(2.0, s, out=out)
             np.subtract(3.0, out, out=out)
             out *= s

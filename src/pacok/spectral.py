@@ -109,11 +109,11 @@ class LongRangeOp:
     def __post_init__(self):
         if not isinstance(self.kind, OpKind):
             raise ConfigError(f"kind must be an OpKind, got {self.kind!r}")
-        if self.kind is OpKind.HELMHOLTZ and self.gamma_len <= 0.0:
+        if self.kind is OpKind.HELMHOLTZ and not self.gamma_len > 0.0:
             raise ConfigError("helmholtz operator needs a positive length")
         if self.kind is OpKind.HELMHOLTZ and not np.isfinite(self.gamma_len * self.gamma_len):
             raise ConfigError(f"helmholtz length {self.gamma_len!r} has no finite square")
-        if self.kind is OpKind.GARNET_FILM and self.delta <= 0.0:
+        if self.kind is OpKind.GARNET_FILM and not self.delta > 0.0:
             raise ConfigError("garnet film operator needs a positive thickness")
         if self.kind is OpKind.CUSTOM_SYMBOL and not isinstance(self.symbol, SymbolTable):
             raise ConfigError("custom operator needs a SymbolTable")

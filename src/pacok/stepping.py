@@ -22,8 +22,8 @@ mismatch spectrum and q = P^2 - P by Parseval's identity
 further transform.
 
 A step is the array kernel of :class:`pacok.physics.Problem`, the run's
-one model object, which holds the parameters, the operator arrays, every
-buffer and both spectra; a :class:`SchemeState` holds only the field.
+one model object, which holds the parameters, the operator arrays, the
+scratch buffers and both spectra; a :class:`SchemeState` holds only the field.
 :func:`step` runs on the problem it is given and on nothing else: it loads
 the state's field into the problem, allocates the new field its returned
 state owns and runs the kernel once.  A problem serves one sequence of
@@ -32,9 +32,9 @@ problem for the next step and the energy.  :func:`run` takes the problem
 its caller built, checks the conditions of that problem and loads its
 starting field into it, so the first row's energy comes from the kernel
 like every later one; it makes its first step through :func:`step` and the
-rest in the kernel alone, on the problem's buffers (two fields in turn),
-allocating no grid-sized array but a copy of the field at each snapshot
-time.
+rest in the kernel alone, writing into two fields of its own in turn,
+allocated after the first step, and allocating no other grid-sized array
+but a copy of the field at each snapshot time.
 
 Two parameter conditions certify qualitative guarantees.  Both read the
 problem's force bound B = omega_t (gamma ||L|| + M |T|), omega_t =
@@ -292,13 +292,14 @@ def run(
     if 0 in snapshot_steps and on_snapshot is not None:
         on_snapshot(state0)
     state = step(state0, problem)
-    problem.allocate_run_buffers()
+    # The kernel writes its steps into these two fields in turn.
+    fields = (np.empty(grid.shape), np.empty(grid.shape))
     # step left q, the spectra and the volume term for its field in the problem.
     n, increment, s = state.step_index, state.last_increment_linf, state.phi.values
     del state   # its field goes once the kernel has stepped past it
     for k in range(1, n_steps + 1):
         if k > 1:
-            out = problem.fields[k % 2]
+            out = fields[k % 2]
             with np.errstate(over="ignore", invalid="ignore"):
                 increment = problem.advance(s, out)
             n += 1

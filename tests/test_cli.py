@@ -1,12 +1,15 @@
+import itertools
 import re
 import sys
 import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from pacok import cli, experiments, spectral
 from pacok.config import format_config
+from pacok.grid import load_snapshot
 
 
 @pytest.fixture
@@ -164,6 +167,15 @@ def test_a_config_that_overflows_exits_2_and_writes_nothing(
     assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
+def write_flat_table(directory, value):
+    """A 16x16 symbol table, ``symbol.csv`` in ``directory``, with every mode at ``value``."""
+    lines = (f"{a},{b},{value}\n" for a in range(-8, 8) for b in range(-8, 8))
+    (directory / "symbol.csv").write_text("".join(lines))
+
+
+CUSTOM_16 = ("N = 16,16\nX = 1.0,1.0\noperator = custom\nop_symbol_file = symbol.csv\n"
+             "gamma = 1e-300\nT = 0.002\n")
+
 # Configs whose scheme terms overflow only on their grid, which Problem refuses.
 GRID_OVERFLOWS = {
     "denominator": ("tau = 1e305\nepsilon = 1.0\nkappa = 0.0\nT = 1e306\n",
@@ -173,6 +185,10 @@ GRID_OVERFLOWS = {
                "6*tau*M is not finite for tau=1e+300, M=10000000000.0"),
     "long-range": ("tau = 1e300\nM = 0.0\ngamma = 1e10\nT = 1e301\n",
                    "6*tau*gamma*max|L| is not finite for tau=1e+300, gamma=10000000000.0, max|L|="),
+    # 4/h^2 is 1e308, which the stencil's mirror weights double.
+    "stencil-weights": ("N = 16\nX = 1.6e-153\n", "2*lambda_max is not finite for lambda_max=1e+308"),
+    # The max-norm of a table at 1e308 sums 256 such values.
+    "custom": (CUSTOM_16, "cells*max|L| is not finite for cells=256, max|L|=1e+308"),
 }
 
 
@@ -182,6 +198,9 @@ def test_a_scheme_term_that_overflows_on_its_grid_exits_2_with_no_warning(
     tmp_path, capsys, monkeypatch, command, text, named
 ):
     monkeypatch.chdir(tmp_path)
+    if "symbol.csv" in text:
+        write_flat_table(tmp_path, "1e308")
+    inputs = sorted(p.name for p in tmp_path.iterdir()) + ["run.cfg"]
     path = write_config(tmp_path, text)
     argv = [command, "--config", path] + (["--out", "out"] if command == "run" else [])
     with warnings.catch_warnings():
@@ -191,7 +210,23 @@ def test_a_scheme_term_that_overflows_on_its_grid_exits_2_with_no_warning(
     assert captured.out == ""
     assert captured.err.startswith(f"error: config: {named}")
     assert captured.err.count("\n") == 1
-    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(inputs)
+
+
+@pytest.mark.parametrize("text, norm", [
+    (CUSTOM_16, "1.000000e+304"),
+    ("N = 16\nX = 1.6e-151\noperator = none\n", "0.000000e+00"),
+], ids=["custom", "stencil-weights"])
+def test_a_symbol_ten_thousand_times_below_its_overflow_builds_with_no_warning(
+    tmp_path, capsys, monkeypatch, text, norm
+):
+    monkeypatch.chdir(tmp_path)
+    write_flat_table(tmp_path, "1e304")
+    path = write_config(tmp_path, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["check", "--config", path, "--require", "none"]) == 0
+    assert capsys.readouterr().out.splitlines()[0].split() == ["operator", "max-norm", norm]
 
 
 def test_an_extension_key_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch):
@@ -238,6 +273,17 @@ def test_random_start_with_a_negative_seed_or_an_infinite_range_exits_2(
 def test_coarsen_with_a_negative_seed_exits_2(capsys):
     assert cli.main(["coarsen", "--dim", "1", "--preset", "g500", "--seed", "-3"]) == 2
     assert capsys.readouterr().err == "error: config: seed must be >= 0, got -3\n"
+
+
+@pytest.mark.parametrize("line, choices", [
+    ("f = Cubic", "f must be one of ('cubic', 'linear'), got 'Cubic'"),
+    ("initial = Random", "initial must be one of ('random', 'disk', 'constant', 'file', "
+                         "'cavity'), got 'Random'"),
+], ids=["f", "initial"])
+def test_a_choice_that_is_not_one_of_its_choices_exits_2(tmp_path, capsys, line, choices):
+    path = write_config(tmp_path, line + "\n")
+    assert cli.main(["check", "--config", path]) == 2
+    assert capsys.readouterr().err == f"error: config: {path}: {choices}\n"
 
 
 def test_check_of_an_uncertified_guarantee_exits_3(tmp_path, capsys):
@@ -319,6 +365,69 @@ X = 1.0,1.0
 T = 0.02
 tol = 0.0
 """
+
+
+@pytest.mark.parametrize("config, required", [
+    # g500 certifies the bounds, not energy decay.
+    ("g500", {"mpp": 0, "es": 3}),
+    # The solvation comparison's cubic f certifies both; its linear f not the bounds.
+    ("SOLVATION", {"both": 0}),
+    ("SOLVATION-linear", {"mpp": 3}),
+    ("RECORD_32", {"both": 0}),
+], ids=["g500", "SOLVATION", "SOLVATION-linear", "RECORD_32"])
+def test_check_certifies_what_each_study_config_promises(tmp_path, config, required):
+    text = {"g500": format_config(experiments.coarsening_preset("g500")),
+            "SOLVATION": format_config(experiments.SOLVATION),
+            "SOLVATION-linear": format_config(experiments.SOLVATION) + "f = linear\n",
+            "RECORD_32": RECORD_32}[config]
+    path = write_config(tmp_path, text)
+    for guarantee, code in required.items():
+        assert cli.main(["check", "--config", path, "--require", guarantee]) == code
+
+
+def test_certified_2d_run_writes_its_snapshots_and_each_gives_its_recorded_energy(
+    tmp_path, capsys
+):
+    # Bounds and decay are enforced every step of this run.
+    path = write_config(tmp_path, RECORD_32 + "snapshot_times = 0.0,0.01,0.02\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", path, "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "series.csv", "snap_000.csv", "snap_001.csv", "snap_002.csv"]
+    rows = [row.split(",") for row in (out / "series.csv").read_text().splitlines()[1:]]
+    assert [int(row[0]) for row in rows] == list(range(21))
+    capsys.readouterr()
+    for snapshot, n in (("snap_000.csv", 0), ("snap_001.csv", 10), ("snap_002.csv", 20)):
+        assert cli.main(["energy", "--config", path, "--snapshot", str(out / snapshot)]) == 0
+        total = capsys.readouterr().out.splitlines()[1].split(",")[-1]
+        assert float(total) == float(rows[n][4])
+
+
+@pytest.mark.parametrize("lines", ["initial = disk\nN = 64,64\n", "initial = constant\n"],
+                         ids=["disk-64", "constant"])
+def test_the_disk_and_constant_starts_run_to_T(tmp_path, capsys, lines):
+    path = write_config(tmp_path, RECORD_32 + lines)
+    assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.startswith("run finished: n=20 t=0.02 ")
+
+
+def test_the_inverse_laplacian_as_a_custom_symbol_runs_as_the_built_in_operator(tmp_path):
+    # The 32^2 stencil symbol's reciprocal, with the zero mode 0, written as text.
+    n, h = 32, 2.0 / 32
+    m = np.fft.fftfreq(n, 1.0 / n).astype(int)
+    axis = 4 / h**2 * np.sin(np.pi * np.abs(m) / n) ** 2
+    lam = axis[:, None] + axis[None, :]
+    symbol = np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > 0)
+    table = tmp_path / "symbol.csv"
+    table.write_text("".join(f"{a},{b},{value!r}\n" for (a, b), value in zip(
+        itertools.product(m.tolist(), repeat=2), symbol.ravel().tolist())))
+    finals = []
+    for lines in ("", f"operator = custom\nop_symbol_file = {table}\n"):
+        out = tmp_path / f"out{len(finals)}"
+        path = write_config(tmp_path, RECORD_32 + lines)
+        assert cli.main(["run", "--config", path, "--out", str(out)]) == 0
+        finals.append(load_snapshot(str(out / "snap_000.csv"))[0].values)
+    assert np.max(np.abs(finals[0] - finals[1])) <= 1e-10
 
 
 def test_certified_run_from_a_start_outside_the_bounds_writes_nothing(tmp_path, capsys):

@@ -46,47 +46,104 @@ writable = st.text(st.characters(exclude_characters="#", exclude_categories=("Cs
 )
 
 
+non_finite = st.sampled_from((math.nan, math.inf, -math.inf))
+
+
 @st.composite
-def configs(draw):
+def config_fields(draw, extra=st.nothing()):
+    """The fields of a RunConfig; each float, alone or in a list, may also be drawn from ``extra``."""
+
+    def floats(base):
+        return st.one_of(base, extra)
+
     dim = draw(st.sampled_from((1, 2)))
-    T = draw(positive)
+    T = draw(floats(positive))
     operator = draw(st.sampled_from(
         ("inverse_laplacian", "helmholtz", "garnet_film", "custom", "none")))
-    return RunConfig(
-        epsilon=draw(widths),
-        gamma=draw(nonnegative),
-        M=draw(nonnegative),
-        omega=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
-        kappa=draw(stabilizers),
-        tau=draw(steps),
+    return dict(
+        epsilon=draw(floats(widths)),
+        gamma=draw(floats(nonnegative)),
+        M=draw(floats(nonnegative)),
+        omega=draw(floats(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))),
+        kappa=draw(floats(stabilizers)),
+        tau=draw(floats(steps)),
         N=tuple(2 * n for n in draw(st.lists(st.integers(2, 2**20), min_size=dim, max_size=dim))),
-        X=tuple(draw(st.lists(extents, min_size=dim, max_size=dim))),
+        X=tuple(draw(st.lists(floats(extents), min_size=dim, max_size=dim))),
         T=T,
-        tol=draw(nonnegative),
+        tol=draw(floats(nonnegative)),
         f=draw(st.sampled_from(("cubic", "linear"))),
         operator=operator,
-        op_gamma_len=draw(finite),
-        op_delta=draw(finite),
+        op_gamma_len=draw(floats(finite)),
+        op_delta=draw(floats(finite)),
         op_symbol_file=draw(writable),
         # Solutes come only without an operator.
-        pvism_solutes=tuple(draw(st.lists(finite, max_size=3 if operator == "none" else 0))),
+        pvism_solutes=tuple(draw(st.lists(floats(finite), max_size=3 if operator == "none" else 0))),
         seed=draw(st.integers(-2**70, 2**70)),
         initial=draw(st.sampled_from(("random", "disk", "constant", "file", "cavity"))),
-        initial_value=draw(finite),
+        initial_value=draw(floats(finite)),
         initial_file=draw(writable),
         blocks=draw(st.integers(1, 2**40)),
-        lo=draw(finite),
-        hi=draw(finite),
-        snapshot_times=tuple(draw(st.lists(st.floats(0.0, T), max_size=4))),
+        lo=draw(floats(finite)),
+        hi=draw(floats(finite)),
+        snapshot_times=tuple(draw(st.lists(
+            floats(st.floats(0.0, T) if 0.0 < T < math.inf else finite), max_size=4))),
         monitor_every=draw(st.integers(1, 2**40)),
     )
 
 
 @settings(max_examples=200, deadline=None)
-@given(configs())
+@given(config_fields().map(lambda kwargs: RunConfig(**kwargs)))
 @example(RunConfig())
 def test_parse_reads_back_what_format_writes(cfg):
     assert parse_config(format_config(cfg)) == cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(config_fields(non_finite))
+@example({"operator": "garnet_film", "op_delta": math.nan})
+@example({"tol": math.nan})
+@example({"op_gamma_len": math.inf})
+@example({"initial_value": math.inf})
+def test_every_config_the_constructor_accepts_reads_back(kwargs):
+    try:
+        cfg = RunConfig(**kwargs)
+    except ConfigError:
+        return
+    assert parse_config(format_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "key", ["tol", "op_gamma_len", "op_delta", "initial_value", "lo", "hi", "pvism_solutes"])
+def test_a_float_that_is_not_finite_is_refused_naming_its_field(key, value):
+    kwargs = {"operator": "none", key: (0.0, value)} if key == "pvism_solutes" else {key: value}
+    with pytest.raises(ConfigError) as exc_info:
+        RunConfig(**kwargs)
+    assert str(exc_info.value) == f"{key} must be finite, got {value!r}"
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"T": math.nan}, "T must be positive and finite, got nan"),
+    ({"snapshot_times": (math.nan,)}, "snapshot_times must lie in [0, T = 10.0], got nan"),
+    ({"epsilon": math.nan}, "epsilon must be positive, got nan"),
+    ({"gamma": math.inf}, "gamma must be finite and >= 0, got inf"),
+    ({"tol": -math.inf}, "tol must be >= 0, got -inf"),
+    ({"X": (math.nan,)}, "half extent must be positive and finite, got nan"),
+], ids=["T", "snapshot_times", "epsilon", "gamma", "tol", "X"])
+def test_a_field_with_its_own_check_keeps_its_message_for_a_float_that_is_not_finite(
+    kwargs, message
+):
+    with pytest.raises(ConfigError) as exc_info:
+        RunConfig(**kwargs)
+    assert str(exc_info.value) == message
+
+
+def test_no_config_value_is_a_bool():
+    # A bool word is no value of any key: for a float key it is a malformed float.
+    assert not any(isinstance(value, bool) for value in vars(RunConfig()).values())
+    with pytest.raises(ConfigError) as exc_info:
+        parse_config("tol = true\n")
+    assert str(exc_info.value) == "line 1: key 'tol' expects float, got 'true'"
 
 
 @pytest.mark.parametrize("scale", ["desk", "paper"])
@@ -149,7 +206,7 @@ def test_every_key_is_its_field_name():
 
 def test_the_solvation_comparison_is_a_config_that_reads_back():
     assert parse_config(format_config(SOLVATION)) == SOLVATION
-    assert "operator = none" in format_config(SOLVATION).splitlines()
+    assert {"operator = none", "pvism_solutes = 0.0"} <= set(format_config(SOLVATION).splitlines())
 
 
 @pytest.mark.parametrize("scale, rows", [

@@ -166,6 +166,17 @@ class TestLongRangeOps:
         with pytest.raises(ConfigError, match="kind must be an OpKind, got 'helmholtz'"):
             LongRangeOp("helmholtz", gamma_len=0.1)
 
+    @pytest.mark.parametrize("make, message", [
+        (LongRangeOp.helmholtz, "helmholtz operator needs a positive length"),
+        (LongRangeOp.garnet_film, "garnet film operator needs a positive thickness"),
+    ], ids=["helmholtz", "garnet_film"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    def test_a_length_that_is_not_positive_is_refused(self, make, message, value):
+        # A NaN thickness would give the multiplier 1 at every mode, the identity.
+        with pytest.raises(ConfigError) as exc_info:
+            make(value)
+        assert str(exc_info.value) == message
+
     def test_helmholtz_preserves_constants(self):
         g = PeriodicGrid((16, 16), (1.0, 1.0))
         op = LongRangeOp.helmholtz(0.3)

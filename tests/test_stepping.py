@@ -794,20 +794,23 @@ class TestKernel:
                  "linear-none-2d", "linear-inverse-laplacian-1d"]
     )
     def test_no_grid_sized_allocation_after_the_first_step(self, name, monkeypatch):
-        # Tracing starts once the run has made its first step and its
-        # buffers; every later step, check and record is inside the trace.
+        # Tracing starts at the second advance, once the run has made its
+        # first step and its two fields; every later step, check and record
+        # is inside the trace.
         # Scaled to 128 rows in 2D and 2^14 points in 1D: a field takes ~128 kB.
         n = KERNEL_CASES[name][0]
         state, p, op, potential = kernel_case(name, 128 // n[0] if len(n) == 2 else 2**14 // n[0])
-        real_allocate = Problem.allocate_run_buffers
-        traced = []
+        real_advance = Problem.advance
+        calls, traced = [], []
 
-        def allocate_then_trace(problem):
-            real_allocate(problem)
-            tracemalloc.start()
-            traced.append(tracemalloc.get_traced_memory()[0])
+        def trace_from_the_second_advance(problem, s, out):
+            calls.append(None)
+            if len(calls) == 2:
+                tracemalloc.start()
+                traced.append(tracemalloc.get_traced_memory()[0])
+            return real_advance(problem, s, out)
 
-        monkeypatch.setattr(Problem, "allocate_run_buffers", allocate_then_trace)
+        monkeypatch.setattr(Problem, "advance", trace_from_the_second_advance)
         problem = kernel_problem(state, p, op, potential)
         try:
             final, records = run(state, problem, t_max=20 * p.tau, tol=0.0)
