@@ -215,12 +215,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except PacokError as exc:
-        kind = {2: "config", 3: "invariant", 4: "blowup"}.get(
-            getattr(exc, "exit_code", 2), "config"
-        )
+        kind = {2: "config", 3: "invariant", 4: "blowup"}[exc.exit_code]
         message = str(exc).replace("\n", " ")
         print(f"error: {kind}: {message}", file=sys.stderr)
-        return getattr(exc, "exit_code", 2)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

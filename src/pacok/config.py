@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, fields
+import sys
+import typing
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,11 +42,13 @@ class RunConfig:
 
     Numeric defaults are the 1D coarsening setup (omega = 0.3, gamma = 500,
     M = 2000, kappa = 2000, tau = 1e-3 on [-1, 1) with 256 points and
-    interface width 10h).  Making one checks the physics, the grid, the
-    horizon, the run settings and the choices; any float in it, alone or in
-    a list, must be finite, as in a config file.  The builders check what
-    needs a file or the start: ``initial_file``, ``op_symbol_file``, the
-    seed, ``blocks`` dividing N, and the solutes of a ``cavity`` start.
+    interface width 10h).  The annotations are the config's one schema:
+    :func:`parse_config` reads each key by its field's, and making one checks
+    each value against it (``_HOLDS``), so every config reads back; then the
+    physics, the grid, the horizon, the run settings and the choices.  The
+    builders check what needs a file or the start: ``initial_file``,
+    ``op_symbol_file``, the seed, ``blocks`` dividing N, and the solutes of
+    a ``cavity`` start.
     """
 
     epsilon: float = 0.078125
@@ -74,7 +78,20 @@ class RunConfig:
     monitor_every: int = 1
 
     def __post_init__(self):
-        # The choices come first: build_params reads f as an FKind.
+        # Each value first as a config line holds it, so no check below sees a value of
+        # another type.  A float that is not finite is refused last, so that a field with a
+        # check of its own refuses it with that check's message.
+        not_finite = None
+        for name, (kind, is_list) in _SCHEMA.items():
+            value, (holds, what) = getattr(self, name), _HOLDS[kind]
+            if is_list and type(value) is not tuple:
+                raise ConfigError(f"{name} must be a tuple, got {value!r}")
+            for item in value if is_list else (value,):
+                if kind is float and type(item) is float and not math.isfinite(item):
+                    not_finite = not_finite or f"{name} must be finite, got {item!r}"
+                elif not holds(item):
+                    raise ConfigError(f"{name} must be {what}, got {item!r}")
+        # The choices come next: build_params reads f as an FKind.
         for key, choices in _CHOICES.items():
             if getattr(self, key) not in choices:
                 raise ConfigError(f"{key} must be one of {choices}, got '{getattr(self, key)}'")
@@ -94,11 +111,8 @@ class RunConfig:
                 raise ConfigError(f"snapshot_times must lie in [0, T = {self.T!r}], got {t!r}")
         if self.pvism_solutes and self.operator != "none":
             raise ConfigError(f"pvism_solutes needs operator = none, not {self.operator}")
-        # As a config file would have it; the fields checked above keep their messages.
-        for name, value in vars(self).items():
-            for item in value if isinstance(value, tuple) else (value,):
-                if isinstance(item, float) and not math.isfinite(item):
-                    raise ConfigError(f"{name} must be finite, got {item!r}")
+        if not_finite:
+            raise ConfigError(not_finite)
 
     # --- builders -------------------------------------------------------
 
@@ -260,11 +274,28 @@ _CHOICES = {
     "initial": ("random", "disk", "constant", "file", "cavity"),
 }
 
-def _parse_scalar(key, text, py_type, lineno):
+
+# Each field's item type, and whether the field holds a tuple of them.
+_SCHEMA = {
+    name: (typing.get_args(hint)[0], True) if typing.get_origin(hint) is tuple else (hint, False)
+    for name, hint in typing.get_type_hints(RunConfig).items()
+}
+
+# The values of each item type that format_config writes and parse_config reads back equal.
+_HOLDS = {
+    int: (lambda v: type(v) is int, "an int"),
+    float: (lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max and float(v) == v,
+            "a float or an int that a float holds exactly"),
+    str: (lambda v: type(v) is str and "#" not in v and v == v.strip() and len(v.splitlines()) <= 1,
+          "a string with no '#', no line break and no whitespace at either end"),
+}
+
+
+def _parse_scalar(key, text, kind, lineno):
     try:
-        if py_type is int:
+        if kind is int:
             return int(text)
-        if py_type is float:
+        if kind is float:
             value = float(text)
             if not np.isfinite(value):
                 raise ValueError
@@ -272,25 +303,12 @@ def _parse_scalar(key, text, py_type, lineno):
         return text
     except ValueError:
         raise ConfigError(
-            f"line {lineno}: key '{key}' expects {py_type.__name__}, got '{text}'"
+            f"line {lineno}: key '{key}' expects {kind.__name__}, got '{text}'"
         ) from None
-
-
-def _parse_list(key, text, item_type, lineno):
-    if not text:
-        return ()
-    return tuple(
-        _parse_scalar(key, piece.strip(), item_type, lineno)
-        for piece in text.split(",")
-    )
-
-
-_LIST_ITEM_TYPES = {"N": int, "X": float, "pvism_solutes": float, "snapshot_times": float}
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse ``key = value`` text into a :class:`RunConfig`; keys not given keep their defaults."""
-    names = {f.name for f in fields(RunConfig)}
     updates = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -301,12 +319,13 @@ def parse_config(text: str) -> RunConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in names:
+        if key not in _SCHEMA:
             raise ConfigError(f"line {lineno}: unknown key '{key}'")
-        if key in _LIST_ITEM_TYPES:
-            updates[key] = _parse_list(key, value, _LIST_ITEM_TYPES[key], lineno)
-        else:
-            updates[key] = _parse_scalar(key, value, type(getattr(RunConfig, key)), lineno)
+        kind, is_list = _SCHEMA[key]
+        # A list is its comma-separated items, the empty list an empty value.
+        pieces = (value.split(",") if value else []) if is_list else [value]
+        items = tuple(_parse_scalar(key, piece.strip(), kind, lineno) for piece in pieces)
+        updates[key] = items if is_list else items[0]
     return RunConfig(**updates)
 
 
@@ -328,20 +347,8 @@ def _format_value(value) -> str:
 
 
 def format_config(cfg: RunConfig) -> str:
-    """Serialize a config so that ``parse_config(format_config(c)) == c``.
-
-    A string the parser would read back otherwise (one with a ``#``, a line
-    break, or whitespace at either end) is a ConfigError.
-    """
-    lines = []
-    for f in fields(RunConfig):
-        value = getattr(cfg, f.name)
-        if isinstance(value, str) and (
-            "#" in value or value != value.strip() or len(value.splitlines()) > 1
-        ):
-            raise ConfigError(f"{f.name} = {value!r} cannot be written to a config file")
-        lines.append(f"{f.name} = {_format_value(value)}")
-    return "\n".join(lines) + "\n"
+    """Serialize a config so that ``parse_config(format_config(c)) == c``."""
+    return "".join(f"{name} = {_format_value(getattr(cfg, name))}\n" for name in _SCHEMA)
 
 
 def write_series(path, records) -> None:

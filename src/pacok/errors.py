@@ -10,17 +10,15 @@ from contextlib import contextmanager
 class PacokError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code = 2   # a configuration problem, unless a subclass says otherwise
+
 
 class ConfigError(PacokError):
     """Invalid configuration: bad key, out-of-range value, malformed input file."""
 
-    exit_code = 2
-
 
 class GridMismatchError(PacokError):
     """Two fields that must share a grid do not."""
-
-    exit_code = 2
 
 
 class FieldValueError(PacokError):

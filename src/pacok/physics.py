@@ -105,10 +105,7 @@ class ModelParams:
                             ("1 + tau*kappa/epsilon", 1.0 + tau * kappa / eps),
                             ("36*tau/epsilon", 36.0 * tau / eps), ("1/tau", 1.0 / tau),
                             ("1/tau + kappa/epsilon", 1.0 / tau + kappa / eps)):
-            if not np.isfinite(value):
-                raise ConfigError(
-                    f"{term} is not finite for epsilon={eps!r}, kappa={kappa!r}, tau={tau!r}"
-                )
+            _finite(term, value, f"epsilon={eps!r}, kappa={kappa!r}, tau={tau!r}")
 
     @property
     def omega_tilde(self) -> float:

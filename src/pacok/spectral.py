@@ -244,10 +244,7 @@ def mirror_weights(symbol: np.ndarray) -> np.ndarray:
     """``symbol`` times, in place, the number of DFT modes each rfftn half-spectrum entry
     stands for: every column but the first and the last (modes 0 and n/2) also stands
     for its mirror.  Returns ``symbol``."""
-    first, last = symbol[..., 0].copy(), symbol[..., -1].copy()
-    symbol *= 2.0
-    symbol[..., 0] = first
-    symbol[..., -1] = last
+    symbol[..., 1:-1] *= 2.0
     return symbol
 
 

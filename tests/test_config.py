@@ -1,7 +1,9 @@
 """Config text and series files: round trips, and the inputs they refuse."""
 
 import math
+import re
 import struct
+import typing
 from dataclasses import fields, replace
 
 import numpy as np
@@ -50,43 +52,39 @@ non_finite = st.sampled_from((math.nan, math.inf, -math.inf))
 
 
 @st.composite
-def config_fields(draw, extra=st.nothing()):
-    """The fields of a RunConfig; each float, alone or in a list, may also be drawn from ``extra``."""
-
-    def floats(base):
-        return st.one_of(base, extra)
+def config_fields(draw):
+    """The fields of a RunConfig that it accepts."""
 
     dim = draw(st.sampled_from((1, 2)))
-    T = draw(floats(positive))
+    T = draw(positive)
     operator = draw(st.sampled_from(
         ("inverse_laplacian", "helmholtz", "garnet_film", "custom", "none")))
     return dict(
-        epsilon=draw(floats(widths)),
-        gamma=draw(floats(nonnegative)),
-        M=draw(floats(nonnegative)),
-        omega=draw(floats(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))),
-        kappa=draw(floats(stabilizers)),
-        tau=draw(floats(steps)),
+        epsilon=draw(widths),
+        gamma=draw(nonnegative),
+        M=draw(nonnegative),
+        omega=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        kappa=draw(stabilizers),
+        tau=draw(steps),
         N=tuple(2 * n for n in draw(st.lists(st.integers(2, 2**20), min_size=dim, max_size=dim))),
-        X=tuple(draw(st.lists(floats(extents), min_size=dim, max_size=dim))),
+        X=tuple(draw(st.lists(extents, min_size=dim, max_size=dim))),
         T=T,
-        tol=draw(floats(nonnegative)),
+        tol=draw(nonnegative),
         f=draw(st.sampled_from(("cubic", "linear"))),
         operator=operator,
-        op_gamma_len=draw(floats(finite)),
-        op_delta=draw(floats(finite)),
+        op_gamma_len=draw(finite),
+        op_delta=draw(finite),
         op_symbol_file=draw(writable),
         # Solutes come only without an operator.
-        pvism_solutes=tuple(draw(st.lists(floats(finite), max_size=3 if operator == "none" else 0))),
+        pvism_solutes=tuple(draw(st.lists(finite, max_size=3 if operator == "none" else 0))),
         seed=draw(st.integers(-2**70, 2**70)),
         initial=draw(st.sampled_from(("random", "disk", "constant", "file", "cavity"))),
-        initial_value=draw(floats(finite)),
+        initial_value=draw(finite),
         initial_file=draw(writable),
         blocks=draw(st.integers(1, 2**40)),
-        lo=draw(floats(finite)),
-        hi=draw(floats(finite)),
-        snapshot_times=tuple(draw(st.lists(
-            floats(st.floats(0.0, T) if 0.0 < T < math.inf else finite), max_size=4))),
+        lo=draw(finite),
+        hi=draw(finite),
+        snapshot_times=tuple(draw(st.lists(st.floats(0.0, T), max_size=4))),
         monitor_every=draw(st.integers(1, 2**40)),
     )
 
@@ -98,16 +96,62 @@ def test_parse_reads_back_what_format_writes(cfg):
     assert parse_config(format_config(cfg)) == cfg
 
 
-@settings(max_examples=200, deadline=None)
-@given(config_fields(non_finite))
-@example({"operator": "garnet_film", "op_delta": math.nan})
-@example({"tol": math.nan})
-@example({"op_gamma_len": math.inf})
-@example({"initial_value": math.inf})
-def test_every_config_the_constructor_accepts_reads_back(kwargs):
+# Values of each item type beyond those config_fields draws.  A config line holds some of
+# them (an int in a float field, when a float holds it exactly) and not others: a float
+# that is not finite, a bool, a numpy scalar, a float in an int field, a string with a
+# '#', a line break or whitespace at either end.
+UNUSUAL = {
+    float: st.one_of(non_finite, st.booleans(), finite.map(np.float64), st.integers()),
+    int: st.one_of(st.booleans(), st.floats(), st.integers(-2**63, 2**63 - 1).map(np.int64)),
+    str: st.one_of(st.text(), st.builds("{}{}{}".format, st.text(max_size=3),
+                                        st.sampled_from("#\n\r\t \x85"), st.text(max_size=3))),
+}
+HINTS = typing.get_type_hints(RunConfig)
+
+
+@st.composite
+def unusual_fields(draw):
+    """Accepted fields with some values drawn from UNUSUAL instead, and the names of those.
+
+    Each item of a list field may be unusual, and the list may come as a Python list.
+    """
+    kwargs = draw(config_fields())
+    names = draw(st.lists(st.sampled_from(sorted(kwargs)), min_size=1, unique=True))
+    for name in names:
+        hint = HINTS[name]
+        if typing.get_origin(hint) is tuple:
+            unusual = UNUSUAL[typing.get_args(hint)[0]]
+            items = [draw(st.one_of(st.just(item), unusual)) for item in kwargs[name]]
+            kwargs[name] = draw(st.sampled_from((tuple, list)))(items)
+        else:
+            kwargs[name] = draw(UNUSUAL[hint])
+    return kwargs, names
+
+
+def names_one_of(message, names):
+    # The grid's own check names X by what it holds, a half extent.
+    words = names + ["half extent"] * ("X" in names)
+    return any(re.search(rf"(?<!\w){re.escape(word)}(?!\w)", message) for word in words)
+
+
+@settings(max_examples=300, deadline=None)
+@given(unusual_fields())
+@example(({"operator": "garnet_film", "op_delta": math.nan}, ["op_delta"]))
+@example(({"tol": math.nan}, ["tol"]))
+@example(({"op_gamma_len": math.inf}, ["op_gamma_len"]))
+@example(({"initial_value": math.inf}, ["initial_value"]))
+@example(({"T": 3, "X": (2,), "pvism_solutes": (-1, 0.5), "operator": "none"},
+          ["T", "X", "pvism_solutes"]))
+@example(({"T": 2**53 + 1}, ["T"]))
+@example(({"X": (10**400,)}, ["X"]))
+@example(({"N": (256.0,)}, ["N"]))
+@example(({"epsilon": "0.1"}, ["epsilon"]))
+def test_every_config_the_constructor_accepts_reads_back(drawn):
+    kwargs, names = drawn
     try:
         cfg = RunConfig(**kwargs)
-    except ConfigError:
+    except ConfigError as exc:
+        assert names_one_of(str(exc), names), (str(exc), names)
         return
     assert parse_config(format_config(cfg)) == cfg
 
@@ -188,8 +232,20 @@ def test_format_writes_the_shortest_text_of_each_float():
      (lambda: replace(RunConfig(), snapshot_times=(20.0,)),
       "snapshot_times must lie in [0, T = 10.0], got 20.0"),
      (lambda: RunConfig(pvism_solutes=(0.0,)),
-      "pvism_solutes needs operator = none, not inverse_laplacian")],
-    ids=["f", "operator", "initial", "T", "tol", "replace", "solutes"],
+      "pvism_solutes needs operator = none, not inverse_laplacian"),
+     # Values that a config line cannot hold, or not read back equal.
+     (lambda: RunConfig(seed=True), "seed must be an int, got True"),
+     (lambda: RunConfig(monitor_every=2.5), "monitor_every must be an int, got 2.5"),
+     (lambda: RunConfig(N=[256]), "N must be a tuple, got [256]"),
+     (lambda: RunConfig(N=(np.int64(256),)), "N must be an int, got np.int64(256)"),
+     (lambda: RunConfig(gamma=np.float64(0.1)),
+      "gamma must be a float or an int that a float holds exactly, got np.float64(0.1)"),
+     (lambda: RunConfig(tol=True),
+      "tol must be a float or an int that a float holds exactly, got True"),
+     (lambda: RunConfig(T=2**53 + 1),
+      "T must be a float or an int that a float holds exactly, got 9007199254740993")],
+    ids=["f", "operator", "initial", "T", "tol", "replace", "solutes", "bool-seed",
+         "float-monitor_every", "list-N", "int64-N", "float64-gamma", "bool-tol", "inexact-T"],
 )
 def test_a_config_made_in_python_is_checked_as_a_file_is(make, message):
     with pytest.raises(ConfigError) as exc_info:
@@ -252,9 +308,13 @@ def test_initial_file_on_another_box_is_refused_naming_both_grids(tmp_path):
     [("initial_file", "runs#1"), ("op_symbol_file", " spaced "), ("initial_file", "runs\n"),
      ("initial_file", "a\nb"), ("op_symbol_file", "a\rb"), ("op_symbol_file", "tab\t")],
 )
-def test_format_refuses_a_string_it_cannot_write_back(key, value):
-    with pytest.raises(ConfigError, match=f"{key} = "):
-        format_config(replace(RunConfig(), **{key: value}))
+def test_a_string_a_config_line_cannot_hold_is_refused_when_the_config_is_made(key, value):
+    message = (f"{key} must be a string with no '#', no line break and no whitespace at "
+               f"either end, got {value!r}")
+    for make in (lambda: RunConfig(**{key: value}), lambda: replace(RunConfig(), **{key: value})):
+        with pytest.raises(ConfigError) as exc_info:
+            make()
+        assert str(exc_info.value) == message
 
 
 def bits(record):
