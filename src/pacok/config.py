@@ -85,12 +85,12 @@ class RunConfig:
         for name, (kind, is_list) in _SCHEMA.items():
             value, (holds, what) = getattr(self, name), _HOLDS[kind]
             if is_list and type(value) is not tuple:
-                raise ConfigError(f"{name} must be a tuple, got {value!r}")
+                raise ConfigError(f"{name} must be a tuple, got {_shown(value)}")
             for item in value if is_list else (value,):
                 if kind is float and type(item) is float and not math.isfinite(item):
                     not_finite = not_finite or f"{name} must be finite, got {item!r}"
                 elif not holds(item):
-                    raise ConfigError(f"{name} must be {what}, got {item!r}")
+                    raise ConfigError(f"{name} must be {what}, got {_shown(item)}")
         # The choices come next: build_params reads f as an FKind.
         for key, choices in _CHOICES.items():
             if getattr(self, key) not in choices:
@@ -281,9 +281,27 @@ _SCHEMA = {
     for name, hint in typing.get_type_hints(RunConfig).items()
 }
 
+
+def _writable(v: int) -> bool:
+    """Whether str writes ``v``: it has at most sys.get_int_max_str_digits() digits (0: any)."""
+    limit = sys.get_int_max_str_digits()
+    # Up to 3 * limit bits, v is below 8**limit and so shorter: no big power to form.
+    return limit == 0 or abs(v).bit_length() <= 3 * limit or abs(v) < 10 ** limit
+
+
+def _shown(value) -> str:
+    """repr(value), or what it is where repr refuses an int too long to write."""
+    try:
+        return repr(value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        too_long = f"an int too long to write as text (more than {limit} digits)"
+        return too_long if type(value) is int else f"a {type(value).__name__} holding {too_long}"
+
+
 # The values of each item type that format_config writes and parse_config reads back equal.
 _HOLDS = {
-    int: (lambda v: type(v) is int, "an int"),
+    int: (lambda v: type(v) is int and _writable(v), "an int"),
     float: (lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max and float(v) == v,
             "a float or an int that a float holds exactly"),
     str: (lambda v: type(v) is str and "#" not in v and v == v.strip() and len(v.splitlines()) <= 1,

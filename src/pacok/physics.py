@@ -137,9 +137,10 @@ def _finite(term: str, value: float, given: str) -> float:
 def _interleaved(a: np.ndarray) -> np.ndarray:
     """``a`` with every entry twice along the last axis, read-only.
 
-    Multiplying a complex half spectrum viewed as float pairs by it gives
-    the same bits as multiplying the spectrum by the real array ``a``, in
-    one contiguous pass instead of a complex-by-complex loop.
+    The one layout of every real per-mode array a :class:`Problem` holds:
+    entry for entry, it matches a complex half spectrum viewed as float64
+    pairs.  Multiplying that view by it gives the same bits as multiplying
+    the spectrum by ``a``, and a weighted sum reads both in one contiguous pass.
     """
     out = np.repeat(a, 2, axis=-1)
     out.setflags(write=False)
@@ -162,9 +163,9 @@ class Problem:
     linear f, f' = 1, so k = -1 and rhs = A s + q (c - 2c s) + k g.
 
     f is the one ``params`` names; :meth:`mismatch` evaluates f(s) - omega.
-    The multiplier and the reciprocal of the denominator are interleaved
-    (see :func:`_interleaved`); the energy takes the symbols' mirror
-    weights, ``symbol_weights`` and ``op_weights``.  Each scaled term, and
+    Every real per-mode array is interleaved (see :func:`_interleaved`): the
+    multiplier, the reciprocal denominator, and the symbols' mirror weights
+    for the energy, ``symbol_weights`` and ``op_weights``.  Each scaled term, and
     each sum the mirror weights and the max-norm form, is checked finite at
     its largest magnitude before it is formed: an overflow on the run's grid
     is a ConfigError naming the term.
@@ -220,7 +221,7 @@ class Problem:
         symbol = stencil_symbol(grid)
         denom = self.A + tau * eps * symbol
         self.inverse_denominator = _interleaved(np.divide(1.0, denom, out=denom))
-        self.symbol_weights = mirror_weights(symbol)
+        self.symbol_weights = _interleaved(mirror_weights(symbol))
         self.op_weights = self.multiplier = self.potential_force = None
         self.op_norm = 0.0
         if op.kind is not OpKind.NONE:
@@ -234,7 +235,7 @@ class Problem:
             _finite(f"{k:g}*tau*gamma*max|L|", k * tau * float(params.gamma) * largest,
                     f"tau={tau!r}, gamma={params.gamma!r}, max|L|={largest!r}")
             self.multiplier = _interleaved(k * tau * params.gamma * op_symbol)
-            self.op_weights = mirror_weights(op_symbol)
+            self.op_weights = _interleaved(mirror_weights(op_symbol))
         if potential_values is None:
             self.interaction_norm = params.gamma * self.op_norm + params.M * grid.measure
             self.force_bound = params.omega_tilde * self.interaction_norm

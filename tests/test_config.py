@@ -92,6 +92,8 @@ def config_fields(draw):
 @settings(max_examples=200, deadline=None)
 @given(config_fields().map(lambda kwargs: RunConfig(**kwargs)))
 @example(RunConfig())
+@example(RunConfig(seed=10**4299))
+@example(RunConfig(seed=10**4300 - 1))   # the most digits Python writes by default
 def test_parse_reads_back_what_format_writes(cfg):
     assert parse_config(format_config(cfg)) == cfg
 
@@ -220,6 +222,9 @@ def test_format_writes_the_shortest_text_of_each_float():
     assert {"omega = 0.3", "hi = 0.8", "op_gamma_len = 0.1", "gamma = 500.0"} <= set(lines)
 
 
+TOO_LONG = "an int too long to write as text (more than 4300 digits)"
+
+
 @pytest.mark.parametrize(
     "make, message",
     [(lambda: RunConfig(f="Cubic"), "f must be one of ('cubic', 'linear'), got 'Cubic'"),
@@ -243,9 +248,18 @@ def test_format_writes_the_shortest_text_of_each_float():
      (lambda: RunConfig(tol=True),
       "tol must be a float or an int that a float holds exactly, got True"),
      (lambda: RunConfig(T=2**53 + 1),
-      "T must be a float or an int that a float holds exactly, got 9007199254740993")],
+      "T must be a float or an int that a float holds exactly, got 9007199254740993"),
+     # Python writes an int of at most sys.get_int_max_str_digits() digits as text.
+     (lambda: RunConfig(seed=10**5000), f"seed must be an int, got {TOO_LONG}"),
+     (lambda: RunConfig(blocks=10**5000), f"blocks must be an int, got {TOO_LONG}"),
+     (lambda: RunConfig(monitor_every=10**5000), f"monitor_every must be an int, got {TOO_LONG}"),
+     (lambda: RunConfig(N=(10**5000,)), f"N must be an int, got {TOO_LONG}"),
+     (lambda: RunConfig(N=[10**5000]), f"N must be a tuple, got a list holding {TOO_LONG}"),
+     (lambda: RunConfig(T=-10**5000),
+      f"T must be a float or an int that a float holds exactly, got {TOO_LONG}")],
     ids=["f", "operator", "initial", "T", "tol", "replace", "solutes", "bool-seed",
-         "float-monitor_every", "list-N", "int64-N", "float64-gamma", "bool-tol", "inexact-T"],
+         "float-monitor_every", "list-N", "int64-N", "float64-gamma", "bool-tol", "inexact-T",
+         "long-seed", "long-blocks", "long-monitor_every", "long-N", "list-long-N", "long-T"],
 )
 def test_a_config_made_in_python_is_checked_as_a_file_is(make, message):
     with pytest.raises(ConfigError) as exc_info:

@@ -480,6 +480,23 @@ def rhs_oracle(phi_values, grid, params, op, potential_values=None):
     return rhs
 
 
+# The interaction modes of a step: a long-range operator or none in 1D and 2D, and
+# solvation, which is 1D.
+SPECTRAL_MODES = {
+    f"{op}-{dim}d": (dim, op) for dim in (1, 2) for op in ("inverse_laplacian", "helmholtz", "none")
+} | {"solvation-1d": (1, "solvation")}
+
+
+def spectral_mode_problem(model, mode):
+    dim, op = SPECTRAL_MODES[mode]
+    g = PeriodicGrid((24, 16)[:dim], (5.0, 1.5)[:dim])   # U is not constant on [-5, 5)
+    if op == "solvation":
+        return Problem(g, model, LongRangeOp.none(), pvism_potential(g, [0.2]).values)
+    return Problem(g, model, {"inverse_laplacian": LongRangeOp.inverse_laplacian(),
+                              "helmholtz": LongRangeOp.helmholtz(0.3),
+                              "none": LongRangeOp.none()}[op])
+
+
 class TestRhsKernel:
     @pytest.mark.parametrize("model", ALL_INDICATORS)
     @pytest.mark.parametrize("sizes", [(16,), (8, 12)])
@@ -555,6 +572,42 @@ class TestRhsKernel:
         mult = 6.0 * p.tau * p.gamma * multiplier_array(LongRangeOp.inverse_laplacian(), g)
         scaled = spectrum.view(np.float64) * problem.multiplier
         assert np.array_equal(scaled, (spectrum * mult).view(np.float64))
+
+    @pytest.mark.parametrize("mode", sorted(SPECTRAL_MODES))
+    @pytest.mark.parametrize("model", ALL_INDICATORS, ids=["cubic", "linear"])
+    def test_the_spectral_half_of_a_step_is_plain_numpy_bit_for_bit(self, model, mode):
+        # Every real per-mode array has one layout: each entry twice, in the shape of a
+        # half spectrum viewed as float64 pairs.
+        problem = spectral_mode_problem(model, mode)
+        held = [problem.inverse_denominator, problem.symbol_weights]
+        if problem.multiplier is not None:
+            held += [problem.multiplier, problem.op_weights]
+        else:
+            assert problem.op_weights is None
+        for array in held:
+            assert array.shape == problem.phi_hat.view(np.float64).shape
+            assert not array.flags.writeable
+            assert np.array_equal(array[..., ::2], array[..., 1::2])
+        # Complex-by-real multiplies with the de-interleaved arrays and np.fft.irfftn,
+        # against the interleaved multiplies and the problem's own inverse.
+        shape, axes = problem.grid.shape, problem.axes
+        s = np.random.default_rng(4).uniform(0.0, 1.0, shape)
+        problem.start(s)
+        for _ in range(5):
+            if problem.potential_force is not None:
+                g = problem.potential_force
+            else:
+                g = problem.volume_force * problem.volume + problem.offset
+                if problem.multiplier is not None:
+                    long_range = problem.mismatch_hat * problem.multiplier[..., ::2]
+                    g = np.fft.irfftn(long_range, shape, axes) + g
+            rhs = problem.rhs(s, g, np.empty(shape))
+            phi_hat = np.fft.rfftn(rhs, shape, axes) * problem.inverse_denominator[..., ::2]
+            out = np.empty(shape)
+            problem.advance(s, out)
+            assert np.array_equal(out, np.fft.irfftn(phi_hat, shape, axes))
+            assert np.array_equal(problem.phi_hat, phi_hat)
+            s = out
 
     @pytest.mark.parametrize("sizes", [(16,), (8, 12)])
     def test_transforms_act_on_the_trailing_axes(self, sizes):
