@@ -53,7 +53,6 @@ from .experiments import (
 from .config import (
     RunConfig,
     format_config,
-    initial_random_piecewise,
     load_config,
     parse_config,
     read_series,

@@ -5,13 +5,14 @@ The config format is deliberately plain: one ``key = value`` per line,
 errors, every key has a documented default, and parse/format round-trips
 are lossless.  A :class:`RunConfig` checks itself when it is made, so one
 built in Python (directly or by ``dataclasses.replace``) passes the same
-checks as one read from a file.  Series files are CSV with the fixed header
-``n,t,min,max,energy,increment`` and 17-significant-digit decimals, which
-reproduce float64 exactly on read-back.
+checks as one read from a file, and the builders of its operator and its
+start check only what a file holds.  Series files are CSV with the fixed
+header ``n,t,min,max,energy,increment`` and 17-significant-digit decimals,
+which reproduce float64 exactly on read-back.
 
-:meth:`RunConfig.build_initial` builds every start.  The random starts draw
-their block values from an in-package PCG64 stream seeded like numpy's
-``default_rng(seed)`` (any integer seed >= 0, of any size) and give the same
+:meth:`RunConfig.build_initial` builds every start.  The random start draws
+its block values from an in-package PCG64 stream seeded like numpy's
+``default_rng(seed)`` (any integer seed >= 0, of any size) and gives the same
 values as its ``uniform``, at about 1.5 us per block, so no run imports
 numpy's random module.
 """
@@ -19,7 +20,6 @@ numpy's random module.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 import typing
 from dataclasses import dataclass
@@ -45,10 +45,12 @@ class RunConfig:
     interface width 10h).  The annotations are the config's one schema:
     :func:`parse_config` reads each key by its field's, and making one checks
     each value against it (``_HOLDS``), so every config reads back; then the
-    physics, the grid, the horizon, the run settings and the choices.  The
-    builders check what needs a file or the start: ``initial_file``,
-    ``op_symbol_file``, the seed, ``blocks`` dividing N, and the solutes of
-    a ``cavity`` start.
+    choices, the physics, the grid, the horizon and the run settings, and
+    what the operator and the start need: a file's name where one is read, a
+    2D grid for a ``disk``, solutes for a ``cavity``, and for a ``random``
+    start lo <= hi with a finite hi - lo, a seed >= 0 and ``blocks``
+    dividing every N.  So :meth:`build_op` and :meth:`build_initial` check
+    only what a file holds: a symbol table and a snapshot's grid.
     """
 
     epsilon: float = 0.078125
@@ -111,6 +113,28 @@ class RunConfig:
                 raise ConfigError(f"snapshot_times must lie in [0, T = {self.T!r}], got {t!r}")
         if self.pvism_solutes and self.operator != "none":
             raise ConfigError(f"pvism_solutes needs operator = none, not {self.operator}")
+        # What the builders need besides a file's contents: the files' names, and what the
+        # chosen start draws or is drawn on.
+        if self.operator == "custom" and not self.op_symbol_file:
+            raise ConfigError("operator = custom needs op_symbol_file")
+        if self.initial == "file" and not self.initial_file:
+            raise ConfigError("initial = file needs initial_file")
+        if self.initial == "disk" and len(self.N) != 2:
+            raise ConfigError("the disk initial state needs a 2D grid")
+        if self.initial == "cavity" and not self.pvism_solutes:
+            raise ConfigError("at least one solute position is required")
+        if self.initial == "random":
+            # A lo or hi that is not finite is refused below, by its name.
+            if math.isfinite(self.lo) and math.isfinite(self.hi):
+                if self.lo > self.hi:
+                    raise ConfigError(f"need lo <= hi, got lo={self.lo}, hi={self.hi}")
+                if not math.isfinite(self.hi - self.lo):
+                    raise ConfigError(f"hi - lo must be finite, got lo={self.lo}, hi={self.hi}")
+            if self.seed < 0:
+                raise ConfigError(f"seed must be >= 0, got {self.seed}")
+            for n in self.N:
+                if n % self.blocks != 0:
+                    raise ConfigError(f"blocks={self.blocks} does not divide grid size {n}")
         if not_finite:
             raise ConfigError(not_finite)
 
@@ -138,8 +162,6 @@ class RunConfig:
         if self.operator == "garnet_film":
             return LongRangeOp.garnet_film(self.op_delta)
         if self.operator == "custom":
-            if not self.op_symbol_file:
-                raise ConfigError("operator = custom needs op_symbol_file")
             return LongRangeOp.custom(load_symbol_csv(self.op_symbol_file))
         return LongRangeOp.none()
 
@@ -148,14 +170,20 @@ class RunConfig:
         potential = pvism_potential(grid, self.pvism_solutes).values if self.pvism_solutes else None
         return Problem(grid, self.build_params(), self.build_op(), potential)
 
-    def build_initial(self, grid: PeriodicGrid) -> GridField:
+    def build_initial(self) -> GridField:
+        """The start on :meth:`build_grid`, the grid the constructor checked it for."""
+        grid = self.build_grid()
         if self.initial == "random":
-            return initial_random_piecewise(grid, self.lo, self.hi, self.blocks, self.seed)
+            # numpy's default_rng(seed).uniform(lo, hi, (blocks,) * dim) in C order, each
+            # value repeated over its block.
+            values = np.array(_pcg64_uniform(self.seed, self.lo, self.hi, self.blocks**grid.dim))
+            values = values.reshape((self.blocks,) * grid.dim)
+            for axis, n in enumerate(grid.sizes):
+                values = np.repeat(values, n // self.blocks, axis=axis)
+            return GridField(grid, values)
         if self.initial == "constant":
             return GridField(grid, np.full(grid.shape, float(self.initial_value)))
         if self.initial == "file":
-            if not self.initial_file:
-                raise ConfigError("initial = file needs initial_file")
             phi, _ = load_snapshot(self.initial_file)
             if phi.grid != grid:
                 raise ConfigError(
@@ -165,45 +193,12 @@ class RunConfig:
             return phi
         # disk and cavity: a tanh interface of width eps/3, phi = 1 where d > 0.
         if self.initial == "disk":
-            if grid.dim != 2:
-                raise ConfigError("the disk initial state needs a 2D grid")
             # A disk at the origin holding the volume fraction omega, padded by 0.1.
             d = math.sqrt(self.omega * grid.measure / math.pi) + 0.1 - np.hypot(*grid.meshgrid())
         else:
             # The cavity's interface passes through the potential's cutoff around the solutes.
             d = solute_distance(grid, self.pvism_solutes) - POTENTIAL_CUTOFF
         return GridField(grid, 0.5 + 0.5 * np.tanh(d / (self.epsilon / 3.0)))
-
-
-def initial_random_piecewise(
-    grid: PeriodicGrid, lo: float, hi: float, blocks: int, seed: int
-) -> GridField:
-    """Block-constant field with per-block values uniform in [lo, hi].
-
-    ``blocks`` counts the blocks per axis and must divide every grid size.
-    The ``blocks**dim`` values fill the blocks in C order from the PCG64
-    stream that ``seed`` (an integer >= 0 of any size) starts through
-    numpy's ``SeedSequence``: the values of numpy's
-    ``default_rng(seed).uniform(lo, hi, (blocks,) * dim)``, drawn without
-    importing numpy's random module, at about 1.5 us per block.
-    """
-    if lo > hi:
-        raise ConfigError(f"need lo <= hi, got lo={lo}, hi={hi}")
-    if not math.isfinite(hi - lo):
-        raise ConfigError(f"hi - lo must be finite, got lo={lo}, hi={hi}")
-    if blocks < 1:
-        raise ConfigError(f"blocks must be >= 1, got {blocks}")
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    for n in grid.sizes:
-        if n % blocks != 0:
-            raise ConfigError(f"blocks={blocks} does not divide grid size {n}")
-    values = np.array(_pcg64_uniform(seed, lo, hi, blocks**grid.dim))
-    values = values.reshape((blocks,) * grid.dim)
-    for axis, n in enumerate(grid.sizes):
-        values = np.repeat(values, n // blocks, axis=axis)
-    return GridField(grid, values)
 
 
 _M32 = 2**32 - 1

@@ -177,8 +177,7 @@ def run_config(cfg: RunConfig, out_dir=None) -> tuple[Problem, SchemeState, list
     ``run`` rejects leaves no directory.  Returns the problem with the final
     state and the records.
     """
-    grid = cfg.build_grid()
-    problem = cfg.build_problem(grid)
+    problem = cfg.build_problem(cfg.build_grid())
     paths = (f"{out_dir}/snap_{i:03d}.csv" for i in itertools.count())
 
     def emit_snapshot(s: SchemeState):
@@ -187,7 +186,7 @@ def run_config(cfg: RunConfig, out_dir=None) -> tuple[Problem, SchemeState, list
             save_snapshot(next(paths), s.phi, t=s.time)
 
     state, records = run(
-        SchemeState(cfg.build_initial(grid)), problem, t_max=cfg.T, tol=cfg.tol,
+        SchemeState(cfg.build_initial()), problem, t_max=cfg.T, tol=cfg.tol,
         record_every=cfg.monitor_every, snapshot_times=cfg.snapshot_times,
         on_snapshot=emit_snapshot,
     )

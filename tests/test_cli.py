@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from pacok import cli, experiments, spectral
-from pacok.config import format_config
+from pacok.config import RunConfig, format_config
+from pacok.errors import ConfigError
 from pacok.grid import load_snapshot
 
 
@@ -273,6 +274,51 @@ def test_random_start_with_a_negative_seed_or_an_infinite_range_exits_2(
 def test_coarsen_with_a_negative_seed_exits_2(capsys):
     assert cli.main(["coarsen", "--dim", "1", "--preset", "g500", "--seed", "-3"]) == 2
     assert capsys.readouterr().err == "error: config: seed must be >= 0, got -3\n"
+
+
+# What a builder needs besides a file's contents, each refused when the config is made.
+REFUSED_WHEN_MADE = {
+    "custom": ({"operator": "custom"}, "operator = custom needs op_symbol_file"),
+    "file": ({"initial": "file"}, "initial = file needs initial_file"),
+    "disk-1d": ({"N": (16,), "initial": "disk"}, "the disk initial state needs a 2D grid"),
+    "cavity": ({"initial": "cavity"}, "at least one solute position is required"),
+    "lo-above-hi": ({"lo": 1.0, "hi": 0.0}, "need lo <= hi, got lo=1.0, hi=0.0"),
+    "infinite-range": ({"lo": -1e308, "hi": 1e308},
+                       "hi - lo must be finite, got lo=-1e+308, hi=1e+308"),
+    "seed": ({"seed": -1}, "seed must be >= 0, got -1"),
+    "blocks": ({"blocks": 7}, "blocks=7 does not divide grid size 256"),
+}
+
+
+def config_lines(kwargs):
+    return "".join(f"{key} = {','.join(map(str, value)) if isinstance(value, tuple) else value}\n"
+                   for key, value in kwargs.items())
+
+
+@pytest.mark.parametrize("kwargs, message", REFUSED_WHEN_MADE.values(), ids=REFUSED_WHEN_MADE)
+def test_what_a_run_refuses_before_reading_a_file_is_refused_when_the_config_is_made(
+    tmp_path, capsys, kwargs, message
+):
+    with pytest.raises(ConfigError) as exc_info:
+        RunConfig(**kwargs)
+    assert str(exc_info.value) == message
+    # So pacok check refuses it as pacok run does, and the run writes nothing.
+    path = write_config(tmp_path, config_lines(kwargs))
+    out = tmp_path / "out"
+    for argv in (["check", "--config", path], ["run", "--config", path, "--out", str(out)]):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: config: {path}: {message}\n")
+    assert not out.exists()
+
+
+def test_a_starts_checks_apply_to_that_start_alone(tmp_path, capsys):
+    # What a random start refuses, a constant start does not read.
+    kwargs = {"initial": "constant", "lo": 1.0, "hi": 0.0, "seed": -1, "blocks": 7,
+              "T": 0.005}
+    assert RunConfig(**kwargs).build_initial().values.tolist() == [0.5] * 256
+    path = write_config(tmp_path, config_lines(kwargs))
+    assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.startswith("run finished: n=5 t=0.005 ")
 
 
 @pytest.mark.parametrize("line, choices", [

@@ -55,10 +55,25 @@ non_finite = st.sampled_from((math.nan, math.inf, -math.inf))
 def config_fields(draw):
     """The fields of a RunConfig that it accepts."""
 
-    dim = draw(st.sampled_from((1, 2)))
+    # What a start needs: a disk a 2D grid, a cavity solutes (so no operator), a file its
+    # name; a random start lo <= hi with a finite hi - lo, a seed >= 0 and blocks dividing N.
+    initial = draw(st.sampled_from(("random", "disk", "constant", "file", "cavity")))
+    dim = 2 if initial == "disk" else 1 if initial == "cavity" else draw(st.sampled_from((1, 2)))
     T = draw(positive)
-    operator = draw(st.sampled_from(
+    operator = "none" if initial == "cavity" else draw(st.sampled_from(
         ("inverse_laplacian", "helmholtz", "garnet_film", "custom", "none")))
+    N = tuple(2 * n for n in draw(st.lists(st.integers(2, 2**20), min_size=dim, max_size=dim)))
+    if initial == "random":
+        ends = st.lists(finite, min_size=2, max_size=2)
+        lo, hi = sorted(draw(ends.filter(lambda e: math.isfinite(e[1] - e[0]))))
+        common = math.gcd(*N)
+        small = [b for b in range(1, math.isqrt(common) + 1) if common % b == 0]
+        blocks = draw(st.sampled_from(small + [common // b for b in small]))
+        seed = draw(st.integers(0, 2**70))
+    else:
+        lo, hi = draw(finite), draw(finite)
+        blocks, seed = draw(st.integers(1, 2**40)), draw(st.integers(-2**70, 2**70))
+    nonempty = writable.filter(bool)
     return dict(
         epsilon=draw(widths),
         gamma=draw(nonnegative),
@@ -66,7 +81,7 @@ def config_fields(draw):
         omega=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
         kappa=draw(stabilizers),
         tau=draw(steps),
-        N=tuple(2 * n for n in draw(st.lists(st.integers(2, 2**20), min_size=dim, max_size=dim))),
+        N=N,
         X=tuple(draw(st.lists(extents, min_size=dim, max_size=dim))),
         T=T,
         tol=draw(nonnegative),
@@ -74,16 +89,17 @@ def config_fields(draw):
         operator=operator,
         op_gamma_len=draw(finite),
         op_delta=draw(finite),
-        op_symbol_file=draw(writable),
+        op_symbol_file=draw(nonempty if operator == "custom" else writable),
         # Solutes come only without an operator.
-        pvism_solutes=tuple(draw(st.lists(finite, max_size=3 if operator == "none" else 0))),
-        seed=draw(st.integers(-2**70, 2**70)),
-        initial=draw(st.sampled_from(("random", "disk", "constant", "file", "cavity"))),
+        pvism_solutes=tuple(draw(st.lists(finite, min_size=int(initial == "cavity"),
+                                          max_size=3 if operator == "none" else 0))),
+        seed=seed,
+        initial=initial,
         initial_value=draw(finite),
-        initial_file=draw(writable),
-        blocks=draw(st.integers(1, 2**40)),
-        lo=draw(finite),
-        hi=draw(finite),
+        initial_file=draw(nonempty if initial == "file" else writable),
+        blocks=blocks,
+        lo=lo,
+        hi=hi,
         snapshot_times=tuple(draw(st.lists(st.floats(0.0, T), max_size=4))),
         monitor_every=draw(st.integers(1, 2**40)),
     )
@@ -301,7 +317,7 @@ def test_disk_start_is_the_tanh_disk_holding_omega():
     r = np.sqrt(x[:, None] ** 2 + y[None, :] ** 2)
     r0 = math.sqrt(0.2 * 2.0 / math.pi) + 0.1
     expected = 0.5 + 0.5 * np.tanh((r0 - r) / (0.1 / 3.0))
-    np.testing.assert_allclose(cfg.build_initial(cfg.build_grid()).values, expected,
+    np.testing.assert_allclose(cfg.build_initial().values, expected,
                                rtol=0.0, atol=1e-15)
 
 
@@ -310,7 +326,7 @@ def test_initial_file_on_another_box_is_refused_naming_both_grids(tmp_path):
     save_snapshot(path, GridField(PeriodicGrid((16,), (2.0,)), np.full(16, 0.5)), t=0.0)
     cfg = RunConfig(N=(16,), initial="file", initial_file=path)
     with pytest.raises(ConfigError) as exc_info:
-        cfg.build_initial(cfg.build_grid())
+        cfg.build_initial()
     assert str(exc_info.value) == (
         "initial_file grid N = (16,), X = (2.0,) does not match the config's "
         "N = (16,), X = (1.0,)"

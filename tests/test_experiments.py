@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pacok
-from pacok.config import initial_random_piecewise
+from pacok.config import RunConfig
 from pacok.experiments import (
     RATE_STUDY,
     SOLVATION,
@@ -57,8 +57,8 @@ numpy_oracle = pytest.mark.skipif(
 
 
 def assert_is_numpy_stream(sizes, lo, hi, blocks, seed):
-    grid = PeriodicGrid(sizes, (1.0,) * len(sizes))
-    field = initial_random_piecewise(grid, lo, hi, blocks, seed).values
+    cfg = RunConfig(N=sizes, X=(1.0,) * len(sizes), lo=lo, hi=hi, blocks=blocks, seed=seed)
+    field = cfg.build_initial().values
     expected = np.random.default_rng(seed).uniform(lo, hi, (blocks,) * len(sizes))
     for axis, n in enumerate(sizes):
         expected = np.repeat(expected, n // blocks, axis=axis)

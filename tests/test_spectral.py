@@ -582,8 +582,9 @@ class TestTablePath:
         path = tmp_path_factory.mktemp("table") / "symbol.csv"
         write_table(path, lines)
         g = PeriodicGrid(sizes, (1.0,) * len(sizes))
+        # A constant start, as the default 8 blocks divide no grid of 4 or 6 points.
         cfg = RunConfig(N=sizes, X=(1.0,) * len(sizes), operator="custom",
-                        op_symbol_file=str(path))
+                        op_symbol_file=str(path), initial="constant")
         if isinstance(table, str):
             with pytest.raises(ConfigError, match=table):
                 cfg.build_op()

@@ -12,7 +12,7 @@ from pacok.energy import problem_energy
 from pacok.errors import (
     BlowupError, ConfigError, EnergyIncreaseError, GridMismatchError, MppViolationError,
 )
-from pacok.config import RunConfig, initial_random_piecewise
+from pacok.config import RunConfig
 from pacok.experiments import coarsening_preset, run_config
 from pacok.grid import GridField, PeriodicGrid
 from pacok.physics import FKind, ModelParams, Problem
@@ -220,7 +220,8 @@ class TestStepMemory:
             g = PeriodicGrid((n, n), (1.0, 1.0))
             p = ModelParams(epsilon=0.15625, gamma=200.0, M=1000.0, omega=0.3,
                             kappa=4500.0, tau=1e-3)
-        return SchemeState(initial_random_piecewise(g, 0.0, 0.8, 8, seed=3)), p
+        start = RunConfig(N=g.sizes, X=g.half_extents, lo=0.0, hi=0.8, blocks=8, seed=3)
+        return SchemeState(start.build_initial()), p
 
     @pytest.mark.parametrize("n", [128, 256])
     def test_step_after_the_first_peaks_below_1_05_fields(self, n, monkeypatch):
@@ -401,7 +402,7 @@ class TestRun:
         # It is refused before anything is handed to on_snapshot.
         cfg = RunConfig(N=(16,))
         grid = cfg.build_grid()
-        start = SchemeState(cfg.build_initial(grid), 0, 5.0)
+        start = SchemeState(cfg.build_initial(), 0, 5.0)
         message = "the state's time 5.0 is not its step index 0 times tau = 0.001, which is 0.0"
         snapshots = []
         with pytest.raises(ConfigError, match=re.escape(message)):
