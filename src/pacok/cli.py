@@ -38,10 +38,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_check(args) -> int:
-    from .stepping import check_conditions
+    from .stepping import check_start
 
     cfg = _load_config(args)
-    report = check_conditions(cfg.build_problem(cfg.build_grid()))
+    # The start passes run's own checks of it, so check refuses what run refuses.
+    report = check_start(cfg.build_problem(cfg.build_grid()), cfg.build_initial().values)[0]
     print(report.pretty())
     required = {
         "mpp": report.mpp_ok,

@@ -46,11 +46,11 @@ class RunConfig:
     :func:`parse_config` reads each key by its field's, and making one checks
     each value against it (``_HOLDS``), so every config reads back; then the
     choices, the physics, the grid, the horizon and the run settings, and
-    what the operator and the start need: a file's name where one is read, a
-    2D grid for a ``disk``, solutes for a ``cavity``, and for a ``random``
-    start lo <= hi with a finite hi - lo, a seed >= 0 and ``blocks``
-    dividing every N.  So :meth:`build_op` and :meth:`build_initial` check
-    only what a file holds: a symbol table and a snapshot's grid.
+    what the operator and the start need: a file's name where one is read,
+    the operator's Helmholtz length or film thickness, solutes on a 1D grid
+    (a ``cavity`` needs them), a 2D grid for a ``disk``, and for a ``random``
+    start lo <= hi with a finite hi - lo, a seed >= 0 and ``blocks`` dividing
+    every N.  So the builders check only what a file holds.
     """
 
     epsilon: float = 0.078125
@@ -81,8 +81,8 @@ class RunConfig:
 
     def __post_init__(self):
         # Each value first as a config line holds it, so no check below sees a value of
-        # another type.  A float that is not finite is refused last, so that a field with a
-        # check of its own refuses it with that check's message.
+        # another type.  A float that is not finite is refused after the checks that name it
+        # in their own message, and before the builders' checks at the end, which never see one.
         not_finite = None
         for name, (kind, is_list) in _SCHEMA.items():
             value, (holds, what) = getattr(self, name), _HOLDS[kind]
@@ -121,8 +121,6 @@ class RunConfig:
             raise ConfigError("initial = file needs initial_file")
         if self.initial == "disk" and len(self.N) != 2:
             raise ConfigError("the disk initial state needs a 2D grid")
-        if self.initial == "cavity" and not self.pvism_solutes:
-            raise ConfigError("at least one solute position is required")
         if self.initial == "random":
             # A lo or hi that is not finite is refused below, by its name.
             if math.isfinite(self.lo) and math.isfinite(self.hi):
@@ -137,6 +135,11 @@ class RunConfig:
                     raise ConfigError(f"blocks={self.blocks} does not divide grid size {n}")
         if not_finite:
             raise ConfigError(not_finite)
+        # The builders' own checks that need no file: the operator's, and the solutes' grid.
+        if self.operator != "custom":
+            self.build_op()
+        if self.pvism_solutes or self.initial == "cavity":
+            solute_distance(self.build_grid(), self.pvism_solutes)
 
     # --- builders -------------------------------------------------------
 

@@ -8,7 +8,7 @@ periodicity, not the storage.  The discrete L2 inner product is
 
     <f, g>_h = (prod_i h_i) * sum f_k g_k,
 
-with the induced L2 norm, the max norm, and the mean <f, 1>_h / |T^d|.
+with the induced L2 norm.
 Reductions rely on numpy's pairwise summation over contiguous buffers,
 which keeps the bilinearity/symmetry identities at the 1e-12 level on
 256^2 grids.

@@ -89,7 +89,7 @@ class ModelParams:
         # A string would otherwise step with the linear f and miss the constants' table.
         if not isinstance(self.f, FKind):
             raise ConfigError(f"f must be an FKind, got {self.f!r}")
-        if not (np.isfinite(self.epsilon) and self.epsilon > 0.0):
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
         for name in ("gamma", "M", "kappa"):
             value = getattr(self, name)
@@ -97,7 +97,7 @@ class ModelParams:
                 raise ConfigError(f"{name} must be finite and >= 0, got {value}")
         if not (0.0 < self.omega < 1.0):
             raise ConfigError(f"omega must lie in (0, 1), got {self.omega}")
-        if not (np.isfinite(self.tau) and self.tau > 0.0):
+        if not (math.isfinite(self.tau) and self.tau > 0.0):
             raise ConfigError(f"tau must be positive, got {self.tau}")
         # The scheme's terms in epsilon, kappa and tau, as Problem and the conditions form them.
         eps, kappa, tau = float(self.epsilon), float(self.kappa), float(self.tau)
@@ -359,11 +359,11 @@ POTENTIAL_CUTOFF = 2.5
 def solute_distance(grid: PeriodicGrid, solute_positions) -> np.ndarray:
     """The distance on the torus from each point of a 1D grid to its nearest solute:
     min(r, 2X - r) with r = |x - p| mod 2X, which is |x - p| itself where that is <= X."""
-    if grid.dim != 1:
-        raise ConfigError("solute distances are defined for 1D grids")
     positions = [float(p) for p in np.atleast_1d(solute_positions)]
     if not positions:
         raise ConfigError("at least one solute position is required")
+    if grid.dim != 1:
+        raise ConfigError("solute distances are defined for 1D grids")
     if not np.all(np.isfinite(positions)):
         raise ConfigError(f"solute positions must be finite, got {positions}")
     (x,) = grid.coordinates()

@@ -111,7 +111,7 @@ class LongRangeOp:
             raise ConfigError(f"kind must be an OpKind, got {self.kind!r}")
         if self.kind is OpKind.HELMHOLTZ and not self.gamma_len > 0.0:
             raise ConfigError("helmholtz operator needs a positive length")
-        if self.kind is OpKind.HELMHOLTZ and not np.isfinite(self.gamma_len * self.gamma_len):
+        if self.kind is OpKind.HELMHOLTZ and not np.isfinite(float(self.gamma_len) * self.gamma_len):
             raise ConfigError(f"helmholtz length {self.gamma_len!r} has no finite square")
         if self.kind is OpKind.GARNET_FILM and not self.delta > 0.0:
             raise ConfigError("garnet film operator needs a positive thickness")

@@ -225,6 +225,18 @@ def _outside_bounds(lo: float, hi: float) -> bool:
     return lo < -MPP_TOL or hi > 1.0 + MPP_TOL
 
 
+def check_start(problem: Problem, s: np.ndarray) -> tuple[ConditionReport, float, float, float]:
+    """Start ``problem`` from ``s``; return its :func:`check_conditions`, the :func:`start_energy`
+    total and the min and max of ``s``, refusing a start outside certified bounds [0, 1]."""
+    report = check_conditions(problem)
+    energy = start_energy(problem, s).total
+    lo, hi = float(s.min()), float(s.max())
+    if report.mpp_ok and _outside_bounds(lo, hi):
+        raise ConfigError(f"certified bounds need an initial field in [0, 1]: "
+                          f"min={lo:.3e}, max={hi:.3e}")
+    return report, energy, lo, hi
+
+
 def run(
     state0: SchemeState,
     problem: Problem,
@@ -243,12 +255,12 @@ def run(
     each snapshot step and at the final step.  When
     :func:`check_conditions` of the problem certifies a guarantee, it is
     enforced on every step: bounds, and energy decay from the starting
-    field's energy on; a violation raises instead of returning.  Certified
-    bounds also need a starting field in [0, 1]; one outside is a
-    :class:`ConfigError`, as are a step count that is not finite, a
+    field's energy on; a violation raises instead of returning.  The start
+    passes :func:`check_start` first: certified bounds need a starting field
+    in [0, 1], and one outside is a :class:`ConfigError`, as are a starting
+    field whose energy is not finite, a step count that is not finite and a
     ``state0`` whose time is not its step index times tau (within
-    ``STEP_RTOL``) and a starting field whose energy is not finite
-    (:func:`start_energy`).  A ``state0`` on another grid than the
+    ``STEP_RTOL``).  A ``state0`` on another grid than the
     problem's raises :class:`GridMismatchError`.  A non-finite increment, or energy after
     the start, raises :class:`BlowupError`.
 
@@ -261,7 +273,7 @@ def run(
 
     Every energy comes from :func:`pacok.energy.problem_energy`, on the
     field and spectra the problem holds; the start's come from
-    :func:`start_energy`.  The first step is a call of :func:`step`, the kernel
+    :func:`check_start`.  The first step is a call of :func:`step`, the kernel
     makes the others, and the returned state takes the field buffer the
     kernel wrote last (``state0`` itself when there is nothing to step).
     """
@@ -279,13 +291,7 @@ def run(
     n, s = state0.step_index, state0.phi.values
     n_steps = steps_to(t_max - state0.time, tau)
     snapshot_steps = {steps_to(t - state0.time, tau) for t in snapshot_times} - {n_steps}
-    report = check_conditions(problem)
-    last_energy = start_energy(problem, s).total
-    lo, hi = float(s.min()), float(s.max())
-    if report.mpp_ok and _outside_bounds(lo, hi):
-        raise ConfigError(
-            f"certified bounds need an initial field in [0, 1]: min={lo:.3e}, max={hi:.3e}"
-        )
+    report, last_energy, lo, hi = check_start(problem, s)
     records = [StepRecord(n, state0.time, lo, hi, last_energy, 0.0)]
     if n_steps == 0:
         return state0, records

@@ -90,6 +90,18 @@ def test_run_blowup_exits_4_with_its_step(tmp_path, capsys, text, n):
     assert f"step {n}" in err
 
 
+def assert_check_and_run_refuse(tmp_path, capsys, text, message):
+    """pacok check (requiring nothing) and pacok run both exit 2 with the one line
+    ``error: config: <message>``, print nothing else and write nothing."""
+    path = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    for argv in (["check", "--config", path, "--require", "none"],
+                 ["run", "--config", path, "--out", str(out)]):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: config: {message}\n")
+    assert not out.exists()
+
+
 HUGE_1D, HUGE_2D = "N = 16\nX = 1e150\n", "N = 16,16\nX = 1e150,1e150\n"
 AT_T0 = "snapshot_times = 0.0\n"
 
@@ -98,12 +110,8 @@ AT_T0 = "snapshot_times = 0.0\n"
                          ids=["1d", "2d", "1d-t0", "2d-t0"])
 def test_run_from_a_start_whose_energy_is_not_finite_exits_2(tmp_path, capsys, text):
     # The operator's max-norm on such a box overflows the starting energy.
-    path = write_config(tmp_path, text)
-    out = tmp_path / "out"
-    assert cli.main(["run", "--config", path, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == (
-        "error: config: the starting field's energy is not finite: total = inf\n")
-    assert not out.exists()
+    assert_check_and_run_refuse(
+        tmp_path, capsys, text, "the starting field's energy is not finite: total = inf")
 
 
 def test_energy_of_a_snapshot_whose_energy_is_not_finite_exits_2(tmp_path, capsys):
@@ -287,6 +295,12 @@ REFUSED_WHEN_MADE = {
                        "hi - lo must be finite, got lo=-1e+308, hi=1e+308"),
     "seed": ({"seed": -1}, "seed must be >= 0, got -1"),
     "blocks": ({"blocks": 7}, "blocks=7 does not divide grid size 256"),
+    "helmholtz-length": ({"operator": "helmholtz", "op_gamma_len": 0.0},
+                         "helmholtz operator needs a positive length"),
+    "garnet-thickness": ({"operator": "garnet_film", "op_delta": -1.0},
+                         "garnet film operator needs a positive thickness"),
+    "solutes-2d": ({"operator": "none", "pvism_solutes": (0.0,), "N": (16, 16), "X": (1.0, 1.0)},
+                   "solute distances are defined for 1D grids"),
 }
 
 
@@ -429,6 +443,53 @@ def test_check_certifies_what_each_study_config_promises(tmp_path, config, requi
     path = write_config(tmp_path, text)
     for guarantee, code in required.items():
         assert cli.main(["check", "--config", path, "--require", guarantee]) == code
+
+
+def test_a_certified_run_from_a_constant_start_above_1_is_refused_by_check_as_by_run(
+    tmp_path, capsys
+):
+    assert_check_and_run_refuse(
+        tmp_path, capsys, RECORD_32 + "initial = constant\ninitial_value = 1.5\n",
+        "certified bounds need an initial field in [0, 1]: min=1.500e+00, max=1.500e+00")
+
+
+# What pacok check prints for the README's 32^2 config and for the 128^2 physics of the
+# benchmark's record-2d workload.
+CHECK_REPORTS = {
+    "README-32": (RECORD_32, """\
+operator max-norm               1.680770e-01
+bounds lhs (1/tau + kappa/eps)  2.980000e+04
+bounds rhs                      1.717158e+04
+bounds certified                yes
+kappa min (bounds)              2.526810e+03
+energy lhs (kappa/eps)          2.880000e+04
+energy rhs                      2.624722e+04
+energy certified                yes
+kappa min (energy)              4.101128e+03
+continuous bounds lhs (<= 1)    7.352945e+01
+continuous bounds certified     no
+"""),
+    "record-2d": (RECORD_32.replace("N = 32,32", "N = 128,128"), """\
+operator max-norm               1.677658e-01
+bounds lhs (1/tau + kappa/eps)  2.980000e+04
+bounds rhs                      1.717132e+04
+bounds certified                yes
+kappa min (bounds)              2.526769e+03
+energy lhs (kappa/eps)          2.880000e+04
+energy rhs                      2.624682e+04
+energy certified                yes
+kappa min (energy)              4.101065e+03
+continuous bounds lhs (<= 1)    7.352831e+01
+continuous bounds certified     no
+"""),
+}
+
+
+@pytest.mark.parametrize("text, report", CHECK_REPORTS.values(), ids=CHECK_REPORTS)
+def test_check_prints_its_report_of_a_certified_config(tmp_path, capsys, text, report):
+    path = write_config(tmp_path, text)
+    assert cli.main(["check", "--config", path, "--require", "both"]) == 0
+    assert capsys.readouterr() == (report, "")
 
 
 def test_certified_2d_run_writes_its_snapshots_and_each_gives_its_recorded_energy(

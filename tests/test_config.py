@@ -55,8 +55,10 @@ non_finite = st.sampled_from((math.nan, math.inf, -math.inf))
 def config_fields(draw):
     """The fields of a RunConfig that it accepts."""
 
-    # What a start needs: a disk a 2D grid, a cavity solutes (so no operator), a file its
-    # name; a random start lo <= hi with a finite hi - lo, a seed >= 0 and blocks dividing N.
+    # What a start needs: a disk a 2D grid, a cavity solutes (so no operator and a 1D grid),
+    # a file its name; a random start lo <= hi with a finite hi - lo, a seed >= 0 and blocks
+    # dividing N.  What an operator needs: a Helmholtz length > 0 with a finite square, a
+    # garnet film thickness > 0, a custom symbol its file's name.
     initial = draw(st.sampled_from(("random", "disk", "constant", "file", "cavity")))
     dim = 2 if initial == "disk" else 1 if initial == "cavity" else draw(st.sampled_from((1, 2)))
     T = draw(positive)
@@ -87,12 +89,13 @@ def config_fields(draw):
         tol=draw(nonnegative),
         f=draw(st.sampled_from(("cubic", "linear"))),
         operator=operator,
-        op_gamma_len=draw(finite),
-        op_delta=draw(finite),
+        op_gamma_len=draw(st.floats(0.0, 1e150, exclude_min=True)
+                          if operator == "helmholtz" else finite),
+        op_delta=draw(positive if operator == "garnet_film" else finite),
         op_symbol_file=draw(nonempty if operator == "custom" else writable),
-        # Solutes come only without an operator.
+        # Solutes come only without an operator, on a 1D grid.
         pvism_solutes=tuple(draw(st.lists(finite, min_size=int(initial == "cavity"),
-                                          max_size=3 if operator == "none" else 0))),
+                                          max_size=3 if operator == "none" and dim == 1 else 0))),
         seed=seed,
         initial=initial,
         initial_value=draw(finite),
@@ -195,6 +198,26 @@ def test_a_float_that_is_not_finite_is_refused_naming_its_field(key, value):
 def test_a_field_with_its_own_check_keeps_its_message_for_a_float_that_is_not_finite(
     kwargs, message
 ):
+    with pytest.raises(ConfigError) as exc_info:
+        RunConfig(**kwargs)
+    assert str(exc_info.value) == message
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"tau": -2**64}, "tau must be positive, got -18446744073709551616"),
+    ({"epsilon": -2**70}, "epsilon must be positive, got -1180591620717411303424"),
+    ({"operator": "helmholtz", "op_gamma_len": 2**600},
+     f"helmholtz length {2**600} has no finite square"),
+    ({"tau": 2**64}, None), ({"epsilon": 2**70}, None),
+    ({"operator": "helmholtz", "op_gamma_len": 2**64}, None),
+], ids=["tau", "epsilon", "helmholtz-square", "tau-ok", "epsilon-ok", "helmholtz-ok"])
+def test_an_int_beyond_int64_in_a_float_field_is_checked_as_its_float(kwargs, message):
+    # A float field takes an int that a float holds exactly, however long; numpy's isfinite
+    # refuses an int beyond int64 with a TypeError.
+    if message is None:
+        cfg = RunConfig(**kwargs)
+        assert parse_config(format_config(cfg)) == cfg
+        return
     with pytest.raises(ConfigError) as exc_info:
         RunConfig(**kwargs)
     assert str(exc_info.value) == message
