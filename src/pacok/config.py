@@ -29,9 +29,9 @@ import numpy as np
 from .errors import ConfigError, reading
 from .grid import GridField, PeriodicGrid, load_snapshot
 from .physics import POTENTIAL_CUTOFF, FKind, ModelParams, Problem, pvism_potential
-from .physics import solute_distance
+from .physics import check_solutes, solute_distance
 from .spectral import LongRangeOp, OpKind, load_symbol_csv
-from .stepping import StepRecord
+from .stepping import StepRecord, steps_to
 
 SERIES_HEADER = "n,t,min,max,energy,increment"
 
@@ -44,13 +44,14 @@ class RunConfig:
     M = 2000, kappa = 2000, tau = 1e-3 on [-1, 1) with 256 points and
     interface width 10h).  The annotations are the config's one schema:
     :func:`parse_config` reads each key by its field's, and making one checks
-    each value against it (``_HOLDS``), so every config reads back; then the
-    choices, the physics, the grid, the horizon and the run settings, and
-    what the operator and the start need: a file's name where one is read,
-    the operator's Helmholtz length or film thickness, solutes on a 1D grid
-    (a ``cavity`` needs them), a 2D grid for a ``disk``, and for a ``random``
-    start lo <= hi with a finite hi - lo, a seed >= 0 and ``blocks`` dividing
-    every N.  So the builders check only what a file holds.
+    each value against it (``_HOLDS``), each float finite, so every config
+    reads back; then the choices, the physics, the grid, the horizon and the
+    run settings, what the operator and the start need (a file's name where
+    one is read, the Helmholtz length or film thickness, solutes on a 1D grid,
+    a 2D grid for a ``disk``, and for a ``random`` start lo <= hi with a finite
+    hi - lo, a seed >= 0 and ``blocks`` dividing every N), and last the step
+    count T/tau.  A float that is not finite, a length or a thickness is
+    refused naming its key.  So the builders check only what a file holds.
     """
 
     epsilon: float = 0.078125
@@ -80,18 +81,16 @@ class RunConfig:
     monitor_every: int = 1
 
     def __post_init__(self):
-        # Each value first as a config line holds it, so no check below sees a value of
-        # another type.  A float that is not finite is refused after the checks that name it
-        # in their own message, and before the builders' checks at the end, which never see one.
-        not_finite = None
+        # Each value first as a config line holds it, and a float finite, so no check below
+        # sees a value of another type or a float that is not finite.
         for name, (kind, is_list) in _SCHEMA.items():
             value, (holds, what) = getattr(self, name), _HOLDS[kind]
             if is_list and type(value) is not tuple:
                 raise ConfigError(f"{name} must be a tuple, got {_shown(value)}")
             for item in value if is_list else (value,):
                 if kind is float and type(item) is float and not math.isfinite(item):
-                    not_finite = not_finite or f"{name} must be finite, got {item!r}"
-                elif not holds(item):
+                    raise ConfigError(f"{name} must be finite, got {item!r}")
+                if not holds(item):
                     raise ConfigError(f"{name} must be {what}, got {_shown(item)}")
         # The choices come next: build_params reads f as an FKind.
         for key, choices in _CHOICES.items():
@@ -100,7 +99,7 @@ class RunConfig:
         # ModelParams and PeriodicGrid check the physics and the grid.
         self.build_params()
         self.build_grid()
-        if not 0.0 < self.T < math.inf:
+        if self.T <= 0.0:
             raise ConfigError(f"T must be positive and finite, got {self.T}")
         if self.tol < 0.0:
             raise ConfigError(f"tol must be >= 0, got {self.tol}")
@@ -122,24 +121,25 @@ class RunConfig:
         if self.initial == "disk" and len(self.N) != 2:
             raise ConfigError("the disk initial state needs a 2D grid")
         if self.initial == "random":
-            # A lo or hi that is not finite is refused below, by its name.
-            if math.isfinite(self.lo) and math.isfinite(self.hi):
-                if self.lo > self.hi:
-                    raise ConfigError(f"need lo <= hi, got lo={self.lo}, hi={self.hi}")
-                if not math.isfinite(self.hi - self.lo):
-                    raise ConfigError(f"hi - lo must be finite, got lo={self.lo}, hi={self.hi}")
+            if self.lo > self.hi:
+                raise ConfigError(f"need lo <= hi, got lo={self.lo}, hi={self.hi}")
+            if not math.isfinite(self.hi - self.lo):
+                raise ConfigError(f"hi - lo must be finite, got lo={self.lo}, hi={self.hi}")
             if self.seed < 0:
                 raise ConfigError(f"seed must be >= 0, got {self.seed}")
             for n in self.N:
                 if n % self.blocks != 0:
                     raise ConfigError(f"blocks={self.blocks} does not divide grid size {n}")
-        if not_finite:
-            raise ConfigError(not_finite)
-        # The builders' own checks that need no file: the operator's, and the solutes' grid.
-        if self.operator != "custom":
-            self.build_op()
+        # The builders' checks that need no file, an operator's naming its key; the step count.
+        key = {"helmholtz": "op_gamma_len", "garnet_film": "op_delta"}.get(self.operator)
+        if key:
+            try:
+                self.build_op()
+            except ConfigError as exc:
+                raise ConfigError(f"{key}: {exc}") from None
         if self.pvism_solutes or self.initial == "cavity":
-            solute_distance(self.build_grid(), self.pvism_solutes)
+            check_solutes(self.build_grid(), self.pvism_solutes)
+        steps_to(self.T, self.tau)
 
     # --- builders -------------------------------------------------------
 
@@ -355,11 +355,8 @@ def load_config(path) -> RunConfig:
 
 
 def _format_value(value) -> str:
-    if isinstance(value, float):
-        return repr(value)   # the shortest text that reads back to the same float
-    if isinstance(value, tuple):
-        return ",".join(_format_value(v) for v in value)
-    return str(value)
+    # str of a float is its repr, the shortest text that reads back to the same float.
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
 def format_config(cfg: RunConfig) -> str:

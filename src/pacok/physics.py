@@ -356,9 +356,8 @@ SOLVENT_PERMITTIVITY = 80.0
 POTENTIAL_CUTOFF = 2.5
 
 
-def solute_distance(grid: PeriodicGrid, solute_positions) -> np.ndarray:
-    """The distance on the torus from each point of a 1D grid to its nearest solute:
-    min(r, 2X - r) with r = |x - p| mod 2X, which is |x - p| itself where that is <= X."""
+def check_solutes(grid: PeriodicGrid, solute_positions) -> list[float]:
+    """The solute positions as floats: at least one, each finite, on a 1D grid."""
     positions = [float(p) for p in np.atleast_1d(solute_positions)]
     if not positions:
         raise ConfigError("at least one solute position is required")
@@ -366,6 +365,13 @@ def solute_distance(grid: PeriodicGrid, solute_positions) -> np.ndarray:
         raise ConfigError("solute distances are defined for 1D grids")
     if not np.all(np.isfinite(positions)):
         raise ConfigError(f"solute positions must be finite, got {positions}")
+    return positions
+
+
+def solute_distance(grid: PeriodicGrid, solute_positions) -> np.ndarray:
+    """The distance on the torus from each point of a 1D grid to its nearest solute:
+    min(r, 2X - r) with r = |x - p| mod 2X, which is |x - p| itself where that is <= X."""
+    positions = check_solutes(grid, solute_positions)
     (x,) = grid.coordinates()
     period = 2.0 * grid.half_extents[0]
     r = np.abs(x[:, None] - np.array(positions)[None, :]) % period

@@ -1,5 +1,8 @@
 import itertools
+import pathlib
 import re
+import shutil
+import subprocess
 import sys
 import warnings
 from dataclasses import replace
@@ -296,11 +299,13 @@ REFUSED_WHEN_MADE = {
     "seed": ({"seed": -1}, "seed must be >= 0, got -1"),
     "blocks": ({"blocks": 7}, "blocks=7 does not divide grid size 256"),
     "helmholtz-length": ({"operator": "helmholtz", "op_gamma_len": 0.0},
-                         "helmholtz operator needs a positive length"),
+                         "op_gamma_len: helmholtz operator needs a positive length"),
     "garnet-thickness": ({"operator": "garnet_film", "op_delta": -1.0},
-                         "garnet film operator needs a positive thickness"),
+                         "op_delta: garnet film operator needs a positive thickness"),
     "solutes-2d": ({"operator": "none", "pvism_solutes": (0.0,), "N": (16, 16), "X": (1.0, 1.0)},
                    "solute distances are defined for 1D grids"),
+    "step-count": ({"T": 1e300, "tau": 1e-10},
+                   "the step count to t = 1e+300 with tau = 1e-10 is not finite"),
 }
 
 
@@ -649,14 +654,14 @@ def test_converge_with_levels_that_halve_the_step_to_zero_exits_2(capsys):
 def test_converge_with_a_horizon_that_is_not_finite_exits_2(t_end, capsys):
     argv = ["converge", "--eps-factors", "4", "--n", "8", "--t-end", t_end]
     assert cli.main(argv) == 2
-    assert capsys.readouterr().err == f"error: config: T must be positive and finite, got {t_end}\n"
+    assert capsys.readouterr().err == f"error: config: T must be finite, got {t_end}\n"
 
 
 @pytest.mark.parametrize("t_max", ["nan", "inf"])
 def test_pvism_with_a_time_that_is_not_finite_exits_2(t_max, capsys):
     assert cli.main(["pvism", "--t-max", t_max]) == 2
     err = capsys.readouterr().err
-    assert err == f"error: config: T must be positive and finite, got {t_max}\n"
+    assert err == f"error: config: T must be finite, got {t_max}\n"
 
 
 @pytest.mark.parametrize("factors, bad", [("abc", "abc"), ("4,x2", "x2"), ("4,,2", ""),
@@ -838,3 +843,24 @@ def test_solutes_with_an_operator_exit_2_naming_both_keys(tmp_path, capsys):
     assert cli.main(["check", "--config", path]) == 2
     assert capsys.readouterr().err.endswith(
         ": pvism_solutes needs operator = none, not helmholtz\n")
+
+
+@pytest.mark.skipif(
+    pathlib.Path(cli.__file__).resolve().is_relative_to(
+        pathlib.Path(__file__).resolve().parents[1] / "src"),
+    reason="pacok is imported from the checkout's src/, so its console script is not the one run",
+)
+def test_the_installed_console_script_checks_then_runs_a_config(tmp_path):
+    # The entry point pip installs, each command in a process of its own.
+    script = shutil.which("pacok")
+    assert script is not None, "the pacok console script is not on PATH"
+    path = write_config(tmp_path, "N = 16\nT = 0.005\nsnapshot_times = 0.0\n")
+    out = tmp_path / "out"
+    check = subprocess.run([script, "check", "--config", path], capture_output=True, text=True)
+    assert (check.returncode, check.stderr) == (0, "")
+    assert "bounds certified                yes" in check.stdout.splitlines()
+    run = subprocess.run([script, "run", "--config", path, "--out", str(out)],
+                         capture_output=True, text=True)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout.startswith("run finished: n=5 t=0.005 ")
+    assert sorted(p.name for p in out.iterdir()) == ["series.csv", "snap_000.csv", "snap_001.csv"]
